@@ -121,11 +121,13 @@
 // persistent TCP connections ("ftbfs serve -wire"): requests carry a fixed
 // binary point-query or batch payload and a request id, responses may
 // arrive out of order, and both sides coalesce bursts of frames into
-// shared syscalls, which is what removes the per-request HTTP tax. The
-// server side funnels wire requests through the same handlers as HTTP, so
-// the two transports are answer-identical by construction (and
-// differential-tested, transport against transport against oracle).
-// Shards advertise their wire address on /readyz; the router dials it
-// automatically and falls back to HTTP per request on any transport
-// failure, so a mixed-version cluster keeps answering.
+// shared syscalls, which is what removes the per-request HTTP tax.
+// internal/server converts HTTP requests to wire form in one place and
+// answers both transports through one dispatch, so they are
+// answer-identical by construction (and differential-tested, transport
+// against transport against oracle). Inside a cluster the binary protocol
+// is the only query path: shards must serve it ("ftbfs serve -shard
+// -wire"), advertise their wire address on /readyz, and the router learns
+// it from its probes; a wire transport fault fails the attempt over to the
+// next replica.
 package ftbfs

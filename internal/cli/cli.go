@@ -76,7 +76,7 @@ func usage(w io.Writer) {
   sweep    -in FILE -source S [-grid "0,0.25,0.5,1"] [-B 1] [-R 10] [-csv]
   verify   -in FILE -source S (-eps E | -structure FILE)
   vertexft -in FILE -source S [-verify] [-save FILE]
-  serve    [-addr :8080] [-dir DIR] [-cap N] [-shard] [-id NAME]
+  serve    [-addr :8080] [-dir DIR] [-cap N] [-shard -wire :8090] [-id NAME]
            [-drain-grace 0s] [-pprof localhost:6060]
            [-in FILE [-sources "0,5"] [-eps "0.25,0.5"] [-alg auto]
            [-vertex-sources "0,5"]]
@@ -88,8 +88,9 @@ func usage(w io.Writer) {
 serve answers edge failures on /dist-avoiding and vertex failures on
 /dist-avoiding-vertex (vertex structures build through the store on first
 use; -vertex-sources pre-builds them for -in). route proxies both query
-surfaces over the same consistent-hash ring; -hot-extra promotes the
-hottest keys to replication+K replicas via shard-to-shard handoff.
+surfaces over the same consistent-hash ring, reaching shards over the
+binary protocol (serve -shard -wire); -hot-extra promotes the hottest keys
+to replication+K replicas via shard-to-shard handoff.
 
 FILE "-" means stdin/stdout.`)
 }

@@ -54,9 +54,8 @@ func cmdRoute(args []string, stdout io.Writer) error {
 	replicas := fs.Int("replication", 2, "replicas per structure (capped at the shard count)")
 	vnodes := fs.Int("vnodes", cluster.DefaultVnodes, "virtual ring points per shard")
 	hedge := fs.Duration("hedge", cluster.DefaultHedgeDelay, "delay before hedging a point query to the next replica (0 or negative = off)")
-	probe := fs.Duration("probe", 2*time.Second, "shard health-probe interval (0 = no probing)")
+	probe := fs.Duration("probe", 2*time.Second, "shard health-probe interval (0 = probe once at startup only)")
 	id := fs.String("id", "", "router identity reported by /healthz and /stats")
-	useWire := fs.Bool("wire", true, "use the binary protocol to shards that advertise it via /readyz (falls back to HTTP per request)")
 	drainGrace := fs.Duration("drain-grace", 0, "on shutdown, keep serving with /readyz=503 this long so balancers stop routing here first")
 	hotExtra := fs.Int("hot-extra", 0, "promote hot keys to replication+N replicas (0 = off)")
 	hotMinHits := fs.Uint64("hot-min-hits", 1000, "point-query hits before a key counts as hot")
@@ -89,7 +88,6 @@ func cmdRoute(args []string, stdout io.Writer) error {
 	rt := cluster.NewRouter(ms, cluster.RouterOptions{
 		HedgeDelay:       hedgeDelay,
 		ID:               *id,
-		DisableWire:      !*useWire,
 		DefaultBudget:    *budget,
 		RetryBackoff:     *retryBackoff,
 		MaxRetryBackoff:  *retryBackoffMax,
@@ -103,9 +101,16 @@ func cmdRoute(args []string, stdout io.Writer) error {
 	if err := startPprof(ctx, *pprofAddr, stdout); err != nil {
 		return err
 	}
+	// One sweep before serving, whatever -probe says: it seeds health and
+	// learns every shard's wire address from /readyz, the only way queries
+	// reach a shard.
+	probeTimeout := *probe
+	if probeTimeout <= 0 {
+		probeTimeout = 2 * time.Second
+	}
+	ms.ProbeAll(ctx, &http.Client{Timeout: probeTimeout})
 	if *probe > 0 {
 		ms.StartProber(ctx, *probe, &http.Client{Timeout: *probe})
-		ms.ProbeAll(ctx, &http.Client{Timeout: *probe}) // seed health before the first request
 	}
 	if *hotExtra > 0 && *hotInterval > 0 {
 		go func() {

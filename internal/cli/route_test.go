@@ -46,7 +46,9 @@ func TestRouteBadFlags(t *testing.T) {
 
 // TestRouteCommand boots two shard serve commands and a router over them,
 // builds through the router, and checks a failure query against a local
-// oracle — the full `ftbfs serve -shard` + `ftbfs route` wiring end to end.
+// oracle — the full `ftbfs serve -shard -wire` + `ftbfs route` wiring end to
+// end. With -probe 0 the one sweep route runs before serving is all there
+// is, and it alone must learn each shard's wire address.
 func TestRouteCommand(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	oldCtx, oldReady := serveSignalContext, serveReady
@@ -72,11 +74,11 @@ func TestRouteCommand(t *testing.T) {
 	launch := func(i int, args ...string) {
 		go func() { done <- Main(args, &outs[i], os.Stderr) }()
 	}
-	launch(0, "serve", "-addr", "127.0.0.1:0", "-shard", "-id", "s0")
+	launch(0, "serve", "-addr", "127.0.0.1:0", "-wire", "127.0.0.1:0", "-shard", "-id", "s0")
 	shard0 := waitAddr("shard 0")
-	launch(1, "serve", "-addr", "127.0.0.1:0", "-shard", "-id", "s1")
+	launch(1, "serve", "-addr", "127.0.0.1:0", "-wire", "127.0.0.1:0", "-shard", "-id", "s1")
 	shard1 := waitAddr("shard 1")
-	launch(2, "route", "-addr", "127.0.0.1:0", "-probe", "50ms", "-replication", "2",
+	launch(2, "route", "-addr", "127.0.0.1:0", "-probe", "0", "-replication", "2",
 		"-shards", "s0="+shard0+",s1="+shard1)
 	router := "http://" + waitAddr("router")
 

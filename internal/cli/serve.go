@@ -56,8 +56,8 @@ func cmdServe(args []string, stdout io.Writer) error {
 	epsSpec := fs.String("eps", "", "comma-separated ε grid to pre-build for -in (empty = none)")
 	algName := fs.String("alg", "auto", "algorithm for pre-built structures")
 	vertexSpec := fs.String("vertex-sources", "", "comma-separated sources to pre-build VERTEX-failure structures for -in (empty = none)")
-	shard := fs.Bool("shard", false, "run as a cluster shard (identity in /healthz, /stats; route to it with `ftbfs route`)")
-	wireAddr := fs.String("wire", "", "binary-protocol listen address, e.g. \":8090\" (empty = HTTP only); advertised via /readyz so routers discover it")
+	shard := fs.Bool("shard", false, "run as a cluster shard (identity in /healthz, /stats; route to it with `ftbfs route`; needs -wire)")
+	wireAddr := fs.String("wire", "", "binary-protocol listen address, e.g. \":8090\" (empty = HTTP only; required with -shard); advertised via /readyz so routers discover it")
 	id := fs.String("id", "", "node identity reported by /healthz and /stats (default: the bound address)")
 	drainGrace := fs.Duration("drain-grace", 0, "on shutdown, keep serving with /readyz=503 this long so balancers stop routing here first")
 	maxInflight := fs.Int("max-inflight", server.DefaultMaxInflight, "concurrent query/build requests served before queueing")
@@ -65,6 +65,9 @@ func cmdServe(args []string, stdout io.Writer) error {
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this extra debug-only address, e.g. \"localhost:6060\" (empty = off; never exposed on the serving listener)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shard && *wireAddr == "" {
+		return fmt.Errorf("serve -shard needs -wire: routers reach shards over the binary protocol only")
 	}
 
 	st, err := store.New(*capacity, *dir)

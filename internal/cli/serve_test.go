@@ -122,6 +122,10 @@ func TestServeBadFlags(t *testing.T) {
 	if _, _, code := run(t, "serve", "-bogus"); code != 1 {
 		t.Fatal("bad flag accepted")
 	}
+	// Routers reach shards over the binary protocol only.
+	if _, stderr, code := run(t, "serve", "-shard"); code != 1 || !strings.Contains(stderr, "-wire") {
+		t.Fatalf("serve -shard without -wire: exit %d, stderr %q", code, stderr)
+	}
 }
 
 // TestServeWireFlag checks that -wire opens a binary-protocol listener,

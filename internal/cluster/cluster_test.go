@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +140,11 @@ func buildFixtures(t testing.TB, url string, seeds []int64, sources []int, eps f
 	return out
 }
 
+// distResponse is a point endpoint's JSON answer.
+type distResponse struct {
+	Dist int `json:"dist"`
+}
+
 // checkPoint asserts one routed /dist-avoiding answer against the
 // single-node oracle.
 func checkPoint(t testing.TB, url string, fx fixture, v int, e [2]int) {
@@ -221,6 +228,81 @@ func TestRouterDifferentialVsSingleNode(t *testing.T) {
 	getJSON(t, lc.URL()+"/stats", &rsAfter)
 	if rsAfter.Failovers != rsBefore.Failovers {
 		t.Fatalf("deterministic 400 burned replicas: failovers %d -> %d", rsBefore.Failovers, rsAfter.Failovers)
+	}
+}
+
+// TestRouterOutOfRangeFieldsMatchSingleNode extends the router-vs-single-node
+// differential to fields the wire's 32-bit slots cannot carry. Both tiers
+// convert HTTP to wire form through the same code, so both must refuse each
+// input with the same status and body — never answer it for whatever vertex
+// the low 32 bits name — and a refused mutation moves no generation.
+func TestRouterOutOfRangeFieldsMatchSingleNode(t *testing.T) {
+	lc, err := StartLocal(2, LocalOptions{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{13}, []int{0}, 0.3)[0]
+	lin, err := strconv.ParseUint(fx.fp, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := lc.Shards[0] // R=2 over two shards: this single node holds the graph
+	gen0, ok := node.Store.Graph(lin)
+	if !ok {
+		t.Fatal("shard0 does not hold the fixture graph")
+	}
+	const wide = 1 << 32 // low 32 bits 0: the wire would read vertex 0, or v+wide as v
+	e := fx.edges[0]
+	for _, q := range []string{
+		fmt.Sprintf("/dist?graph=%s&eps=0.3&v=%d", fx.fp, wide+1),
+		fmt.Sprintf("/dist-avoiding?graph=%s&eps=0.3&v=5&fu=%d&fv=%d", fx.fp, wide+1, 0),
+		fmt.Sprintf("/dist-avoiding?graph=%s&eps=0.3&v=5&fu=%d&fv=%d", fx.fp, e[0], e[1]+wide),
+		fmt.Sprintf("/dist?graph=%s&source=%d&eps=0.3&v=5", fx.fp, wide),
+		fmt.Sprintf("/dist-avoiding-vertex?graph=%s&v=5&fw=%d", fx.fp, wide+3),
+	} {
+		rc, rb := getJSON(t, lc.URL()+q, nil)
+		nc, nb := getJSON(t, node.ts.URL+q, nil)
+		if rc < http.StatusBadRequest || rc != nc || rb != nb {
+			t.Errorf("%s: router %d %s, single node %d %s; want the same refusal", q, rc, rb, nc, nb)
+		}
+	}
+
+	eps, fw := 0.3, wide+3
+	batch := server.BatchQueryRequest{Graph: fx.fp, Eps: &eps, Queries: []server.BatchQuery{
+		{V: wide + 3, Fail: e},
+		{V: wide + 3, FailedVertex: &fw},
+		{V: 3, Fail: e},
+	}}
+	var rresp, nresp server.BatchQueryResponse
+	rc, rb := postJSON(t, lc.URL()+"/batch-query", batch, &rresp)
+	nc, nb := postJSON(t, node.ts.URL+"/batch-query", batch, &nresp)
+	if rc != http.StatusOK || rc != nc || rb != nb {
+		t.Fatalf("batch: router %d %s, single node %d %s", rc, rb, nc, nb)
+	}
+	if len(rresp.Errors) != 3 || rresp.Errors[0] == "" || rresp.Errors[1] == "" || rresp.Errors[2] != "" {
+		t.Fatalf("batch: want error slots 0 and 1 and an answer in slot 2: %s", rb)
+	}
+	if want, _ := fx.oracle.DistAvoiding(3, e[0], e[1]); rresp.Dists[2] != want {
+		t.Fatalf("batch slot 2: %d, oracle says %d", rresp.Dists[2], want)
+	}
+
+	muts := []server.MutationJSON{{Op: "delete", U: wide + 5, V: 52}}
+	rc, _, rbody, err := mutateVia(http.DefaultClient, lc.URL(), fx.fp, muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, _, nbody, err := mutateVia(http.DefaultClient, node.ts.URL, fx.fp, muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc != http.StatusBadRequest || rc != nc || rbody != nbody {
+		t.Fatalf("/mutate: router %d %s, single node %d %s; want the same 400", rc, rbody, nc, nbody)
+	}
+	for _, sh := range lc.Shards {
+		if gg, ok := sh.Store.Graph(lin); !ok || gg.Generation() != 0 || gg.M() != gen0.M() {
+			t.Fatalf("shard %s moved on a refused mutation", sh.ID)
+		}
 	}
 }
 
@@ -812,106 +894,270 @@ func TestRouterVertexConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestRouterWireFastPathCountersAndFallback pins down how queries actually
-// travel: with every shard speaking the binary protocol the router's
-// wire_points/wire_batches counters move (the fast path is really taken, not
-// silently HTTP), and when the wire listeners die while HTTP stays up the
-// router falls back per request — counted, and still answer-correct.
+// recordingTransport records the path of every HTTP request the router
+// sends a shard, so a test can prove which shard calls still ride HTTP.
+type recordingTransport struct {
+	mu    sync.Mutex
+	paths map[string]int
+}
+
+func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rt.mu.Lock()
+	rt.paths[r.URL.Path]++
+	rt.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+func (rt *recordingTransport) snapshot() map[string]int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := make(map[string]int, len(rt.paths))
+	for p, n := range rt.paths {
+		out[p] = n
+	}
+	return out
+}
+
+// TestRouterWireFastPathCountersAndFallback pins down how routed traffic
+// travels now that the binary protocol is the router's only path to a shard
+// for points, batches and mutations:
+//   - with every shard's HTTP listener closed and its wire listener up, every
+//     query kind and a mutation still answer, match the single-node oracle,
+//     and move the wire counters; the router's only shard HTTP calls are the
+//     control plane's;
+//   - with the wire listeners down (HTTP up), requests fail over and are then
+//     refused — never answered wrongly — and the replicas' breakers take the
+//     strikes, whether the member's wire address is stale or, after a probe,
+//     unknown;
+//   - listeners restarted on fresh ports are learned again by probes and
+//     answer correctly.
 func TestRouterWireFastPathCountersAndFallback(t *testing.T) {
-	lc, err := StartLocal(4, LocalOptions{Replicas: 2})
+	rec := &recordingTransport{paths: map[string]int{}}
+	lc, err := StartLocal(4, LocalOptions{Replicas: 2, Router: RouterOptions{
+		Client: &http.Client{Transport: rec, Timeout: 30 * time.Second},
+		// Recovery below must be probe-driven, not the cooldown timer.
+		BreakerCooldown: time.Minute,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	fixtures := buildFixtures(t, lc.URL(), []int64{41}, []int{0, 5}, 0.3)
-
-	stats := func() RouterStatsResponse {
-		var rs RouterStatsResponse
-		if code, body := getJSON(t, lc.URL()+"/stats", &rs); code != http.StatusOK {
-			t.Fatalf("/stats: %d %s", code, body)
-		}
-		return rs
+	ms := lc.Router.Membership()
+	probe := func() { ms.ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second}) }
+	// A shard without a wire listener could never answer a routed query.
+	if _, err := lc.Router.AddShard(context.Background(), "no-wire", lc.Shards[0].Addr(), ""); err == nil {
+		t.Fatal("AddShard accepted a shard with no wire address")
 	}
-	sample := func(label string) {
-		for _, fx := range fixtures {
-			for i := 0; i < len(fx.edges); i += 4 {
-				checkPoint(t, lc.URL(), fx, (i*19)%fx.n, fx.edges[i])
-			}
-		}
-		eps := 0.3
-		fx := fixtures[0]
-		src := fx.source
-		e := fx.edges[0]
-		want, err := fx.oracle.DistAvoiding(e[1], e[0], e[1])
+
+	g, edges := clusterGraph(60, 90, 41)
+	var text bytes.Buffer
+	if err := g.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	var br server.BuildResponse
+	if code, body := postJSON(t, lc.URL()+"/build", server.BuildRequest{
+		Graph: text.String(), Sources: []int{0}, Eps: []float64{0.3}, VertexSources: []int{0},
+	}, &br); code != http.StatusOK {
+		t.Fatalf("/build: %d %s", code, body)
+	}
+	// truth mirrors what the shards serve: the edge structure's oracle and
+	// failable edges, and the vertex structure's oracle.
+	var fx fixture
+	var vo *ftbfs.VertexOracle
+	truth := func(g *ftbfs.Graph, est *ftbfs.Structure) {
+		t.Helper()
+		vst, err := ftbfs.BuildVertex(g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fx = fixture{fp: br.Fingerprint, eps: 0.3, oracle: est.Oracle(), n: g.N()}
+		for _, e := range edges {
+			if g.HasEdge(e[0], e[1]) && !est.IsReinforced(e[0], e[1]) {
+				fx.edges = append(fx.edges, e)
+			}
+		}
+		vo = vst.Oracle()
+	}
+	est, err := ftbfs.Build(g, 0, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth(g, est)
+
+	// sample asks every query kind and requires the oracle's answer.
+	sample := func(label string) {
+		t.Helper()
+		for i := 0; i < len(fx.edges); i += 4 {
+			checkPoint(t, lc.URL(), fx, (i*19)%fx.n, fx.edges[i])
+		}
+		for v := 0; v < fx.n; v += 9 {
+			var dr distResponse
+			if code, body := getJSON(t, fmt.Sprintf("%s/dist?graph=%s&eps=0.3&v=%d", lc.URL(), fx.fp, v), &dr); code != http.StatusOK || dr.Dist != fx.oracle.Dist(v) {
+				t.Fatalf("[%s] routed dist(%d): %d %s, want %d", label, v, code, body, fx.oracle.Dist(v))
+			}
+		}
+		eps := 0.3
+		req := server.BatchQueryRequest{Graph: fx.fp, Eps: &eps}
+		var want []int
+		for w := 1; w < fx.n; w += 7 {
+			v := (w * 13) % fx.n
+			dw, err := vo.DistAvoidingVertex(v, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dr distResponse
+			if code, body := getJSON(t, fmt.Sprintf("%s/dist-avoiding-vertex?graph=%s&v=%d&fw=%d", lc.URL(), fx.fp, v, w), &dr); code != http.StatusOK || dr.Dist != dw {
+				t.Fatalf("[%s] routed vertex dist(v=%d, w=%d): %d %s, want %d", label, v, w, code, body, dw)
+			}
+			fw := w
+			e := fx.edges[w%len(fx.edges)]
+			de, err := fx.oracle.DistAvoiding(v, e[0], e[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Queries = append(req.Queries, server.BatchQuery{V: v, FailedVertex: &fw}, server.BatchQuery{V: v, Fail: e})
+			want = append(want, dw, de)
+		}
 		var resp server.BatchQueryResponse
-		req := server.BatchQueryRequest{Eps: &eps, Queries: []server.BatchQuery{
-			{Graph: fx.fp, Source: &src, V: e[1], Fail: e},
-		}}
 		code, body := postJSON(t, lc.URL()+"/batch-query", req, &resp)
-		if code != http.StatusOK {
+		if code != http.StatusOK || resp.Errors != nil || len(resp.Dists) != len(want) {
 			t.Fatalf("[%s] routed batch: %d %s", label, code, body)
 		}
-		if resp.Errors != nil || len(resp.Dists) != 1 || resp.Dists[0] != want {
-			t.Fatalf("[%s] batch answer %v / %v, want [%d]", label, resp.Dists, resp.Errors, want)
+		for i := range want {
+			if resp.Dists[i] != want[i] {
+				t.Fatalf("[%s] batch slot %d: %d, want %d", label, i, resp.Dists[i], want[i])
+			}
+		}
+	}
+	rm := lc.Router.rm
+	counts := func() [4]uint64 {
+		return [4]uint64{rm.wirePoints.Value(), rm.wireBatches.Value(), rm.wireMutations.Value(), rm.wireFallbacks.Value()}
+	}
+
+	// Phase 1: no shard answers HTTP; everything routed still answers.
+	for _, sh := range lc.Shards {
+		sh.ts.Close()
+		sh.ts = nil
+	}
+	httpBefore, before := rec.snapshot(), counts()
+	sample("http-closed")
+	var victim [2]int
+	for _, e := range edges {
+		if !est.Contains(e[0], e[1]) {
+			victim = e
+			break
+		}
+	}
+	muts := []ftbfs.Mutation{{Op: ftbfs.MutDelete, U: victim[0], V: victim[1]}}
+	newG, delta, err := g.Mutate(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, mr, body, err := mutateVia(http.DefaultClient, lc.URL(), fx.fp, []server.MutationJSON{{Op: "delete", U: victim[0], V: victim[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusOK || mr.Gen != 1 || mr.Fingerprint != fmt.Sprintf("%016x", newG.Fingerprint()) {
+		t.Fatalf("/mutate with HTTP closed: %d %s, want gen 1 fp %016x", code, body, newG.Fingerprint())
+	}
+	if next, ok := ftbfs.DeltaRebuild(est, newG, delta); ok {
+		est = next
+	} else if est, err = ftbfs.Build(newG, 0, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	truth(newG, est)
+	sample("http-closed-gen1")
+	after := counts()
+	if after[0] <= before[0] || after[1] <= before[1] || after[2] <= before[2] {
+		t.Fatalf("wire points/batches/mutations %v -> %v: some traffic did not ride the wire", before[:3], after[:3])
+	}
+	if after[3] != before[3] {
+		t.Fatalf("healthy wire listeners saw %d transport faults", after[3]-before[3])
+	}
+	if httpAfter := rec.snapshot(); fmt.Sprint(httpAfter) != fmt.Sprint(httpBefore) {
+		t.Fatalf("routed queries and mutations sent HTTP to shards: %v -> %v", httpBefore, httpAfter)
+	}
+	for path := range rec.snapshot() {
+		switch {
+		case path == "/build", path == "/stats", path == "/metrics.json", path == "/readyz",
+			strings.HasPrefix(path, "/handoff/"):
+		default:
+			t.Fatalf("router sent a shard HTTP %s", path)
 		}
 	}
 
-	// All shards speak wire: the fast path carries both points and batches.
-	before := stats()
-	sample("all-wire")
-	after := stats()
-	if after.WirePoints <= before.WirePoints {
-		t.Fatalf("wire_points did not move: %d -> %d (points answered over HTTP?)", before.WirePoints, after.WirePoints)
-	}
-	if after.WireBatches <= before.WireBatches {
-		t.Fatalf("wire_batches did not move: %d -> %d", before.WireBatches, after.WireBatches)
-	}
-	if after.WireFallbacks != before.WireFallbacks {
-		t.Fatalf("healthy cluster fell back to HTTP %d times", after.WireFallbacks-before.WireFallbacks)
-	}
-
-	// Kill only the binary listeners; the members still hold the stale wire
-	// addresses, so each request tries the fast path, fails, and falls back
-	// to HTTP — correctness must not depend on the wire at all.
+	// Phase 2: HTTP back, wire down. Members still hold the dead wire
+	// addresses; every attempt fails over and the request is refused.
 	for _, sh := range lc.Shards {
+		sh.startHTTP()
+		ms.Join(sh.ID, sh.ts.URL) // new HTTP port; a rejoin also resets the breakers
 		sh.stopWire()
 	}
-	before = stats()
-	sample("wire-down")
-	after = stats()
-	if after.WireFallbacks <= before.WireFallbacks {
-		t.Fatalf("wire_fallbacks did not move with dead wire listeners: %d -> %d",
-			before.WireFallbacks, after.WireFallbacks)
+	refused := func(label string) {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			e := fx.edges[i%len(fx.edges)]
+			q := fmt.Sprintf("%s/dist-avoiding?graph=%s&eps=0.3&v=%d&fu=%d&fv=%d", lc.URL(), fx.fp, i, e[0], e[1])
+			if code, body := getJSON(t, q, nil); code < http.StatusInternalServerError {
+				t.Fatalf("[%s] point with every wire listener down: %d %s", label, code, body)
+			}
+		}
+		eps := 0.3
+		var resp server.BatchQueryResponse
+		code, body := postJSON(t, lc.URL()+"/batch-query", server.BatchQueryRequest{Graph: fx.fp, Eps: &eps,
+			Queries: []server.BatchQuery{{V: 3, Fail: fx.edges[0]}, {V: 4, Fail: fx.edges[1]}}}, &resp)
+		if code != http.StatusOK || len(resp.Errors) != 2 || resp.Errors[0] == "" || resp.Errors[1] == "" {
+			t.Fatalf("[%s] batch with every wire listener down: %d %s, want two error slots", label, code, body)
+		}
+		e := fx.edges[len(fx.edges)-1]
+		if code, _, body, err := mutateVia(http.DefaultClient, lc.URL(), fx.fp, []server.MutationJSON{{Op: "delete", U: e[0], V: e[1]}}); err != nil || code < http.StatusInternalServerError {
+			t.Fatalf("[%s] /mutate with every wire listener down: %d %s (%v)", label, code, body, err)
+		}
+	}
+	before = counts()
+	refused("wire-dead")
+	if counts()[3] <= before[3] {
+		t.Fatal("wire_fallbacks did not count the transport faults")
+	}
+	eps := 0.3
+	k, err := (&server.QueryRequest{Graph: fx.fp, Eps: &eps}).EdgeKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms.Owners(KeyHash(k)) {
+		if _, opens := m.breakerSnapshot(); opens == 0 {
+			t.Fatalf("owner %s's breaker never opened under sustained transport faults", m.ID)
+		}
+	}
+	probe() // /readyz now advertises no wire address: members forget it
+	for _, m := range ms.Members() {
+		if m.WireAddr() != "" {
+			t.Fatalf("probe kept shard %s's dead wire address %s", m.ID, m.WireAddr())
+		}
+	}
+	refused("wire-unknown")
+	lin, err := strconv.ParseUint(fx.fp, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range lc.Shards {
+		if gg, ok := sh.Store.Graph(lin); ok && gg.Generation() != 1 {
+			t.Fatalf("shard %s moved to gen %d on a refused mutation", sh.ID, gg.Generation())
+		}
 	}
 
-	// A probe sweep un-learns the dead wire addresses from /readyz, after
-	// which the router routes HTTP-first without burning a dial per request.
-	ms := lc.Router.Membership()
-	ms.ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second})
-	before = stats()
-	sample("wire-unlearned")
-	after = stats()
-	if after.WireFallbacks != before.WireFallbacks {
-		t.Fatalf("router still dialing un-advertised wire: fallbacks %d -> %d",
-			before.WireFallbacks, after.WireFallbacks)
-	}
-
-	// Restarted listeners are re-discovered by the next sweep and the fast
-	// path resumes.
+	// Phase 3: wire listeners restart on fresh ports; a probe sweep learns
+	// them (and arms the open breakers' half-open probes), and every query
+	// kind answers correctly again.
 	for _, sh := range lc.Shards {
 		if err := sh.startWire(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ms.ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second})
-	before = stats()
-	sample("wire-back")
-	after = stats()
-	if after.WirePoints <= before.WirePoints {
-		t.Fatalf("fast path did not resume after restart: wire_points %d -> %d",
-			before.WirePoints, after.WirePoints)
+	probe()
+	before = counts()
+	sample("wire-restarted")
+	if after := counts(); after[0] <= before[0] || after[3] != before[3] {
+		t.Fatalf("after restart: wire counters %v -> %v", before, after)
 	}
 }

@@ -7,6 +7,23 @@
 // /batch-query vectors, and single-flight build fan-out so one logical
 // /build lands on every replica exactly once.
 //
+// # One internal transport
+//
+// HTTP/JSON is the edge. Every point query, batch and mutation is converted
+// to wire form once — by internal/server, the same conversion a shard's own
+// HTTP handlers run — and reaches the shards over the binary protocol only
+// (Router.wireCall), so the router answers exactly what a single node would,
+// malformed requests included. Hedging, failover, backoff and breakers
+// carry typed results: a distance or an in-protocol *wire.Error, or a
+// transport error. A transport fault (dead listener, corrupted frame, a
+// member whose wire address no probe has learned yet) is a failed attempt:
+// it strikes the replica's breaker, counts in wire_fallbacks, and the
+// request moves to the next replica. Shards must serve the protocol: the
+// router learns each one's address from /readyz probes (one sweep before
+// `ftbfs route` serves) and AddShard refuses a shard without one. HTTP
+// stays the control and ops plane — /build fan-out, /stats, /metrics.json,
+// /handoff/* and /readyz probes.
+//
 // Routing hashes exactly what the store keys: (graph fingerprint, source,
 // ε, algorithm, failure model) — vertex-failure queries land on the same
 // ring as edge queries, just under their own keys, so hedged point reads
@@ -62,8 +79,8 @@
 // POST /mutate applies an edge-mutation batch to a lineage fleet-wide. The
 // router cannot enumerate which shards hold state for a lineage (per-source
 // structure keys hash to different owners), so the batch fans to every
-// member — TMutate frames on the wire fast path, HTTP /mutate as the
-// per-request fallback — and shards without the graph answer 404, which is
+// member as TMutate frames — a transport fault fails that shard like any
+// shard error — and shards without the graph answer 404, which is
 // tolerated as long as at least one shard applied. Each applying shard
 // derives the new generation deterministically from the same base graph and
 // batch, so all replies must agree on (generation, fingerprint); a diverging
@@ -139,9 +156,10 @@
 // per-route outcome-labeled latency histogram for its HTTP surface,
 // per-replica forward latency split by transport
 // (ftbfs_router_replica_seconds), and counters for every routing decision —
-// hedges, failovers, breaker skips and forced attempts, wire fallbacks,
-// rebalance transfers, hot promotions. /stats keeps its JSON shape but now
-// reads the same registry values, so the two surfaces cannot drift.
+// hedges, failovers, breaker skips and forced attempts, wire transport
+// faults (wire_fallbacks), rebalance transfers, hot promotions. /stats
+// keeps its JSON shape but now reads the same registry values, so the two
+// surfaces cannot drift.
 // Exposition is /metrics (Prometheus text) and /metrics.json (the raw
 // snapshot).
 //
@@ -160,12 +178,12 @@
 // Request tracing rides the same paths the queries do: the router samples
 // every Nth point query (RouterOptions.TraceSample) or honors a
 // caller-supplied X-Ftbfs-Trace header, stamps its own spans, and forwards
-// the trace ID — as a header over HTTP, as the frame's trace field over the
-// wire. Shards answer with their spans in the X-Ftbfs-Spans header, which
-// the router folds into its record under a "shard-id:" prefix; wire-traced
-// requests land in the shard's own ring instead, since response frames
-// carry no span field. Both routers and shards retain a bounded ring of
-// recent traces at /debug/traces.
+// the trace ID in the wire frame's trace field. The shard's response frame
+// echoes the ID and carries the shard's spans, which the router folds into
+// its record under a "shard-id:" prefix (e.g. shard0:shard.wire) — exactly
+// as it folds the X-Ftbfs-Spans header of the control plane's HTTP calls.
+// Both routers and shards retain a bounded ring of recent traces at
+// /debug/traces.
 //
 // # Chaos testing
 //

@@ -26,10 +26,9 @@ type LocalShard struct {
 	Store  *store.Store
 	Server *server.Server
 
-	ts         *httptest.Server
-	wireLn     net.Listener
-	wireCancel context.CancelFunc
-	chaos      *chaos.Injector // nil when the cluster runs fault-free
+	ts       *httptest.Server
+	wireStop func()          // stops the wire listener; nil while it is down
+	chaos    *chaos.Injector // nil when the cluster runs fault-free
 }
 
 // startWire opens a loopback binary-protocol listener for the shard and
@@ -44,8 +43,15 @@ func (s *LocalShard) startWire() error {
 	addr := ln.Addr().String()
 	ln = s.chaos.Listener(ln, chaos.LayerWire)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { _ = wire.Serve(ctx, ln, s.Server) }()
-	s.wireLn, s.wireCancel = ln, cancel
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = wire.Serve(ctx, ln, s.Server)
+	}()
+	s.wireStop = func() {
+		cancel()
+		<-done
+	}
 	s.Server.SetWireAddr(addr)
 	return nil
 }
@@ -59,11 +65,13 @@ func (s *LocalShard) startHTTP() {
 	s.ts.Start()
 }
 
-// stopWire tears the binary listener down (and un-advertises it).
+// stopWire tears the binary listener down (and un-advertises it). It returns
+// once the listener and every connection it accepted are closed, so a dead
+// listener is dead for whatever the caller does next.
 func (s *LocalShard) stopWire() {
-	if s.wireCancel != nil {
-		s.wireCancel()
-		s.wireCancel, s.wireLn = nil, nil
+	if s.wireStop != nil {
+		s.wireStop()
+		s.wireStop = nil
 	}
 	s.Server.SetWireAddr("")
 }
@@ -77,9 +85,10 @@ func (s *LocalShard) Addr() string {
 }
 
 // LocalCluster is an in-process shard cluster on loopback: N shard servers
-// plus a router, wired through real HTTP. Tests and benchmarks use it to
-// exercise the exact request path of a deployed cluster — ring routing,
-// hedged reads, scatter-gather, failover — without leaving the test binary.
+// plus a router, wired through real HTTP and wire listeners. Tests and
+// benchmarks use it to exercise the exact request path of a deployed
+// cluster — ring routing, hedged reads, scatter-gather, failover — without
+// leaving the test binary.
 type LocalCluster struct {
 	Shards []*LocalShard
 	Router *Router
@@ -131,8 +140,8 @@ func StartLocal(n int, opts LocalOptions) (*LocalCluster, error) {
 		}
 		ms.Join(sh.ID, sh.ts.URL)
 		// Seed the wire address directly — probes would learn it from
-		// /readyz too, but tests without a prober must route the fast path
-		// from the first request.
+		// /readyz too, but tests without a prober must reach the shard from
+		// the first request.
 		if m, ok := ms.Member(sh.ID); ok {
 			m.SetWireAddr(normalizeWireAddr(sh.Server.WireAddr(), sh.ts.URL))
 		}
@@ -247,8 +256,8 @@ func (lc *LocalCluster) RestartShard(i int) {
 	ms := lc.Router.Membership()
 	ms.Join(sh.ID, sh.ts.URL)
 	// A restarted shard's wire listener is on a fresh port; update the
-	// member so the fast path re-dials there instead of timing out on the
-	// old one (probes would eventually learn it from /readyz anyway).
+	// member so attempts re-dial there instead of failing on the old one
+	// (probes would learn it from /readyz anyway).
 	if m, ok := ms.Member(sh.ID); ok {
 		m.SetWireAddr(normalizeWireAddr(sh.Server.WireAddr(), sh.ts.URL))
 	}

@@ -39,9 +39,9 @@ type Member struct {
 	probes        atomic.Uint64
 
 	// wireAddr is the shard's binary-protocol address, learned from its
-	// /readyz responses (or set directly by an in-process cluster); empty
-	// means the shard speaks HTTP only and the router routes around the
-	// fast path. wireC is the lazily-dialed pooled client for that address.
+	// /readyz responses (or set at join); empty means not yet known, and an
+	// attempt on the member then fails like one on a dead listener. wireC is
+	// the lazily-dialed pooled client for that address.
 	wireAddr atomic.Pointer[string]
 	wireMu   sync.Mutex
 	wireC    *wire.Client
@@ -369,7 +369,7 @@ func (ms *Membership) ProbeAll(ctx context.Context, client *http.Client) int {
 			m.markProbe(resp.StatusCode == http.StatusOK, downAfter)
 			// Probes double as wire-address discovery: /readyz advertises the
 			// shard's binary-protocol listener (even while draining), so the
-			// router learns — or un-learns — the fast path with no extra
+			// router learns a restarted listener's new port with no extra
 			// configuration. Decode failures (an intermediary's error page)
 			// leave the known address untouched.
 			var rr server.ReadyResponse

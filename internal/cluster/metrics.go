@@ -9,7 +9,7 @@ import (
 )
 
 // routerMetrics is the registry behind the router's /metrics: routing
-// counters (hedges, failovers, breaker activity, wire fast-path usage),
+// counters (hedges, failovers, breaker activity, wire transport faults),
 // per-route request histograms, and per-replica latency histograms. Every
 // counter pointer is resolved once at NewRouter; /stats reconstructs its
 // legacy JSON shape from these same series, keeping the registry the single
@@ -34,10 +34,10 @@ type routerMetrics struct {
 	mutationsFull      *telemetry.Counter // shard structure rebuilds done from scratch
 	hedges             *telemetry.Counter // hedge timers that fired a second replica
 	failovers          *telemetry.Counter // replica retries after a failed attempt
-	wirePoints         *telemetry.Counter // point attempts answered over the binary protocol
-	wireBatches        *telemetry.Counter // sub-batches answered over the binary protocol
-	wireMutations      *telemetry.Counter // shard mutations answered over the binary protocol
-	wireFallbacks      *telemetry.Counter // wire transport faults that fell back to HTTP
+	wirePoints         *telemetry.Counter // point attempts answered by a shard
+	wireBatches        *telemetry.Counter // sub-batches answered by a shard
+	wireMutations      *telemetry.Counter // shard mutations answered by a shard
+	wireFallbacks      *telemetry.Counter // wire transport faults, each a failed attempt
 	breakerSkips       *telemetry.Counter // attempts not sent because a replica's breaker was open
 	breakerForced      *telemetry.Counter // attempts forced through despite every breaker being open
 	errs               *telemetry.Counter // requests answered with an error status
@@ -54,8 +54,8 @@ type routerMetrics struct {
 	httpByRoute map[string]*telemetry.OutcomeHist
 
 	// replicaMu guards replicaHist, keyed "<member-id>|<transport>". Replica
-	// observation happens on the forward path, which already pays an HTTP or
-	// wire round trip, so a mutexed map lookup is noise there.
+	// observation happens on the attempt path, which already pays a wire or
+	// HTTP round trip, so a mutexed map lookup is noise there.
 	replicaMu   sync.Mutex
 	replicaHist map[string]*telemetry.Histogram
 }
@@ -89,7 +89,7 @@ func newRouterMetrics(m *Membership, routes []string) *routerMetrics {
 			"Fleet structure rebuilds on mutation, by rebuild kind."),
 		mutationsFull: reg.Counter("ftbfs_router_mutation_rebuilds_total", `kind="full"`,
 			"Fleet structure rebuilds on mutation, by rebuild kind."),
-		wireFallbacks: c("ftbfs_router_wire_fallbacks_total", "Wire transport faults that fell back to HTTP."),
+		wireFallbacks: c("ftbfs_router_wire_fallbacks_total", "Wire transport faults; each fails its attempt over to the next replica."),
 		breakerSkips:  c("ftbfs_router_breaker_skips_total", "Attempts skipped because a replica's breaker was open."),
 		breakerForced: c("ftbfs_router_breaker_forced_total", "Attempts forced through despite every breaker being open."),
 		errs:          c("ftbfs_router_errors_total", "Requests answered with an error status."),

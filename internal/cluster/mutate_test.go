@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -114,10 +115,11 @@ func mutateVia(client *http.Client, url, lineage string, muts []server.MutationJ
 // TestRouterMutateDifferentialSwapAtomicity is the live-graph acceptance
 // gate (run under -race in CI): a 4-shard / R=2 cluster absorbs a sustained
 // mutation stream — delta-eligible deletes interleaved with rebuild-forcing
-// inserts — while point and batch queries run concurrently over both
-// transports (the wire fast path for the first half, HTTP fallback after the
-// wire listeners die mid-stream). Every answer must match some generation
-// that was serving during the query; zero wrong answers tolerated.
+// inserts — while point and batch queries run concurrently. Mid-stream every
+// shard's wire listener restarts on a fresh port and a probe sweep learns
+// it again; the second half of the stream rides the new listeners. Every
+// answer must match some generation that was serving during the query;
+// zero wrong answers tolerated.
 func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 	lc, err := StartLocal(4, LocalOptions{Replicas: 2})
 	if err != nil {
@@ -276,9 +278,23 @@ func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 
 			if i == batches/2 {
 				// Second half of the stream — mutations and queries alike —
-				// runs on the HTTP fallback path.
+				// rides wire listeners on fresh ports. One shard at a time: the
+				// new listener comes up, a probe sweep moves the member onto
+				// it (closing its old client, whose in-flight requests fail
+				// over to the other replica), then the old listener stops.
+				ms := lc.Router.Membership()
 				for _, sh := range lc.Shards {
-					sh.stopWire()
+					stopOld := sh.wireStop
+					if err := sh.startWire(); err != nil {
+						abort(err)
+						return
+					}
+					ms.ProbeAll(context.Background(), &http.Client{Timeout: 2 * time.Second})
+					if m, ok := ms.Member(sh.ID); !ok || m.WireAddr() != sh.Server.WireAddr() {
+						abort(fmt.Errorf("probe did not learn shard %s's restarted wire listener", sh.ID))
+						return
+					}
+					stopOld()
 				}
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -406,7 +422,8 @@ func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 	}
 
 	// The convergence ledger recorded the stream: fan-outs, per-shard swaps,
-	// both rebuild kinds, and both transports.
+	// both rebuild kinds, and every member answering every fan-out over the
+	// wire.
 	var rs RouterStatsResponse
 	if code, body := getJSON(t, lc.URL()+"/stats", &rs); code != http.StatusOK {
 		t.Fatalf("/stats: %d %s", code, body)
@@ -423,11 +440,135 @@ func TestRouterMutateDifferentialSwapAtomicity(t *testing.T) {
 	if rs.MutationRebuildsFull == 0 {
 		t.Error("no full rebuild across a stream with inserts")
 	}
-	if rs.WireMutations == 0 {
-		t.Error("no mutation rode the wire fast path in the first half")
+	if rs.WireMutations != uint64(len(lc.Shards))*batches {
+		t.Errorf("members answered %d mutations over the wire, want %d (%d members × %d batches)",
+			rs.WireMutations, uint64(len(lc.Shards))*batches, len(lc.Shards), batches)
 	}
-	if rs.WireFallbacks == 0 {
-		t.Error("no HTTP fallback after the wire listeners died")
+}
+
+// TestRouterHedgeCancelKeepsMutationsAlive runs a /mutate stream beside point
+// readers with a hedge delay so small that nearly every point hedges: hedge
+// losers are cancelled constantly on the same pooled wire connections the
+// mutations ride. A cancelled waiter abandons only its own request, so every
+// /mutate answers 200, every read answers correctly, and every holder ends
+// at generation = batches sent.
+func TestRouterHedgeCancelKeepsMutationsAlive(t *testing.T) {
+	lc, err := StartLocal(3, LocalOptions{Replicas: 2, Router: RouterOptions{HedgeDelay: time.Microsecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	g, edges := clusterGraph(80, 200, 65)
+	var text bytes.Buffer
+	if err := g.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	var br server.BuildResponse
+	if code, body := postJSON(t, lc.URL()+"/build", server.BuildRequest{
+		Graph: text.String(), Sources: []int{0}, Eps: []float64{0.3},
+	}, &br); code != http.StatusOK {
+		t.Fatalf("/build: %d %s", code, body)
+	}
+	st, err := ftbfs.Build(g, 0, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deleting edges outside H leaves every answer of H unchanged, so one
+	// oracle checks reads at every generation.
+	var victims, probes [][2]int
+	for _, e := range edges {
+		switch {
+		case !st.Contains(e[0], e[1]):
+			victims = append(victims, e)
+		case !st.IsReinforced(e[0], e[1]):
+			probes = append(probes, e)
+		}
+	}
+	const batches = 12
+	if len(victims) < batches || len(probes) == 0 {
+		t.Fatalf("fixture has %d non-H edges and %d failable ones", len(victims), len(probes))
+	}
+	// Oracles are not concurrency-safe: the readers share a precomputed table.
+	type read struct {
+		v, want int
+		e       [2]int
+	}
+	o := st.Oracle()
+	reads := make([]read, 4*len(probes))
+	for i := range reads {
+		r := read{v: (i * 7) % g.N(), e: probes[i%len(probes)]}
+		if r.want, err = o.DistAvoiding(r.v, r.e[0], r.e[1]); err != nil {
+			t.Fatal(err)
+		}
+		reads[i] = r
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		w := w
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			client := &http.Client{Timeout: 30 * time.Second}
+			for i := w; ; i += 4 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := reads[i%len(reads)]
+				resp, err := client.Get(fmt.Sprintf("%s/dist-avoiding?graph=%s&eps=0.3&v=%d&fu=%d&fv=%d",
+					lc.URL(), br.Fingerprint, r.v, r.e[0], r.e[1]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var dr struct {
+					Dist int `json:"dist"`
+				}
+				decErr := json.NewDecoder(resp.Body).Decode(&dr)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || decErr != nil || dr.Dist != r.want {
+					t.Errorf("read (v=%d, fail=%v): status %d dist %d (%v), want %d", r.v, r.e, resp.StatusCode, dr.Dist, decErr, r.want)
+					return
+				}
+			}
+		}()
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	for i := 1; i <= batches; i++ {
+		e := victims[i-1]
+		code, resp, body, err := mutateVia(client, lc.URL(), br.Fingerprint, []server.MutationJSON{{Op: "delete", U: e[0], V: e[1]}})
+		if err != nil || code != http.StatusOK || resp.Gen != uint64(i) {
+			close(stop)
+			readers.Wait()
+			t.Fatalf("mutation %d beside hedged reads: %d %s (%v), want 200 at gen %d", i, code, body, err, i)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	readers.Wait()
+
+	lin, err := strconv.ParseUint(br.Fingerprint, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := 0
+	for _, sh := range lc.Shards {
+		if gg, ok := sh.Store.Graph(lin); ok {
+			holders++
+			if gg.Generation() != batches {
+				t.Errorf("shard %s ended at gen %d, want %d", sh.ID, gg.Generation(), batches)
+			}
+		}
+	}
+	if holders != 2 {
+		t.Errorf("lineage registered on %d shards, want 2", holders)
+	}
+	if lc.Router.rm.hedges.Value() == 0 {
+		t.Error("no point query hedged: the test never raced a cancelled hedge loser")
 	}
 }
 

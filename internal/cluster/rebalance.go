@@ -44,12 +44,12 @@ func (rt *Router) gatherInventory(ctx context.Context) map[store.Key][]*Member {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := rt.forward(ctx, m, http.MethodGet, "/handoff/keys", "", nil)
-			if res.err != nil || res.code != http.StatusOK {
+			code, body, err := rt.forward(ctx, rt.opts.Client, m, http.MethodGet, "/handoff/keys", nil)
+			if err != nil || code != http.StatusOK {
 				return
 			}
 			var kr server.HandoffKeysResponse
-			if json.Unmarshal(res.body, &kr) != nil {
+			if json.Unmarshal(body, &kr) != nil {
 				return
 			}
 			for _, info := range kr.Keys {
@@ -71,15 +71,15 @@ func (rt *Router) gatherInventory(ctx context.Context) map[store.Key][]*Member {
 
 // memberKeys inventories a single member.
 func (rt *Router) memberKeys(ctx context.Context, m *Member) ([]store.Key, error) {
-	res := rt.forward(ctx, m, http.MethodGet, "/handoff/keys", "", nil)
-	if res.err != nil {
-		return nil, res.err
+	code, body, err := rt.forward(ctx, rt.opts.Client, m, http.MethodGet, "/handoff/keys", nil)
+	if err != nil {
+		return nil, err
 	}
-	if res.code != http.StatusOK {
-		return nil, fmt.Errorf("cluster: shard %s: status %d: %s", m.ID, res.code, bytes.TrimSpace(res.body))
+	if code != http.StatusOK {
+		return nil, fmt.Errorf("cluster: shard %s: status %d: %s", m.ID, code, bytes.TrimSpace(body))
 	}
 	var kr server.HandoffKeysResponse
-	if err := json.Unmarshal(res.body, &kr); err != nil {
+	if err := json.Unmarshal(body, &kr); err != nil {
 		return nil, err
 	}
 	keys := make([]store.Key, 0, len(kr.Keys))
@@ -170,13 +170,16 @@ func (rt *Router) runPulls(ctx context.Context, targetAddr string, tasks []pullT
 // for the prospective member, drive pull-based transfer of every structure
 // the new shard will own onto it, and only then flip routing by joining it
 // to the membership. A known ID is a rejoin — address refresh, nothing
-// moves. wireAddr may be empty (the shard then serves handoff and queries
-// over HTTP until probes learn a wire address).
+// moves. The router reaches shards' queries over the binary protocol only,
+// so a shard without a wire address is refused.
 func (rt *Router) AddShard(ctx context.Context, id, addr, wireAddr string) (*RebalanceReport, error) {
+	if wireAddr == "" {
+		return nil, fmt.Errorf("cluster: shard %s has no wire address", id)
+	}
 	ms := rt.m
 	if _, ok := ms.Member(id); ok {
 		ms.Join(id, addr)
-		if m, ok := ms.Member(id); ok && wireAddr != "" {
+		if m, ok := ms.Member(id); ok {
 			m.SetWireAddr(normalizeWireAddr(wireAddr, addr))
 		}
 		return &RebalanceReport{Rejoin: true}, nil
@@ -231,7 +234,7 @@ func (rt *Router) AddShard(ctx context.Context, id, addr, wireAddr string) (*Reb
 	// a handed-off structure. Load-through stays the fallback for anything
 	// the transfer missed — never the plan.
 	ms.Join(id, addr)
-	if m, ok := ms.Member(id); ok && wireAddr != "" {
+	if m, ok := ms.Member(id); ok {
 		m.SetWireAddr(normalizeWireAddr(wireAddr, addr))
 	}
 	return report, nil

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -49,25 +48,21 @@ type RouterOptions struct {
 	// DefaultHedgeDelay when 0, negative disables hedging (failover on
 	// error still happens).
 	HedgeDelay time.Duration
-	// Client used for query and stats shard requests; a default with sane
-	// timeouts when nil. /build fan-outs use a dedicated timeout-free
-	// client bounded by BuildTimeout instead — a big build must not be
-	// killed by the query timeout.
+	// Client used for the HTTP control plane (/stats, /metrics.json,
+	// /handoff/keys); a default with sane timeouts when nil. Queries and
+	// mutations travel over the binary protocol. /build fan-outs use a
+	// dedicated timeout-free client bounded by BuildTimeout instead — a big
+	// build must not be killed by the query timeout.
 	Client *http.Client
 	// BuildTimeout bounds one /build fan-out (DefaultBuildTimeout when 0).
 	BuildTimeout time.Duration
 	// ID reported by /healthz and /stats.
 	ID string
-	// DisableWire turns off the binary-protocol fast path: every shard
-	// request goes over HTTP/JSON even when a shard advertises a wire
-	// address. The zero value leaves the fast path enabled — a shard that
-	// does not advertise one is routed over HTTP either way.
-	DisableWire bool
 	// DefaultBudget is the deadline budget applied to query requests that
 	// arrive without an X-Ftbfs-Budget-Ms header; 0 leaves them bounded only
-	// by the HTTP client timeout. The remaining budget re-propagates to every
-	// shard attempt (HTTP header, wire frame field), so no attempt outlives
-	// the request that asked for it.
+	// by the wire client's request timeout. The remaining budget
+	// re-propagates to every shard attempt (the wire frame's budget field),
+	// so no attempt outlives the request that asked for it.
 	DefaultBudget time.Duration
 	// RetryBackoff is the base delay between failover retries: attempt n
 	// waits roughly base·2^(n−1) with ±50% jitter, capped at MaxRetryBackoff
@@ -85,18 +80,22 @@ type RouterOptions struct {
 	// half-open probe (DefaultBreakerCooldown when 0).
 	BreakerCooldown time.Duration
 	// TraceSample traces every Nth point query end to end: the router opens
-	// a trace, the shard attempt carries it (HTTP header), the shard's spans
-	// fold back into the router's record, and the finished trace lands in
-	// the ring behind /debug/traces. 0 disables sampling; requests arriving
-	// with an X-Ftbfs-Trace header are traced regardless.
+	// a trace, the shard attempt carries it (the wire frame's trace field),
+	// the shard's spans come back in the response frame and fold into the
+	// router's record, and the finished trace lands in the ring behind
+	// /debug/traces. 0 disables sampling; requests arriving with an
+	// X-Ftbfs-Trace header are traced regardless.
 	TraceSample int
 }
 
 // Router fronts a shard cluster with the same HTTP surface a single shard
-// serves, so clients cannot tell one node from forty. Point queries go to
-// the key's replica set with hedged reads; /batch-query vectors scatter as
-// one sub-batch per shard and gather per-query results with failover;
-// /build fans out to every owning replica exactly once (single-flight).
+// serves, so clients cannot tell one node from forty. Every query and
+// mutation converts to wire form once (internal/server) and reaches the
+// shards over the binary protocol only: point queries go to the key's
+// replica set with hedged reads; /batch-query vectors scatter as one
+// sub-batch per shard and gather per-query results with failover; /mutate
+// fans out to every member. /build fans out over HTTP to every owning
+// replica exactly once (single-flight).
 type Router struct {
 	m     *Membership
 	mux   *http.ServeMux
@@ -161,7 +160,7 @@ func NewRouter(m *Membership, opts RouterOptions) *Router {
 		{"/dist", rt.handlePoint},
 		{"/dist-avoiding", rt.handlePoint},
 		// The vertex failure model rides the same point machinery: the request
-		// resolves to its vertex-model registry key (KeyForEndpoint — the
+		// resolves to its vertex-model registry key (QueryRequest.Wire — the
 		// endpoint, not a request field, picks the failure model), lands on that
 		// key's replica set, and gets the same hedged reads + failover.
 		{"/dist-avoiding-vertex", rt.handlePoint},
@@ -231,7 +230,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Tracing: a caller-supplied X-Ftbfs-Trace header always traces; else
 	// TraceSample traces every Nth point query. The trace rides the request
 	// context so every shard attempt propagates the ID, and the shard's
-	// spans fold back in via the response span header (forwardClient).
+	// spans fold back in from its response (wireCall, forward).
 	var tr *telemetry.Trace
 	if id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader)); ok {
 		tr = telemetry.NewTrace(id)
@@ -332,8 +331,22 @@ func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (rt *Router) writeErr(w http.ResponseWriter, code int, err error) {
+	rt.writeMsg(w, code, err.Error())
+}
+
+// writeMsg writes an error reply exactly as a single node words it.
+func (rt *Router) writeMsg(w http.ResponseWriter, code int, msg string) {
 	rt.rm.errs.Inc()
-	rt.writeJSON(w, code, map[string]string{"error": err.Error()})
+	rt.writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// writeDist writes a point answer, byte-identical to a single node's.
+func (rt *Router) writeDist(w http.ResponseWriter, d int32) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	b := append(make([]byte, 0, 24), `{"dist":`...)
+	b = strconv.AppendInt(b, int64(d), 10)
+	_, _ = w.Write(append(b, "}\n"...))
 }
 
 // writeRaw relays a buffered upstream response verbatim.
@@ -346,88 +359,57 @@ func (rt *Router) writeRaw(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// attemptResult is one shard request's outcome: a transport error, or a
-// buffered status + body.
-type attemptResult struct {
-	code int
-	body []byte
-	err  error
-}
+// errNoShard is hedgedDo's answer when not a single attempt ran.
+var errNoShard = errors.New("cluster: no shard available")
 
-// wireQuery is a point request in binary-protocol form, carried alongside
-// the HTTP request through hedgedDo so each attempt can try the shard's wire
-// connection first and fall back to HTTP on a transport fault.
-type wireQuery struct {
-	typ byte
-	q   wire.PointQuery
-}
-
-// wireFor returns the member's binary-protocol client, nil when the fast
-// path is disabled or the shard has not advertised a wire address.
-func (rt *Router) wireFor(m *Member) *wire.Client {
-	if rt.opts.DisableWire {
-		return nil
+// wireCall runs one binary-protocol request against m — the only way the
+// router reaches a shard for points, batches and mutations; call does the
+// request on m's pooled client. A traced request gives the attempt a span
+// log of its own under the same trace ID, and the spans the shard's response
+// carries back are folded into the request's trace under m's ID. A transport
+// fault (dead listener, unknown wire address, corrupted frame) is a failed
+// attempt: counted in wire_fallbacks and struck against m's health and
+// breaker, unless the caller's context ended first (a hedge loser or a
+// caller that gave up is no fault of the shard). An in-protocol answer is
+// counted under answered and scores m by its status, as an HTTP reply would.
+func (rt *Router) wireCall(ctx context.Context, m *Member, answered *telemetry.Counter, call func(context.Context, *wire.Client) (*wire.Error, error)) (*wire.Error, error) {
+	var werr *wire.Error
+	var err error
+	start := time.Now()
+	if wc := m.wireClient(); wc == nil {
+		err = fmt.Errorf("shard %s: no wire address known", m.ID)
+	} else if tr := telemetry.TraceFrom(ctx); tr != nil {
+		sub := telemetry.NewTrace(tr.ID())
+		werr, err = call(telemetry.WithTrace(ctx, sub), wc)
+		tr.Fold(m.ID, sub.Spans())
+	} else {
+		werr, err = call(ctx, wc)
 	}
-	return m.wireClient()
-}
-
-// forwardPoint sends one point attempt to a member: over the binary protocol
-// when the shard speaks it, over HTTP otherwise. A wire answer — success or
-// an in-protocol error — is synthesised into the HTTP-shaped attemptResult
-// the hedging/failover logic already understands, so the two transports are
-// indistinguishable downstream; only a wire transport fault (dead listener,
-// mid-restart shard) falls back to the HTTP request.
-func (rt *Router) forwardPoint(ctx context.Context, m *Member, method, path, rawQuery string, body []byte, wq *wireQuery) attemptResult {
-	// Traced attempts go over HTTP even when the shard speaks wire: response
-	// frames carry no span field, so only the HTTP span header can bring the
-	// shard's spans back into the router's trace record.
-	if wq != nil && telemetry.TraceFrom(ctx) == nil {
-		if wc := rt.wireFor(m); wc != nil {
-			attemptStart := time.Now()
-			d, werr, err := wc.Point(ctx, wq.typ, &wq.q)
-			switch {
-			case err == nil && werr == nil:
-				rt.rm.wirePoints.Inc()
-				rt.rm.observeReplica(m.ID, "wire", time.Since(attemptStart))
-				m.markRequest(true, downAfter)
-				return attemptResult{code: http.StatusOK, body: []byte(fmt.Sprintf(`{"dist":%d}`, d))}
-			case err == nil:
-				rt.rm.wirePoints.Inc()
-				rt.rm.observeReplica(m.ID, "wire", time.Since(attemptStart))
-				m.markRequest(werr.Code < http.StatusInternalServerError, downAfter)
-				eb, _ := json.Marshal(map[string]string{"error": werr.Msg})
-				return attemptResult{code: werr.Code, body: eb}
-			case ctx.Err() != nil:
-				// Hedging loser cancelled mid-flight: not a strike, no fallback.
-				return attemptResult{err: err}
-			}
-			// Wire transport fault: the HTTP fallback below observes (and
-			// scores) its own outcome against the same shard.
+	if err != nil {
+		if ctx.Err() == nil {
 			rt.rm.wireFallbacks.Inc()
+			m.markRequest(false, downAfter)
 		}
+		return nil, err
 	}
-	return rt.forward(ctx, m, method, path, rawQuery, body)
+	answered.Inc()
+	rt.rm.observeReplica(m.ID, "wire", time.Since(start))
+	m.markRequest(werr == nil || werr.Code < http.StatusInternalServerError, downAfter)
+	return werr, nil
 }
 
-// forward sends one buffered request to a member with the query client and
-// reads the reply. Health is only updated on real outcomes — a hedging
-// loser cancelled via ctx must not count against the shard.
-func (rt *Router) forward(ctx context.Context, m *Member, method, path, rawQuery string, body []byte) attemptResult {
-	return rt.forwardClient(rt.opts.Client, ctx, m, method, path, rawQuery, body)
-}
-
-func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Member, method, path, rawQuery string, body []byte) attemptResult {
-	url := m.Addr() + path
-	if rawQuery != "" {
-		url += "?" + rawQuery
-	}
+// forward sends one buffered HTTP request to a member and reads the reply —
+// the control and ops plane only (/build, /stats, /metrics.json,
+// /handoff/keys). Health is only updated on real outcomes: a caller that
+// cancelled must not count against the shard.
+func (rt *Router) forward(ctx context.Context, client *http.Client, m *Member, method, path string, body []byte) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, method, m.Addr()+path, rd)
 	if err != nil {
-		return attemptResult{err: err}
+		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -438,7 +420,7 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl)
 		if rem <= 0 {
-			return attemptResult{err: context.DeadlineExceeded}
+			return 0, nil, context.DeadlineExceeded
 		}
 		req.Header.Set(server.BudgetHeader, strconv.FormatInt(int64((rem+time.Millisecond-1)/time.Millisecond), 10))
 	}
@@ -452,7 +434,7 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 		if ctx.Err() == nil {
 			m.markRequest(false, downAfter)
 		}
-		return attemptResult{err: err}
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
@@ -460,21 +442,13 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 		if ctx.Err() == nil {
 			m.markRequest(false, downAfter)
 		}
-		return attemptResult{err: err}
+		return 0, nil, err
 	}
 	rt.rm.observeReplica(m.ID, "http", time.Since(attemptStart))
-	if tr != nil {
-		// Fold the shard's spans into the router's trace, prefixed with the
-		// member ID. Shard offsets are relative to the shard's own trace
-		// start, so they read as per-layer timelines, not one global clock.
-		if spans := resp.Header.Get(telemetry.SpanHeader); spans != "" {
-			var shardSpans []telemetry.Span
-			if json.Unmarshal([]byte(spans), &shardSpans) == nil {
-				for _, sp := range shardSpans {
-					sp.Name = m.ID + ":" + sp.Name
-					tr.AddSpan(sp)
-				}
-			}
+	if spans := resp.Header.Get(telemetry.SpanHeader); tr != nil && spans != "" {
+		var shardSpans []telemetry.Span
+		if json.Unmarshal([]byte(spans), &shardSpans) == nil {
+			tr.Fold(m.ID, shardSpans)
 		}
 	}
 	// A 5xx is a request strike: a shard consistently failing requests
@@ -484,7 +458,7 @@ func (rt *Router) forwardClient(client *http.Client, ctx context.Context, m *Mem
 	// a draining shard serving its in-flight traffic is still drained out
 	// by its 503 /readyz probes.
 	m.markRequest(resp.StatusCode < http.StatusInternalServerError, downAfter)
-	return attemptResult{code: resp.StatusCode, body: b}
+	return resp.StatusCode, b, nil
 }
 
 // orderedOwners returns the key's replica set, healthy members first but
@@ -529,9 +503,29 @@ func (rt *Router) noteKey(k store.Key) {
 	rt.hotMu.Unlock()
 }
 
-// hedgedDo tries the owners in order until one returns 200: the primary
-// first, the next replica when the hedge timer fires before the primary
-// answers, and failover on transport errors and retryable statuses (404
+// pointResult is one point attempt's outcome: a distance, the shard's
+// in-protocol refusal, or a transport error.
+type pointResult struct {
+	dist int32
+	werr *wire.Error
+	err  error
+}
+
+// pointAttempt sends one point query to m over the binary protocol.
+func (rt *Router) pointAttempt(ctx context.Context, m *Member, typ byte, q *wire.PointQuery) pointResult {
+	var res pointResult
+	res.werr, res.err = rt.wireCall(ctx, m, rt.rm.wirePoints, func(ctx context.Context, wc *wire.Client) (*wire.Error, error) {
+		var werr *wire.Error
+		var err error
+		res.dist, werr, err = wc.Point(ctx, typ, q)
+		return werr, err
+	})
+	return res
+}
+
+// hedgedDo tries the owners in order until one answers: the primary first,
+// the next replica when the hedge timer fires before the primary answers,
+// and failover on transport faults and retryable statuses (404
 // unknown-graph shard state, 5xx) after a jittered exponential backoff
 // bounded by the remaining budget. Owners whose circuit breaker is open are
 // skipped — unless every owner's is, in which case one attempt is forced
@@ -539,14 +533,14 @@ func (rt *Router) noteKey(k store.Key) {
 // breaker). A deterministic client error (any other 4xx) is relayed
 // immediately — every replica would repeat it; a retryable status is
 // remembered and relayed only when every replica says no.
-func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, method, path, rawQuery string, body []byte, wq *wireQuery) attemptResult {
+func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, typ byte, q *wire.PointQuery) pointResult {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan attemptResult, len(owners))
+	results := make(chan pointResult, len(owners))
 	next, pending := 0, 0
 	fire := func(m *Member) {
 		pending++
-		go func() { results <- rt.forwardPoint(ctx, m, method, path, rawQuery, body, wq) }()
+		go func() { results <- rt.pointAttempt(ctx, m, typ, q) }()
 	}
 	launch := func() bool {
 		for next < len(owners) {
@@ -572,21 +566,18 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, method, path, 
 		defer tm.Stop()
 		hedgeC = tm.C
 	}
-	last := attemptResult{err: fmt.Errorf("cluster: no shard available")}
+	last := pointResult{err: errNoShard}
 	retries := 0
 	for pending > 0 {
 		select {
 		case res := <-results:
 			pending--
-			if res.err == nil && res.code == http.StatusOK {
-				return res
-			}
-			if res.err == nil && !retryableStatus(res.code) {
-				return res // deterministic client error: relay as-is
+			if res.err == nil && (res.werr == nil || !retryableStatus(res.werr.Code)) {
+				return res // an answer, or a deterministic client error relayed as-is
 			}
 			// Prefer a definitive shard reply over a transport error as the
 			// answer of last resort.
-			if res.err == nil || last.code == 0 {
+			if res.err == nil || last.werr == nil {
 				last = res
 			}
 			if next >= len(owners) {
@@ -619,33 +610,17 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, method, path, 
 	return last
 }
 
-// handlePoint proxies /dist and /dist-avoiding: resolve the structure key
-// from the request, hedge across its replica set, relay the winner.
+// handlePoint routes /dist, /dist-avoiding and /dist-avoiding-vertex: the
+// request converts to wire form (server.QueryRequest.Wire, which also
+// resolves the structure key), hedges across the key's replica set, and the
+// winner's answer is written as a single node would write it.
 func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var body []byte
-	var q server.QueryRequest
-	switch r.Method {
-	case http.MethodGet:
-		var err error
-		if q, err = server.ParseQuery(r); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	case http.MethodPost:
-		var err error
-		if body, err = io.ReadAll(r.Body); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-			return
-		}
-		if err := json.Unmarshal(body, &q); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-			return
-		}
-	default:
-		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST required"))
+	q, err := server.ParseQuery(r)
+	if err != nil {
+		rt.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	k, err := q.KeyForEndpoint(r.URL.Path)
+	k, typ, pq, err := q.Wire(r.URL.Path)
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -657,37 +632,9 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.rm.points.Inc()
 	rt.noteKey(k)
-	// Frame the request for the binary fast path when it is complete enough
-	// to frame; a request missing its target or failure still goes out over
-	// HTTP so the shard can answer the same 400 a single node would.
-	var wq *wireQuery
-	if q.V != nil {
-		pq := wire.PointQuery{
-			FP:      k.Graph,
-			EpsBits: math.Float64bits(k.Eps),
-			Source:  int32(k.Source),
-			Alg:     int32(k.Alg),
-			V:       int32(*q.V),
-			A:       -1,
-			B:       -1,
-		}
-		switch r.URL.Path {
-		case "/dist":
-			wq = &wireQuery{typ: wire.TDist, q: pq}
-		case "/dist-avoiding":
-			if q.Fail != nil {
-				pq.A, pq.B = int32(q.Fail[0]), int32(q.Fail[1])
-				wq = &wireQuery{typ: wire.TDistAvoiding, q: pq}
-			}
-		case "/dist-avoiding-vertex":
-			if q.FailedVertex != nil {
-				pq.A = int32(*q.FailedVertex)
-				wq = &wireQuery{typ: wire.TDistAvoidingVertex, q: pq}
-			}
-		}
-	}
-	res := rt.hedgedDo(r.Context(), owners, r.Method, r.URL.Path, r.URL.RawQuery, body, wq)
-	if res.err != nil {
+	res := rt.hedgedDo(r.Context(), owners, typ, &pq)
+	switch {
+	case res.err != nil:
 		code := http.StatusBadGateway
 		if errors.Is(res.err, context.DeadlineExceeded) || r.Context().Err() != nil {
 			// The budget ran out, not the replicas: answer 504 like a shard
@@ -695,9 +642,11 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusGatewayTimeout
 		}
 		rt.writeErr(w, code, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), res.err))
-		return
+	case res.werr != nil:
+		rt.writeMsg(w, res.werr.Code, res.werr.Msg)
+	default:
+		rt.writeDist(w, res.dist)
 	}
-	rt.writeRaw(w, res.code, res.body)
 }
 
 // handleBatchQuery scatter-gathers a multi-structure batch: route every
@@ -724,8 +673,10 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 
 	dists := make([]int, n)
 	errs := make([]string, n)
+	// Every slot converts to wire form once; sub-batches are gathered from
+	// these slots, whichever replica each round picks.
+	slots := make([]wire.BatchSlot, n)
 	type route struct {
-		key    store.Key
 		owners []*Member
 		tried  int // owners[:tried] already attempted
 	}
@@ -737,11 +688,12 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	ownersByKey := make(map[store.Key][]*Member)
 	for i := 0; i < n; i++ {
 		dists[i] = -1
-		k, err := req.KeyFor(i)
+		k, slot, err := req.WireSlot(i)
 		if err != nil {
 			errs[i] = err.Error()
 			continue
 		}
+		slots[i] = slot
 		base, cached := ownersByKey[k]
 		if !cached {
 			base = rt.ownersFor(k)
@@ -754,7 +706,7 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		owners := make([]*Member, len(base))
 		copy(owners, base)
-		routes[i] = &route{key: k, owners: owners}
+		routes[i] = &route{owners: owners}
 		pending = append(pending, i)
 	}
 
@@ -853,121 +805,34 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sub := server.BatchQueryRequest{Queries: make([]server.BatchQuery, len(sb.slots))}
+				sub := make([]wire.BatchSlot, len(sb.slots))
 				for j, i := range sb.slots {
-					k := routes[i].key
-					src := k.Source
-					sub.Queries[j] = server.BatchQuery{
-						Graph:  fmt.Sprintf("%016x", k.Graph),
-						Source: &src,
-						V:      req.Queries[i].V,
-					}
-					if k.Model == store.ModelVertex {
-						// A vertex slot re-addresses by (graph, source) only —
-						// the shard's KeyFor derives the same vertex-model key
-						// the router routed on.
-						sub.Queries[j].FailedVertex = req.Queries[i].FailedVertex
-					} else {
-						eps := k.Eps
-						sub.Queries[j].Eps = &eps
-						sub.Queries[j].Alg = k.Alg.String()
-						sub.Queries[j].Fail = req.Queries[i].Fail
-					}
+					sub[j] = slots[i]
 				}
-				// The binary fast path ships the sub-batch as fixed-layout
-				// slots and lands the reply directly in resp — no JSON in
-				// either direction. An in-protocol rejection becomes the
-				// HTTP-shaped attemptResult the failover classification
-				// below already understands; only a wire transport fault
-				// (dead listener, mid-restart shard) re-sends over HTTP.
-				var res attemptResult
-				var resp server.BatchQueryResponse
-				answered, decoded := false, false
-				if wc := rt.wireFor(sb.member); wc != nil {
-					slots := make([]wire.BatchSlot, len(sb.slots))
-					for j, i := range sb.slots {
-						k := routes[i].key
-						slots[j].PointQuery = wire.PointQuery{
-							FP:      k.Graph,
-							EpsBits: math.Float64bits(k.Eps),
-							Source:  int32(k.Source),
-							Alg:     int32(k.Alg),
-							V:       int32(req.Queries[i].V),
-							A:       -1,
-							B:       -1,
-						}
-						if k.Model == store.ModelVertex {
-							// KeyFor only derives a vertex-model key from a
-							// slot carrying failedVertex, so the deref is safe.
-							slots[j].Vertex = true
-							slots[j].A = int32(*req.Queries[i].FailedVertex)
-						} else {
-							slots[j].A = int32(req.Queries[i].Fail[0])
-							slots[j].B = int32(req.Queries[i].Fail[1])
-						}
-					}
-					wdists, werrs, werr, err := wc.Batch(r.Context(), slots)
-					switch {
-					case err == nil && werr == nil:
-						rt.rm.wireBatches.Inc()
-						sb.member.markRequest(true, downAfter)
-						resp.Dists = make([]int, len(wdists))
-						for j, d := range wdists {
-							resp.Dists[j] = int(d)
-						}
-						for _, e := range werrs {
-							if e != "" {
-								resp.Errors = werrs
-								break
-							}
-						}
-						res = attemptResult{code: http.StatusOK}
-						answered, decoded = true, true
-					case err == nil:
-						rt.rm.wireBatches.Inc()
-						sb.member.markRequest(werr.Code < http.StatusInternalServerError, downAfter)
-						eb, _ := json.Marshal(map[string]string{"error": werr.Msg})
-						res = attemptResult{code: werr.Code, body: eb}
-						answered = true
-					case r.Context().Err() == nil:
-						rt.rm.wireFallbacks.Inc()
-					}
-				}
-				if !answered {
-					payload, err := json.Marshal(&sub)
-					if err != nil {
-						mu.Lock()
-						for _, i := range sb.slots {
-							errs[i] = "cluster: " + err.Error()
-						}
-						mu.Unlock()
-						return
-					}
-					res = rt.forward(r.Context(), sb.member, http.MethodPost, "/batch-query", "", payload)
-					decoded = res.err == nil && res.code == http.StatusOK &&
-						json.Unmarshal(res.body, &resp) == nil
-				}
-				ok := decoded && len(resp.Dists) == len(sb.slots) &&
-					(resp.Errors == nil || len(resp.Errors) == len(sb.slots))
+				var sdists []int32
+				var serrs []string
+				werr, err := rt.wireCall(r.Context(), sb.member, rt.rm.wireBatches, func(ctx context.Context, wc *wire.Client) (*wire.Error, error) {
+					var werr *wire.Error
+					var err error
+					sdists, serrs, werr, err = wc.Batch(ctx, sub)
+					return werr, err
+				})
 				mu.Lock()
 				defer mu.Unlock()
-				if !ok {
+				if err != nil || werr != nil {
 					// Whole sub-batch failed. Only a deterministic 4xx (a
 					// malformed sub-request every replica would repeat)
-					// fails its slots in place; transport faults, retryable
-					// statuses, and un-decodable 200s (version skew, an
-					// intermediary's error page) are shard-specific, so
-					// those slots go to the next replica.
-					msg := fmt.Sprintf("cluster: shard %s failed", sb.member.ID)
-					if res.err != nil {
-						msg = fmt.Sprintf("cluster: shard %s: %v", sb.member.ID, res.err)
-					} else if res.code != http.StatusOK {
-						msg = fmt.Sprintf("cluster: shard %s: status %d: %s", sb.member.ID, res.code, bytes.TrimSpace(res.body))
+					// fails its slots in place; transport faults and
+					// retryable statuses are shard-specific, so those slots
+					// go to the next replica.
+					var msg string
+					retry := true
+					if err != nil {
+						msg = fmt.Sprintf("cluster: shard %s: %v", sb.member.ID, err)
 					} else {
-						msg = fmt.Sprintf("cluster: shard %s: malformed batch response", sb.member.ID)
+						msg = fmt.Sprintf("cluster: shard %s: status %d: %s", sb.member.ID, werr.Code, werr.Msg)
+						retry = retryableStatus(werr.Code)
 					}
-					definitive := res.err == nil && res.code != http.StatusOK && !retryableStatus(res.code)
-					retry := !definitive
 					for _, i := range sb.slots {
 						if errs[i] == "" {
 							errs[i] = msg
@@ -979,24 +844,24 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				for j, i := range sb.slots {
-					if resp.Errors != nil && resp.Errors[j] != "" {
+					if e := serrs[j]; e != "" {
 						// Per-slot error: cold-replica shard state retries
 						// on the next replica (keeping the first message in
 						// case every replica is cold); a verdict on the
 						// query itself is final and overwrites whatever
 						// provisional failover message an earlier dead
 						// replica left behind.
-						if retryableSlotError(resp.Errors[j]) {
+						if retryableSlotError(e) {
 							if errs[i] == "" {
-								errs[i] = resp.Errors[j]
+								errs[i] = e
 							}
 							nextPending = append(nextPending, i)
 						} else {
-							errs[i] = resp.Errors[j]
+							errs[i] = e
 						}
 						continue
 					}
-					dists[i] = resp.Dists[j]
+					dists[i] = int(sdists[j])
 					errs[i] = ""
 				}
 			}()
@@ -1157,15 +1022,15 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 				sb.err = err
 				return
 			}
-			res := rt.forwardClient(rt.buildClient, ctx, sb.member, http.MethodPost, "/build", "", payload)
+			code, body, err := rt.forward(ctx, rt.buildClient, sb.member, http.MethodPost, "/build", payload)
 			switch {
-			case res.err != nil:
-				sb.err = res.err
-			case res.code != http.StatusOK:
-				sb.err = fmt.Errorf("status %d: %s", res.code, bytes.TrimSpace(res.body))
-				sb.code = res.code
+			case err != nil:
+				sb.err = err
+			case code != http.StatusOK:
+				sb.err = fmt.Errorf("status %d: %s", code, bytes.TrimSpace(body))
+				sb.code = code
 			default:
-				sb.err = json.Unmarshal(res.body, &sb.resp)
+				sb.err = json.Unmarshal(body, &sb.resp)
 				if sb.err == nil && len(sb.resp.Structures) != len(sb.pairs) {
 					sb.err = fmt.Errorf("shard built %d of %d structures", len(sb.resp.Structures), len(sb.pairs))
 				}
@@ -1260,14 +1125,9 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 		return
 	}
-	lineage, err := strconv.ParseUint(req.Graph, 16, 64)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad graph fingerprint %q", req.Graph))
-		return
-	}
-	// Validate the batch router-side (the same parse the shards run) so a
-	// malformed request is rejected before any shard does work.
-	muts, err := req.ParsedMutations()
+	// The same conversion the shards' own /mutate runs, so a malformed batch
+	// is rejected with a single node's 400 before any shard does work.
+	lineage, muts, err := req.Wire()
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -1281,7 +1141,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		// fan-out starts it runs to its own BuildTimeout-bounded end.
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), rt.opts.BuildTimeout)
 		defer cancel()
-		return rt.fanOutMutate(ctx, lineage, &req, muts)
+		return rt.fanOutMutate(ctx, lineage, muts)
 	})
 	if shared {
 		rt.rm.mutationsCoalesced.Inc()
@@ -1293,13 +1153,13 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	rt.writeRaw(w, res.code, res.body)
 }
 
-// fanOutMutate ships the batch to every member — binary protocol when the
-// shard speaks it, HTTP otherwise — and merges the replies. Every applying
-// shard derives the same new generation from the same batch, so the merged
-// response carries the common identity plus fleet-summed rebuild counts; a
-// genuinely diverging shard (different gen or fingerprint) fails the fan-out
-// loudly rather than letting replicas silently serve different graphs.
-func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, req *server.MutateRequest, muts []ftbfs.Mutation) flightResult {
+// fanOutMutate ships the batch to every member over the binary protocol and
+// merges the replies. Every applying shard derives the same new generation
+// from the same batch, so the merged response carries the common identity
+// plus fleet-summed rebuild counts; a genuinely diverging shard (different
+// gen or fingerprint) fails the fan-out loudly rather than letting replicas
+// silently serve different graphs.
+func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, muts []wire.MutationWire) flightResult {
 	fail := func(code int, err error) flightResult {
 		body, _ := json.Marshal(map[string]string{"error": err.Error()})
 		return flightResult{code: code, body: body}
@@ -1308,14 +1168,6 @@ func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, req *server.
 	if len(members) == 0 {
 		return fail(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
 	}
-	wmuts := make([]wire.MutationWire, len(muts))
-	for i, m := range muts {
-		wmuts[i] = wire.MutationWire{Op: uint8(m.Op), U: uint32(m.U), V: uint32(m.V)}
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return fail(http.StatusInternalServerError, err)
-	}
 
 	type shardMutate struct {
 		member  *Member
@@ -1323,7 +1175,7 @@ func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, req *server.
 		applied bool
 		notHeld bool
 		err     error
-		code    int // HTTP status behind err, 0 for transport faults
+		code    int // status behind err, 0 for transport faults
 	}
 	shards := make([]*shardMutate, len(members))
 	var wg sync.WaitGroup
@@ -1333,54 +1185,24 @@ func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, req *server.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if wc := rt.wireFor(sm.member); wc != nil {
-				res, werr, err := wc.Mutate(ctx, lineage, wmuts)
-				switch {
-				case err == nil && werr == nil:
-					rt.rm.wireMutations.Inc()
-					sm.member.markRequest(true, downAfter)
-					sm.resp = server.MutateResponse{
-						Graph:         fmt.Sprintf("%016x", res.Lineage),
-						Gen:           res.Gen,
-						Fingerprint:   fmt.Sprintf("%016x", res.FP),
-						RebuildsDelta: int(res.RebuildsDelta),
-						RebuildsFull:  int(res.RebuildsFull),
-					}
-					sm.applied = true
-					return
-				case err == nil && werr.Code == http.StatusNotFound:
-					rt.rm.wireMutations.Inc()
-					sm.member.markRequest(true, downAfter)
-					sm.notHeld = true
-					return
-				case err == nil && werr.Code != http.StatusNotImplemented:
-					rt.rm.wireMutations.Inc()
-					sm.member.markRequest(werr.Code < http.StatusInternalServerError, downAfter)
-					sm.err = fmt.Errorf("status %d: %s", werr.Code, werr.Msg)
-					sm.code = werr.Code
-					return
-				case ctx.Err() != nil:
-					sm.err = ctx.Err()
-					return
-				}
-				// Wire transport fault or in-protocol 501: retry over HTTP.
-				rt.rm.wireFallbacks.Inc()
-			}
-			res := rt.forwardClient(rt.buildClient, ctx, sm.member, http.MethodPost, "/mutate", "", payload)
+			var res wire.MutateResult
+			werr, err := rt.wireCall(ctx, sm.member, rt.rm.wireMutations, func(ctx context.Context, wc *wire.Client) (*wire.Error, error) {
+				var werr *wire.Error
+				var err error
+				res, werr, err = wc.Mutate(ctx, lineage, muts)
+				return werr, err
+			})
 			switch {
-			case res.err != nil:
-				sm.err = res.err
-			case res.code == http.StatusNotFound:
+			case err != nil:
+				// A transport fault fails this shard like any shard error.
+				sm.err = err
+			case werr == nil:
+				sm.resp, sm.applied = server.MutateResponseFrom(res), true
+			case werr.Code == http.StatusNotFound:
 				sm.notHeld = true
-			case res.code != http.StatusOK:
-				sm.err = fmt.Errorf("status %d: %s", res.code, bytes.TrimSpace(res.body))
-				sm.code = res.code
 			default:
-				if err := json.Unmarshal(res.body, &sm.resp); err != nil {
-					sm.err = err
-				} else {
-					sm.applied = true
-				}
+				sm.err = fmt.Errorf("status %d: %s", werr.Code, werr.Msg)
+				sm.code = werr.Code
 			}
 		}()
 	}
@@ -1476,7 +1298,7 @@ type RouterStatsResponse struct {
 	WirePoints      uint64  `json:"wire_points"`
 	WireBatches     uint64  `json:"wire_batches"`
 	WireMutations   uint64  `json:"wire_mutations"`
-	WireFallbacks   uint64  `json:"wire_fallbacks"`
+	WireFallbacks   uint64  `json:"wire_fallbacks"` // wire transport faults, each followed by a failover
 
 	// Live-graph convergence ledger: mutation fan-outs executed, shard swaps
 	// they applied, and how the fleet's rebuild work split between the delta
@@ -1566,13 +1388,13 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := rt.forward(ctx, m, http.MethodGet, "/stats", "", nil)
-			if res.err != nil {
-				resp.Shards[i].Error = res.err.Error()
+			_, body, err := rt.forward(ctx, rt.opts.Client, m, http.MethodGet, "/stats", nil)
+			if err != nil {
+				resp.Shards[i].Error = err.Error()
 				return
 			}
 			var st server.StatsResponse
-			if err := json.Unmarshal(res.body, &st); err != nil {
+			if err := json.Unmarshal(body, &st); err != nil {
 				resp.Shards[i].Error = err.Error()
 				return
 			}
@@ -1615,12 +1437,12 @@ func (rt *Router) handleMetricsFleet(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := rt.forward(ctx, m, http.MethodGet, "/metrics.json", "", nil)
-			if res.err != nil || res.code != http.StatusOK {
+			code, body, err := rt.forward(ctx, rt.opts.Client, m, http.MethodGet, "/metrics.json", nil)
+			if err != nil || code != http.StatusOK {
 				return
 			}
 			var s telemetry.Snapshot
-			if json.Unmarshal(res.body, &s) == nil {
+			if json.Unmarshal(body, &s) == nil {
 				snaps[i] = &s
 			}
 		}()

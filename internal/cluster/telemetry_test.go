@@ -20,8 +20,8 @@ import (
 )
 
 // Observability e2e: /metrics on shard and router, /metrics/fleet
-// aggregation, and trace propagation across the router -> shard boundary
-// over both transports.
+// aggregation, and trace propagation across the router -> shard boundary,
+// which routed queries cross over the binary protocol.
 
 // getBody fetches a URL and returns its body, failing the test on transport
 // errors or a non-200.
@@ -254,7 +254,8 @@ func spanNames(rec telemetry.TraceRecord) []string {
 
 // TestTraceHeaderPropagation sends one explicitly traced point query and
 // follows the ID through every hop: the response span header, the router's
-// trace ring, and the serving shard's trace ring all see the same trace.
+// trace ring, and the serving shard's trace ring all see the same trace. The
+// shard's span reaches the router in the wire response frame.
 func TestTraceHeaderPropagation(t *testing.T) {
 	lc, err := StartLocal(2, LocalOptions{Replicas: 1})
 	if err != nil {
@@ -284,7 +285,7 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	if !strings.Contains(spans, "router.handle") {
 		t.Errorf("response spans %q missing the router's own span", spans)
 	}
-	if !strings.Contains(spans, ":shard.handle") {
+	if !strings.Contains(spans, ":shard.wire") {
 		t.Errorf("response spans %q missing a folded shard span", spans)
 	}
 
@@ -299,27 +300,32 @@ func TestTraceHeaderPropagation(t *testing.T) {
 		t.Fatalf("router /debug/traces has no record for %s", traceID)
 	}
 	names := strings.Join(spanNames(*routerRec), ",")
-	if !strings.Contains(names, "router.handle") || !strings.Contains(names, ":shard.handle") {
-		t.Errorf("router trace %s spans = %s, want router.handle and a <shard>:shard.handle", traceID, names)
+	if !strings.Contains(names, "router.handle") || !strings.Contains(names, ":shard.wire") {
+		t.Errorf("router trace %s spans = %s, want router.handle and a <shard>:shard.wire", traceID, names)
 	}
 
-	// The shard that served it recorded the same ID in its own ring.
+	// The shard that served it recorded the same ID in its own ring, and
+	// its span there is the one the router folded under its member ID.
 	found := false
 	for _, sh := range lc.Shards {
 		for _, rec := range traceRecords(t, sh.ts.URL+"/debug/traces") {
-			if rec.ID == traceID {
+			if rec.ID == traceID && rec.Route == "wire" {
 				found = true
+				if !strings.Contains(names, sh.ID+":shard.wire") {
+					t.Errorf("shard %s served trace %s but the router folded %s", sh.ID, traceID, names)
+				}
 			}
 		}
 	}
 	if !found {
-		t.Errorf("no shard /debug/traces recorded trace %s", traceID)
+		t.Errorf("no shard /debug/traces recorded trace %s over the wire", traceID)
 	}
 }
 
 // TestWireTraceFramePropagation proves the binary protocol's per-frame
-// trace field carries the ID: a traced context on the wire client surfaces
-// in the shard's trace ring with the same ID, no HTTP involved.
+// trace field carries the ID both ways: a traced context on the wire client
+// surfaces in the shard's trace ring with the same ID, and the shard's span
+// comes back in the response into the caller's trace, no HTTP involved.
 func TestWireTraceFramePropagation(t *testing.T) {
 	lc, err := StartLocal(1, LocalOptions{Replicas: 1})
 	if err != nil {
@@ -345,6 +351,9 @@ func TestWireTraceFramePropagation(t *testing.T) {
 	}
 	if want := fx.oracle.Dist(1); int(d) != want {
 		t.Fatalf("wire dist = %d, oracle says %d", d, want)
+	}
+	if got := spanNames(telemetry.TraceRecord{Spans: tr.Spans()}); len(got) != 1 || got[0] != "shard.wire" {
+		t.Fatalf("caller's trace holds %v, want the shard.wire span from the response frame", got)
 	}
 
 	want := telemetry.FormatTraceID(0xabc123)
@@ -409,7 +418,7 @@ func TestTraceSampledUnderLatencyChaos(t *testing.T) {
 	}
 	for _, rec := range recs {
 		names := strings.Join(spanNames(rec), ",")
-		if strings.Contains(names, "router.handle") && strings.Contains(names, ":shard.handle") {
+		if strings.Contains(names, "router.handle") && strings.Contains(names, ":shard.wire") {
 			if _, ok := telemetry.ParseTraceID(rec.ID); !ok {
 				t.Fatalf("trace record carries malformed ID %q", rec.ID)
 			}

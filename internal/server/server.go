@@ -65,6 +65,7 @@ import (
 	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 	"ftbfs/internal/telemetry"
+	"ftbfs/internal/wire"
 )
 
 // DefaultEps is the tradeoff parameter assumed when a request leaves ε out.
@@ -168,7 +169,8 @@ type Server struct {
 
 	// wireAddr is the advertised binary-protocol listen address, empty when
 	// the wire listener is off. /healthz and /readyz carry it so the cluster
-	// router's probes discover the fast path without extra configuration.
+	// router's probes learn where to send queries without extra
+	// configuration.
 	wireAddr atomic.Pointer[string]
 
 	// work bounds concurrent query/build work across both transports; see
@@ -198,9 +200,9 @@ func New(st *store.Store) *Server {
 	}{
 		{"/build", s.handleBuild},
 		{"/mutate", s.handleMutate},
-		{"/dist", s.handleDist},
-		{"/dist-avoiding", s.handleDistAvoiding},
-		{"/dist-avoiding-vertex", s.handleDistAvoidingVertex},
+		{"/dist", s.handlePoint},
+		{"/dist-avoiding", s.handlePoint},
+		{"/dist-avoiding-vertex", s.handlePoint},
 		{"/batch-query", s.handleBatchQuery},
 		{"/handoff/keys", s.handleHandoffKeys},
 		{"/handoff/record", s.handleHandoffRecord},
@@ -377,6 +379,12 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
 	s.m.errs.Inc()
 	s.writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeWireErr relays a dispatch refusal over HTTP; the dispatch has already
+// counted it.
+func (s *Server) writeWireErr(w http.ResponseWriter, werr *wire.Error) {
+	s.writeJSON(w, werr.Code, map[string]string{"error": werr.Msg})
 }
 
 // BuildPair names one (source, ε) structure of a /build request.
@@ -596,29 +604,6 @@ type MutateRequest struct {
 	Mutations []MutationJSON `json:"mutations"`
 }
 
-// ParsedMutations validates and converts the request's mutation list. The
-// cluster router shares this with handleMutate so both tiers reject a
-// malformed batch identically, before any shard does work.
-func (req *MutateRequest) ParsedMutations() ([]ftbfs.Mutation, error) {
-	if len(req.Mutations) == 0 {
-		return nil, fmt.Errorf("empty mutation batch")
-	}
-	muts := make([]ftbfs.Mutation, len(req.Mutations))
-	for i, m := range req.Mutations {
-		var op ftbfs.MutationOp
-		switch m.Op {
-		case "insert":
-			op = ftbfs.MutInsert
-		case "delete":
-			op = ftbfs.MutDelete
-		default:
-			return nil, fmt.Errorf(`mutation %d: op %q is not "insert" or "delete"`, i, m.Op)
-		}
-		muts[i] = ftbfs.Mutation{Op: op, U: m.U, V: m.V}
-	}
-	return muts, nil
-}
-
 // MutateResponse is the reply of POST /mutate: the new serving generation's
 // identity plus how each resident structure crossed over (the convergence
 // ledger the cluster router aggregates). Graph echoes the lineage — the key
@@ -634,7 +619,8 @@ type MutateResponse struct {
 // handleMutate applies one edge-mutation batch to a registered graph. The
 // store does the heavy lifting — rebuilding resident structures against the
 // new generation while the old one keeps serving, then swapping atomically —
-// so this handler is thin: parse, validate, delegate, classify the error.
+// so this handler is thin: convert to wire form, run the dispatch WireMutate
+// uses.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -645,35 +631,17 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 		return
 	}
-	lineage, err := strconv.ParseUint(req.Graph, 16, 64)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad graph fingerprint %q", req.Graph))
-		return
-	}
-	muts, err := req.ParsedMutations()
+	lineage, muts, err := req.Wire()
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, ok := s.store.Graph(lineage); !ok {
-		// 404, not 400: on a cluster shard the graph may not have reached
-		// this replica, and the router treats 404 as tolerable shard state.
-		err := &UnknownGraphError{Fingerprint: lineage}
-		s.writeErr(w, statusFor(err), err)
+	res, werr := s.mutate(r.Context(), lineage, muts)
+	if werr != nil {
+		s.writeWireErr(w, werr)
 		return
 	}
-	res, err := s.store.Mutate(r.Context(), lineage, muts)
-	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, MutateResponse{
-		Graph:         fmt.Sprintf("%016x", res.Lineage),
-		Gen:           res.Gen,
-		Fingerprint:   fmt.Sprintf("%016x", res.Fingerprint),
-		RebuildsDelta: res.RebuildsDelta,
-		RebuildsFull:  res.RebuildsFull,
-	})
+	s.writeJSON(w, http.StatusOK, MutateResponseFrom(res))
 }
 
 // QueryRequest addresses one structure plus one (target, failure) query.
@@ -734,7 +702,7 @@ func resolveVertexModelKey(graphHex string, source int) (store.Key, error) {
 // EdgeKey resolves the edge-model structure key the request addresses —
 // what /dist and /dist-avoiding serve. A stray failedVertex/fw field does
 // not change the model: the endpoint, not the parameter, picks the failure
-// model (KeyForEndpoint). The cluster router routes on exactly this key.
+// model (Wire).
 func (q *QueryRequest) EdgeKey() (store.Key, error) {
 	return resolveKey(q.Graph, q.Source, q.Eps, q.Alg)
 }
@@ -744,17 +712,6 @@ func (q *QueryRequest) EdgeKey() (store.Key, error) {
 // do not exist in the vertex model and are ignored).
 func (q *QueryRequest) VertexKey() (store.Key, error) {
 	return resolveVertexModelKey(q.Graph, q.Source)
-}
-
-// KeyForEndpoint resolves the structure key a request to the given URL path
-// addresses: the vertex-model key for /dist-avoiding-vertex, the edge key
-// for every other point endpoint. The router shares this with the shard
-// handlers so both tiers route and serve on the same key.
-func (q *QueryRequest) KeyForEndpoint(path string) (store.Key, error) {
-	if path == "/dist-avoiding-vertex" {
-		return q.VertexKey()
-	}
-	return q.EdgeKey()
 }
 
 // ParseQuery decodes a QueryRequest from a POST body or GET parameters.
@@ -879,77 +836,30 @@ func (s *Server) structureForKey(ctx context.Context, k store.Key, v *int) (*ftb
 	return s.store.GetOrBuild(ctx, k)
 }
 
-// structureFor resolves the edge structure a query addresses (/dist and
-// /dist-avoiding always serve the edge model, whatever stray fields the
-// request carries).
-func (s *Server) structureFor(ctx context.Context, q QueryRequest) (*ftbfs.Structure, store.Key, error) {
-	k, err := q.EdgeKey()
-	if err != nil {
-		return nil, k, err
-	}
-	st, err := s.structureForKey(ctx, k, q.V)
-	return st, k, err
-}
-
 type distResponse struct {
 	Dist int `json:"dist"` // -1 means unreachable
 }
 
-func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
+// handlePoint serves /dist, /dist-avoiding and /dist-avoiding-vertex: the
+// request converts to wire form and answers through the dispatch WirePoint
+// uses.
+func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	q, err := ParseQuery(r)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.V == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing target vertex v"))
-		return
-	}
-	st, _, err := s.structureFor(r.Context(), q)
-	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
-	}
-	// Intact distances come from the structure's shared cached vector — no
-	// oracle (and no BFS scratch allocation) needed.
-	d := st.Dist(*q.V)
-	s.m.queries.Inc()
-	s.writeJSON(w, http.StatusOK, distResponse{Dist: d})
-}
-
-func (s *Server) handleDistAvoiding(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQuery(r)
+	_, typ, pq, err := q.Wire(r.URL.Path)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.V == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing target vertex v"))
+	d, werr := s.point(r.Context(), typ, &pq)
+	if werr != nil {
+		s.writeWireErr(w, werr)
 		return
 	}
-	if q.Fail == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing failed edge (fail=[u,v] or fu=&fv=)"))
-		return
-	}
-	st, _, err := s.structureFor(r.Context(), q)
-	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
-	}
-	// DistAvoiding runs against the structure's QueryPlan: O(1) for
-	// non-tree-edge failures, subtree-local repair otherwise.
-	var d int
-	err = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
-		var qerr error
-		d, qerr = o.DistAvoiding(*q.V, q.Fail[0], q.Fail[1])
-		return qerr
-	})
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.m.queries.Inc()
-	s.writeJSON(w, http.StatusOK, distResponse{Dist: d})
+	s.writeJSON(w, http.StatusOK, distResponse{Dist: int(d)})
 }
 
 // vertexStructureForKey resolves (load-through or build-through) a
@@ -964,46 +874,6 @@ func (s *Server) vertexStructureForKey(ctx context.Context, k store.Key, v *int)
 		return nil, fmt.Errorf("vertex %d out of range [0,%d)", *v, g.N())
 	}
 	return s.store.GetOrBuildVertex(ctx, k.Graph, k.Source)
-}
-
-func (s *Server) handleDistAvoidingVertex(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQuery(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if q.V == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing target vertex v"))
-		return
-	}
-	if q.FailedVertex == nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing failed vertex (failedVertex or fw=)"))
-		return
-	}
-	k, err := q.VertexKey()
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.vertexStructureForKey(r.Context(), k, q.V)
-	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
-	}
-	// DistAvoidingVertex runs against the structure's VertexQueryPlan: O(1)
-	// for off-tree-path failures, subtree-local repair otherwise.
-	var d int
-	err = st.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
-		var qerr error
-		d, qerr = o.DistAvoidingVertex(*q.V, *q.FailedVertex)
-		return qerr
-	})
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.m.queries.Inc()
-	s.writeJSON(w, http.StatusOK, distResponse{Dist: d})
 }
 
 // BatchQuery is one entry of a /batch-query vector: the target vertex, the
@@ -1193,37 +1063,17 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("empty query vector"))
 		return
 	}
+	slots := make([]wire.BatchSlot, len(req.Queries))
 	dists := make([]int, len(req.Queries))
 	errs := make([]string, len(req.Queries))
-	// Group the vector by addressed structure, preserving first-seen order;
-	// a query with an unresolvable address errors its own slot only. The
-	// key's Model decides which query slice a group fills — slots of one
-	// group are homogeneous by construction (vertex slots resolve to vertex
-	// keys), so exactly one of queries/vqueries is populated.
-	var groups []*queryGroup
-	byKey := make(map[store.Key]*queryGroup)
 	for i := range req.Queries {
-		k, err := req.KeyFor(i)
-		if err != nil {
+		var err error
+		if _, slots[i], err = req.WireSlot(i); err != nil {
 			dists[i] = ftbfs.Unreachable
 			errs[i] = err.Error()
-			continue
-		}
-		gr := byKey[k]
-		if gr == nil {
-			gr = &queryGroup{key: k}
-			byKey[k] = gr
-			groups = append(groups, gr)
-		}
-		q := req.Queries[i]
-		gr.slots = append(gr.slots, i)
-		if k.Model == store.ModelVertex {
-			gr.vqueries = append(gr.vqueries, ftbfs.VertexFailureQuery{V: q.V, Failed: *q.FailedVertex})
-		} else {
-			gr.queries = append(gr.queries, ftbfs.FailureQuery{V: q.V, FailedU: q.Fail[0], FailedV: q.Fail[1]})
 		}
 	}
-	s.m.queries.Add(s.answerGroups(r.Context(), groups, dists, errs))
+	s.batch(r.Context(), slots, dists, errs)
 	resp := BatchQueryResponse{Dists: dists}
 	for _, e := range errs {
 		if e != "" {
@@ -1278,7 +1128,7 @@ type HealthResponse struct {
 	ID            string  `json:"id,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Wire is the advertised binary-protocol address, when serving one;
-	// the cluster router's probes learn the fast path from this field.
+	// the cluster router's probes learn where to send queries from it.
 	Wire string `json:"wire,omitempty"`
 }
 

@@ -29,8 +29,9 @@
 // travels between processes as the X-Ftbfs-Trace header on HTTP and as the
 // trace field of every wire frame (protocol v3); a zero ID means untraced
 // and costs the hot path a single branch. Each layer appends completed
-// spans (router attempt, server route, store resolve); shards return their
-// spans to the router in the X-Ftbfs-Spans response header so one
+// spans (router attempt, server route, store resolve); a shard returns its
+// spans in the response — the span section of a wire response frame, or
+// the X-Ftbfs-Spans header on HTTP — and the caller folds them in, so one
 // /debug/traces entry shows the whole request tree. Completed traces land
 // in a bounded TraceRing of recent slow requests.
 package telemetry

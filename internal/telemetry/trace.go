@@ -15,8 +15,9 @@ const (
 	// protocol carries the same ID in every frame's trace field.
 	TraceHeader = "X-Ftbfs-Trace"
 	// SpanHeader is set on HTTP responses of traced requests: a JSON array
-	// of the spans the serving side recorded, so the caller (the router)
-	// can fold shard-side spans into its own trace record.
+	// of the spans the serving side recorded, so the caller can fold them
+	// into its own trace record. Wire responses carry the same spans in
+	// their span section.
 	SpanHeader = "X-Ftbfs-Spans"
 
 	// maxSpans bounds the span log of a single trace; a runaway layer
@@ -79,6 +80,17 @@ func (t *Trace) AddSpan(sp Span) {
 		t.spans = append(t.spans, sp)
 	}
 	t.mu.Unlock()
+}
+
+// Fold files spans another hop recorded into t, each renamed
+// "<from>:<name>" — how a caller keeps a downstream hop's spans apart from
+// its own. Their offsets stay relative to that hop's own trace start, so
+// they read as per-layer timelines, not one global clock.
+func (t *Trace) Fold(from string, spans []Span) {
+	for _, sp := range spans {
+		sp.Name = from + ":" + sp.Name
+		t.AddSpan(sp)
+	}
 }
 
 // Spans returns a copy of the recorded spans.

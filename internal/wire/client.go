@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -33,15 +34,16 @@ type Client struct {
 // response is what the reader goroutine hands back to a waiter.
 type response struct {
 	typ     byte
-	payload []byte // owned by the waiter
+	payload []byte           // owned by the waiter
+	spans   []telemetry.Span // a traced response's span section
 	err     error
 }
 
 // chanPool recycles waiter channels: a channel that delivered its response
 // is drained and safe to reuse, and point queries are frequent enough that
 // the per-request make(chan) shows up. Channels on the forget path (timeout
-// or cancel) are simply dropped — the dying connection may still send to
-// them, so they must not be reused.
+// or cancel) are simply dropped — the read loop may still send to them, so
+// they must not be reused.
 var chanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // timerPool recycles request timers; Reset after a receive or Stop is safe
@@ -146,8 +148,12 @@ func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.c, 32<<10)
 	var buf []byte
 	for {
-		typ, id, _, _, payload, newBuf, err := readFrame(br, buf)
+		typ, id, _, trace, payload, newBuf, err := readFrame(br, buf)
 		buf = newBuf
+		var spans []telemetry.Span
+		if err == nil && trace != 0 {
+			spans, payload, err = parseSpans(payload)
+		}
 		if err != nil {
 			cc.fail(fmt.Errorf("wire: connection lost: %w", err))
 			return
@@ -160,7 +166,7 @@ func (cc *clientConn) readLoop() {
 			// Copy out of the read buffer: the waiter owns its payload.
 			p := make([]byte, len(payload))
 			copy(p, payload)
-			ch <- response{typ: typ, payload: p}
+			ch <- response{typ: typ, payload: p, spans: spans}
 		}
 	}
 }
@@ -216,15 +222,18 @@ func (cc *clientConn) send(typ byte, id uint64, budget uint32, trace uint64, pay
 	return ch, nil
 }
 
-// forget abandons a waiter (timeout/cancel); the connection is killed, since
-// an abandoned in-flight response would otherwise desynchronise nothing —
-// ids keep frames matched — but a hung server must not pin a conn forever.
-func (cc *clientConn) forget(id uint64, err error) {
+// forget abandons a waiter. Ids keep frames matched, so the late response
+// of an abandoned request is simply dropped by the read loop and the
+// connection stays good for every other request pipelined on it. Only when
+// kill is set — the caller's deadline or the request timeout ran out, so
+// the peer may be hung — is the connection failed, lest a hung server pin
+// it forever.
+func (cc *clientConn) forget(id uint64, kill bool, err error) {
 	cc.pmu.Lock()
 	_, mine := cc.pending[id]
 	delete(cc.pending, id)
 	cc.pmu.Unlock()
-	if mine {
+	if mine && kill {
 		cc.fail(err)
 	}
 }
@@ -233,7 +242,9 @@ func (cc *clientConn) forget(id uint64, err error) {
 // context deadline travels in the frame's budget field (rounded up to a whole
 // millisecond) so the server stops working when the caller stops waiting; a
 // telemetry trace in the context travels in the trace field so shard-side
-// spans share the caller's trace ID.
+// spans share the caller's trace ID, and the spans the response carries back
+// are filed into that trace. A caller that cancels (a hedge loser, a client
+// that hung up) abandons only its own request.
 func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, error) {
 	cc, err := c.conn()
 	if err != nil {
@@ -279,15 +290,21 @@ func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, er
 		// The channel delivered its single response; it is empty and safe
 		// to reuse.
 		chanPool.Put(ch)
+		if tr := telemetry.TraceFrom(ctx); tr != nil {
+			for _, sp := range r.spans {
+				tr.AddSpan(sp)
+			}
+		}
 		return r, r.err
 	case <-ctx.Done():
-		cc.forget(id, ctx.Err())
+		err := ctx.Err()
+		cc.forget(id, !errors.Is(err, context.Canceled), err)
 		timer.Stop()
 		timerPool.Put(timer)
-		return response{}, ctx.Err()
+		return response{}, err
 	case <-timer.C:
 		err := fmt.Errorf("wire: request timed out after %v", timeout)
-		cc.forget(id, err)
+		cc.forget(id, true, err)
 		timerPool.Put(timer)
 		return response{}, err
 	}
@@ -295,7 +312,7 @@ func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, er
 
 // Point answers one point query. A non-nil *Error is a definitive in-protocol
 // answer from the server (mirroring an HTTP status); a non-nil error is a
-// transport failure the caller may retry or fall back from.
+// transport failure the caller may retry elsewhere.
 func (c *Client) Point(ctx context.Context, typ byte, q *PointQuery) (int32, *Error, error) {
 	buf := getBuf()
 	payload := appendPoint((*buf)[:0], q)
@@ -322,10 +339,11 @@ func (c *Client) Point(ctx context.Context, typ byte, q *PointQuery) (int32, *Er
 }
 
 // FetchRecord fetches the record bytes of one structure from a peer shard
-// over the persistent connection pool — the handoff fast path. A non-nil
-// *Error is the peer's definitive in-protocol answer (404 not held, 413
-// record exceeds the frame bound — the caller then falls back to HTTP, which
-// has no such bound); a non-nil error is a transport failure.
+// over the persistent connection pool. A non-nil *Error is the peer's
+// definitive in-protocol answer (404 not held, 413 record exceeds the frame
+// bound); a non-nil error is a transport failure. Either way the handoff
+// puller falls back to the peer's HTTP record surface, whose body bound
+// (server.MaxBodyBytes) is larger than MaxPayload.
 func (c *Client) FetchRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error, error) {
 	buf := getBuf()
 	payload := appendHandoffKey((*buf)[:0], k)
@@ -374,11 +392,10 @@ func (c *Client) FetchGraph(ctx context.Context, fp uint64) ([]byte, *Error, err
 }
 
 // Mutate applies one edge-mutation batch to the graph of the given lineage on
-// a peer shard and returns the new generation's identity plus the shard's
-// rebuild ledger. A non-nil *Error is the shard's definitive in-protocol
-// answer (404 graph not held there, 501 transport lacks mutation support —
-// the caller then falls back to HTTP); a non-nil error is a transport
-// failure.
+// a shard and returns the new generation's identity plus the shard's rebuild
+// ledger. A non-nil *Error is the shard's definitive in-protocol answer (404
+// graph not held there, 400 invalid batch, 500 persist fault); a non-nil
+// error is a transport failure.
 func (c *Client) Mutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error, error) {
 	buf := getBuf()
 	payload := appendMutate((*buf)[:0], lineage, muts)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -12,12 +13,13 @@ import (
 	"ftbfs/internal/telemetry"
 )
 
-// Backend answers decoded wire queries; internal/server implements it on top
-// of the same store/oracle machinery the HTTP handlers use, which is what
-// makes the two transports answer-identical by construction. The context
-// carries the caller's deadline budget (derived from the frame's budget
-// field): a backend should stop working when it expires and answer with a
-// 504-equivalent error.
+// Backend answers decoded wire queries; internal/server implements it with
+// the same dispatch its HTTP handlers call, which is what makes the two
+// transports answer-identical by construction. The context carries the
+// caller's deadline budget (derived from the frame's budget field): a
+// backend should stop working when it expires and answer with a
+// 504-equivalent error. A traced request's context carries a trace whose
+// spans travel back in the response frame.
 type Backend interface {
 	// WirePoint answers one point query of the given request type
 	// (TDist / TDistAvoiding / TDistAvoidingVertex).
@@ -25,6 +27,10 @@ type Backend interface {
 	// WireBatch answers a batch; dists and errs are parallel to slots, with
 	// "" marking a slot that succeeded.
 	WireBatch(ctx context.Context, slots []BatchSlot) (dists []int32, errs []string)
+	// WireMutate applies one mutation batch to the graph of the given
+	// lineage (or answers an in-protocol error: 404 unknown graph, 400
+	// invalid batch, 500 persist fault).
+	WireMutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error)
 }
 
 // HandoffBackend is the optional shard-to-shard extension of Backend:
@@ -38,18 +44,6 @@ type HandoffBackend interface {
 	HandoffRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error)
 	// HandoffGraph returns the canonical text of one registered graph.
 	HandoffGraph(ctx context.Context, fp uint64) ([]byte, *Error)
-}
-
-// MutateBackend is the optional live-graph extension of Backend: backends
-// implementing it additionally serve TMutate frames, applying an edge
-// mutation batch and atomically swapping the shard to the new generation. A
-// backend without it answers with an in-protocol 501 — the router then falls
-// back to the HTTP /mutate surface.
-type MutateBackend interface {
-	// WireMutate applies one mutation batch to the graph of the given
-	// lineage (or answers an in-protocol error: 404 unknown graph, 400
-	// invalid batch, 500 persist fault).
-	WireMutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error)
 }
 
 // Serve accepts wire connections on ln until ctx is cancelled or the
@@ -137,17 +131,23 @@ var errProtocol = errors.New("wire: protocol error")
 // answer decodes and answers one request frame. A non-zero budget bounds the
 // backend's work with a context deadline — the caller has already given up
 // once it expires, so finishing the computation would be wasted work. A
-// non-zero trace hands the backend a telemetry trace with the caller's ID;
-// the untraced hot path pays a single branch.
+// non-zero trace hands the backend a telemetry trace with the caller's ID,
+// whose spans travel back in the response; the untraced hot path pays a
+// single branch.
 func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint64, budget uint32, trace uint64, payload []byte) error {
 	if budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(budget)*time.Millisecond)
 		defer cancel()
 	}
+	var tr *telemetry.Trace
 	if trace != 0 {
-		ctx = telemetry.WithTrace(ctx, telemetry.NewTrace(trace))
+		tr = telemetry.NewTrace(trace)
+		ctx = telemetry.WithTrace(ctx, tr)
 	}
+	buf := getBuf()
+	defer putBuf(buf)
+	out := (*buf)[:0]
 	switch typ {
 	case TDist, TDistAvoiding, TDistAvoidingVertex:
 		q, err := parsePoint(payload)
@@ -156,22 +156,16 @@ func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint
 		}
 		d, werr := backend.WirePoint(ctx, typ, &q)
 		if werr != nil {
-			buf := getBuf()
-			defer putBuf(buf)
-			return writeFrame(w, RError, id, 0, 0, appendError((*buf)[:0], werr.Code, werr.Msg))
+			return writeResponse(w, RError, id, tr, appendError(out, werr.Code, werr.Msg))
 		}
-		var db [4]byte
-		db[0], db[1], db[2], db[3] = byte(d), byte(d>>8), byte(d>>16), byte(d>>24)
-		return writeFrame(w, RDist, id, 0, 0, db[:])
+		return writeResponse(w, RDist, id, tr, binary.LittleEndian.AppendUint32(out, uint32(d)))
 	case TBatch:
 		slots, err := parseBatch(payload)
 		if err != nil {
 			return errProtocol
 		}
 		dists, errs := backend.WireBatch(ctx, slots)
-		buf := getBuf()
-		defer putBuf(buf)
-		return writeFrame(w, RBatch, id, 0, 0, appendBatchResponse((*buf)[:0], dists, errs))
+		return writeResponse(w, RBatch, id, tr, appendBatchResponse(out, dists, errs))
 	case THandoff:
 		k, err := parseHandoffKey(payload)
 		if err != nil {
@@ -179,13 +173,13 @@ func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint
 		}
 		hb, ok := backend.(HandoffBackend)
 		if !ok {
-			return writeError(w, id, 501, "handoff not supported")
+			return writeResponse(w, RError, id, tr, appendError(out, 501, "handoff not supported"))
 		}
 		data, werr := hb.HandoffRecord(ctx, &k)
 		if werr != nil {
-			return writeError(w, id, werr.Code, werr.Msg)
+			return writeResponse(w, RError, id, tr, appendError(out, werr.Code, werr.Msg))
 		}
-		return writeFrame(w, RHandoff, id, 0, 0, data)
+		return writeResponse(w, RHandoff, id, tr, data)
 	case TGraph:
 		if len(payload) != 8 {
 			return errProtocol
@@ -194,37 +188,37 @@ func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint
 			uint64(payload[4])<<32 | uint64(payload[5])<<40 | uint64(payload[6])<<48 | uint64(payload[7])<<56
 		hb, ok := backend.(HandoffBackend)
 		if !ok {
-			return writeError(w, id, 501, "handoff not supported")
+			return writeResponse(w, RError, id, tr, appendError(out, 501, "handoff not supported"))
 		}
 		data, werr := hb.HandoffGraph(ctx, fp)
 		if werr != nil {
-			return writeError(w, id, werr.Code, werr.Msg)
+			return writeResponse(w, RError, id, tr, appendError(out, werr.Code, werr.Msg))
 		}
-		return writeFrame(w, RGraph, id, 0, 0, data)
+		return writeResponse(w, RGraph, id, tr, data)
 	case TMutate:
 		lineage, muts, err := parseMutate(payload)
 		if err != nil {
 			return errProtocol
 		}
-		mb, ok := backend.(MutateBackend)
-		if !ok {
-			return writeError(w, id, 501, "mutate not supported")
-		}
-		res, werr := mb.WireMutate(ctx, lineage, muts)
+		res, werr := backend.WireMutate(ctx, lineage, muts)
 		if werr != nil {
-			return writeError(w, id, werr.Code, werr.Msg)
+			return writeResponse(w, RError, id, tr, appendError(out, werr.Code, werr.Msg))
 		}
-		buf := getBuf()
-		defer putBuf(buf)
-		return writeFrame(w, RMutate, id, 0, 0, appendMutateResponse((*buf)[:0], &res))
+		return writeResponse(w, RMutate, id, tr, appendMutateResponse(out, &res))
 	default:
 		return errProtocol
 	}
 }
 
-// writeError writes one RError frame.
-func writeError(w io.Writer, id uint64, code int, msg string) error {
+// writeResponse writes one response frame. An untraced response (tr nil) is
+// the bare body with a zero trace field; a traced one echoes the trace ID and
+// prefixes the body with the spans the backend recorded.
+func writeResponse(w io.Writer, typ byte, id uint64, tr *telemetry.Trace, body []byte) error {
+	if tr == nil {
+		return writeFrame(w, typ, id, 0, 0, body)
+	}
 	buf := getBuf()
 	defer putBuf(buf)
-	return writeFrame(w, RError, id, 0, 0, appendError((*buf)[:0], code, msg))
+	*buf = append(appendSpans((*buf)[:0], tr.Spans()), body...)
+	return writeFrame(w, typ, id, 0, tr.ID(), *buf)
 }

@@ -1,30 +1,38 @@
-// Package wire implements the binary query protocol that replaces HTTP/JSON
-// on the serving hot path. A connection is persistent and carries
-// length-prefixed frames both ways; requests carry client-chosen ids that
-// responses echo, so many requests can be in flight on one connection
-// (pipelining) and responses may arrive out of order.
+// Package wire implements the binary protocol spoken inside the cluster:
+// every point query, batch and mutation the router sends a shard travels
+// over it, as do shard-to-shard handoff transfers. A connection is
+// persistent and carries length-prefixed frames both ways; requests carry
+// client-chosen ids that responses echo, so many requests can be in flight
+// on one connection (pipelining) and responses may arrive out of order.
 //
 // Connection preamble (client → server, once): "FTBW" + version u32.
 //
-// Frame layout (protocol version 3), everything little-endian:
+// Frame layout (protocol version 4), everything little-endian:
 //
 //	length  u32  bytes after this field: 1 (type) + 8 (id) + 4 (budget) + 8 (trace) + payload + 4 (crc)
 //	type    u8   request or response type
 //	id      u64  request id, echoed verbatim by the response
 //	budget  u32  caller's remaining deadline budget in milliseconds (0 = none);
 //	             meaningful on requests, zero on responses
-//	trace   u64  telemetry trace ID (0 = untraced); meaningful on requests,
-//	             zero on responses — the wire twin of the X-Ftbfs-Trace header
+//	trace   u64  telemetry trace ID (0 = untraced) — the wire twin of the
+//	             X-Ftbfs-Trace header. A response to a traced request echoes
+//	             it, and its payload then starts with a span section
 //	payload      fixed-layout body, see below
 //	crc     u32  CRC-32C (Castagnoli) over type+id+budget+trace+payload
 //
 // The trailing checksum is what makes "zero wrong answers under corrupted
 // bytes" an honest guarantee: a flipped bit anywhere in a frame surfaces as a
-// transport error (the connection is dropped and the caller retries or falls
-// back to HTTP) instead of a silently wrong distance. The budget field
+// transport error (the connection is dropped and the caller fails over to
+// another replica) instead of a silently wrong distance. The budget field
 // propagates the caller's deadline shard-side so a server never works past
 // the time its caller is still willing to wait; the trace field propagates
 // the caller's trace ID so a sampled request's spans line up across layers.
+//
+// Span section (traced responses only, before the body): count u32, then
+// count × (start_us i64, dur_us i64, len u32, name) — the spans the server
+// recorded, which the client files into the caller's trace, the wire twin of
+// the X-Ftbfs-Spans header. Untraced responses carry none, so their bytes
+// are exactly those of protocol version 3.
 //
 // Point request payload (TDist / TDistAvoiding / TDistAvoidingVertex),
 // 36 bytes: graph fingerprint u64, ε bits u64, source i32, algorithm i32,
@@ -34,15 +42,13 @@
 // (point payload + flags u32, bit 0 = vertex model). Responses: RDist
 // carries dist i32; RBatch carries count u32 + dists + errCount u32 +
 // errCount × (slot u32, len u32, message); RError carries an HTTP-equivalent
-// status code u32 + len u32 + message, so the router's retry classification
-// works identically over either transport.
+// status code u32 + len u32 + message, so the router relays a shard's
+// refusal with the status a single node would answer.
 //
 // Mutation request payload (TMutate): graph lineage u64, count u32, then
-// count 9-byte entries (op u8 — 0 insert, 1 delete — u u32, v u32). The
+// count 9-byte entries (op u8 — 0 insert, 1 delete — u i32, v i32). The
 // RMutate response is fixed 32 bytes: lineage u64, new generation u64, new
-// fingerprint u64, delta-rebuild count u32, full-rebuild count u32. Backends
-// without mutation support answer an in-protocol 501 and the caller falls
-// back to the HTTP /mutate surface.
+// fingerprint u64, delta-rebuild count u32, full-rebuild count u32.
 package wire
 
 import (
@@ -52,14 +58,17 @@ import (
 	"io"
 	"math"
 	"sync"
+
+	"ftbfs/internal/telemetry"
 )
 
 // Protocol constants.
 const (
 	// Version is the protocol version sent in the connection preamble.
 	// Version 2 added the per-frame budget field and CRC-32C trailer;
-	// version 3 added the per-frame trace field.
-	Version uint32 = 3
+	// version 3 added the per-frame trace field; version 4 gave the trace
+	// field a meaning on responses (echo + span section).
+	Version uint32 = 4
 
 	// MaxPayload bounds a frame's payload; a peer announcing more is
 	// protocol-corrupt and the connection is dropped. Generous for batches:
@@ -105,8 +114,9 @@ const slotFlagVertex uint32 = 1
 
 // PointQuery is one fully-resolved point query: the key (graph fingerprint,
 // source, ε, algorithm) plus the target and failure. All fields travel
-// verbatim — the router resolves defaults before framing, the shard
-// validates against its store exactly as the HTTP handlers do.
+// verbatim — internal/server converts HTTP requests into this form (defaults
+// resolved, out-of-range fields refused) for the router and for its own
+// HTTP handlers alike, and the shard validates it against its store.
 type PointQuery struct {
 	FP      uint64
 	EpsBits uint64
@@ -180,7 +190,7 @@ func parseHandoffKey(payload []byte) (HandoffKey, error) {
 // so a corrupt op byte is a protocol error, not a surprise downstream.
 type MutationWire struct {
 	Op   uint8
-	U, V uint32
+	U, V int32
 }
 
 // mutEntryLen is the per-mutation entry length in a TMutate payload.
@@ -201,15 +211,15 @@ type MutateResult struct {
 }
 
 // appendMutate appends a TMutate payload: lineage u64, count u32, then count
-// 9-byte entries (op u8, u u32, v u32).
+// 9-byte entries (op u8, u i32, v i32).
 func appendMutate(buf []byte, lineage uint64, muts []MutationWire) []byte {
 	le := binary.LittleEndian
 	buf = le.AppendUint64(buf, lineage)
 	buf = le.AppendUint32(buf, uint32(len(muts)))
 	for i := range muts {
 		buf = append(buf, muts[i].Op)
-		buf = le.AppendUint32(buf, muts[i].U)
-		buf = le.AppendUint32(buf, muts[i].V)
+		buf = le.AppendUint32(buf, uint32(muts[i].U))
+		buf = le.AppendUint32(buf, uint32(muts[i].V))
 	}
 	return buf
 }
@@ -234,8 +244,8 @@ func parseMutate(payload []byte) (lineage uint64, muts []MutationWire, err error
 		}
 		muts[i] = MutationWire{
 			Op: op,
-			U:  le.Uint32(payload[off+1:]),
-			V:  le.Uint32(payload[off+5:]),
+			U:  int32(le.Uint32(payload[off+1:])),
+			V:  int32(le.Uint32(payload[off+5:])),
 		}
 		off += mutEntryLen
 	}
@@ -431,6 +441,52 @@ func parseError(payload []byte) (*Error, error) {
 		return nil, fmt.Errorf("wire: error status %d out of range", code)
 	}
 	return &Error{Code: code, Msg: string(payload[8:])}, nil
+}
+
+// appendSpans appends a traced response's span section.
+func appendSpans(buf []byte, spans []telemetry.Span) []byte {
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, uint32(len(spans)))
+	for _, sp := range spans {
+		buf = le.AppendUint64(buf, uint64(sp.StartUs))
+		buf = le.AppendUint64(buf, uint64(sp.DurUs))
+		buf = le.AppendUint32(buf, uint32(len(sp.Name)))
+		buf = append(buf, sp.Name...)
+	}
+	return buf
+}
+
+// parseSpans splits a traced response's payload into its span section and
+// the body behind it.
+func parseSpans(payload []byte) (spans []telemetry.Span, body []byte, err error) {
+	le := binary.LittleEndian
+	if len(payload) < 4 {
+		return nil, nil, fmt.Errorf("wire: span section truncated")
+	}
+	count := int(le.Uint32(payload))
+	off := 4
+	// Every span takes at least 20 bytes, which bounds the allocation by
+	// the payload actually received.
+	if count < 0 || count > (len(payload)-off)/20 {
+		return nil, nil, fmt.Errorf("wire: span section claims %d spans in %d bytes", count, len(payload))
+	}
+	spans = make([]telemetry.Span, count)
+	for i := range spans {
+		if len(payload) < off+20 {
+			return nil, nil, fmt.Errorf("wire: span %d truncated", i)
+		}
+		n := int(le.Uint32(payload[off+16:]))
+		if n < 0 || len(payload) < off+20+n {
+			return nil, nil, fmt.Errorf("wire: span %d name truncated", i)
+		}
+		spans[i] = telemetry.Span{
+			StartUs: int64(le.Uint64(payload[off:])),
+			DurUs:   int64(le.Uint64(payload[off+8:])),
+			Name:    string(payload[off+20 : off+20+n]),
+		}
+		off += 20 + n
+	}
+	return spans, payload[off:], nil
 }
 
 // appendBatchResponse appends an RBatch payload: all dists, then the sparse

@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +16,8 @@ import (
 
 // testBackend answers arithmetically so tests can verify routing without a
 // real store: point answers V + A + B + int32(typ), batches echo per-slot,
-// and A == -7 triggers an in-protocol error.
+// mutations echo the lineage and count, and A == -7 triggers an in-protocol
+// error.
 type testBackend struct{}
 
 func (testBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (int32, *Error) {
@@ -31,7 +34,18 @@ func (testBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (int3
 			return 0, &Error{Code: 500, Msg: "no budget arrived"}
 		}
 	}
+	if q.A == -11 {
+		// Slow-but-finite stand-in: the connection's next frame waits behind it.
+		time.Sleep(60 * time.Millisecond)
+	}
 	return q.V + q.A + q.B + int32(typ), nil
+}
+
+func (testBackend) WireMutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error) {
+	if lineage == 0 {
+		return MutateResult{}, &Error{Code: 404, Msg: "unknown graph 0000000000000000"}
+	}
+	return MutateResult{Lineage: lineage, Gen: uint64(len(muts))}, nil
 }
 
 func (testBackend) WireBatch(ctx context.Context, slots []BatchSlot) ([]int32, []string) {
@@ -225,11 +239,24 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(appendFrame(nil, TBatch, 9, 250, 0, appendBatch(nil, []BatchSlot{{PointQuery: PointQuery{V: 1}, Vertex: true}})))
 	f.Add(appendFrame(nil, RError, 1, 0, 7, appendError(nil, 404, "nope")))
 	f.Add(appendFrame(nil, RBatch, 2, 0, 0, appendBatchResponse(nil, []int32{1, -1}, []string{"", "bad"})))
+	f.Add(appendFrame(nil, RDist, 3, 0, 5, append(appendSpans(nil, []telemetry.Span{{Name: "shard.wire", StartUs: 1, DurUs: 2}}), 7, 0, 0, 0)))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, _, _, _, payload, _, err := readFrame(bytes.NewReader(data), nil)
+		typ, _, _, trace, payload, _, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
 			return
+		}
+		if trace != 0 && typ&0x80 != 0 {
+			// A traced response: the span section must parse canonically
+			// or be refused, never panic.
+			spans, body, err := parseSpans(payload)
+			if err != nil {
+				return
+			}
+			if got := append(appendSpans(nil, spans), body...); !bytes.Equal(got, payload) {
+				t.Fatalf("span section not canonical")
+			}
+			payload = body
 		}
 		switch typ {
 		case TDist, TDistAvoiding, TDistAvoidingVertex:
@@ -280,6 +307,7 @@ func (b *traceBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (
 	var id uint64
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
 		id = tr.ID()
+		tr.AddSpan(telemetry.Span{Name: "backend.point", StartUs: 3, DurUs: 5})
 	}
 	b.mu.Lock()
 	b.seen = append(b.seen, id)
@@ -288,12 +316,20 @@ func (b *traceBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (
 }
 
 func (b *traceBackend) WireBatch(ctx context.Context, slots []BatchSlot) ([]int32, []string) {
+	if tr := telemetry.TraceFrom(ctx); tr != nil {
+		tr.Add("backend.batch", time.Now())
+	}
 	return make([]int32, len(slots)), make([]string, len(slots))
+}
+
+func (b *traceBackend) WireMutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error) {
+	return MutateResult{Lineage: lineage}, nil
 }
 
 // TestClientPropagatesTraceID proves a telemetry trace in the caller's
 // context reaches the backend through the frame's trace field — and that
-// untraced requests arrive with a zero ID.
+// untraced requests arrive with a zero ID. The backend's spans ride the
+// response back into the caller's trace.
 func TestClientPropagatesTraceID(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -320,5 +356,105 @@ func TestClientPropagatesTraceID(t *testing.T) {
 	defer backend.mu.Unlock()
 	if len(backend.seen) != 2 || backend.seen[0] != 0x1234 || backend.seen[1] != 0 {
 		t.Fatalf("backend saw trace IDs %x, want [1234 0]", backend.seen)
+	}
+	if got := tr.Spans(); len(got) != 1 || got[0] != (telemetry.Span{Name: "backend.point", StartUs: 3, DurUs: 5}) {
+		t.Fatalf("caller's trace holds %+v, want the backend's span from the response", got)
+	}
+	// Batches and mutations carry spans back the same way.
+	btr := telemetry.NewTrace(0x5678)
+	if _, _, werr, err := c.Batch(telemetry.WithTrace(context.Background(), btr), []BatchSlot{{}}); err != nil || werr != nil {
+		t.Fatalf("traced Batch: %v / %v", werr, err)
+	}
+	if got := btr.Spans(); len(got) != 1 || got[0].Name != "backend.batch" {
+		t.Fatalf("batch trace holds %+v, want backend.batch", got)
+	}
+}
+
+// TestUntracedResponseFramesByteIdentical pins untraced response frames to
+// the bytes protocol version 3 produced: only traced responses changed shape
+// in version 4.
+func TestUntracedResponseFramesByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		typ  byte
+		id   uint64
+		body []byte
+		want string
+	}{
+		{"RDist", RDist, 42, []byte{7, 0, 0, 0},
+			"1d000000812a00000000000000000000000000000000000000070000003f1948c8"},
+		{"RBatch", RBatch, 43, appendBatchResponse(nil, []int32{3, -1, 5}, []string{"", "bad slot", ""}),
+			"3d000000842b000000000000000000000000000000000000000300000003000000ffffffff0500000001000000010000000800000062616420736c6f749215133e"},
+		{"RError", RError, 44, appendError(nil, 404, "unknown graph"),
+			"2e000000ff2c00000000000000000000000000000000000000940100000d000000756e6b6e6f776e2067726170681d367ba0"},
+	} {
+		var got bytes.Buffer
+		if err := writeResponse(&got, tc.typ, tc.id, nil, tc.body); err != nil {
+			t.Fatal(err)
+		}
+		if h := fmt.Sprintf("%x", got.Bytes()); h != tc.want {
+			t.Errorf("untraced %s frame = %s, want %s", tc.name, h, tc.want)
+		}
+	}
+}
+
+// countingListener counts accepted connections, i.e. client dials.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// TestCancelledRequestKeepsConnection cancels one of two requests pipelined
+// on a one-connection client: the other must still answer, over the same
+// connection. A cancelled waiter (a hedge loser, a caller that hung up)
+// abandons only its own request.
+func TestCancelledRequestKeepsConnection(t *testing.T) {
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: raw}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); Serve(ctx, ln, testBackend{}) }()
+	defer func() { cancel(); <-done }()
+
+	c := NewClient(ln.Addr().String(), 1)
+	defer c.Close()
+	loserCtx, loserCancel := context.WithCancel(context.Background())
+	loser := make(chan error, 1)
+	go func() {
+		// A == -11 answers after 60 ms; the caller gives up after 10 ms.
+		_, _, err := c.Point(loserCtx, TDist, &PointQuery{V: 1, A: -11})
+		loser <- err
+	}()
+	time.AfterFunc(10*time.Millisecond, loserCancel)
+	time.Sleep(2 * time.Millisecond) // the loser's frame goes first
+
+	wctx, wcancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer wcancel()
+	d, werr, err := c.Point(wctx, TDist, &PointQuery{V: 5, A: 1, B: 1})
+	if err != nil || werr != nil {
+		t.Fatalf("request pipelined behind a cancelled one failed: %v / %v", werr, err)
+	}
+	if want := int32(5 + 2 + int32(TDist)); d != want {
+		t.Fatalf("Point = %d, want %d", d, want)
+	}
+	if err := <-loser; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request returned %v, want context.Canceled", err)
+	}
+	if _, werr, err := c.Point(context.Background(), TDist, &PointQuery{V: 1}); err != nil || werr != nil {
+		t.Fatalf("follow-up Point: %v / %v", werr, err)
+	}
+	if n := ln.accepts.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections, want 1: the cancel killed the pooled connection", n)
 	}
 }
