@@ -15,6 +15,7 @@ import (
 
 	"ftbfs"
 	"ftbfs/internal/server"
+	"ftbfs/internal/wire"
 )
 
 // clusterGraph builds a deterministic connected random graph and returns it
@@ -302,6 +303,106 @@ func TestRouterOutOfRangeFieldsMatchSingleNode(t *testing.T) {
 	for _, sh := range lc.Shards {
 		if gg, ok := sh.Store.Graph(lin); !ok || gg.Generation() != 0 || gg.M() != gen0.M() {
 			t.Fatalf("shard %s moved on a refused mutation", sh.ID)
+		}
+	}
+}
+
+// postRaw posts body verbatim and returns the status and response body.
+func postRaw(t testing.TB, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, buf.String()
+}
+
+// TestRouterBatchBodyFallbackMatchesSingleNode posts /batch-query bodies that
+// encoding/json reads in ways a naive scanner would not — case-folded keys,
+// a repeated "queries" merging into the first vector, a 1.0 target — to the
+// router and to a single node: both tiers decode through the same code, so
+// status and body must be identical.
+func TestRouterBatchBodyFallbackMatchesSingleNode(t *testing.T) {
+	lc, err := StartLocal(1, LocalOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{13}, []int{0}, 0.3)[0]
+	e := fx.edges[len(fx.edges)/2]
+	addr := fmt.Sprintf(`"graph":%q,"eps":0.3`, fx.fp)
+	for _, body := range []string{
+		fmt.Sprintf(`{%s,"queries":[{"v":5,"fail":[%d,%d]},{"v":7,"failedVertex":3}]}`, addr, e[0], e[1]),
+		fmt.Sprintf(`{%s,"queries":[{"V":5,"fail":[%d,%d]},{"V":7,"FailedVertex":3}]}`, addr, e[0], e[1]),
+		fmt.Sprintf(`{%s,"queries":[{"v":5,"fail":[%d,%d]}],"queries":[{"v":7}]}`, addr, e[0], e[1]),
+		fmt.Sprintf(`{%s,"queries":[{"v":5.0,"fail":[%d,%d]}]}`, addr, e[0], e[1]),
+		fmt.Sprintf(`{%s,"ſource":0,"queries":[{"v":5,"fail":[%d,%d,9]}]}`, addr, e[0], e[1]),
+	} {
+		rc, rb := postRaw(t, lc.URL()+"/batch-query", body)
+		nc, nb := postRaw(t, lc.Shards[0].Addr()+"/batch-query", body)
+		if rc != nc || rb != nb {
+			t.Errorf("%s: router %d %s, single node %d %s", body, rc, rb, nc, nb)
+		}
+	}
+}
+
+// TestRouterSplitsOversizedSubBatch routes a vector with more slots than one
+// wire frame carries to a single shard: the router ships them as several
+// sub-batches of at most wire.MaxBatchSlots and answers exactly as the shard
+// itself does, with no transport fault.
+func TestRouterSplitsOversizedSubBatch(t *testing.T) {
+	lc, err := StartLocal(1, LocalOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{17}, []int{0}, 0.3)[0]
+	eps := fx.eps
+	req := server.BatchQueryRequest{Graph: fx.fp, Eps: &eps, Queries: make([]server.BatchQuery, wire.MaxBatchSlots+10)}
+	for i := range req.Queries {
+		req.Queries[i] = server.BatchQuery{V: i % fx.n, Fail: fx.edges[i%len(fx.edges)]}
+	}
+	rm := lc.Router.rm
+	batches, fallbacks := rm.wireBatches.Value(), rm.wireFallbacks.Value()
+	rc, rb := postJSON(t, lc.URL()+"/batch-query", req, nil)
+	nc, nb := postJSON(t, lc.Shards[0].Addr()+"/batch-query", req, nil)
+	if rc != http.StatusOK || rc != nc || rb != nb {
+		t.Fatalf("router %d, single node %d; bodies equal: %v", rc, nc, rb == nb)
+	}
+	if n := rm.wireBatches.Value() - batches; n < 2 {
+		t.Fatalf("router shipped %d sub-batches for %d slots, want at least 2", n, len(req.Queries))
+	}
+	if n := rm.wireFallbacks.Value() - fallbacks; n != 0 {
+		t.Fatalf("wire_fallbacks moved by %d", n)
+	}
+}
+
+// TestRouterOversizedMutateIsNoShardFault fans out a mutation batch too
+// large for one wire frame: the client refuses it unsent, so the router
+// answers 413 with no wire_fallbacks count and no strike against a shard.
+func TestRouterOversizedMutateIsNoShardFault(t *testing.T) {
+	lc, err := StartLocal(2, LocalOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	rm := lc.Router.rm
+	fallbacks := rm.wireFallbacks.Value()
+	res := lc.Router.fanOutMutate(context.Background(), 1, make([]wire.MutationWire, wire.MaxPayload/9+1))
+	if res.code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized mutate answered %d %s, want 413", res.code, res.body)
+	}
+	if n := rm.wireFallbacks.Value() - fallbacks; n != 0 {
+		t.Fatalf("wire_fallbacks moved by %d", n)
+	}
+	for _, m := range lc.Router.m.Members() {
+		if n := m.reqFailures.Load(); n != 0 || !m.Healthy() {
+			t.Fatalf("shard %s took %d strikes (healthy %v)", m.ID, n, m.Healthy())
 		}
 	}
 }

@@ -369,9 +369,10 @@ var errNoShard = errors.New("cluster: no shard available")
 // carries back are folded into the request's trace under m's ID. A transport
 // fault (dead listener, unknown wire address, corrupted frame) is a failed
 // attempt: counted in wire_fallbacks and struck against m's health and
-// breaker, unless the caller's context ended first (a hedge loser or a
-// caller that gave up is no fault of the shard). An in-protocol answer is
-// counted under answered and scores m by its status, as an HTTP reply would.
+// breaker, unless the caller's context ended first or the request was too
+// large to send (a hedge loser, a caller that gave up and an oversized
+// request are no fault of the shard). An in-protocol answer is counted
+// under answered and scores m by its status, as an HTTP reply would.
 func (rt *Router) wireCall(ctx context.Context, m *Member, answered *telemetry.Counter, call func(context.Context, *wire.Client) (*wire.Error, error)) (*wire.Error, error) {
 	var werr *wire.Error
 	var err error
@@ -386,7 +387,7 @@ func (rt *Router) wireCall(ctx context.Context, m *Member, answered *telemetry.C
 		werr, err = call(ctx, wc)
 	}
 	if err != nil {
-		if ctx.Err() == nil {
+		if ctx.Err() == nil && !errors.Is(err, wire.ErrFrameTooLarge) {
 			rt.rm.wireFallbacks.Inc()
 			m.markRequest(false, downAfter)
 		}
@@ -493,13 +494,13 @@ func (rt *Router) ownersFor(k store.Key) []*Member {
 // reset is cheaper than bookkeeping an LRU on the point path.
 const maxTrackedKeys = 8192
 
-// noteKey records one routed query against the key's hit count.
-func (rt *Router) noteKey(k store.Key) {
+// noteKey adds hits routed queries to the key's hit count.
+func (rt *Router) noteKey(k store.Key, hits uint64) {
 	rt.hotMu.Lock()
 	if len(rt.hotHits) >= maxTrackedKeys {
 		rt.hotHits = make(map[store.Key]uint64)
 	}
-	rt.hotHits[k]++
+	rt.hotHits[k] += hits
 	rt.hotMu.Unlock()
 }
 
@@ -631,7 +632,7 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.rm.points.Inc()
-	rt.noteKey(k)
+	rt.noteKey(k, 1)
 	res := rt.hedgedDo(r.Context(), owners, typ, &pq)
 	switch {
 	case res.err != nil:
@@ -658,9 +659,9 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	var req server.BatchQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	req, err := server.DecodeBatchQuery(r)
+	if err != nil {
+		rt.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	n := len(req.Queries)
@@ -671,52 +672,57 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	rt.rm.batches.Inc()
 	rt.rm.batchQueries.Add(uint64(n))
 
-	dists := make([]int, n)
-	errs := make([]string, n)
 	// Every slot converts to wire form once; sub-batches are gathered from
 	// these slots, whichever replica each round picks.
-	slots := make([]wire.BatchSlot, n)
+	keys, slots, errs := req.Wire()
+	dists := make([]int, n)
 	type route struct {
 		owners []*Member
 		tried  int // owners[:tried] already attempted
 	}
-	routes := make([]*route, n)
-	var pending []int
-	// One ring walk per distinct key, not per slot — a 256-slot batch over
-	// 16 structures resolves 16 owner sets. Each slot still gets its own
-	// copy: the least-loaded selection below reorders it in place.
-	ownersByKey := make(map[store.Key][]*Member)
+	routes := make([]route, n)
+	pending := make([]int, 0, n)
+	// One ring walk and one hot-key count per distinct key, not per slot — a
+	// 256-slot batch over 16 structures resolves 16 owner sets. Each slot
+	// still gets its own copy, carved from a shared slab: the least-loaded
+	// selection below reorders it in place.
+	type keyRoute struct {
+		owners []*Member
+		hits   uint64
+	}
+	byKey := make(map[store.Key]*keyRoute)
+	ownerSlab := make([]*Member, 0, n*rt.m.Replicas())
 	for i := 0; i < n; i++ {
 		dists[i] = -1
-		k, slot, err := req.WireSlot(i)
-		if err != nil {
-			errs[i] = err.Error()
+		if errs[i] != "" {
 			continue
 		}
-		slots[i] = slot
-		base, cached := ownersByKey[k]
-		if !cached {
-			base = rt.ownersFor(k)
-			ownersByKey[k] = base
+		kr := byKey[keys[i]]
+		if kr == nil {
+			kr = &keyRoute{owners: rt.ownersFor(keys[i])}
+			byKey[keys[i]] = kr
 		}
-		rt.noteKey(k)
-		if len(base) == 0 {
+		kr.hits++
+		if len(kr.owners) == 0 {
 			errs[i] = "cluster: no shards joined"
 			continue
 		}
-		owners := make([]*Member, len(base))
-		copy(owners, base)
-		routes[i] = &route{owners: owners}
+		ownerSlab = append(ownerSlab, kr.owners...)
+		routes[i].owners = ownerSlab[len(ownerSlab)-len(kr.owners) : len(ownerSlab) : len(ownerSlab)]
 		pending = append(pending, i)
 	}
+	for k, kr := range byKey {
+		rt.noteKey(k, kr.hits)
+	}
 
-	// Each round ships at most one sub-batch per shard; slots whose attempt
-	// failed (transport, shard error, or per-slot error) advance to their
-	// next replica. Rounds are bounded by the replication factor. Unlike
-	// point queries (which stick to the primary for oracle-pool locality),
-	// batch slots pick the least-loaded untried replica of their key, so a
-	// few hot structures cannot pile the whole vector onto one shard —
-	// every replica holds the structure, so any of them answers correctly.
+	// Each round ships each shard one sub-batch per wire.MaxBatchSlots of
+	// its slots; slots whose attempt failed (transport, shard error, or
+	// per-slot error) advance to their next replica. Rounds are bounded by
+	// the replication factor. Unlike point queries (which stick to the
+	// primary for oracle-pool locality), batch slots pick the least-loaded
+	// untried replica of their key, so a few hot structures cannot pile the
+	// whole vector onto one shard — every replica holds the structure, so
+	// any of them answers correctly.
 	load := make(map[*Member]int)
 	for round := 0; len(pending) > 0 && round < rt.m.Replicas(); round++ {
 		if round > 0 && !rt.sleepBackoff(r.Context(), round) {
@@ -732,7 +738,7 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		byMember := make(map[*Member]*subBatch)
 		var exhausted []int
 		for _, i := range pending {
-			rte := routes[i]
+			rte := &routes[i]
 			if rte.tried >= len(rte.owners) {
 				exhausted = append(exhausted, i)
 				continue
@@ -780,8 +786,10 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			m := rte.owners[rte.tried]
 			rte.tried++
 			load[m]++
+			// A shard's slots ship in frames of at most MaxBatchSlots, so
+			// neither the request nor its answer outgrows the frame bound.
 			sb := byMember[m]
-			if sb == nil {
+			if sb == nil || len(sb.slots) == wire.MaxBatchSlots {
 				sb = &subBatch{member: m}
 				byMember[m] = sb
 				subs = append(subs, sb)
@@ -1194,8 +1202,11 @@ func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, muts []wire.
 			})
 			switch {
 			case err != nil:
-				// A transport fault fails this shard like any shard error.
+				// A transport fault fails this shard; an over-frame batch is a 413.
 				sm.err = err
+				if errors.Is(err, wire.ErrFrameTooLarge) {
+					sm.code = http.StatusRequestEntityTooLarge
+				}
 			case werr == nil:
 				sm.resp, sm.applied = server.MutateResponseFrom(res), true
 			case werr.Code == http.StatusNotFound:

@@ -382,8 +382,8 @@ func (s *Server) pull(ctx context.Context, req *HandoffPullRequest) *HandoffPull
 }
 
 // HandoffRecord implements wire.HandoffBackend: the binary-protocol twin of
-// GET /handoff/record. Records larger than the frame bound answer 413 so
-// the puller falls back to HTTP (which has no such bound).
+// GET /handoff/record. A record larger than the frame bound is answered 413
+// by wire.Serve, so the puller falls back to HTTP (which has no such bound).
 func (s *Server) HandoffRecord(ctx context.Context, k *wire.HandoffKey) ([]byte, *wire.Error) {
 	s.m.wireRequests.Inc()
 	if err := ctx.Err(); err != nil {
@@ -401,9 +401,6 @@ func (s *Server) HandoffRecord(ctx context.Context, k *wire.HandoffKey) ([]byte,
 		}
 		return nil, &wire.Error{Code: code, Msg: err.Error()}
 	}
-	if len(data) > wire.MaxPayload {
-		return nil, &wire.Error{Code: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("record is %d bytes, wire frames carry at most %d", len(data), wire.MaxPayload)}
-	}
 	return data, nil
 }
 
@@ -417,9 +414,6 @@ func (s *Server) HandoffGraph(ctx context.Context, fp uint64) ([]byte, *wire.Err
 	data, err := s.store.GraphText(fp)
 	if err != nil {
 		return nil, &wire.Error{Code: http.StatusNotFound, Msg: err.Error()}
-	}
-	if len(data) > wire.MaxPayload {
-		return nil, &wire.Error{Code: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("graph text is %d bytes, wire frames carry at most %d", len(data), wire.MaxPayload)}
 	}
 	return data, nil
 }

@@ -43,6 +43,9 @@
 // partial results. A slot carrying "failedVertex" instead of "fail" is a
 // vertex-failure query; both models may mix freely in one vector.
 //
+// batchbody.go owns /batch-query body decoding, for this server and the
+// cluster router alike; wire.go owns the HTTP→wire conversion.
+//
 // Distances use -1 for "unreachable". Errors are {"error": "..."} with a
 // 4xx/5xx status.
 package server
@@ -661,13 +664,19 @@ type QueryRequest struct {
 	FailedVertex *int     `json:"failedVertex,omitempty"`
 }
 
-// resolveKey turns a structure address into the registry key the router and
-// the shard server agree on — routing hashes exactly what the store keys.
-func resolveKey(graphHex string, source int, eps *float64, algName string) (store.Key, error) {
+// parseGraph parses the hex graph fingerprint of a structure address.
+func parseGraph(graphHex string) (uint64, error) {
 	fp, err := strconv.ParseUint(graphHex, 16, 64)
 	if err != nil {
-		return store.Key{}, fmt.Errorf("bad graph fingerprint %q", graphHex)
+		return 0, fmt.Errorf("bad graph fingerprint %q", graphHex)
 	}
+	return fp, nil
+}
+
+// resolveKey turns an edge-model structure address, its graph fingerprint
+// parsed, into the registry key the router and the shard server agree on —
+// routing hashes exactly what the store keys.
+func resolveKey(fp uint64, source int, eps *float64, algName string) (store.Key, error) {
 	alg, err := core.ParseAlgorithm(algName)
 	if err != nil {
 		return store.Key{}, err
@@ -687,31 +696,28 @@ func resolveKey(graphHex string, source int, eps *float64, algName string) (stor
 	return store.Key{Graph: fp, Source: source, Eps: e, Alg: alg}, nil
 }
 
-// resolveVertexModelKey turns a vertex-failure address into its canonical
-// registry key: graph + source only, ε and algorithm pinned at their zero
-// values by store.VertexKey so every addressing of one vertex structure
-// maps to one key — and one cluster ring position.
-func resolveVertexModelKey(graphHex string, source int) (store.Key, error) {
-	fp, err := strconv.ParseUint(graphHex, 16, 64)
-	if err != nil {
-		return store.Key{}, fmt.Errorf("bad graph fingerprint %q", graphHex)
-	}
-	return store.VertexKey(fp, source), nil
-}
-
 // EdgeKey resolves the edge-model structure key the request addresses —
 // what /dist and /dist-avoiding serve. A stray failedVertex/fw field does
 // not change the model: the endpoint, not the parameter, picks the failure
 // model (Wire).
 func (q *QueryRequest) EdgeKey() (store.Key, error) {
-	return resolveKey(q.Graph, q.Source, q.Eps, q.Alg)
+	fp, err := parseGraph(q.Graph)
+	if err != nil {
+		return store.Key{}, err
+	}
+	return resolveKey(fp, q.Source, q.Eps, q.Alg)
 }
 
 // VertexKey resolves the vertex-model structure key the request addresses —
-// what /dist-avoiding-vertex serves (graph + source only; ε and algorithm
-// do not exist in the vertex model and are ignored).
+// what /dist-avoiding-vertex serves: graph + source only, ε and algorithm
+// pinned at their zero values by store.VertexKey so every addressing of one
+// vertex structure maps to one key — and one cluster ring position.
 func (q *QueryRequest) VertexKey() (store.Key, error) {
-	return resolveVertexModelKey(q.Graph, q.Source)
+	fp, err := parseGraph(q.Graph)
+	if err != nil {
+		return store.Key{}, err
+	}
+	return store.VertexKey(fp, q.Source), nil
 }
 
 // ParseQuery decodes a QueryRequest from a POST body or GET parameters.
@@ -905,21 +911,25 @@ type BatchQueryRequest struct {
 	Queries []BatchQuery `json:"queries"`
 }
 
-// KeyFor resolves the structure key addressed by query i, applying the
+// keyFor resolves the structure key addressed by query i, applying the
 // request-level defaults; a slot carrying a failed vertex resolves to the
-// vertex-model key. The cluster router routes on exactly this key.
-func (req *BatchQueryRequest) KeyFor(i int) (store.Key, error) {
+// vertex-model key. defFP and defErr are parseGraph(req.Graph), parsed once
+// per vector by the caller.
+func (req *BatchQueryRequest) keyFor(i int, defFP uint64, defErr error) (store.Key, error) {
 	q := &req.Queries[i]
-	graph := q.Graph
-	if graph == "" {
-		graph = req.Graph
+	fp, err := defFP, defErr
+	if q.Graph != "" {
+		fp, err = parseGraph(q.Graph)
+	}
+	if err != nil {
+		return store.Key{}, err
 	}
 	source := req.Source
 	if q.Source != nil {
 		source = *q.Source
 	}
 	if q.FailedVertex != nil {
-		return resolveVertexModelKey(graph, source)
+		return store.VertexKey(fp, source), nil
 	}
 	eps := req.Eps
 	if q.Eps != nil {
@@ -929,7 +939,7 @@ func (req *BatchQueryRequest) KeyFor(i int) (store.Key, error) {
 	if alg == "" {
 		alg = req.Alg
 	}
-	return resolveKey(graph, source, eps, alg)
+	return resolveKey(fp, source, eps, alg)
 }
 
 // BatchQueryResponse is the reply of POST /batch-query. Dists is parallel to
@@ -1054,25 +1064,17 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
-	var req BatchQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	req, err := DecodeBatchQuery(r)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Queries) == 0 {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("empty query vector"))
 		return
 	}
-	slots := make([]wire.BatchSlot, len(req.Queries))
-	dists := make([]int, len(req.Queries))
-	errs := make([]string, len(req.Queries))
-	for i := range req.Queries {
-		var err error
-		if _, slots[i], err = req.WireSlot(i); err != nil {
-			dists[i] = ftbfs.Unreachable
-			errs[i] = err.Error()
-		}
-	}
+	_, slots, errs := req.Wire()
+	dists := make([]int, len(slots))
 	s.batch(r.Context(), slots, dists, errs)
 	resp := BatchQueryResponse{Dists: dists}
 	for _, e := range errs {

@@ -17,7 +17,7 @@ import (
 )
 
 // This file is the one place HTTP meets the binary protocol. The conversions
-// turn a QueryRequest, a BatchQueryRequest slot or a MutateRequest into wire
+// turn a QueryRequest, a BatchQueryRequest vector or a MutateRequest into wire
 // form — defaults resolved, fields the wire cannot carry refused — and both
 // the cluster router and this server's own HTTP handlers use them. The
 // dispatch below (point, batch, mutate) answers wire-form requests through
@@ -91,25 +91,37 @@ func (q *QueryRequest) Wire(path string) (store.Key, byte, wire.PointQuery, erro
 	return k, typ, pq, n.err
 }
 
-// WireSlot converts query i of the vector into a wire batch slot plus the
-// registry key it addresses. Errors are the slot's per-query error.
-func (req *BatchQueryRequest) WireSlot(i int) (store.Key, wire.BatchSlot, error) {
-	k, err := req.KeyFor(i)
-	if err != nil {
-		return k, wire.BatchSlot{}, err
+// Wire converts the vector into wire batch slots plus the registry key each
+// addresses (what the cluster router routes on); errs holds each slot's
+// per-query error, "" when it converted.
+func (req *BatchQueryRequest) Wire() (keys []store.Key, slots []wire.BatchSlot, errs []string) {
+	keys = make([]store.Key, len(req.Queries))
+	slots = make([]wire.BatchSlot, len(req.Queries))
+	errs = make([]string, len(req.Queries))
+	// Slots naming no graph of their own share the request's: parse it once.
+	defFP, defErr := parseGraph(req.Graph)
+	for i := range req.Queries {
+		q := &req.Queries[i]
+		var err error
+		keys[i], err = req.keyFor(i, defFP, defErr)
+		var n narrower
+		sl := &slots[i]
+		sl.PointQuery = pointFor(keys[i], q.V, &n)
+		if keys[i].Model == store.ModelVertex {
+			// keyFor only derives a vertex-model key from a slot carrying
+			// failedVertex, so the deref is safe.
+			sl.Vertex = true
+			sl.A = n.int32("failed vertex", *q.FailedVertex)
+		} else {
+			sl.A, sl.B = n.int32("failed edge endpoint", q.Fail[0]), n.int32("failed edge endpoint", q.Fail[1])
+		}
+		if err != nil {
+			errs[i] = err.Error()
+		} else if n.err != nil {
+			errs[i] = n.err.Error()
+		}
 	}
-	q := &req.Queries[i]
-	var n narrower
-	slot := wire.BatchSlot{PointQuery: pointFor(k, q.V, &n)}
-	if k.Model == store.ModelVertex {
-		// KeyFor only derives a vertex-model key from a slot carrying
-		// failedVertex, so the deref is safe.
-		slot.Vertex = true
-		slot.A = n.int32("failed vertex", *q.FailedVertex)
-	} else {
-		slot.A, slot.B = n.int32("failed edge endpoint", q.Fail[0]), n.int32("failed edge endpoint", q.Fail[1])
-	}
-	return k, slot, n.err
+	return keys, slots, errs
 }
 
 // Wire validates the mutation request and converts it into the graph's
@@ -156,9 +168,9 @@ func MutateResponseFrom(res wire.MutateResult) MutateResponse {
 }
 
 // keyForPoint resolves the registry key a wire point query addresses,
-// mirroring resolveKey/resolveVertexModelKey (which parse the same fields
-// out of JSON): -0 ε folds to +0, non-finite ε and out-of-range algorithms
-// are rejected before they can poison a store key.
+// mirroring resolveKey and QueryRequest.VertexKey (which parse the same
+// fields out of JSON): -0 ε folds to +0, non-finite ε and out-of-range
+// algorithms are rejected before they can poison a store key.
 func keyForPoint(typ byte, q *wire.PointQuery) (store.Key, error) {
 	if typ == wire.TDistAvoidingVertex {
 		return store.VertexKey(q.FP, int(q.Source)), nil
@@ -384,15 +396,16 @@ func (s *Server) WireBatch(ctx context.Context, slots []wire.BatchSlot) ([]int32
 }
 
 // batch answers a wire-form batch into dists/errs (parallel to slots),
-// skipping slots whose errs entry is already set: slots group by resolved
-// key, preserving first-seen order, and funnel into answerGroups. A slot
-// with an unresolvable address errors alone. The dispatch behind both
+// answering -1 for slots whose errs entry is already set: slots group by
+// resolved key, preserving first-seen order, and funnel into answerGroups. A
+// slot with an unresolvable address errors alone. The dispatch behind both
 // WireBatch and POST /batch-query.
 func (s *Server) batch(ctx context.Context, slots []wire.BatchSlot, dists []int, errs []string) {
 	var groups []*queryGroup
 	byKey := make(map[store.Key]*queryGroup)
 	for i := range slots {
 		if errs[i] != "" {
+			dists[i] = ftbfs.Unreachable
 			continue
 		}
 		sl := &slots[i]

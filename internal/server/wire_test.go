@@ -130,6 +130,48 @@ func TestWireDifferentialVsHTTPAndOracle(t *testing.T) {
 	}
 }
 
+// TestBatchWireKeysMatchPointKeys resolves a vector whose slots mix the
+// default graph and their own, good and bad, against the point path's key
+// resolution of the same address: parsing the default graph once per vector
+// must leave every slot's key and error text as a per-slot parse gives them.
+func TestBatchWireKeysMatchPointKeys(t *testing.T) {
+	eps, src, fw := 0.25, 3, 2
+	for _, def := range []string{"00000000000000aa", "zz", ""} {
+		req := BatchQueryRequest{Graph: def, Eps: &eps, Alg: "tree", Queries: []BatchQuery{
+			{V: 1},
+			{V: 1, Graph: "00000000000000bb"},
+			{V: 1, Graph: "nothex"},
+			{V: 1, Source: &src, FailedVertex: &fw},
+			{V: 1, Graph: "00000000000000bb", FailedVertex: &fw},
+			{V: 1, Alg: "bogus"},
+		}}
+		keys, _, errs := req.Wire()
+		for i, q := range req.Queries {
+			pq := QueryRequest{Graph: def, Eps: &eps, Alg: req.Alg}
+			if q.Graph != "" {
+				pq.Graph = q.Graph
+			}
+			if q.Source != nil {
+				pq.Source = *q.Source
+			}
+			if q.Alg != "" {
+				pq.Alg = q.Alg
+			}
+			want, err := pq.EdgeKey()
+			if q.FailedVertex != nil {
+				want, err = pq.VertexKey()
+			}
+			wantErr := ""
+			if err != nil {
+				wantErr = err.Error()
+			}
+			if keys[i] != want || errs[i] != wantErr {
+				t.Errorf("default %q, slot %d: key %+v err %q, want %+v %q", def, i, keys[i], errs[i], want, wantErr)
+			}
+		}
+	}
+}
+
 // TestWireBatchMatchesHTTPBatch sends the same mixed edge/vertex batch —
 // good slots and bad — down both transports and requires identical answers
 // slot for slot, including error text.

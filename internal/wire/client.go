@@ -46,6 +46,10 @@ type response struct {
 // they must not be reused.
 var chanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
+// ErrFrameTooLarge wraps a client's refusal of a request payload over
+// MaxPayload. Nothing was sent, so it is no fault of the peer.
+var ErrFrameTooLarge = errors.New("wire: request exceeds the frame bound")
+
 // timerPool recycles request timers; Reset after a receive or Stop is safe
 // with Go 1.23+ timer semantics.
 var timerPool = sync.Pool{}
@@ -244,8 +248,13 @@ func (cc *clientConn) forget(id uint64, kill bool, err error) {
 // telemetry trace in the context travels in the trace field so shard-side
 // spans share the caller's trace ID, and the spans the response carries back
 // are filed into that trace. A caller that cancels (a hedge loser, a client
-// that hung up) abandons only its own request.
+// that hung up) abandons only its own request. A payload over MaxPayload is
+// refused with ErrFrameTooLarge, not sent: the server would drop the
+// connection, and every request pipelined on it, rather than read it.
 func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, error) {
+	if len(payload) > MaxPayload {
+		return response{}, fmt.Errorf("%w: %d bytes, at most %d", ErrFrameTooLarge, len(payload), MaxPayload)
+	}
 	cc, err := c.conn()
 	if err != nil {
 		return response{}, err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -212,13 +213,20 @@ func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint
 
 // writeResponse writes one response frame. An untraced response (tr nil) is
 // the bare body with a zero trace field; a traced one echoes the trace ID and
-// prefixes the body with the spans the backend recorded.
+// prefixes the body with the spans the backend recorded. A response over
+// MaxPayload goes out as an untraced 413 instead: the client would drop the
+// connection, and every request pipelined on it, rather than read it.
 func writeResponse(w io.Writer, typ byte, id uint64, tr *telemetry.Trace, body []byte) error {
-	if tr == nil {
-		return writeFrame(w, typ, id, 0, 0, body)
+	var trace uint64
+	if tr != nil {
+		buf := getBuf()
+		defer putBuf(buf)
+		*buf = append(appendSpans((*buf)[:0], tr.Spans()), body...)
+		body, trace = *buf, tr.ID()
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	*buf = append(appendSpans((*buf)[:0], tr.Spans()), body...)
-	return writeFrame(w, typ, id, 0, tr.ID(), *buf)
+	if len(body) > MaxPayload {
+		msg := fmt.Sprintf("%d-byte response exceeds the %d-byte frame bound", len(body), MaxPayload)
+		return writeFrame(w, RError, id, 0, 0, appendError(nil, 413, msg))
+	}
+	return writeFrame(w, typ, id, 0, trace, body)
 }

@@ -71,9 +71,13 @@ const (
 	Version uint32 = 4
 
 	// MaxPayload bounds a frame's payload; a peer announcing more is
-	// protocol-corrupt and the connection is dropped. Generous for batches:
-	// 200k slots fit with room to spare.
+	// protocol-corrupt and the connection is dropped. A client refuses to
+	// send more; a server answers 413 rather than write a larger response.
 	MaxPayload = 8 << 20
+
+	// MaxBatchSlots bounds the slots of one TBatch frame: the request stays
+	// under 0.7 MB, the answer under MaxPayload at ~490-byte slot errors.
+	MaxBatchSlots = 16384
 
 	frameOverhead = 1 + 8 + 4 + 8 // type + id + budget + trace, covered by the length prefix
 	frameTrailer  = 4             // CRC-32C over type+id+budget+trace+payload

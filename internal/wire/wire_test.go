@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // testBackend answers arithmetically so tests can verify routing without a
 // real store: point answers V + A + B + int32(typ), batches echo per-slot,
 // mutations echo the lineage and count, and A == -7 triggers an in-protocol
-// error.
+// error. A batch slot with A == -13 errors with a message as long as a
+// whole frame.
 type testBackend struct{}
 
 func (testBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (int32, *Error) {
@@ -55,6 +57,11 @@ func (testBackend) WireBatch(ctx context.Context, slots []BatchSlot) ([]int32, [
 		if s.A == -7 {
 			dists[i] = -1
 			errs[i] = fmt.Sprintf("slot %d failed", i)
+			continue
+		}
+		if s.A == -13 {
+			dists[i] = -1
+			errs[i] = strings.Repeat("e", MaxPayload)
 			continue
 		}
 		dists[i] = s.V * 2
@@ -412,11 +419,10 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// TestCancelledRequestKeepsConnection cancels one of two requests pipelined
-// on a one-connection client: the other must still answer, over the same
-// connection. A cancelled waiter (a hedge loser, a caller that hung up)
-// abandons only its own request.
-func TestCancelledRequestKeepsConnection(t *testing.T) {
+// startCountingWire serves testBackend on a counting loopback listener until
+// the test ends.
+func startCountingWire(t *testing.T) *countingListener {
+	t.Helper()
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -425,8 +431,16 @@ func TestCancelledRequestKeepsConnection(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); Serve(ctx, ln, testBackend{}) }()
-	defer func() { cancel(); <-done }()
+	t.Cleanup(func() { cancel(); <-done })
+	return ln
+}
 
+// TestCancelledRequestKeepsConnection cancels one of two requests pipelined
+// on a one-connection client: the other must still answer, over the same
+// connection. A cancelled waiter (a hedge loser, a caller that hung up)
+// abandons only its own request.
+func TestCancelledRequestKeepsConnection(t *testing.T) {
+	ln := startCountingWire(t)
 	c := NewClient(ln.Addr().String(), 1)
 	defer c.Close()
 	loserCtx, loserCancel := context.WithCancel(context.Background())
@@ -456,5 +470,49 @@ func TestCancelledRequestKeepsConnection(t *testing.T) {
 	}
 	if n := ln.accepts.Load(); n != 1 {
 		t.Fatalf("client dialed %d connections, want 1: the cancel killed the pooled connection", n)
+	}
+}
+
+// TestOversizedBatchKeepsConnection sends a batch whose frame would exceed
+// MaxPayload between two points on a one-connection client. The client
+// refuses it without touching the connection, which the server would
+// otherwise drop together with every request pipelined on it.
+func TestOversizedBatchKeepsConnection(t *testing.T) {
+	ln := startCountingWire(t)
+	c := NewClient(ln.Addr().String(), 1)
+	defer c.Close()
+	ctx := context.Background()
+	if _, werr, err := c.Point(ctx, TDist, &PointQuery{V: 1}); err != nil || werr != nil {
+		t.Fatalf("Point: %v / %v", werr, err)
+	}
+	slots := make([]BatchSlot, MaxPayload/slotLen+1)
+	if _, _, werr, err := c.Batch(ctx, slots); !errors.Is(err, ErrFrameTooLarge) || werr != nil {
+		t.Fatalf("oversized Batch: %v / %v, want ErrFrameTooLarge", werr, err)
+	}
+	if _, werr, err := c.Point(ctx, TDist, &PointQuery{V: 1}); err != nil || werr != nil {
+		t.Fatalf("Point after the refused batch: %v / %v", werr, err)
+	}
+	if n := ln.accepts.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections, want 1: the oversized batch killed the pooled connection", n)
+	}
+}
+
+// TestOversizedResponseKeepsConnection has the backend answer a batch whose
+// response would exceed MaxPayload: the server answers an in-protocol 413
+// instead of a frame the client would drop the connection over.
+func TestOversizedResponseKeepsConnection(t *testing.T) {
+	ln := startCountingWire(t)
+	c := NewClient(ln.Addr().String(), 1)
+	defer c.Close()
+	ctx := context.Background()
+	_, _, werr, err := c.Batch(ctx, []BatchSlot{{PointQuery: PointQuery{V: 1}}, {PointQuery: PointQuery{V: 2, A: -13}}})
+	if err != nil || werr == nil || werr.Code != 413 {
+		t.Fatalf("Batch with an oversized answer: %v / %v, want an in-protocol 413", werr, err)
+	}
+	if d, werr, err := c.Point(ctx, TDist, &PointQuery{V: 1}); err != nil || werr != nil || d != 1+int32(TDist) {
+		t.Fatalf("Point after the 413: %d, %v / %v", d, werr, err)
+	}
+	if n := ln.accepts.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections, want 1: the oversized response killed the pooled connection", n)
 	}
 }
