@@ -11,20 +11,27 @@
 //
 // HTTP/JSON is the edge. Every point query, batch and mutation is converted
 // to wire form once — by internal/server, the same conversion a shard's own
-// HTTP handlers run — and reaches the shards over the binary protocol only
-// (Router.wireCall), so the router answers exactly what a single node would,
-// malformed requests included (a /batch-query body goes through the shard's
-// own server.DecodeBatchQuery). A shard's batch slots ship in frames of at
-// most wire.MaxBatchSlots. Hedging, failover, backoff and breakers carry
-// typed results: a distance or an in-protocol *wire.Error, or a transport
-// error. A transport fault (dead listener, corrupted frame, a member whose
-// wire address no probe has learned yet) is a failed attempt: it strikes the
-// replica's breaker, counts in wire_fallbacks, and the request moves to the
-// next replica; one too large for a frame (wire.ErrFrameTooLarge) strikes
-// none. Shards must serve the protocol: the router learns each one's address
-// from /readyz probes (one sweep before `ftbfs route` serves) and AddShard
-// refuses a shard without one. HTTP stays the control and ops plane — /build
-// fan-out, /stats, /metrics.json, /handoff/* and /readyz probes.
+// HTTP handlers run — and reaches the shards over the binary protocol only,
+// so the router answers exactly what a single node would, malformed
+// requests included (a /batch-query body goes through the shard's own
+// server.DecodeBatchQuery). A shard's batch slots ship in frames of at most
+// wire.MaxBatchSlots. The three wire fan-outs — hedged point attempts, a
+// batch round's sub-batches, a mutation sent to every member — share one
+// collect loop: each starts its attempts as pipelined calls on one
+// wire.Collector and settles their typed results (a distance or an
+// in-protocol *wire.Error, or a transport error) on the request goroutine as
+// they arrive, through one scoring path (Router.settle); no goroutine is
+// spawned per attempt. A transport fault (dead listener, corrupted frame, a
+// member whose wire address no probe has learned yet) is a failed attempt:
+// it strikes the replica's breaker, counts in wire_fallbacks, and the
+// request moves to the next replica; one too large for a frame
+// (wire.ErrFrameTooLarge) strikes none. Shards must serve the protocol: the
+// router learns each one's address from /readyz probes (one sweep before
+// `ftbfs route` serves) and AddShard refuses a shard without one; a probe
+// that learns a new address retires the old client, whose calls in flight
+// still finish. HTTP stays the control and ops plane — /build fan-out, the
+// one remaining goroutine-per-member fan-out, /stats, /metrics.json,
+// /handoff/* and /readyz probes.
 //
 // Routing hashes exactly what the store keys: (graph fingerprint, source,
 // ε, algorithm, failure model) — vertex-failure queries land on the same

@@ -41,7 +41,8 @@ type Member struct {
 	// wireAddr is the shard's binary-protocol address, learned from its
 	// /readyz responses (or set at join); empty means not yet known, and an
 	// attempt on the member then fails like one on a dead listener. wireC is
-	// the lazily-dialed pooled client for that address.
+	// the lazily-dialed pooled client for that address; wireMu guards both
+	// against change.
 	wireAddr atomic.Pointer[string]
 	wireMu   sync.Mutex
 	wireC    *wire.Client
@@ -68,34 +69,28 @@ func (m *Member) WireAddr() string {
 
 // SetWireAddr records the shard's binary-protocol address ("" to clear it —
 // a restarted shard may come back without a wire listener). Changing the
-// address closes the old pooled client; the next request dials fresh.
+// address retires the old pooled client: requests in flight on it finish
+// (the old listener may still serve them) and the next request dials fresh.
 func (m *Member) SetWireAddr(addr string) {
+	m.wireMu.Lock()
+	defer m.wireMu.Unlock()
 	if m.WireAddr() == addr {
 		return
 	}
 	m.wireAddr.Store(&addr)
-	m.wireMu.Lock()
-	if m.wireC != nil && m.wireC.Addr() != addr {
-		m.wireC.Close()
+	if m.wireC != nil {
+		m.wireC.Retire()
 		m.wireC = nil
 	}
-	m.wireMu.Unlock()
 }
 
 // wireClient returns the pooled binary-protocol client for the member, nil
 // when no wire address is known. The client survives shard restarts on the
 // same address (dead connections re-dial lazily).
 func (m *Member) wireClient() *wire.Client {
-	addr := m.WireAddr()
-	if addr == "" {
-		return nil
-	}
 	m.wireMu.Lock()
 	defer m.wireMu.Unlock()
-	if m.wireC == nil || m.wireC.Addr() != addr {
-		if m.wireC != nil {
-			m.wireC.Close()
-		}
+	if addr := m.WireAddr(); m.wireC == nil && addr != "" {
 		m.wireC = wire.NewClient(addr, 0)
 	}
 	return m.wireC

@@ -53,11 +53,11 @@ type routerMetrics struct {
 	// the map is never written after NewRouter, so lookups need no lock.
 	httpByRoute map[string]*telemetry.OutcomeHist
 
-	// replicaMu guards replicaHist, keyed "<member-id>|<transport>". Replica
+	// replicaMu guards replicaHist, keyed {member ID, transport}. Replica
 	// observation happens on the attempt path, which already pays a wire or
 	// HTTP round trip, so a mutexed map lookup is noise there.
 	replicaMu   sync.Mutex
-	replicaHist map[string]*telemetry.Histogram
+	replicaHist map[[2]string]*telemetry.Histogram
 }
 
 // newRouterMetrics builds the router registry. Breaker state and shard
@@ -103,7 +103,7 @@ func newRouterMetrics(m *Membership, routes []string) *routerMetrics {
 		hotPromotions:   c("ftbfs_router_hot_promotions_total", "Keys promoted to widened replication."),
 
 		httpByRoute: make(map[string]*telemetry.OutcomeHist, len(routes)),
-		replicaHist: make(map[string]*telemetry.Histogram),
+		replicaHist: make(map[[2]string]*telemetry.Histogram),
 	}
 	for _, route := range routes {
 		rm.httpByRoute[route] = reg.OutcomeHist("ftbfs_router_http_request_seconds",
@@ -144,7 +144,7 @@ func (rm *routerMetrics) observeHTTP(route string, start time.Time, status int) 
 // replica's ID and transport. Histograms register lazily on a replica's
 // first attempt, so joins and leaves need no registry bookkeeping.
 func (rm *routerMetrics) observeReplica(id, transport string, d time.Duration) {
-	key := id + "|" + transport
+	key := [2]string{id, transport}
 	rm.replicaMu.Lock()
 	h := rm.replicaHist[key]
 	if h == nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ftbfs/internal/store"
@@ -150,12 +151,9 @@ func (r *Ring) Owners(keyHash uint64, replicas int) []string {
 	}
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= keyHash })
 	owners := make([]string, 0, replicas)
-	seen := make(map[int]bool, replicas)
 	for i := 0; i < len(r.points) && len(owners) < replicas; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			owners = append(owners, r.nodes[p.node])
+		if id := r.nodes[r.points[(start+i)%len(r.points)].node]; !slices.Contains(owners, id) {
+			owners = append(owners, id)
 		}
 	}
 	return owners

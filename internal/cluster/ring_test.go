@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"ftbfs/internal/store"
@@ -274,4 +276,32 @@ func TestMemberHealthThreshold(t *testing.T) {
 	if !m.Healthy() {
 		t.Fatal("probe success did not restore the member")
 	}
+}
+
+// TestHealthyFirstMatchesStableSort holds the router's in-place owner
+// ordering to the stable sort on "healthy before unhealthy" it stands for,
+// for every health pattern of up to five members.
+func TestHealthyFirstMatchesStableSort(t *testing.T) {
+	for n := 0; n <= 5; n++ {
+		for down := 0; down < 1<<n; down++ {
+			members := make([]*Member, n)
+			for i := range members {
+				members[i] = &Member{ID: fmt.Sprintf("s%d", i)}
+				members[i].reqDown.Store(down&(1<<i) != 0)
+			}
+			want := append([]*Member(nil), members...)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Healthy() && !want[j].Healthy() })
+			if got := healthyFirst(append([]*Member(nil), members...)); !slices.Equal(got, want) {
+				t.Fatalf("%d members, down mask %b: ordered %v, want %v", n, down, memberIDs(got), memberIDs(want))
+			}
+		}
+	}
+}
+
+func memberIDs(ms []*Member) []string {
+	ids := make([]string, len(ms))
+	for i, m := range ms {
+		ids[i] = m.ID
+	}
+	return ids
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -230,7 +229,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Tracing: a caller-supplied X-Ftbfs-Trace header always traces; else
 	// TraceSample traces every Nth point query. The trace rides the request
 	// context so every shard attempt propagates the ID, and the shard's
-	// spans fold back in from its response (wireCall, forward).
+	// spans fold back in from its response (settle, forward).
 	var tr *telemetry.Trace
 	if id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader)); ok {
 		tr = telemetry.NewTrace(id)
@@ -362,41 +361,41 @@ func (rt *Router) writeRaw(w http.ResponseWriter, code int, body []byte) {
 // errNoShard is hedgedDo's answer when not a single attempt ran.
 var errNoShard = errors.New("cluster: no shard available")
 
-// wireCall runs one binary-protocol request against m — the only way the
-// router reaches a shard for points, batches and mutations; call does the
-// request on m's pooled client. A traced request gives the attempt a span
-// log of its own under the same trace ID, and the spans the shard's response
-// carries back are folded into the request's trace under m's ID. A transport
-// fault (dead listener, unknown wire address, corrupted frame) is a failed
-// attempt: counted in wire_fallbacks and struck against m's health and
-// breaker, unless the caller's context ended first or the request was too
-// large to send (a hedge loser, a caller that gave up and an oversized
-// request are no fault of the shard). An in-protocol answer is counted
-// under answered and scores m by its status, as an HTTP reply would.
-func (rt *Router) wireCall(ctx context.Context, m *Member, answered *telemetry.Counter, call func(context.Context, *wire.Client) (*wire.Error, error)) (*wire.Error, error) {
-	var werr *wire.Error
-	var err error
-	start := time.Now()
-	if wc := m.wireClient(); wc == nil {
-		err = fmt.Errorf("shard %s: no wire address known", m.ID)
-	} else if tr := telemetry.TraceFrom(ctx); tr != nil {
-		sub := telemetry.NewTrace(tr.ID())
-		werr, err = call(telemetry.WithTrace(ctx, sub), wc)
-		tr.Fold(m.ID, sub.Spans())
+// start sends one binary-protocol attempt to m on col, labelled tag — the
+// only way the router reaches a shard for points, batches and mutations. A
+// member whose wire address no probe has learned fails the attempt like a
+// dead listener.
+func start(col *wire.Collector, m *Member, typ byte, payload []byte, tag int) {
+	if wc := m.wireClient(); wc != nil {
+		col.Go(wc, typ, payload, tag)
 	} else {
-		werr, err = call(ctx, wc)
+		col.Fail(tag, fmt.Errorf("shard %s: no wire address known", m.ID))
+	}
+}
+
+// settle scores one attempt on m once its call is decoded into werr and
+// err. A transport fault (dead listener, unknown wire address, corrupted
+// frame) is a failed attempt: counted in wire_fallbacks and struck against
+// m's health and breaker, unless the caller's context ended first or the
+// request was too large to send (a caller that gave up and an oversized
+// request are no fault of the shard). An in-protocol answer is counted
+// under answered and scores m by its status, as an HTTP reply would. The
+// spans a traced request's response carried back are folded into its trace
+// under m's ID.
+func (rt *Router) settle(ctx context.Context, m *Member, call *wire.Call, answered *telemetry.Counter, werr *wire.Error, err error) {
+	if tr := telemetry.TraceFrom(ctx); tr != nil {
+		tr.Fold(m.ID, call.Spans)
 	}
 	if err != nil {
 		if ctx.Err() == nil && !errors.Is(err, wire.ErrFrameTooLarge) {
 			rt.rm.wireFallbacks.Inc()
 			m.markRequest(false, downAfter)
 		}
-		return nil, err
+		return
 	}
 	answered.Inc()
-	rt.rm.observeReplica(m.ID, "wire", time.Since(start))
+	rt.rm.observeReplica(m.ID, "wire", time.Since(call.Start))
 	m.markRequest(werr == nil || werr.Code < http.StatusInternalServerError, downAfter)
-	return werr, nil
 }
 
 // forward sends one buffered HTTP request to a member and reads the reply —
@@ -462,19 +461,10 @@ func (rt *Router) forward(ctx context.Context, client *http.Client, m *Member, m
 	return resp.StatusCode, b, nil
 }
 
-// orderedOwners returns the key's replica set, healthy members first but
-// otherwise in ring order, so the primary is sticky (its oracle pool stays
-// hot) while down replicas drop to last-resort attempts.
-func (rt *Router) orderedOwners(keyHash uint64) []*Member {
-	owners := rt.m.Owners(keyHash)
-	sort.SliceStable(owners, func(i, j int) bool {
-		return owners[i].Healthy() && !owners[j].Healthy()
-	})
-	return owners
-}
-
-// ownersFor is orderedOwners for a resolved structure key, widened to R+k
-// when the key has been promoted hot (rebalance.go): the extra owners were
+// ownersFor returns the replica set of a resolved structure key, healthy
+// members first but otherwise in ring order, so the primary is sticky (its
+// oracle pool stays hot) while down replicas drop to last-resort attempts.
+// A key promoted hot (rebalance.go) widens to R+k: the extra owners were
 // pre-loaded by PromoteHot, so routing to them serves from a handed-off
 // structure, not a cold build.
 func (rt *Router) ownersFor(k store.Key) []*Member {
@@ -482,10 +472,21 @@ func (rt *Router) ownersFor(k store.Key) []*Member {
 	rt.hotMu.Lock()
 	n += rt.promoted[k]
 	rt.hotMu.Unlock()
-	owners := rt.m.OwnersN(KeyHash(k), n)
-	sort.SliceStable(owners, func(i, j int) bool {
-		return owners[i].Healthy() && !owners[j].Healthy()
-	})
+	return healthyFirst(rt.m.OwnersN(KeyHash(k), n))
+}
+
+// healthyFirst moves the healthy members to the front in place, keeping
+// ring order within the healthy and the unhealthy — a stable partition,
+// reading each member's health once.
+func healthyFirst(owners []*Member) []*Member {
+	k := 0
+	for i, m := range owners {
+		if m.Healthy() {
+			copy(owners[k+1:i+1], owners[k:i])
+			owners[k] = m
+			k++
+		}
+	}
 	return owners
 }
 
@@ -512,20 +513,16 @@ type pointResult struct {
 	err  error
 }
 
-// pointAttempt sends one point query to m over the binary protocol.
-func (rt *Router) pointAttempt(ctx context.Context, m *Member, typ byte, q *wire.PointQuery) pointResult {
+// settlePoint decodes and settles one point attempt on m.
+func (rt *Router) settlePoint(ctx context.Context, m *Member, call *wire.Call) pointResult {
 	var res pointResult
-	res.werr, res.err = rt.wireCall(ctx, m, rt.rm.wirePoints, func(ctx context.Context, wc *wire.Client) (*wire.Error, error) {
-		var werr *wire.Error
-		var err error
-		res.dist, werr, err = wc.Point(ctx, typ, q)
-		return werr, err
-	})
+	res.dist, res.werr, res.err = call.Point()
+	rt.settle(ctx, m, call, rt.rm.wirePoints, res.werr, res.err)
 	return res
 }
 
 // hedgedDo tries the owners in order until one answers: the primary first,
-// the next replica when the hedge timer fires before the primary answers,
+// the next replica when the hedge delay passes before the primary answers,
 // and failover on transport faults and retryable statuses (404
 // unknown-graph shard state, 5xx) after a jittered exponential backoff
 // bounded by the remaining budget. Owners whose circuit breaker is open are
@@ -533,16 +530,22 @@ func (rt *Router) pointAttempt(ctx context.Context, m *Member, typ byte, q *wire
 // (an answer beats a guaranteed refusal, and the outcome feeds the
 // breaker). A deterministic client error (any other 4xx) is relayed
 // immediately — every replica would repeat it; a retryable status is
-// remembered and relayed only when every replica says no.
+// remembered and relayed only when every replica says no. Attempts are
+// pipelined calls collected on the request goroutine; the ones still in
+// flight when an answer wins are abandoned.
 func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, typ byte, q *wire.PointQuery) pointResult {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan pointResult, len(owners))
-	next, pending := 0, 0
-	fire := func(m *Member) {
-		pending++
-		go func() { results <- rt.pointAttempt(ctx, m, typ, q) }()
-	}
+	payload := wire.AppendPoint(make([]byte, 0, 64), q)
+	col := wire.NewCollector(ctx, make(chan *wire.Call, len(owners)))
+	defer func() {
+		col.Abandon()
+		// A loser whose answer is already in still counts, as it did when
+		// it had finished before the winner was chosen.
+		for len(col.C) > 0 {
+			call := <-col.C
+			rt.settlePoint(ctx, owners[call.Tag], call)
+		}
+	}()
+	next := 0
 	launch := func() bool {
 		for next < len(owners) {
 			m := owners[next]
@@ -551,7 +554,7 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, typ byte, q *w
 				rt.rm.breakerSkips.Inc()
 				continue
 			}
-			fire(m)
+			start(&col, m, typ, payload, next-1)
 			return true
 		}
 		return false
@@ -559,53 +562,44 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, typ byte, q *w
 	if !launch() {
 		// Every owner's breaker is open: force the primary anyway.
 		rt.rm.breakerForced.Inc()
-		fire(owners[0])
+		start(&col, owners[0], typ, payload, 0)
 	}
-	var hedgeC <-chan time.Time
+	var hedgeAt time.Time
 	if rt.opts.HedgeDelay > 0 && len(owners) > 1 {
-		tm := time.NewTimer(rt.opts.HedgeDelay)
-		defer tm.Stop()
-		hedgeC = tm.C
+		hedgeAt = time.Now().Add(rt.opts.HedgeDelay)
 	}
 	last := pointResult{err: errNoShard}
 	retries := 0
-	for pending > 0 {
-		select {
-		case res := <-results:
-			pending--
-			if res.err == nil && (res.werr == nil || !retryableStatus(res.werr.Code)) {
-				return res // an answer, or a deterministic client error relayed as-is
-			}
-			// Prefer a definitive shard reply over a transport error as the
-			// answer of last resort.
-			if res.err == nil || last.werr == nil {
-				last = res
-			}
-			if next >= len(owners) {
-				if pending == 0 {
-					return last
-				}
-				continue
-			}
-			retries++
-			if !rt.sleepBackoff(ctx, retries) {
-				// Budget exhausted mid-backoff: no further attempts; any
-				// stragglers still pending fail fast on the dead context.
-				if pending == 0 {
-					return last
-				}
-				continue
-			}
-			if launch() {
-				rt.rm.failovers.Inc()
-			} else if pending == 0 {
-				return last
-			}
-		case <-hedgeC:
-			hedgeC = nil
+	for col.Pending() > 0 {
+		call := col.Next(hedgeAt)
+		if call == nil {
+			// The hedge delay passed with no answer in.
+			hedgeAt = time.Time{}
 			if launch() {
 				rt.rm.hedges.Inc()
 			}
+			continue
+		}
+		res := rt.settlePoint(ctx, owners[call.Tag], call)
+		if res.err == nil && (res.werr == nil || !retryableStatus(res.werr.Code)) {
+			return res // an answer, or a deterministic client error relayed as-is
+		}
+		// Prefer a definitive shard reply over a transport error as the
+		// answer of last resort.
+		if res.err == nil || last.werr == nil {
+			last = res
+		}
+		if next >= len(owners) {
+			continue
+		}
+		retries++
+		if !rt.sleepBackoff(ctx, retries) {
+			// Budget exhausted mid-backoff: no further attempts; any
+			// stragglers still pending fail fast on the dead context.
+			continue
+		}
+		if launch() {
+			rt.rm.failovers.Inc()
 		}
 	}
 	return last
@@ -650,10 +644,22 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// batchMember is one member a /batch-query vector routes to. Each round
+// reads its breaker and health once; load, the slots it was given so far,
+// spans rounds.
+type batchMember struct {
+	m             *Member
+	open, healthy bool
+	load          int
+	off, n        int // this round's slots, laid out at order[off : off+n]
+}
+
 // handleBatchQuery scatter-gathers a multi-structure batch: route every
 // query slot by its structure key, ship one sub-batch per shard, and merge
 // per-query results. A failed shard's slots fail over to the next replica;
 // only slots whose whole replica set failed come back with error slots.
+// Each round's sub-batches are pipelined calls collected on the request
+// goroutine.
 func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
@@ -676,9 +682,20 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	// these slots, whichever replica each round picks.
 	keys, slots, errs := req.Wire()
 	dists := make([]int, n)
+	// Slots name their owners by index into members.
+	var members []batchMember
+	memberIndex := func(m *Member) int {
+		for j := range members {
+			if members[j].m == m {
+				return j
+			}
+		}
+		members = append(members, batchMember{m: m})
+		return len(members) - 1
+	}
 	type route struct {
-		owners []*Member
-		tried  int // owners[:tried] already attempted
+		owners []int // indexes into members
+		tried  int   // owners[:tried] already attempted
 	}
 	routes := make([]route, n)
 	pending := make([]int, 0, n)
@@ -687,11 +704,11 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	// still gets its own copy, carved from a shared slab: the least-loaded
 	// selection below reorders it in place.
 	type keyRoute struct {
-		owners []*Member
+		owners []int
 		hits   uint64
 	}
 	byKey := make(map[store.Key]*keyRoute)
-	ownerSlab := make([]*Member, 0, n*rt.m.Replicas())
+	ownerSlab := make([]int, 0, n*rt.m.Replicas())
 	for i := 0; i < n; i++ {
 		dists[i] = -1
 		if errs[i] != "" {
@@ -699,7 +716,11 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		kr := byKey[keys[i]]
 		if kr == nil {
-			kr = &keyRoute{owners: rt.ownersFor(keys[i])}
+			owners := rt.ownersFor(keys[i])
+			kr = &keyRoute{owners: make([]int, len(owners))}
+			for j, m := range owners {
+				kr.owners[j] = memberIndex(m)
+			}
 			byKey[keys[i]] = kr
 		}
 		kr.hits++
@@ -723,24 +744,31 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	// untried replica of their key, so a few hot structures cannot pile the
 	// whole vector onto one shard — every replica holds the structure, so
 	// any of them answers correctly.
-	load := make(map[*Member]int)
+	type subBatch struct {
+		member int
+		slots  []int            // indexes into the vector
+		batch  []wire.BatchSlot // the slots' wire form
+	}
+	var subs []subBatch
+	var payload []byte
+	order, ordered := make([]int, len(pending)), make([]wire.BatchSlot, len(pending))
 	for round := 0; len(pending) > 0 && round < rt.m.Replicas(); round++ {
 		if round > 0 && !rt.sleepBackoff(r.Context(), round) {
 			// Budget exhausted between rounds: pending slots keep the error
 			// their last attempt recorded.
 			break
 		}
-		type subBatch struct {
-			member *Member
-			slots  []int
+		for j := range members {
+			bm := &members[j]
+			bm.open, bm.healthy, bm.n = bm.m.breakerOpen(), bm.m.Healthy(), 0
 		}
-		var subs []*subBatch
-		byMember := make(map[*Member]*subBatch)
-		var exhausted []int
+		assigned := pending[:0]
 		for _, i := range pending {
 			rte := &routes[i]
 			if rte.tried >= len(rte.owners) {
-				exhausted = append(exhausted, i)
+				if errs[i] == "" {
+					errs[i] = "cluster: all replicas failed"
+				}
 				continue
 			}
 			// Graceful degradation: when every remaining replica of this
@@ -750,8 +778,8 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			// without consuming half-open probe tokens; the point path and
 			// readiness probes drive recovery.)
 			allOpen := true
-			for j := rte.tried; j < len(rte.owners); j++ {
-				if !rte.owners[j].breakerOpen() {
+			for _, j := range rte.owners[rte.tried:] {
+				if !members[j].open {
 					allOpen = false
 					break
 				}
@@ -765,117 +793,111 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			best := rte.tried
 			for j := rte.tried + 1; j < len(rte.owners); j++ {
-				cand, cur := rte.owners[j], rte.owners[best]
-				if cand.breakerOpen() != cur.breakerOpen() {
-					if !cand.breakerOpen() {
+				cand, cur := &members[rte.owners[j]], &members[rte.owners[best]]
+				if cand.open != cur.open {
+					if !cand.open {
 						best = j
 					}
 					continue
 				}
-				if cand.Healthy() != cur.Healthy() {
-					if cand.Healthy() {
+				if cand.healthy != cur.healthy {
+					if cand.healthy {
 						best = j
 					}
 					continue
 				}
-				if load[cand] < load[cur] {
+				if cand.load < cur.load {
 					best = j
 				}
 			}
 			rte.owners[rte.tried], rte.owners[best] = rte.owners[best], rte.owners[rte.tried]
-			m := rte.owners[rte.tried]
+			bm := &members[rte.owners[rte.tried]]
 			rte.tried++
-			load[m]++
-			// A shard's slots ship in frames of at most MaxBatchSlots, so
-			// neither the request nor its answer outgrows the frame bound.
-			sb := byMember[m]
-			if sb == nil || len(sb.slots) == wire.MaxBatchSlots {
-				sb = &subBatch{member: m}
-				byMember[m] = sb
-				subs = append(subs, sb)
-			}
-			sb.slots = append(sb.slots, i)
+			bm.load++
+			bm.n++
+			assigned = append(assigned, i)
 		}
-		for _, i := range exhausted {
-			if errs[i] == "" {
-				errs[i] = "cluster: all replicas failed"
+		// Lay each member's slots out contiguously, in vector order, and cut
+		// them into frames of at most MaxBatchSlots, so neither a request nor
+		// its answer outgrows the frame bound.
+		off := 0
+		for j := range members {
+			members[j].off, off, members[j].n = off, off+members[j].n, 0
+		}
+		for _, i := range assigned {
+			bm := &members[routes[i].owners[routes[i].tried-1]]
+			order[bm.off+bm.n], ordered[bm.off+bm.n] = i, slots[i]
+			bm.n++
+		}
+		subs = subs[:0]
+		for j, bm := range members {
+			for lo, end := bm.off, bm.off+bm.n; lo < end; lo += wire.MaxBatchSlots {
+				hi := min(lo+wire.MaxBatchSlots, end)
+				subs = append(subs, subBatch{member: j, slots: order[lo:hi], batch: ordered[lo:hi]})
 			}
 		}
 		if round > 0 {
 			rt.rm.failovers.Add(uint64(len(subs)))
 		}
 
-		var mu sync.Mutex
-		var nextPending []int
-		var wg sync.WaitGroup
-		for _, sb := range subs {
-			sb := sb
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sub := make([]wire.BatchSlot, len(sb.slots))
-				for j, i := range sb.slots {
-					sub[j] = slots[i]
+		col := wire.NewCollector(r.Context(), make(chan *wire.Call, len(subs)))
+		for k, sb := range subs {
+			payload = wire.AppendBatch(payload[:0], sb.batch)
+			start(&col, members[sb.member].m, wire.TBatch, payload, k)
+		}
+		pending = assigned[:0]
+		for col.Pending() > 0 {
+			call := col.Next(time.Time{})
+			sb := &subs[call.Tag]
+			m := members[sb.member].m
+			sdists, serrs, werr, err := call.Batch(len(sb.slots))
+			rt.settle(r.Context(), m, call, rt.rm.wireBatches, werr, err)
+			if err != nil || werr != nil {
+				// Whole sub-batch failed. Only a deterministic 4xx (a
+				// malformed sub-request every replica would repeat) fails
+				// its slots in place; transport faults and retryable
+				// statuses are shard-specific, so those slots go to the
+				// next replica.
+				var msg string
+				retry := true
+				if err != nil {
+					msg = fmt.Sprintf("cluster: shard %s: %v", m.ID, err)
+				} else {
+					msg = fmt.Sprintf("cluster: shard %s: status %d: %s", m.ID, werr.Code, werr.Msg)
+					retry = retryableStatus(werr.Code)
 				}
-				var sdists []int32
-				var serrs []string
-				werr, err := rt.wireCall(r.Context(), sb.member, rt.rm.wireBatches, func(ctx context.Context, wc *wire.Client) (*wire.Error, error) {
-					var werr *wire.Error
-					var err error
-					sdists, serrs, werr, err = wc.Batch(ctx, sub)
-					return werr, err
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil || werr != nil {
-					// Whole sub-batch failed. Only a deterministic 4xx (a
-					// malformed sub-request every replica would repeat)
-					// fails its slots in place; transport faults and
-					// retryable statuses are shard-specific, so those slots
-					// go to the next replica.
-					var msg string
-					retry := true
-					if err != nil {
-						msg = fmt.Sprintf("cluster: shard %s: %v", sb.member.ID, err)
-					} else {
-						msg = fmt.Sprintf("cluster: shard %s: status %d: %s", sb.member.ID, werr.Code, werr.Msg)
-						retry = retryableStatus(werr.Code)
+				for _, i := range sb.slots {
+					if errs[i] == "" {
+						errs[i] = msg
 					}
-					for _, i := range sb.slots {
+					if retry {
+						pending = append(pending, i)
+					}
+				}
+				continue
+			}
+			for j, i := range sb.slots {
+				if e := serrs[j]; e != "" {
+					// Per-slot error: cold-replica shard state retries on
+					// the next replica (keeping the first message in case
+					// every replica is cold); a verdict on the query itself
+					// is final and overwrites whatever provisional failover
+					// message an earlier dead replica left behind.
+					if retryableSlotError(e) {
 						if errs[i] == "" {
-							errs[i] = msg
-						}
-						if retry {
-							nextPending = append(nextPending, i)
-						}
-					}
-					return
-				}
-				for j, i := range sb.slots {
-					if e := serrs[j]; e != "" {
-						// Per-slot error: cold-replica shard state retries
-						// on the next replica (keeping the first message in
-						// case every replica is cold); a verdict on the
-						// query itself is final and overwrites whatever
-						// provisional failover message an earlier dead
-						// replica left behind.
-						if retryableSlotError(e) {
-							if errs[i] == "" {
-								errs[i] = e
-							}
-							nextPending = append(nextPending, i)
-						} else {
 							errs[i] = e
 						}
-						continue
+						pending = append(pending, i)
+					} else {
+						errs[i] = e
 					}
-					dists[i] = int(sdists[j])
-					errs[i] = ""
+					continue
 				}
-			}()
+				dists[i] = int(sdists[j])
+				errs[i] = ""
+			}
 		}
-		wg.Wait()
-		pending = nextPending
+		col.Abandon()
 	}
 
 	resp := server.BatchQueryResponse{Dists: dists}
@@ -1185,45 +1207,42 @@ func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, muts []wire.
 		err     error
 		code    int // status behind err, 0 for transport faults
 	}
-	shards := make([]*shardMutate, len(members))
-	var wg sync.WaitGroup
+	shards := make([]shardMutate, len(members))
+	payload := wire.AppendMutate(nil, lineage, muts)
+	col := wire.NewCollector(ctx, make(chan *wire.Call, len(members)))
 	for i, m := range members {
-		sm := &shardMutate{member: m}
-		shards[i] = sm
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var res wire.MutateResult
-			werr, err := rt.wireCall(ctx, sm.member, rt.rm.wireMutations, func(ctx context.Context, wc *wire.Client) (*wire.Error, error) {
-				var werr *wire.Error
-				var err error
-				res, werr, err = wc.Mutate(ctx, lineage, muts)
-				return werr, err
-			})
-			switch {
-			case err != nil:
-				// A transport fault fails this shard; an over-frame batch is a 413.
-				sm.err = err
-				if errors.Is(err, wire.ErrFrameTooLarge) {
-					sm.code = http.StatusRequestEntityTooLarge
-				}
-			case werr == nil:
-				sm.resp, sm.applied = server.MutateResponseFrom(res), true
-			case werr.Code == http.StatusNotFound:
-				sm.notHeld = true
-			default:
-				sm.err = fmt.Errorf("status %d: %s", werr.Code, werr.Msg)
-				sm.code = werr.Code
-			}
-		}()
+		shards[i].member = m
+		start(&col, m, wire.TMutate, payload, i)
 	}
-	wg.Wait()
+	for col.Pending() > 0 {
+		call := col.Next(time.Time{})
+		sm := &shards[call.Tag]
+		res, werr, err := call.Mutate()
+		rt.settle(ctx, sm.member, call, rt.rm.wireMutations, werr, err)
+		switch {
+		case err != nil:
+			// A transport fault fails this shard; an over-frame batch is a 413.
+			sm.err = err
+			if errors.Is(err, wire.ErrFrameTooLarge) {
+				sm.code = http.StatusRequestEntityTooLarge
+			}
+		case werr == nil:
+			sm.resp, sm.applied = server.MutateResponseFrom(res), true
+		case werr.Code == http.StatusNotFound:
+			sm.notHeld = true
+		default:
+			sm.err = fmt.Errorf("status %d: %s", werr.Code, werr.Msg)
+			sm.code = werr.Code
+		}
+	}
+	col.Abandon()
 
 	out := server.MutateResponse{Graph: fmt.Sprintf("%016x", lineage)}
 	applied := 0
 	var firstErr error
 	firstCode := 0
-	for _, sm := range shards {
+	for i := range shards {
+		sm := &shards[i]
 		if sm.err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shard %s: %w", sm.member.ID, sm.err)

@@ -952,111 +952,129 @@ type BatchQueryResponse struct {
 	Errors []string `json:"errors,omitempty"` // parallel to Dists; "" = ok
 }
 
-// queryGroup is one structure's worth of a batch: the resolved key plus the
-// request slots (indexes into the batch vector) it answers. Exactly one of
+// queryGroup is one structure's worth of a batch: the resolved key, the
+// request slots (indexes into the batch vector) it answers, and its queries
+// and answers, all carved from slabs the whole batch shares. Exactly one of
 // queries/vqueries is populated, decided by the key's model.
 type queryGroup struct {
 	key      store.Key
+	n        int // slots in the group
 	slots    []int
 	queries  []ftbfs.FailureQuery
 	vqueries []ftbfs.VertexFailureQuery
+	dists    []int
+	errs     []error
+	answered uint64 // queries that succeeded
+
+	// The structure, when answerGroups found it resident.
+	st  *ftbfs.Structure
+	vst *ftbfs.VertexStructure
 }
 
-// answerGroups resolves each group's structure and answers its slots with one
-// pooled oracle, writing into dists/errs (indexed by the groups' slots) and
-// returning the number of individually-successful queries. Groups are
-// independent (disjoint slots, one pooled oracle each), so multi-structure
-// batches answer them concurrently — one cold structure's build-through must
-// not serialise every other group of the batch behind it. The dominant
-// single-structure batch skips the goroutine machinery and runs inline on the
-// calling goroutine (this is the gated BenchmarkServeQueries/batch-query16
-// path); concurrency is bounded by the server-wide groupSem so batch bursts
-// cannot amplify into unbounded concurrent builds. Both the HTTP /batch-query
-// handler and the wire-protocol batch handler funnel here, which is what
-// makes the two transports answer-identical by construction.
-func (s *Server) answerGroups(ctx context.Context, groups []*queryGroup, dists []int, errs []string) uint64 {
-	var answered atomic.Uint64
-	answerGroup := func(gr *queryGroup) {
-		failSlots := func(err error) {
-			for _, i := range gr.slots {
-				dists[i] = ftbfs.Unreachable
-				errs[i] = err.Error()
-			}
-		}
-		subDists := make([]int, len(gr.slots))
-		subErrs := make([]error, len(gr.slots))
-		if gr.key.Model == store.ModelVertex {
-			st, err := s.vertexStructureForKey(ctx, gr.key, nil)
-			if err != nil {
-				failSlots(err)
-				return
-			}
-			_ = st.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
-				o.DistAvoidingVertexEach(gr.vqueries, subDists, subErrs)
-				return nil
-			})
-		} else {
-			st, err := s.structureForKey(ctx, gr.key, nil)
-			if err != nil {
-				failSlots(err)
-				return
-			}
-			_ = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
-				o.DistAvoidingEach(gr.queries, subDists, subErrs)
-				return nil
-			})
-		}
-		for j, i := range gr.slots {
-			dists[i] = subDists[j]
-			if subErrs[j] != nil {
-				errs[i] = subErrs[j].Error()
-			} else {
-				answered.Add(1)
-			}
-		}
+// fail fails every slot of the group with err.
+func (gr *queryGroup) fail(err error, dists []int, errs []string) {
+	for _, i := range gr.slots {
+		dists[i] = ftbfs.Unreachable
+		errs[i] = err.Error()
 	}
-	// acquireSem respects the caller's budget: a batch stuck behind other
-	// groups' cold builds gives up when its deadline passes, failing its own
-	// slots with the 504-equivalent error instead of occupying the queue.
-	acquireSem := func(gr *queryGroup) bool {
+}
+
+// answerGroups answers each group's slots with one pooled oracle of its
+// structure, writing into dists/errs (indexed by the groups' slots) and
+// returning the number of individually-successful queries. A group whose
+// structure is resident answers inline on the calling goroutine. A cold
+// group — a load- or build-through — answers on a goroutine of its own,
+// started before the resident groups answer, so one build cannot serialise
+// the rest of the batch behind it; cold groups are bounded by the
+// server-wide groupSem, so batch bursts cannot amplify into unbounded
+// concurrent builds. The trade-off: one huge multi-group batch on an idle
+// many-core shard no longer spreads its resident groups over cores.
+// Concurrency comes from concurrent requests instead — the router keeps 4
+// pooled connections per shard, as it does for points. Both the HTTP
+// /batch-query handler and the wire-protocol batch handler funnel here,
+// which is what makes the two transports answer-identical by construction.
+func (s *Server) answerGroups(ctx context.Context, groups []queryGroup, dists []int, errs []string) uint64 {
+	var cold *sync.WaitGroup
+	for g := range groups {
+		gr := &groups[g]
+		var ok bool
+		if gr.st, gr.vst, ok = s.store.Resident(gr.key); ok {
+			continue
+		}
+		// Waiting for a slot respects the caller's budget: a batch stuck
+		// behind other groups' cold builds gives up when its deadline
+		// passes, failing the group with the 504-equivalent error instead
+		// of occupying the queue.
 		select {
 		case s.groupSem <- struct{}{}:
-			return true
 		case <-ctx.Done():
-			for _, i := range gr.slots {
-				dists[i] = ftbfs.Unreachable
-				errs[i] = ctx.Err().Error()
-			}
-			return false
+			gr.fail(ctx.Err(), dists, errs)
+			continue
+		}
+		if cold == nil {
+			cold = new(sync.WaitGroup)
+		}
+		wg := cold
+		wg.Add(1)
+		go func() {
+			defer func() { <-s.groupSem; wg.Done() }()
+			s.answerGroup(ctx, gr, dists, errs)
+		}()
+	}
+	for g := range groups {
+		if gr := &groups[g]; gr.st != nil || gr.vst != nil {
+			s.answerGroup(ctx, gr, dists, errs)
 		}
 	}
-	switch len(groups) {
-	case 0:
-	case 1:
-		// Inline on the calling goroutine, but still under the server-wide
-		// cap: a burst of single-structure batches on distinct cold keys
-		// is bounded exactly like a multi-group fan-out.
-		if !acquireSem(groups[0]) {
-			break
-		}
-		answerGroup(groups[0])
-		<-s.groupSem
-	default:
-		var wg sync.WaitGroup
-		for _, gr := range groups {
-			gr := gr
-			if !acquireSem(gr) {
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer func() { <-s.groupSem; wg.Done() }()
-				answerGroup(gr)
-			}()
-		}
-		wg.Wait()
+	if cold != nil {
+		cold.Wait()
 	}
-	return answered.Load()
+	var answered uint64
+	for g := range groups {
+		answered += groups[g].answered
+	}
+	return answered
+}
+
+// answerGroup answers one group with one pooled oracle of its structure:
+// the resident one answerGroups found, else one the store loads or builds.
+func (s *Server) answerGroup(ctx context.Context, gr *queryGroup, dists []int, errs []string) {
+	var err error
+	if gr.key.Model == store.ModelVertex {
+		vst := gr.vst
+		if vst == nil {
+			vst, err = s.vertexStructureForKey(ctx, gr.key, nil)
+		}
+		if err == nil {
+			_ = vst.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
+				o.DistAvoidingVertexEach(gr.vqueries, gr.dists, gr.errs)
+				return nil
+			})
+		}
+	} else {
+		st := gr.st
+		if st == nil {
+			st, err = s.structureForKey(ctx, gr.key, nil)
+		}
+		if err == nil {
+			_ = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
+				o.DistAvoidingEach(gr.queries, gr.dists, gr.errs)
+				return nil
+			})
+		}
+	}
+	if err != nil {
+		gr.fail(err, dists, errs)
+		return
+	}
+	for j, i := range gr.slots {
+		dists[i] = gr.dists[j]
+		if gr.errs[j] != nil {
+			errs[i] = gr.errs[j].Error()
+		} else {
+			gr.answered++
+		}
+	}
 }
 
 func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {

@@ -397,15 +397,25 @@ func (s *Server) WireBatch(ctx context.Context, slots []wire.BatchSlot) ([]int32
 
 // batch answers a wire-form batch into dists/errs (parallel to slots),
 // answering -1 for slots whose errs entry is already set: slots group by
-// resolved key, preserving first-seen order, and funnel into answerGroups. A
-// slot with an unresolvable address errors alone. The dispatch behind both
+// resolved key and funnel into answerGroups. The dispatch behind both
 // WireBatch and POST /batch-query.
 func (s *Server) batch(ctx context.Context, slots []wire.BatchSlot, dists []int, errs []string) {
-	var groups []*queryGroup
-	byKey := make(map[store.Key]*queryGroup)
+	s.m.queries.Add(s.answerGroups(ctx, groupSlots(slots, dists, errs), dists, errs))
+}
+
+// groupSlots groups a batch's slots by resolved key, preserving first-seen
+// order; a slot with an unresolvable address errors alone. It takes two
+// passes — number the groups and count their slots, then carve every
+// group's slots, queries and answers from exact-size slabs — so nothing
+// grows per slot.
+func groupSlots(slots []wire.BatchSlot, dists []int, errs []string) []queryGroup {
+	var groups []queryGroup
+	byKey := make(map[store.Key]int)
+	grouped, vertex := 0, 0
+	// Until the groups answer, dists holds each grouped slot's group.
 	for i := range slots {
+		dists[i] = ftbfs.Unreachable
 		if errs[i] != "" {
-			dists[i] = ftbfs.Unreachable
 			continue
 		}
 		sl := &slots[i]
@@ -415,16 +425,40 @@ func (s *Server) batch(ctx context.Context, slots []wire.BatchSlot, dists []int,
 		}
 		k, err := keyForPoint(typ, &sl.PointQuery)
 		if err != nil {
-			dists[i] = ftbfs.Unreachable
 			errs[i] = err.Error()
 			continue
 		}
-		gr := byKey[k]
-		if gr == nil {
-			gr = &queryGroup{key: k}
-			byKey[k] = gr
-			groups = append(groups, gr)
+		g, ok := byKey[k]
+		if !ok {
+			g = len(groups)
+			byKey[k] = g
+			groups = append(groups, queryGroup{key: k})
 		}
+		groups[g].n++
+		dists[i] = g
+		grouped++
+		if sl.Vertex {
+			vertex++
+		}
+	}
+	idx, answers, aerrs := make([]int, grouped), make([]int, grouped), make([]error, grouped)
+	queries, vqueries := make([]ftbfs.FailureQuery, grouped-vertex), make([]ftbfs.VertexFailureQuery, vertex)
+	for g := range groups {
+		gr := &groups[g]
+		gr.slots, idx = idx[:0:gr.n], idx[gr.n:]
+		gr.dists, answers = answers[:gr.n], answers[gr.n:]
+		gr.errs, aerrs = aerrs[:gr.n], aerrs[gr.n:]
+		if gr.key.Model == store.ModelVertex {
+			gr.vqueries, vqueries = vqueries[:0:gr.n], vqueries[gr.n:]
+		} else {
+			gr.queries, queries = queries[:0:gr.n], queries[gr.n:]
+		}
+	}
+	for i := range slots {
+		if errs[i] != "" {
+			continue
+		}
+		gr, sl := &groups[dists[i]], &slots[i]
 		gr.slots = append(gr.slots, i)
 		if sl.Vertex {
 			gr.vqueries = append(gr.vqueries, ftbfs.VertexFailureQuery{V: int(sl.V), Failed: int(sl.A)})
@@ -432,5 +466,5 @@ func (s *Server) batch(ctx context.Context, slots []wire.BatchSlot, dists []int,
 			gr.queries = append(gr.queries, ftbfs.FailureQuery{V: int(sl.V), FailedU: int(sl.A), FailedV: int(sl.B)})
 		}
 	}
-	s.m.queries.Add(s.answerGroups(ctx, groups, dists, errs))
+	return groups
 }

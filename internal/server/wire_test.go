@@ -306,3 +306,130 @@ func TestWireErrorStatuses(t *testing.T) {
 		t.Fatalf("inf eps: %v, want code 400", werr)
 	}
 }
+
+// residentFixture registers one graph on a fresh store and builds the edge
+// structures of the given sources (ε = 0.3) plus the vertex structure of
+// source 0, so they are resident. It returns the server, its store, the
+// graph, its fingerprint and a local ground-truth build per source.
+func residentFixture(t testing.TB, sources []int) (*Server, *store.Store, *ftbfs.Graph, uint64, map[int]*ftbfs.Structure) {
+	t.Helper()
+	st, err := store.New(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGraph(t, 60, 90, 7)
+	fp, err := st.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make(map[int]*ftbfs.Structure)
+	for _, src := range sources {
+		if _, err := st.GetOrBuild(context.Background(), store.Key{Graph: fp, Source: src, Eps: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.GetOrBuildVertex(context.Background(), fp, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []int{0, 10, 20, 30} {
+		if ref[src], err = ftbfs.Build(g, src, 0.3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return New(st), st, g, fp, ref
+}
+
+// edgeSlots returns per slots per source, interleaved across sources: each
+// a failable edge of the source's structure and a target.
+func edgeSlots(fp uint64, sources []int, ref map[int]*ftbfs.Structure, per int) []wire.BatchSlot {
+	var slots []wire.BatchSlot
+	for j := 0; j < per; j++ {
+		for _, src := range sources {
+			var failable [][2]int
+			for _, e := range ref[src].Edges() {
+				if !ref[src].IsReinforced(e[0], e[1]) {
+					failable = append(failable, e)
+				}
+			}
+			e := failable[(j*7)%len(failable)]
+			slots = append(slots, wire.BatchSlot{PointQuery: wire.PointQuery{
+				FP: fp, EpsBits: math.Float64bits(0.3), Source: int32(src),
+				V: int32((j*13 + src) % 60), A: int32(e[0]), B: int32(e[1]),
+			}})
+		}
+	}
+	return slots
+}
+
+// TestBatchResidentAndColdGroups answers a wire batch whose groups are
+// resident but one, which builds through on first touch: every answer
+// equals the serial one, resident groups count one store hit each, and the
+// cold group counts the miss and the build its read-through always did.
+func TestBatchResidentAndColdGroups(t *testing.T) {
+	srv, st, g, fp, ref := residentFixture(t, []int{0, 10, 20})
+	slots := edgeSlots(fp, []int{0, 10, 20, 30}, ref, 6)
+	vst, err := ftbfs.BuildVertex(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < 60; v += 9 {
+		slots = append(slots, wire.BatchSlot{PointQuery: wire.PointQuery{FP: fp, Source: 0, V: int32(v), A: int32(v + 1)}, Vertex: true})
+	}
+	before := st.Stats()
+	dists, errs := srv.WireBatch(context.Background(), slots)
+	after := st.Stats()
+	eo := map[int]*ftbfs.Oracle{}
+	for src, s := range ref {
+		eo[src] = s.Oracle()
+	}
+	vo := vst.Oracle()
+	for i, sl := range slots {
+		var want int
+		if sl.Vertex {
+			want, err = vo.DistAvoidingVertex(int(sl.V), int(sl.A))
+		} else {
+			want, err = eo[int(sl.Source)].DistAvoiding(int(sl.V), int(sl.A), int(sl.B))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs[i] != "" || int(dists[i]) != want {
+			t.Fatalf("slot %d (%+v): answered %d %q, serial answer %d", i, sl, dists[i], errs[i], want)
+		}
+	}
+	if d := after.Hits - before.Hits; d != 4 {
+		t.Errorf("store hits rose by %d, want 4 (one per resident group)", d)
+	}
+	if d := after.Misses - before.Misses; d != 1 {
+		t.Errorf("store misses rose by %d, want 1 (the cold group)", d)
+	}
+	if d := after.Builds - before.Builds; d != 1 {
+		t.Errorf("store builds rose by %d, want 1 (the cold group)", d)
+	}
+}
+
+// TestBatchGroupingAllocs pins the grouping slabs: a 64-slot sub-batch over
+// four resident structures groups at a fixed handful of allocations, none
+// per slot. (Answering it allocates nothing more, but its pooled oracles
+// are dropped at random under the race detector, so only grouping is
+// pinned.)
+func TestBatchGroupingAllocs(t *testing.T) {
+	sources := []int{0, 10, 20, 30}
+	srv, _, _, fp, ref := residentFixture(t, sources)
+	slots := edgeSlots(fp, sources, ref, 16)
+	dists, errs := make([]int, len(slots)), make([]string, len(slots))
+	srv.batch(context.Background(), slots, dists, errs)
+	for i, e := range errs {
+		if e != "" {
+			t.Fatalf("slot %d: %s", i, e)
+		}
+	}
+	var groups []queryGroup
+	allocs := testing.AllocsPerRun(50, func() { groups = groupSlots(slots, dists, errs) })
+	if len(groups) != len(sources) {
+		t.Fatalf("%d groups, want %d", len(groups), len(sources))
+	}
+	if allocs > 7 {
+		t.Fatalf("grouping a 64-slot, 4-group batch costs %.0f allocs, want at most 7: none per slot", allocs)
+	}
+}

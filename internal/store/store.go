@@ -520,6 +520,22 @@ func (s *Store) GetVertex(fp uint64, source int) (*ftbfs.VertexStructure, bool) 
 	return e.vst, true
 }
 
+// Resident returns the structure for k if it is resident in memory — the
+// edge structure or, for a vertex-model key, the vertex structure — counting
+// a hit and touching its LRU position. Unlike Get it counts nothing when the
+// structure is absent: the read-through that follows counts that miss.
+func (s *Store) Resident(k Key) (*ftbfs.Structure, *ftbfs.VertexStructure, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[s.normLocked(k)]
+	if !ok {
+		return nil, nil, false
+	}
+	s.m.hits.Inc()
+	s.lru.MoveToFront(e.el)
+	return e.st, e.vst, true
+}
+
 // Len returns the number of structures resident in memory.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -573,14 +589,9 @@ func (s *Store) GetOrBuild(ctx context.Context, k Key) (*ftbfs.Structure, error)
 	if k.Model != ModelEdge {
 		return nil, fmt.Errorf("store: %v is not an edge-structure key (use GetOrBuildVertex)", k)
 	}
-	s.mu.Lock()
-	if e, ok := s.entries[s.normLocked(k)]; ok {
-		s.m.hits.Inc()
-		s.lru.MoveToFront(e.el)
-		s.mu.Unlock()
-		return e.st, nil
+	if st, _, ok := s.Resident(k); ok {
+		return st, nil
 	}
-	s.mu.Unlock()
 	sts, err := s.GetOrBuildMany(ctx, k.Graph, []Req{{Source: k.Source, Eps: k.Eps, Alg: k.Alg}})
 	if err != nil {
 		return nil, err

@@ -25,34 +25,46 @@ type Client struct {
 	dialTimeout time.Duration
 	reqTimeout  time.Duration
 
-	ids   atomic.Uint64
-	next  atomic.Uint64
-	mu    sync.Mutex // guards conns slots during (re)dial
-	conns []*clientConn
+	ids     atomic.Uint64
+	next    atomic.Uint64
+	mu      sync.Mutex // guards conns slots during (re)dial, and retired
+	conns   []*clientConn
+	retired bool
 }
 
-// response is what the reader goroutine hands back to a waiter.
-type response struct {
-	typ     byte
-	payload []byte           // owned by the waiter
-	spans   []telemetry.Span // a traced response's span section
-	err     error
+// Call is one request started with Go. Once Go has registered it, its
+// outcome — the response, or the transport fault that ended it, a failed
+// write included — is delivered on Done exactly once; a call abandoned
+// before its outcome arrived (Collector) is never delivered. Point, Batch
+// and Mutate decode the outcome.
+type Call struct {
+	Tag   int              // the caller's label; the client never reads it
+	Start time.Time        // when the request was sent
+	Spans []telemetry.Span // the span section of a traced response
+	Err   error            // the transport fault that ended the call
+	Done  chan *Call       // receives the call once its outcome is in
+
+	typ       byte
+	payload   []byte // owned by the caller
+	cc        *clientConn
+	id        uint64
+	timeout   time.Duration // the request timeout, or the caller's budget when shorter
+	next      *Call         // a collector's list of calls in flight
+	abandoned bool
 }
 
-// chanPool recycles waiter channels: a channel that delivered its response
-// is drained and safe to reuse, and point queries are frequent enough that
-// the per-request make(chan) shows up. Channels on the forget path (timeout
-// or cancel) are simply dropped — the read loop may still send to them, so
-// they must not be reused.
-var chanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
+// calls and doChans recycle do's one-call collections: point queries are
+// frequent enough that a Call and a channel per request show up. An
+// abandoned call is dropped instead — its connection has forgotten it, but
+// the rule keeps recycling trivially safe.
+var (
+	calls   = sync.Pool{New: func() any { return new(Call) }}
+	doChans = sync.Pool{New: func() any { return make(chan *Call, 1) }}
+)
 
 // ErrFrameTooLarge wraps a client's refusal of a request payload over
 // MaxPayload. Nothing was sent, so it is no fault of the peer.
 var ErrFrameTooLarge = errors.New("wire: request exceeds the frame bound")
-
-// timerPool recycles request timers; Reset after a receive or Stop is safe
-// with Go 1.23+ timer semantics.
-var timerPool = sync.Pool{}
 
 // clientConn is one multiplexed connection.
 type clientConn struct {
@@ -62,9 +74,10 @@ type clientConn struct {
 	wmu   sync.Mutex   // serialises frame writes
 	wpend atomic.Int64 // senders holding or waiting on wmu
 
-	pmu     sync.Mutex
-	pending map[uint64]chan response
-	dead    bool
+	pmu      sync.Mutex
+	pending  map[uint64]*Call
+	dead     bool
+	retiring bool // close once pending drains (Client.Retire)
 }
 
 // NewClient returns a client for addr; connections are dialed lazily. conns
@@ -98,6 +111,26 @@ func (c *Client) Close() {
 	}
 }
 
+// Retire takes the client out of service without failing anything: each
+// pooled connection closes once the calls in flight on it are answered or
+// abandoned. It is how a caller moves to a peer's new address while the old
+// listener still serves. A request that still reaches a retired client
+// rides a fresh connection that closes behind it.
+func (c *Client) Retire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.retired = true
+	for i, cc := range c.conns {
+		if cc != nil {
+			cc.pmu.Lock()
+			cc.retiring = true
+			cc.pmu.Unlock()
+			cc.take(0) // no call has id 0: this only closes an idle connection
+			c.conns[i] = nil
+		}
+	}
+}
+
 // conn returns a live connection from the pool slot the round-robin counter
 // picks, dialing if the slot is empty or its connection died. Dialing runs
 // outside the pool lock so a slow dial to one address never stalls requests
@@ -124,7 +157,7 @@ func (c *Client) conn() (*clientConn, error) {
 	ncc := &clientConn{
 		c:       nc,
 		bw:      bufio.NewWriterSize(nc, 32<<10),
-		pending: make(map[uint64]chan response),
+		pending: make(map[uint64]*Call),
 	}
 	c.mu.Lock()
 	if cur := c.conns[slot]; cur != nil && cur != cc && !cur.isDead() {
@@ -133,7 +166,11 @@ func (c *Client) conn() (*clientConn, error) {
 		nc.Close()
 		return cur, nil
 	}
-	c.conns[slot] = ncc
+	if c.retired {
+		ncc.retiring = true
+	} else {
+		c.conns[slot] = ncc
+	}
 	c.mu.Unlock()
 	go ncc.readLoop()
 	return ncc, nil
@@ -146,7 +183,23 @@ func (cc *clientConn) isDead() bool {
 	return cc.dead
 }
 
-// readLoop dispatches response frames to their waiters until the connection
+// take removes the call with the given id from the calls in flight and
+// returns it, nil if there is none. A retiring connection closes once no
+// call is left in flight.
+func (cc *clientConn) take(id uint64) *Call {
+	cc.pmu.Lock()
+	call := cc.pending[id]
+	delete(cc.pending, id)
+	drained := cc.retiring && !cc.dead && len(cc.pending) == 0
+	cc.dead = cc.dead || drained
+	cc.pmu.Unlock()
+	if drained {
+		cc.c.Close()
+	}
+	return call
+}
+
+// readLoop delivers response frames to their calls until the connection
 // dies, then fails everything still pending.
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.c, 32<<10)
@@ -162,20 +215,17 @@ func (cc *clientConn) readLoop() {
 			cc.fail(fmt.Errorf("wire: connection lost: %w", err))
 			return
 		}
-		cc.pmu.Lock()
-		ch, ok := cc.pending[id]
-		delete(cc.pending, id)
-		cc.pmu.Unlock()
-		if ok {
-			// Copy out of the read buffer: the waiter owns its payload.
+		if call := cc.take(id); call != nil {
+			// Copy out of the read buffer: the caller owns its payload.
 			p := make([]byte, len(payload))
 			copy(p, payload)
-			ch <- response{typ: typ, payload: p, spans: spans}
+			call.typ, call.payload, call.Spans = typ, p, spans
+			call.Done <- call
 		}
 	}
 }
 
-// fail marks the connection dead, closes it, and fails all waiters.
+// fail marks the connection dead, closes it, and fails all pending calls.
 func (cc *clientConn) fail(err error) {
 	cc.pmu.Lock()
 	if cc.dead {
@@ -187,26 +237,29 @@ func (cc *clientConn) fail(err error) {
 	cc.pending = nil
 	cc.pmu.Unlock()
 	cc.c.Close()
-	for _, ch := range pending {
-		ch <- response{err: err}
+	for _, call := range pending {
+		call.Err = err
+		call.Done <- call
 	}
 }
 
-// send registers a waiter and writes one request frame.
-func (cc *clientConn) send(typ byte, id uint64, budget uint32, trace uint64, payload []byte) (chan response, error) {
-	ch := chanPool.Get().(chan response)
+// send registers call and writes its request frame. It returns an error
+// only when the connection was already dead, before registering anything;
+// a failed write fails the connection, and with it the call, whose outcome
+// then arrives on its Done channel like any other.
+func (cc *clientConn) send(call *Call, typ byte, budget uint32, trace uint64, payload []byte) error {
 	cc.pmu.Lock()
 	if cc.dead {
 		cc.pmu.Unlock()
-		return nil, fmt.Errorf("wire: connection lost")
+		return fmt.Errorf("wire: connection lost")
 	}
-	cc.pending[id] = ch
+	cc.pending[call.id] = call
 	cc.pmu.Unlock()
 
 	cc.wpend.Add(1)
 	cc.wmu.Lock()
 	buf := getBuf()
-	*buf = appendFrame((*buf)[:0], typ, id, budget, trace, payload)
+	*buf = appendFrame((*buf)[:0], typ, call.id, budget, trace, payload)
 	_, err := cc.bw.Write(*buf)
 	// Group flush: if another sender is already waiting on wmu, leave our
 	// frame buffered — the last writer in the burst sees the count hit zero
@@ -221,57 +274,65 @@ func (cc *clientConn) send(typ byte, id uint64, budget uint32, trace uint64, pay
 	cc.wmu.Unlock()
 	if err != nil {
 		cc.fail(fmt.Errorf("wire: write failed: %w", err))
-		return nil, err
 	}
-	return ch, nil
+	return nil
 }
 
-// forget abandons a waiter. Ids keep frames matched, so the late response
-// of an abandoned request is simply dropped by the read loop and the
-// connection stays good for every other request pipelined on it. Only when
-// kill is set — the caller's deadline or the request timeout ran out, so
-// the peer may be hung — is the connection failed, lest a hung server pin
-// it forever.
-func (cc *clientConn) forget(id uint64, kill bool, err error) {
-	cc.pmu.Lock()
-	_, mine := cc.pending[id]
-	delete(cc.pending, id)
-	cc.pmu.Unlock()
+// forget abandons a call, reporting whether it was still in flight — a
+// call the read loop already took is delivered instead. Ids keep frames
+// matched, so the late response of an abandoned request is simply dropped
+// by the read loop and the connection stays good for every other request
+// pipelined on it. Only when kill is set — the caller's deadline or the
+// request timeout ran out, so the peer may be hung — is the connection
+// failed, lest a hung server pin it forever.
+func (cc *clientConn) forget(id uint64, kill bool, err error) bool {
+	mine := cc.take(id) != nil
 	if mine && kill {
 		cc.fail(err)
 	}
+	return mine
 }
 
-// do sends one request and waits for its response. The caller's remaining
-// context deadline travels in the frame's budget field (rounded up to a whole
-// millisecond) so the server stops working when the caller stops waiting; a
-// telemetry trace in the context travels in the trace field so shard-side
-// spans share the caller's trace ID, and the spans the response carries back
-// are filed into that trace. A caller that cancels (a hedge loser, a client
-// that hung up) abandons only its own request. A payload over MaxPayload is
-// refused with ErrFrameTooLarge, not sent: the server would drop the
-// connection, and every request pipelined on it, rather than read it.
-func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, error) {
+// Go sends one request and returns its call; the outcome arrives on done,
+// which must have room for every call started on it (net/rpc's Client.Go).
+// The context's remaining deadline travels in the frame's budget field
+// (rounded up to a whole millisecond) and its telemetry trace ID in the
+// trace field; the spans the response carries back arrive in Call.Spans. A
+// Collector, not the context, bounds the call. Go registers nothing, and
+// returns an error, when the deadline has passed, no connection can be
+// dialed, or the payload exceeds MaxPayload (ErrFrameTooLarge: the server
+// would drop the connection, and every request pipelined on it).
+func (c *Client) Go(ctx context.Context, typ byte, payload []byte, done chan *Call) (*Call, error) {
+	call := &Call{Done: done}
+	if err := c.start(ctx, call, typ, payload); err != nil {
+		return nil, err
+	}
+	return call, nil
+}
+
+// start is Go on a caller-supplied call.
+func (c *Client) start(ctx context.Context, call *Call, typ byte, payload []byte) error {
 	if len(payload) > MaxPayload {
-		return response{}, fmt.Errorf("%w: %d bytes, at most %d", ErrFrameTooLarge, len(payload), MaxPayload)
+		return fmt.Errorf("%w: %d bytes, at most %d", ErrFrameTooLarge, len(payload), MaxPayload)
 	}
 	cc, err := c.conn()
 	if err != nil {
-		return response{}, err
+		return err
 	}
 	var trace uint64
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
 		trace = tr.ID()
 	}
-	timeout := c.reqTimeout
+	call.Start = time.Now()
+	call.timeout = c.reqTimeout
 	var budget uint32
 	if dl, ok := ctx.Deadline(); ok {
-		d := time.Until(dl)
+		d := dl.Sub(call.Start)
 		if d <= 0 {
-			return response{}, context.DeadlineExceeded
+			return context.DeadlineExceeded
 		}
-		if d < timeout {
-			timeout = d
+		if d < call.timeout {
+			call.timeout = d
 		}
 		ms := int64((d + time.Millisecond - 1) / time.Millisecond)
 		if ms > int64(^uint32(0)) {
@@ -280,71 +341,126 @@ func (c *Client) do(ctx context.Context, typ byte, payload []byte) (response, er
 			budget = uint32(ms)
 		}
 	}
-	id := c.ids.Add(1)
-	ch, err := cc.send(typ, id, budget, trace, payload)
-	if err != nil {
-		return response{}, err
-	}
-	var timer *time.Timer
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(timeout)
-		timer = t
-	} else {
-		timer = time.NewTimer(timeout)
-	}
-	select {
-	case r := <-ch:
-		timer.Stop()
-		timerPool.Put(timer)
-		// The channel delivered its single response; it is empty and safe
-		// to reuse.
-		chanPool.Put(ch)
-		if tr := telemetry.TraceFrom(ctx); tr != nil {
-			for _, sp := range r.spans {
-				tr.AddSpan(sp)
-			}
+	call.cc, call.id = cc, c.ids.Add(1)
+	return cc.send(call, typ, budget, trace, payload)
+}
+
+// do sends one request and waits for its outcome: a one-call collection,
+// with the call and its channel recycled. The spans a traced response
+// carries back are filed into the context's trace. A caller that cancels (a
+// hedge loser, a client that hung up) abandons only its own request.
+func (c *Client) do(ctx context.Context, typ byte, payload []byte) *Call {
+	col := NewCollector(ctx, doChans.Get().(chan *Call))
+	col.start(c, calls.Get().(*Call), typ, payload)
+	call := col.Next(time.Time{})
+	col.Abandon()
+	doChans.Put(col.C) // its one call came out: the channel is empty
+	if tr := telemetry.TraceFrom(ctx); tr != nil {
+		for _, sp := range call.Spans {
+			tr.AddSpan(sp)
 		}
-		return r, r.err
-	case <-ctx.Done():
-		err := ctx.Err()
-		cc.forget(id, !errors.Is(err, context.Canceled), err)
-		timer.Stop()
-		timerPool.Put(timer)
-		return response{}, err
-	case <-timer.C:
-		err := fmt.Errorf("wire: request timed out after %v", timeout)
-		cc.forget(id, true, err)
-		timerPool.Put(timer)
-		return response{}, err
+	}
+	return call
+}
+
+// recycle returns a call do handed out once its outcome is decoded.
+func recycle(call *Call) {
+	if !call.abandoned {
+		*call = Call{}
+		calls.Put(call)
 	}
 }
 
-// Point answers one point query. A non-nil *Error is a definitive in-protocol
+// answer returns the call's response payload when the response has type
+// want, else the server's in-protocol refusal or the transport fault.
+func (call *Call) answer(want byte) ([]byte, *Error, error) {
+	switch {
+	case call.Err != nil:
+		return nil, nil, call.Err
+	case call.typ == want:
+		return call.payload, nil, nil
+	case call.typ == RError:
+		werr, err := parseError(call.payload)
+		return nil, werr, err
+	default:
+		return nil, nil, fmt.Errorf("wire: unexpected response type %#x", call.typ)
+	}
+}
+
+// Point decodes a point answer. A non-nil *Error is a definitive in-protocol
 // answer from the server (mirroring an HTTP status); a non-nil error is a
 // transport failure the caller may retry elsewhere.
+func (call *Call) Point() (int32, *Error, error) {
+	p, werr, err := call.answer(RDist)
+	if werr != nil || err != nil {
+		return 0, werr, err
+	}
+	if len(p) != 4 {
+		return 0, nil, fmt.Errorf("wire: bad point response length %d", len(p))
+	}
+	return int32(uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24), nil, nil
+}
+
+// Batch decodes the answer to a batch of n slots; dists and errs are
+// parallel to the slots with "" marking success. A non-nil *Error means the
+// server rejected the whole batch; a non-nil error is a transport failure.
+func (call *Call) Batch(n int) ([]int32, []string, *Error, error) {
+	p, werr, err := call.answer(RBatch)
+	if werr != nil || err != nil {
+		return nil, nil, werr, err
+	}
+	dists, errs, err := parseBatchResponse(p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(dists) != n {
+		return nil, nil, nil, fmt.Errorf("wire: batch response has %d slots, want %d", len(dists), n)
+	}
+	return dists, errs, nil, nil
+}
+
+// Mutate decodes a mutation answer: the new generation's identity plus the
+// shard's rebuild ledger. A non-nil *Error is the shard's definitive
+// in-protocol answer (404 graph not held there, 400 invalid batch, 500
+// persist fault); a non-nil error is a transport failure.
+func (call *Call) Mutate() (MutateResult, *Error, error) {
+	p, werr, err := call.answer(RMutate)
+	if werr != nil || err != nil {
+		return MutateResult{}, werr, err
+	}
+	res, err := parseMutateResponse(p)
+	return res, nil, err
+}
+
+// Point answers one point query; see Call.Point.
 func (c *Client) Point(ctx context.Context, typ byte, q *PointQuery) (int32, *Error, error) {
 	buf := getBuf()
-	payload := appendPoint((*buf)[:0], q)
-	r, err := c.do(ctx, typ, payload)
+	call := c.do(ctx, typ, AppendPoint((*buf)[:0], q))
 	putBuf(buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	switch r.typ {
-	case RDist:
-		if len(r.payload) != 4 {
-			return 0, nil, fmt.Errorf("wire: bad point response length %d", len(r.payload))
-		}
-		return int32(uint32(r.payload[0]) | uint32(r.payload[1])<<8 | uint32(r.payload[2])<<16 | uint32(r.payload[3])<<24), nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return 0, nil, perr
-		}
-		return 0, werr, nil
-	default:
-		return 0, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
+	d, werr, err := call.Point()
+	recycle(call)
+	return d, werr, err
+}
+
+// Batch answers a batch of slots; see Call.Batch.
+func (c *Client) Batch(ctx context.Context, slots []BatchSlot) ([]int32, []string, *Error, error) {
+	buf := getBuf()
+	call := c.do(ctx, TBatch, AppendBatch((*buf)[:0], slots))
+	putBuf(buf)
+	dists, errs, werr, err := call.Batch(len(slots))
+	recycle(call)
+	return dists, errs, werr, err
+}
+
+// Mutate applies one edge-mutation batch to the graph of the given lineage
+// on a shard; see Call.Mutate.
+func (c *Client) Mutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error, error) {
+	buf := getBuf()
+	call := c.do(ctx, TMutate, AppendMutate((*buf)[:0], lineage, muts))
+	putBuf(buf)
+	res, werr, err := call.Mutate()
+	recycle(call)
+	return res, werr, err
 }
 
 // FetchRecord fetches the record bytes of one structure from a peer shard
@@ -355,24 +471,11 @@ func (c *Client) Point(ctx context.Context, typ byte, q *PointQuery) (int32, *Er
 // (server.MaxBodyBytes) is larger than MaxPayload.
 func (c *Client) FetchRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error, error) {
 	buf := getBuf()
-	payload := appendHandoffKey((*buf)[:0], k)
-	r, err := c.do(ctx, THandoff, payload)
+	call := c.do(ctx, THandoff, appendHandoffKey((*buf)[:0], k))
 	putBuf(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch r.typ {
-	case RHandoff:
-		return r.payload, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		return nil, werr, nil
-	default:
-		return nil, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
+	rec, werr, err := call.answer(RHandoff)
+	recycle(call)
+	return rec, werr, err
 }
 
 // FetchGraph fetches the canonical text of one graph from a peer shard —
@@ -382,83 +485,8 @@ func (c *Client) FetchGraph(ctx context.Context, fp uint64) ([]byte, *Error, err
 	var payload [8]byte
 	payload[0], payload[1], payload[2], payload[3] = byte(fp), byte(fp>>8), byte(fp>>16), byte(fp>>24)
 	payload[4], payload[5], payload[6], payload[7] = byte(fp>>32), byte(fp>>40), byte(fp>>48), byte(fp>>56)
-	r, err := c.do(ctx, TGraph, payload[:])
-	if err != nil {
-		return nil, nil, err
-	}
-	switch r.typ {
-	case RGraph:
-		return r.payload, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		return nil, werr, nil
-	default:
-		return nil, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
-}
-
-// Mutate applies one edge-mutation batch to the graph of the given lineage on
-// a shard and returns the new generation's identity plus the shard's rebuild
-// ledger. A non-nil *Error is the shard's definitive in-protocol answer (404
-// graph not held there, 400 invalid batch, 500 persist fault); a non-nil
-// error is a transport failure.
-func (c *Client) Mutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error, error) {
-	buf := getBuf()
-	payload := appendMutate((*buf)[:0], lineage, muts)
-	r, err := c.do(ctx, TMutate, payload)
-	putBuf(buf)
-	if err != nil {
-		return MutateResult{}, nil, err
-	}
-	switch r.typ {
-	case RMutate:
-		res, perr := parseMutateResponse(r.payload)
-		if perr != nil {
-			return MutateResult{}, nil, perr
-		}
-		return res, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return MutateResult{}, nil, perr
-		}
-		return MutateResult{}, werr, nil
-	default:
-		return MutateResult{}, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
-}
-
-// Batch answers a batch of slots; dists and errs are parallel to slots with
-// "" marking success. A non-nil *Error means the server rejected the whole
-// batch; a non-nil error is a transport failure.
-func (c *Client) Batch(ctx context.Context, slots []BatchSlot) ([]int32, []string, *Error, error) {
-	buf := getBuf()
-	payload := appendBatch((*buf)[:0], slots)
-	r, err := c.do(ctx, TBatch, payload)
-	putBuf(buf)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	switch r.typ {
-	case RBatch:
-		dists, errs, perr := parseBatchResponse(r.payload)
-		if perr != nil {
-			return nil, nil, nil, perr
-		}
-		if len(dists) != len(slots) {
-			return nil, nil, nil, fmt.Errorf("wire: batch response has %d slots, want %d", len(dists), len(slots))
-		}
-		return dists, errs, nil, nil
-	case RError:
-		werr, perr := parseError(r.payload)
-		if perr != nil {
-			return nil, nil, nil, perr
-		}
-		return nil, nil, werr, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("wire: unexpected response type %#x", r.typ)
-	}
+	call := c.do(ctx, TGraph, payload[:])
+	text, werr, err := call.answer(RGraph)
+	recycle(call)
+	return text, werr, err
 }

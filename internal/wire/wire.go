@@ -4,6 +4,12 @@
 // persistent and carries length-prefixed frames both ways; requests carry
 // client-chosen ids that responses echo, so many requests can be in flight
 // on one connection (pipelining) and responses may arrive out of order.
+// Client.Go starts a request and delivers its outcome as a *Call on a
+// channel the caller owns, exactly once — a failed write included — unless
+// the call is abandoned first; a Collector gathers the calls started on one
+// channel and owns their timeouts, context ends and abandonment, so a
+// fan-out collects its replies on one goroutine, and every blocking Client
+// method is a one-call collection.
 //
 // Connection preamble (client → server, once): "FTBW" + version u32.
 //
@@ -57,6 +63,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"ftbfs/internal/telemetry"
@@ -214,9 +221,9 @@ type MutateResult struct {
 	RebuildsFull  uint32 // structures rebuilt from scratch
 }
 
-// appendMutate appends a TMutate payload: lineage u64, count u32, then count
+// AppendMutate appends a TMutate payload: lineage u64, count u32, then count
 // 9-byte entries (op u8, u i32, v i32).
-func appendMutate(buf []byte, lineage uint64, muts []MutationWire) []byte {
+func AppendMutate(buf []byte, lineage uint64, muts []MutationWire) []byte {
 	le := binary.LittleEndian
 	buf = le.AppendUint64(buf, lineage)
 	buf = le.AppendUint32(buf, uint32(len(muts)))
@@ -354,8 +361,9 @@ func readFrame(r io.Reader, buf []byte) (typ byte, id uint64, budget uint32, tra
 	return typ, id, budget, trace, buf[:n-frameTrailer], buf, nil
 }
 
-// appendPoint appends the fixed point payload.
-func appendPoint(buf []byte, q *PointQuery) []byte {
+// AppendPoint appends the fixed point payload of a TDist, TDistAvoiding or
+// TDistAvoidingVertex request.
+func AppendPoint(buf []byte, q *PointQuery) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, q.FP)
 	buf = binary.LittleEndian.AppendUint64(buf, q.EpsBits)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.Source))
@@ -383,11 +391,12 @@ func parsePoint(payload []byte) (PointQuery, error) {
 	}, nil
 }
 
-// appendBatch appends a batch request payload.
-func appendBatch(buf []byte, slots []BatchSlot) []byte {
+// AppendBatch appends a TBatch request payload.
+func AppendBatch(buf []byte, slots []BatchSlot) []byte {
+	buf = slices.Grow(buf, 4+len(slots)*slotLen)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(slots)))
 	for i := range slots {
-		buf = appendPoint(buf, &slots[i].PointQuery)
+		buf = AppendPoint(buf, &slots[i].PointQuery)
 		var flags uint32
 		if slots[i].Vertex {
 			flags |= slotFlagVertex

@@ -241,9 +241,9 @@ func TestServerRejectsGarbage(t *testing.T) {
 // re-encode cleanly.
 func FuzzWireFrame(f *testing.F) {
 	var seed []byte
-	seed = appendFrame(seed, TDistAvoiding, 7, 0, 0, appendPoint(nil, &PointQuery{FP: 1, V: 2, A: 3, B: 4}))
+	seed = appendFrame(seed, TDistAvoiding, 7, 0, 0, AppendPoint(nil, &PointQuery{FP: 1, V: 2, A: 3, B: 4}))
 	f.Add(seed)
-	f.Add(appendFrame(nil, TBatch, 9, 250, 0, appendBatch(nil, []BatchSlot{{PointQuery: PointQuery{V: 1}, Vertex: true}})))
+	f.Add(appendFrame(nil, TBatch, 9, 250, 0, AppendBatch(nil, []BatchSlot{{PointQuery: PointQuery{V: 1}, Vertex: true}})))
 	f.Add(appendFrame(nil, RError, 1, 0, 7, appendError(nil, 404, "nope")))
 	f.Add(appendFrame(nil, RBatch, 2, 0, 0, appendBatchResponse(nil, []int32{1, -1}, []string{"", "bad"})))
 	f.Add(appendFrame(nil, RDist, 3, 0, 5, append(appendSpans(nil, []telemetry.Span{{Name: "shard.wire", StartUs: 1, DurUs: 2}}), 7, 0, 0, 0)))
@@ -268,13 +268,13 @@ func FuzzWireFrame(f *testing.F) {
 		switch typ {
 		case TDist, TDistAvoiding, TDistAvoidingVertex:
 			if q, err := parsePoint(payload); err == nil {
-				if got := appendPoint(nil, &q); !bytes.Equal(got, payload) {
+				if got := AppendPoint(nil, &q); !bytes.Equal(got, payload) {
 					t.Fatalf("point payload not canonical")
 				}
 			}
 		case TBatch:
 			if slots, err := parseBatch(payload); err == nil {
-				if got := appendBatch(nil, slots); !bytes.Equal(got, payload) {
+				if got := AppendBatch(nil, slots); !bytes.Equal(got, payload) {
 					t.Fatalf("batch payload not canonical")
 				}
 			}
@@ -294,7 +294,7 @@ func FuzzWireFrame(f *testing.F) {
 // TestFrameTraceRoundTrip proves the v3 trace field survives encode/decode.
 func TestFrameTraceRoundTrip(t *testing.T) {
 	const want = uint64(0xabcdef0123456789)
-	frame := appendFrame(nil, TDist, 3, 17, want, appendPoint(nil, &PointQuery{V: 1, A: -1, B: -1}))
+	frame := appendFrame(nil, TDist, 3, 17, want, AppendPoint(nil, &PointQuery{V: 1, A: -1, B: -1}))
 	typ, id, budget, trace, _, _, err := readFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
