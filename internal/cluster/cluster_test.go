@@ -351,6 +351,78 @@ func TestRouterBatchBodyFallbackMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestRouterMutateBuildMatchSingleNode extends the router-vs-single-node
+// differential to /build and /mutate: an accepted build, a build the shard
+// refuses, a mutation of an unknown graph and a mutation the shard refuses
+// must come back from the router with the single node's status and bytes.
+func TestRouterMutateBuildMatchSingleNode(t *testing.T) {
+	lc, err := StartLocal(1, LocalOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	g, _ := clusterGraph(60, 90, 19)
+	var text bytes.Buffer
+	if err := g.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	lineage := fmt.Sprintf("%016x", g.Fingerprint())
+	for _, c := range []struct {
+		name, path string
+		body       any
+		code       int
+	}{
+		{"build ok", "/build", server.BuildRequest{Graph: text.String(), Sources: []int{0}, Eps: []float64{0.3}}, http.StatusOK},
+		{"build source out of range", "/build", server.BuildRequest{Graph: text.String(), Sources: []int{999}, Eps: []float64{0.3}}, http.StatusBadRequest},
+		{"mutate unknown graph", "/mutate", server.MutateRequest{Graph: "00000000000000ff", Mutations: []server.MutationJSON{{Op: "delete", U: 1, V: 2}}}, http.StatusNotFound},
+		{"mutate self-loop", "/mutate", server.MutateRequest{Graph: lineage, Mutations: []server.MutationJSON{{Op: "insert", U: 3, V: 3}}}, http.StatusBadRequest},
+	} {
+		rc, rb := postJSON(t, lc.URL()+c.path, c.body, nil)
+		nc, nb := postJSON(t, lc.Shards[0].Addr()+c.path, c.body, nil)
+		if rc != c.code || rc != nc || rb != nb {
+			t.Errorf("%s: router %d %q, single node %d %q; want both %d and the same body", c.name, rc, rb, nc, nb, c.code)
+		}
+	}
+}
+
+// TestOversizedBudgetSaturates sends budget headers whose milliseconds do not
+// fit a Duration. Both tiers saturate them rather than wrap them into a
+// budget of nanoseconds, so the router answers a resident /dist with the
+// single node's 200.
+func TestOversizedBudgetSaturates(t *testing.T) {
+	lc, err := StartLocal(1, LocalOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{13}, []int{0}, 0.3)[0]
+	q := fmt.Sprintf("/dist?graph=%s&eps=0.3&v=5", fx.fp)
+	get := func(base, budget string) (int, string) {
+		req, err := http.NewRequest(http.MethodGet, base+q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(server.BudgetHeader, budget)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.String()
+	}
+	for _, budget := range []string{"76480200929599801", "9223372036854775807", "99999999999999999999"} {
+		rc, rb := get(lc.URL(), budget)
+		nc, nb := get(lc.Shards[0].Addr(), budget)
+		if rc != http.StatusOK || rc != nc || rb != nb {
+			t.Errorf("budget %s ms: router %d %q, single node %d %q; want the same 200", budget, rc, rb, nc, nb)
+		}
+	}
+}
+
 // TestRouterSplitsOversizedSubBatch routes a vector with more slots than one
 // wire frame carries to a single shard: the router ships them as several
 // sub-batches of at most wire.MaxBatchSlots and answers exactly as the shard
@@ -393,9 +465,9 @@ func TestRouterOversizedMutateIsNoShardFault(t *testing.T) {
 	defer lc.Close()
 	rm := lc.Router.rm
 	fallbacks := rm.wireFallbacks.Value()
-	res := lc.Router.fanOutMutate(context.Background(), 1, make([]wire.MutationWire, wire.MaxPayload/9+1))
-	if res.code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized mutate answered %d %s, want 413", res.code, res.body)
+	_, werr := lc.Router.fanOutMutate(context.Background(), 1, make([]wire.MutationWire, wire.MaxPayload/9+1))
+	if werr == nil || werr.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized mutate answered %v, want 413", werr)
 	}
 	if n := rm.wireFallbacks.Value() - fallbacks; n != 0 {
 		t.Fatalf("wire_fallbacks moved by %d", n)

@@ -7,14 +7,27 @@
 // /batch-query vectors, and single-flight build fan-out so one logical
 // /build lands on every replica exactly once.
 //
+// # One HTTP edge
+//
+// HTTP/JSON is the edge, written once in internal/server (server.Edge) and
+// served by both tiers: the body bound, the deadline budget, tracing, status
+// capture with per-route histograms, and the /build, /mutate, point and
+// /batch-query handlers, which answer through a four-method server.Backend
+// (Point, Batch, Mutate, Build) taking requests in wire form. A shard's
+// backend is its store; the Router is a backend over its shards: Point is
+// hedgedDo, Batch the scatter rounds, Mutate and Build the single-flight
+// fan-outs, whose waiters share a typed result (a value, or the
+// *wire.Error refusal). So on every shared endpoint the router answers
+// exactly what a single node would by construction, malformed requests and
+// refusals included: a deterministic 4xx that no shard applied is relayed
+// as the shard worded it, and the cluster's own wrapper is kept for
+// gateway faults and partial application. The router adds only /stats,
+// /healthz, /readyz, /metrics and /metrics/fleet; it does not shed load.
+//
 // # One internal transport
 //
-// HTTP/JSON is the edge. Every point query, batch and mutation is converted
-// to wire form once — by internal/server, the same conversion a shard's own
-// HTTP handlers run — and reaches the shards over the binary protocol only,
-// so the router answers exactly what a single node would, malformed
-// requests included (a /batch-query body goes through the shard's own
-// server.DecodeBatchQuery). A shard's batch slots ship in frames of at most
+// Every point query, batch and mutation reaches the shards over the binary
+// protocol only. A shard's batch slots ship in frames of at most
 // wire.MaxBatchSlots. The three wire fan-outs — hedged point attempts, a
 // batch round's sub-batches, a mutation sent to every member — share one
 // collect loop: each starts its attempts as pipelined calls on one
@@ -124,7 +137,8 @@
 //
 // Every query carries a deadline budget. It enters as the wire frame's
 // budget field or the X-Ftbfs-Budget-Ms header (RouterOptions.DefaultBudget
-// applies when the client sends none) and becomes the request context's
+// applies when the client sends none; a header too large for a Duration
+// saturates at the largest one) and becomes the request context's
 // deadline; as the router forwards or retries, the REMAINING budget is what
 // propagates, so a retry never restarts the clock. The invariant the chaos
 // suite enforces is that no request outlives its budget — a fault may cost

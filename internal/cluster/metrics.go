@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net/http"
 	"sync"
 	"time"
 
@@ -49,10 +48,6 @@ type routerMetrics struct {
 	bytesMoved      *telemetry.Counter // record bytes moved by driven pulls
 	hotPromotions   *telemetry.Counter // keys promoted to R+k replication
 
-	// httpByRoute holds one outcome-labeled histogram per registered route;
-	// the map is never written after NewRouter, so lookups need no lock.
-	httpByRoute map[string]*telemetry.OutcomeHist
-
 	// replicaMu guards replicaHist, keyed {member ID, transport}. Replica
 	// observation happens on the attempt path, which already pays a wire or
 	// HTTP round trip, so a mutexed map lookup is noise there.
@@ -62,8 +57,9 @@ type routerMetrics struct {
 
 // newRouterMetrics builds the router registry. Breaker state and shard
 // residency are read from the membership at snapshot time rather than
-// counted on the request path.
-func newRouterMetrics(m *Membership, routes []string) *routerMetrics {
+// counted on the request path; the edge registers one histogram per route
+// (route).
+func newRouterMetrics(m *Membership) *routerMetrics {
 	reg := telemetry.NewRegistry()
 	c := func(name, help string) *telemetry.Counter { return reg.Counter(name, "", help) }
 	rm := &routerMetrics{
@@ -102,12 +98,7 @@ func newRouterMetrics(m *Membership, routes []string) *routerMetrics {
 		bytesMoved:      c("ftbfs_router_bytes_moved_total", "Record bytes moved by driven handoff pulls."),
 		hotPromotions:   c("ftbfs_router_hot_promotions_total", "Keys promoted to widened replication."),
 
-		httpByRoute: make(map[string]*telemetry.OutcomeHist, len(routes)),
 		replicaHist: make(map[[2]string]*telemetry.Histogram),
-	}
-	for _, route := range routes {
-		rm.httpByRoute[route] = reg.OutcomeHist("ftbfs_router_http_request_seconds",
-			`route="`+route+`"`, "Router request latency by route and outcome.")
 	}
 	reg.GaugeFunc("ftbfs_router_shards", "", "Joined shards.", func() int64 {
 		return int64(len(m.Members()))
@@ -127,17 +118,11 @@ func newRouterMetrics(m *Membership, routes []string) *routerMetrics {
 	return rm
 }
 
-// observeHTTP records one finished router request into its route's
-// outcome-labeled histogram; unknown routes (404s) record nothing.
-func (rm *routerMetrics) observeHTTP(route string, start time.Time, status int) {
-	h := rm.httpByRoute[route]
-	if h == nil {
-		return
-	}
-	if status == 0 {
-		status = http.StatusOK
-	}
-	h.Observe(time.Since(start), telemetry.OutcomeOf(status))
+// route registers the latency histogram of one router route
+// (server.EdgeOptions.Route).
+func (rm *routerMetrics) route(path string) *telemetry.OutcomeHist {
+	return rm.reg.OutcomeHist("ftbfs_router_http_request_seconds",
+		`route="`+path+`"`, "Router request latency by route and outcome.")
 }
 
 // observeReplica records one shard attempt's round-trip latency under the
@@ -155,57 +140,4 @@ func (rm *routerMetrics) observeReplica(id, transport string, d time.Duration) {
 	}
 	rm.replicaMu.Unlock()
 	h.Observe(d)
-}
-
-// clusterStatusWriter captures the status a handler writes so the router can
-// label its latency observation with the request outcome.
-type clusterStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *clusterStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *clusterStatusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// clusterBufferedWriter additionally buffers a traced request's body so the
-// span header — complete only once the handler returns — precedes the first
-// body byte. Traced requests are a sampled minority; the copy never touches
-// the untraced path.
-type clusterBufferedWriter struct {
-	clusterStatusWriter
-	body []byte
-}
-
-func (w *clusterBufferedWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-}
-
-func (w *clusterBufferedWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	w.body = append(w.body, b...)
-	return len(b), nil
-}
-
-func (w *clusterBufferedWriter) flush() {
-	code := w.status
-	if code == 0 {
-		code = http.StatusOK
-	}
-	w.ResponseWriter.WriteHeader(code)
-	w.ResponseWriter.Write(w.body)
 }

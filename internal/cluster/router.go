@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ftbfs"
-	"ftbfs/internal/core"
 	"ftbfs/internal/server"
 	"ftbfs/internal/store"
 	"ftbfs/internal/telemetry"
@@ -88,16 +87,16 @@ type RouterOptions struct {
 }
 
 // Router fronts a shard cluster with the same HTTP surface a single shard
-// serves, so clients cannot tell one node from forty. Every query and
-// mutation converts to wire form once (internal/server) and reaches the
-// shards over the binary protocol only: point queries go to the key's
-// replica set with hedged reads; /batch-query vectors scatter as one
-// sub-batch per shard and gather per-query results with failover; /mutate
-// fans out to every member. /build fans out over HTTP to every owning
-// replica exactly once (single-flight).
+// serves, so clients cannot tell one node from forty: it serves the shards'
+// own edge (server.Edge) and is its Backend. Every query and mutation
+// arrives in wire form and reaches the shards over the binary protocol
+// only: point queries go to the key's replica set with hedged reads;
+// /batch-query vectors scatter as one sub-batch per shard and gather
+// per-query results with failover; /mutate fans out to every member. /build
+// fans out over HTTP to every owning replica exactly once (single-flight).
 type Router struct {
 	m     *Membership
-	mux   *http.ServeMux
+	edge  *server.Edge
 	opts  RouterOptions
 	start time.Time
 
@@ -105,14 +104,12 @@ type Router struct {
 	// by the BuildTimeout context, not by the query client's deadline.
 	buildClient *http.Client
 
-	buildFlight  flightGroup
-	mutateFlight flightGroup
+	buildFlight  flightGroup[*server.BuildResponse]
+	mutateFlight flightGroup[wire.MutateResult]
 
 	// rm holds every routing counter and histogram (metrics.go); /stats and
 	// /metrics read the same registry-backed series.
 	rm       *routerMetrics
-	traces   *telemetry.TraceRing
-	pointSeq atomic.Uint64 // point queries seen, drives TraceSample
 	draining atomic.Bool
 
 	// hotMu guards the point-path hit counts and the promoted set behind
@@ -143,43 +140,26 @@ func NewRouter(m *Membership, opts RouterOptions) *Router {
 	m.SetBreakerConfig(opts.BreakerThreshold, opts.BreakerCooldown)
 	rt := &Router{
 		m:           m,
-		mux:         http.NewServeMux(),
 		opts:        opts,
 		start:       time.Now(),
 		buildClient: &http.Client{Transport: opts.Client.Transport},
+		rm:          newRouterMetrics(m),
 		hotHits:     make(map[store.Key]uint64),
 		promoted:    make(map[store.Key]int),
 	}
-	routes := []struct {
-		path    string
-		handler http.HandlerFunc
-	}{
-		{"/build", rt.handleBuild},
-		{"/mutate", rt.handleMutate},
-		{"/dist", rt.handlePoint},
-		{"/dist-avoiding", rt.handlePoint},
-		// The vertex failure model rides the same point machinery: the request
-		// resolves to its vertex-model registry key (QueryRequest.Wire — the
-		// endpoint, not a request field, picks the failure model), lands on that
-		// key's replica set, and gets the same hedged reads + failover.
-		{"/dist-avoiding-vertex", rt.handlePoint},
-		{"/batch-query", rt.handleBatchQuery},
-		{"/stats", rt.handleStats},
-		{"/healthz", rt.handleHealthz},
-		{"/readyz", rt.handleReadyz},
-		{"/metrics", rt.handleMetrics},
-		{"/metrics/fleet", rt.handleMetricsFleet},
-	}
-	paths := make([]string, 0, len(routes)+1)
-	for _, route := range routes {
-		rt.mux.HandleFunc(route.path, route.handler)
-		paths = append(paths, route.path)
-	}
-	rt.traces = telemetry.NewTraceRing(256, 0)
-	rt.mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		rt.traces.ServeHTTP(w, r)
+	rt.edge = server.NewEdge(rt, server.EdgeOptions{
+		Span:          "router.handle",
+		DefaultBudget: opts.DefaultBudget,
+		TraceSample:   opts.TraceSample,
+		Requests:      rt.rm.requests,
+		Errors:        rt.rm.errs,
+		Route:         rt.rm.route,
 	})
-	rt.rm = newRouterMetrics(m, append(paths, "/debug/traces"))
+	rt.edge.Handle("/stats", rt.handleStats)
+	rt.edge.Handle("/healthz", rt.handleHealthz)
+	rt.edge.Handle("/readyz", rt.handleReadyz)
+	rt.edge.Handle("/metrics", rt.handleMetrics)
+	rt.edge.Handle("/metrics/fleet", rt.handleMetricsFleet)
 	return rt
 }
 
@@ -190,67 +170,8 @@ func (rt *Router) Membership() *Membership { return rt.m }
 // graceful shutdown.
 func (rt *Router) SetDraining(v bool) { rt.draining.Store(v) }
 
-// pointPath reports whether the route is a point query — the only routes
-// TraceSample samples (they are the latency-sensitive plane worth tracing).
-func pointPath(path string) bool {
-	switch path {
-	case "/dist", "/dist-avoiding", "/dist-avoiding-vertex":
-		return true
-	}
-	return false
-}
-
-// ServeHTTP implements http.Handler.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.rm.requests.Inc()
-	start := time.Now()
-	if r.Body != nil {
-		// Same bound as the shards: the two tiers must agree on what is an
-		// acceptable body.
-		r.Body = http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
-	}
-	// Deadline budget: an explicit X-Ftbfs-Budget-Ms header wins, else the
-	// router's configured default. The budget becomes the request context's
-	// deadline; every shard attempt below re-propagates what remains of it,
-	// so no attempt (or backoff sleep) outlives the caller's patience.
-	// /build is exempt by construction — its fan-out detaches via
-	// WithoutCancel and is bounded by BuildTimeout instead.
-	budget := rt.opts.DefaultBudget
-	if h := r.Header.Get(server.BudgetHeader); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			budget = time.Duration(ms) * time.Millisecond
-		}
-	}
-	if budget > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		r = r.WithContext(ctx)
-	}
-	// Tracing: a caller-supplied X-Ftbfs-Trace header always traces; else
-	// TraceSample traces every Nth point query. The trace rides the request
-	// context so every shard attempt propagates the ID, and the shard's
-	// spans fold back in from its response (settle, forward).
-	var tr *telemetry.Trace
-	if id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader)); ok {
-		tr = telemetry.NewTrace(id)
-	} else if n := rt.opts.TraceSample; n > 0 && pointPath(r.URL.Path) && rt.pointSeq.Add(1)%uint64(n) == 0 {
-		tr = telemetry.NewTrace(0)
-	}
-	if tr == nil {
-		sw := clusterStatusWriter{ResponseWriter: w}
-		rt.mux.ServeHTTP(&sw, r)
-		rt.rm.observeHTTP(r.URL.Path, start, sw.status)
-		return
-	}
-	r = r.WithContext(telemetry.WithTrace(r.Context(), tr))
-	bw := &clusterBufferedWriter{clusterStatusWriter: clusterStatusWriter{ResponseWriter: w}}
-	rt.mux.ServeHTTP(bw, r)
-	tr.Add("router.handle", start)
-	bw.Header().Set(telemetry.SpanHeader, tr.SpansJSON())
-	bw.flush()
-	rt.traces.Record(tr, r.URL.Path, time.Since(start))
-	rt.rm.observeHTTP(r.URL.Path, start, bw.status)
-}
+// ServeHTTP serves the router's HTTP surface through the shared edge.
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.edge.ServeHTTP(w, r) }
 
 // backoffDelay returns the jittered exponential delay before retry `attempt`
 // (1-based): base·2^(attempt−1), capped, then jittered to 50–100% so
@@ -321,45 +242,18 @@ func retryableSlotError(msg string) bool {
 	return strings.HasPrefix(msg, server.UnknownGraphPrefix) || strings.HasPrefix(msg, store.PersistPrefix)
 }
 
-func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func (rt *Router) writeErr(w http.ResponseWriter, code int, err error) {
-	rt.writeMsg(w, code, err.Error())
-}
-
-// writeMsg writes an error reply exactly as a single node words it.
-func (rt *Router) writeMsg(w http.ResponseWriter, code int, msg string) {
-	rt.rm.errs.Inc()
-	rt.writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// writeDist writes a point answer, byte-identical to a single node's.
-func (rt *Router) writeDist(w http.ResponseWriter, d int32) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := append(make([]byte, 0, 24), `{"dist":`...)
-	b = strconv.AppendInt(b, int64(d), 10)
-	_, _ = w.Write(append(b, "}\n"...))
-}
-
-// writeRaw relays a buffered upstream response verbatim.
-func (rt *Router) writeRaw(w http.ResponseWriter, code int, body []byte) {
-	if code >= http.StatusBadRequest {
-		rt.rm.errs.Inc()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
+// finalRefusal reports whether a shard's refusal is a deterministic client
+// error: a 4xx other than 404, which every replica would repeat, so a
+// request that no shard applied relays it as the shard worded it.
+func finalRefusal(werr *wire.Error) bool {
+	return werr != nil && werr.Code >= http.StatusBadRequest && werr.Code < http.StatusInternalServerError && !retryableStatus(werr.Code)
 }
 
 // errNoShard is hedgedDo's answer when not a single attempt ran.
 var errNoShard = errors.New("cluster: no shard available")
+
+// errNoShardsJoined refuses a request that no member could own.
+var errNoShardsJoined = &wire.Error{Code: http.StatusServiceUnavailable, Msg: "cluster: no shards joined"}
 
 // start sends one binary-protocol attempt to m on col, labelled tag — the
 // only way the router reaches a shard for points, batches and mutations. A
@@ -605,43 +499,28 @@ func (rt *Router) hedgedDo(ctx context.Context, owners []*Member, typ byte, q *w
 	return last
 }
 
-// handlePoint routes /dist, /dist-avoiding and /dist-avoiding-vertex: the
-// request converts to wire form (server.QueryRequest.Wire, which also
-// resolves the structure key), hedges across the key's replica set, and the
-// winner's answer is written as a single node would write it.
-func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
-	q, err := server.ParseQuery(r)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	k, typ, pq, err := q.Wire(r.URL.Path)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+// Point routes one point query (server.Backend): it hedges across the
+// replica set of the query's registry key and relays the winner's answer.
+// A vertex-failure query rides the same machinery under its vertex-model
+// key.
+func (rt *Router) Point(ctx context.Context, k store.Key, typ byte, q wire.PointQuery) (int32, *wire.Error) {
 	owners := rt.ownersFor(k)
 	if len(owners) == 0 {
-		rt.writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
-		return
+		return 0, errNoShardsJoined
 	}
 	rt.rm.points.Inc()
 	rt.noteKey(k, 1)
-	res := rt.hedgedDo(r.Context(), owners, typ, &pq)
-	switch {
-	case res.err != nil:
+	res := rt.hedgedDo(ctx, owners, typ, &q)
+	if res.err != nil {
 		code := http.StatusBadGateway
-		if errors.Is(res.err, context.DeadlineExceeded) || r.Context().Err() != nil {
+		if errors.Is(res.err, context.DeadlineExceeded) || ctx.Err() != nil {
 			// The budget ran out, not the replicas: answer 504 like a shard
 			// would, so callers can tell "too slow" from "all dead".
 			code = http.StatusGatewayTimeout
 		}
-		rt.writeErr(w, code, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), res.err))
-	case res.werr != nil:
-		rt.writeMsg(w, res.werr.Code, res.werr.Msg)
-	default:
-		rt.writeDist(w, res.dist)
+		return 0, &wire.Error{Code: code, Msg: fmt.Sprintf("cluster: all %d replicas failed: %v", len(owners), res.err)}
 	}
+	return res.dist, res.werr
 }
 
 // batchMember is one member a /batch-query vector routes to. Each round
@@ -654,34 +533,17 @@ type batchMember struct {
 	off, n        int // this round's slots, laid out at order[off : off+n]
 }
 
-// handleBatchQuery scatter-gathers a multi-structure batch: route every
-// query slot by its structure key, ship one sub-batch per shard, and merge
-// per-query results. A failed shard's slots fail over to the next replica;
-// only slots whose whole replica set failed come back with error slots.
-// Each round's sub-batches are pipelined calls collected on the request
-// goroutine.
-func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	req, err := server.DecodeBatchQuery(r)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	n := len(req.Queries)
-	if n == 0 {
-		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("empty query vector"))
-		return
-	}
+// Batch scatter-gathers a multi-structure batch (server.Backend): route
+// every query slot by its structure key, ship one sub-batch per shard, and
+// merge per-query results. A failed shard's slots fail over to the next
+// replica; only slots whose whole replica set failed come back with error
+// slots. Sub-batches are gathered from the wire-form slots, whichever
+// replica each round picks; each round's are pipelined calls collected on
+// the request goroutine.
+func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.BatchSlot, dists []int, errs []string) {
+	n := len(slots)
 	rt.rm.batches.Inc()
 	rt.rm.batchQueries.Add(uint64(n))
-
-	// Every slot converts to wire form once; sub-batches are gathered from
-	// these slots, whichever replica each round picks.
-	keys, slots, errs := req.Wire()
-	dists := make([]int, n)
 	// Slots name their owners by index into members.
 	var members []batchMember
 	memberIndex := func(m *Member) int {
@@ -753,7 +615,7 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	var payload []byte
 	order, ordered := make([]int, len(pending)), make([]wire.BatchSlot, len(pending))
 	for round := 0; len(pending) > 0 && round < rt.m.Replicas(); round++ {
-		if round > 0 && !rt.sleepBackoff(r.Context(), round) {
+		if round > 0 && !rt.sleepBackoff(ctx, round) {
 			// Budget exhausted between rounds: pending slots keep the error
 			// their last attempt recorded.
 			break
@@ -840,7 +702,7 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			rt.rm.failovers.Add(uint64(len(subs)))
 		}
 
-		col := wire.NewCollector(r.Context(), make(chan *wire.Call, len(subs)))
+		col := wire.NewCollector(ctx, make(chan *wire.Call, len(subs)))
 		for k, sb := range subs {
 			payload = wire.AppendBatch(payload[:0], sb.batch)
 			start(&col, members[sb.member].m, wire.TBatch, payload, k)
@@ -851,7 +713,7 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			sb := &subs[call.Tag]
 			m := members[sb.member].m
 			sdists, serrs, werr, err := call.Batch(len(sb.slots))
-			rt.settle(r.Context(), m, call, rt.rm.wireBatches, werr, err)
+			rt.settle(ctx, m, call, rt.rm.wireBatches, werr, err)
 			if err != nil || werr != nil {
 				// Whole sub-batch failed. Only a deterministic 4xx (a
 				// malformed sub-request every replica would repeat) fails
@@ -899,79 +761,41 @@ func (rt *Router) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		col.Abandon()
 	}
-
-	resp := server.BatchQueryResponse{Dists: dists}
-	for _, e := range errs {
-		if e != "" {
-			resp.Errors = errs
-			break
-		}
-	}
-	rt.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleBuild fans a /build out to every shard owning any of its requested
-// structures, exactly once per logical build: concurrent identical requests
-// coalesce on a single-flight key of (fingerprint, algorithm, pairs).
-func (rt *Router) handleBuild(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req server.BuildRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-		return
-	}
-	g, err := server.GraphFromBuildRequest(&req)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	alg, err := core.ParseAlgorithm(req.Alg)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	pairs := req.ResolvedPairs()
-	fp := g.Fingerprint()
-	flightKey := fmt.Sprintf("%016x|%d|%v|v%v", fp, alg, pairs, req.VertexSources)
-	res, shared := rt.buildFlight.Do(flightKey, func() flightResult {
+// Build fans a /build out to every shard owning any of its requested
+// structures (server.Backend), exactly once per logical build: concurrent
+// identical requests coalesce on a single-flight key of (fingerprint,
+// algorithm, pairs).
+func (rt *Router) Build(ctx context.Context, g *ftbfs.Graph, req *server.BuildRequest, alg ftbfs.Algorithm, pairs []server.BuildPair) (*server.BuildResponse, *wire.Error) {
+	flightKey := fmt.Sprintf("%016x|%d|%v|v%v", g.Fingerprint(), alg, pairs, req.VertexSources)
+	resp, werr, shared := rt.buildFlight.Do(flightKey, func() (*server.BuildResponse, *wire.Error) {
 		rt.rm.builds.Inc()
 		// The fan-out is shared work: coalesced waiters must not lose their
 		// build because the first caller hung up, so it is detached from
 		// any one request's cancellation and bounded by BuildTimeout alone.
-		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), rt.opts.BuildTimeout)
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rt.opts.BuildTimeout)
 		defer cancel()
-		return rt.fanOutBuild(ctx, g, &req, alg, pairs)
+		return rt.fanOutBuild(ctx, g, req, alg, pairs)
 	})
 	if shared {
 		rt.rm.buildsCoalesced.Inc()
 	}
-	if res.code == 0 {
-		// The flight died without producing a response (a panic in the
-		// fan-out); waiters must not relay an invalid status 0.
-		rt.writeErr(w, http.StatusBadGateway, fmt.Errorf("cluster: build fan-out failed"))
-		return
-	}
-	rt.writeRaw(w, res.code, res.body)
+	return resp, werr
 }
 
 // fanOutBuild ships one /build per involved shard, each carrying exactly
 // the (source, ε) pairs that shard owns, and merges the per-shard replies
-// into one BuildResponse in request-pair order. A pair succeeds when any of
-// its replicas built it; a pair whose whole replica set failed fails the
-// build.
-func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.BuildRequest, alg ftbfs.Algorithm, pairs []server.BuildPair) flightResult {
-	fail := func(code int, err error) flightResult {
-		body, _ := json.Marshal(map[string]string{"error": err.Error()})
-		return flightResult{code: code, body: body}
-	}
+// into one BuildResponse in request-pair order. A structure succeeds when
+// any of its replicas built it; one whose whole replica set failed fails the
+// build, with the first replica's deterministic 4xx relayed as the shard
+// worded it (a single node's answer), else with a gateway fault.
+func (rt *Router) fanOutBuild(ctx context.Context, g *ftbfs.Graph, req *server.BuildRequest, alg ftbfs.Algorithm, pairs []server.BuildPair) (*server.BuildResponse, *wire.Error) {
 	// Re-encode once: the canonical text preserves edge order, so every
 	// shard computes the same fingerprint the router routed on.
 	var text bytes.Buffer
 	if err := g.Write(&text); err != nil {
-		return fail(http.StatusInternalServerError, err)
+		return nil, &wire.Error{Code: http.StatusInternalServerError, Msg: err.Error()}
 	}
 	fp := g.Fingerprint()
 
@@ -982,8 +806,8 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 		vsources []int
 		vindex   map[int]int // vertex source -> position in vsources
 		resp     server.BuildResponse
-		err      error
-		code     int // HTTP status behind err, 0 for transport faults
+		err      error       // why this shard's build failed; nil when it succeeded
+		refusal  *wire.Error // the shard's own refusal behind err, if it refused
 	}
 	var shards []*shardBuild
 	byMember := make(map[*Member]*shardBuild)
@@ -1005,7 +829,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 		k := store.Key{Graph: fp, Source: p.Source, Eps: p.Eps, Alg: alg}
 		owners := rt.m.Owners(KeyHash(k))
 		if len(owners) == 0 {
-			return fail(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
+			return nil, errNoShardsJoined
 		}
 		pairOwners[i] = owners
 		for _, m := range owners {
@@ -1024,7 +848,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 	for i, src := range req.VertexSources {
 		owners := rt.m.Owners(KeyHash(store.VertexKey(fp, src)))
 		if len(owners) == 0 {
-			return fail(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
+			return nil, errNoShardsJoined
 		}
 		vsrcOwners[i] = owners
 		for _, m := range owners {
@@ -1057,8 +881,12 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 			case err != nil:
 				sb.err = err
 			case code != http.StatusOK:
-				sb.err = fmt.Errorf("status %d: %s", code, bytes.TrimSpace(body))
-				sb.code = code
+				var reply struct{ Error string }
+				if json.Unmarshal(body, &reply) != nil {
+					reply.Error = string(bytes.TrimSpace(body))
+				}
+				sb.refusal = &wire.Error{Code: code, Msg: reply.Error}
+				sb.err = fmt.Errorf("status %d: %s", code, reply.Error)
 			default:
 				sb.err = json.Unmarshal(body, &sb.resp)
 				if sb.err == nil && len(sb.resp.Structures) != len(sb.pairs) {
@@ -1072,140 +900,87 @@ func (rt *Router) fanOutBuild(ctx context.Context, g buildGraph, req *server.Bui
 	}
 	wg.Wait()
 
-	out := server.BuildResponse{Fingerprint: fmt.Sprintf("%016x", fp), N: g.N(), M: g.M()}
-	for i, p := range pairs {
-		var info *server.StructureInfo
-		var firstErr error
-		firstCode := 0
-		for _, m := range pairOwners[i] {
+	// built returns the first of owners whose shard build succeeded, else
+	// the refusal the structure named by what fails the build with.
+	built := func(owners []*Member, what string, args ...any) (*shardBuild, *wire.Error) {
+		var failed *shardBuild
+		for _, m := range owners {
 			sb := byMember[m]
-			if sb.err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard %s: %w", m.ID, sb.err)
-					firstCode = sb.code
-				}
-				continue
+			if sb.err == nil {
+				return sb, nil
 			}
-			info = &sb.resp.Structures[sb.index[p]]
-			break
-		}
-		if info == nil {
-			// A deterministic 4xx (bad source, bad eps) is the client's
-			// error on every replica and is relayed as such — matching what
-			// a single node would answer; anything else is a gateway fault.
-			code := http.StatusBadGateway
-			if firstCode >= http.StatusBadRequest && firstCode < http.StatusInternalServerError && !retryableStatus(firstCode) {
-				code = firstCode
+			if failed == nil {
+				failed = sb
 			}
-			return fail(code,
-				fmt.Errorf("cluster: build (source=%d, eps=%g) failed on all %d replicas: %w",
-					p.Source, p.Eps, len(pairOwners[i]), firstErr))
 		}
-		out.Structures = append(out.Structures, *info)
+		if finalRefusal(failed.refusal) {
+			return nil, failed.refusal
+		}
+		return nil, &wire.Error{Code: http.StatusBadGateway, Msg: fmt.Sprintf("cluster: %s failed on all %d replicas: shard %s: %v",
+			fmt.Sprintf(what, args...), len(owners), failed.member.ID, failed.err)}
+	}
+	out := &server.BuildResponse{Fingerprint: fmt.Sprintf("%016x", fp), N: g.N(), M: g.M()}
+	for i, p := range pairs {
+		sb, werr := built(pairOwners[i], "build (source=%d, eps=%g)", p.Source, p.Eps)
+		if werr != nil {
+			return nil, werr
+		}
+		out.Structures = append(out.Structures, sb.resp.Structures[sb.index[p]])
 	}
 	for i, src := range req.VertexSources {
-		var info *server.VertexStructureInfo
-		var firstErr error
-		firstCode := 0
-		for _, m := range vsrcOwners[i] {
-			sb := byMember[m]
-			if sb.err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard %s: %w", m.ID, sb.err)
-					firstCode = sb.code
-				}
-				continue
-			}
-			info = &sb.resp.VertexStructures[sb.vindex[src]]
-			break
+		sb, werr := built(vsrcOwners[i], "vertex build (source=%d)", src)
+		if werr != nil {
+			return nil, werr
 		}
-		if info == nil {
-			code := http.StatusBadGateway
-			if firstCode >= http.StatusBadRequest && firstCode < http.StatusInternalServerError && !retryableStatus(firstCode) {
-				code = firstCode
-			}
-			return fail(code,
-				fmt.Errorf("cluster: vertex build (source=%d) failed on all %d replicas: %w",
-					src, len(vsrcOwners[i]), firstErr))
-		}
-		out.VertexStructures = append(out.VertexStructures, *info)
+		out.VertexStructures = append(out.VertexStructures, sb.resp.VertexStructures[sb.vindex[src]])
 	}
-	body, err := json.Marshal(&out)
-	if err != nil {
-		return fail(http.StatusInternalServerError, err)
-	}
-	return flightResult{code: http.StatusOK, body: body}
+	return out, nil
 }
 
-// handleMutate fans an edge-mutation batch out to every shard holding the
-// graph's lineage. Structures of one lineage hash per-source across the whole
-// ring, so the router cannot enumerate which shards hold state for it — the
-// batch goes to every member, and shards that never saw the graph answer 404,
-// which is tolerated as long as at least one shard applied the batch. The
-// fan-out is single-flight per (lineage, batch): concurrent identical
-// requests — a client retry racing its own slow original — coalesce instead
-// of double-applying, which would fail the retry with "edge already absent".
-func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req server.MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-		return
-	}
-	// The same conversion the shards' own /mutate runs, so a malformed batch
-	// is rejected with a single node's 400 before any shard does work.
-	lineage, muts, err := req.Wire()
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	flightKey := fmt.Sprintf("mut|%016x|%v", lineage, req.Mutations)
-	res, shared := rt.mutateFlight.Do(flightKey, func() flightResult {
+// Mutate fans an edge-mutation batch out to every shard holding the graph's
+// lineage (server.Backend). Structures of one lineage hash per-source across
+// the whole ring, so the router cannot enumerate which shards hold state for
+// it — the batch goes to every member, and shards that never saw the graph
+// answer 404, which is tolerated as long as at least one shard applied the
+// batch. The fan-out is single-flight per (lineage, batch): concurrent
+// identical requests — a client retry racing its own slow original —
+// coalesce instead of double-applying, which would fail the retry with "edge
+// already absent".
+func (rt *Router) Mutate(ctx context.Context, lineage uint64, muts []wire.MutationWire) (wire.MutateResult, *wire.Error) {
+	res, werr, shared := rt.mutateFlight.Do(fmt.Sprintf("mut|%016x|%v", lineage, muts), func() (wire.MutateResult, *wire.Error) {
 		rt.rm.mutations.Inc()
 		// Like /build, the fan-out is shared work detached from any one
 		// request's cancellation: a batch applied on some shards but not
 		// others leaves the lineage split across generations, so once the
 		// fan-out starts it runs to its own BuildTimeout-bounded end.
-		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), rt.opts.BuildTimeout)
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rt.opts.BuildTimeout)
 		defer cancel()
 		return rt.fanOutMutate(ctx, lineage, muts)
 	})
 	if shared {
 		rt.rm.mutationsCoalesced.Inc()
 	}
-	if res.code == 0 {
-		rt.writeErr(w, http.StatusBadGateway, fmt.Errorf("cluster: mutate fan-out failed"))
-		return
-	}
-	rt.writeRaw(w, res.code, res.body)
+	return res, werr
 }
 
 // fanOutMutate ships the batch to every member over the binary protocol and
 // merges the replies. Every applying shard derives the same new generation
-// from the same batch, so the merged response carries the common identity
+// from the same batch, so the merged result carries the common identity
 // plus fleet-summed rebuild counts; a genuinely diverging shard (different
 // gen or fingerprint) fails the fan-out loudly rather than letting replicas
 // silently serve different graphs.
-func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, muts []wire.MutationWire) flightResult {
-	fail := func(code int, err error) flightResult {
-		body, _ := json.Marshal(map[string]string{"error": err.Error()})
-		return flightResult{code: code, body: body}
-	}
+func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, muts []wire.MutationWire) (wire.MutateResult, *wire.Error) {
 	members := rt.m.Members()
 	if len(members) == 0 {
-		return fail(http.StatusServiceUnavailable, fmt.Errorf("cluster: no shards joined"))
+		return wire.MutateResult{}, errNoShardsJoined
 	}
 
 	type shardMutate struct {
 		member  *Member
-		resp    server.MutateResponse
+		res     wire.MutateResult
 		applied bool
-		notHeld bool
-		err     error
-		code    int // status behind err, 0 for transport faults
+		err     error       // why this shard failed the batch; nil when it applied or holds no such graph
+		refusal *wire.Error // the shard's own refusal behind err, if it refused
 	}
 	shards := make([]shardMutate, len(members))
 	payload := wire.AppendMutate(nil, lineage, muts)
@@ -1221,82 +996,67 @@ func (rt *Router) fanOutMutate(ctx context.Context, lineage uint64, muts []wire.
 		rt.settle(ctx, sm.member, call, rt.rm.wireMutations, werr, err)
 		switch {
 		case err != nil:
-			// A transport fault fails this shard; an over-frame batch is a 413.
 			sm.err = err
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				sm.code = http.StatusRequestEntityTooLarge
-			}
 		case werr == nil:
-			sm.resp, sm.applied = server.MutateResponseFrom(res), true
-		case werr.Code == http.StatusNotFound:
-			sm.notHeld = true
-		default:
-			sm.err = fmt.Errorf("status %d: %s", werr.Code, werr.Msg)
-			sm.code = werr.Code
+			sm.res, sm.applied = res, true
+		case werr.Code != http.StatusNotFound:
+			sm.refusal, sm.err = werr, fmt.Errorf("status %d: %s", werr.Code, werr.Msg)
 		}
 	}
 	col.Abandon()
 
-	out := server.MutateResponse{Graph: fmt.Sprintf("%016x", lineage)}
+	out := wire.MutateResult{Lineage: lineage}
 	applied := 0
-	var firstErr error
-	firstCode := 0
+	var failed *shardMutate
 	for i := range shards {
 		sm := &shards[i]
-		if sm.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %s: %w", sm.member.ID, sm.err)
-				firstCode = sm.code
-			}
-			continue
+		if sm.err != nil && failed == nil {
+			failed = sm
 		}
 		if !sm.applied {
 			continue
 		}
 		if applied == 0 {
-			out.Gen = sm.resp.Gen
-			out.Fingerprint = sm.resp.Fingerprint
-		} else if out.Gen != sm.resp.Gen || out.Fingerprint != sm.resp.Fingerprint {
-			return fail(http.StatusBadGateway, fmt.Errorf(
-				"cluster: mutation diverged: shard %s reached gen %d fp %s, others gen %d fp %s",
-				sm.member.ID, sm.resp.Gen, sm.resp.Fingerprint, out.Gen, out.Fingerprint))
+			out.Gen, out.FP = sm.res.Gen, sm.res.FP
+		} else if out.Gen != sm.res.Gen || out.FP != sm.res.FP {
+			return wire.MutateResult{}, &wire.Error{Code: http.StatusBadGateway, Msg: fmt.Sprintf(
+				"cluster: mutation diverged: shard %s reached gen %d fp %016x, others gen %d fp %016x",
+				sm.member.ID, sm.res.Gen, sm.res.FP, out.Gen, out.FP)}
 		}
 		applied++
-		out.RebuildsDelta += sm.resp.RebuildsDelta
-		out.RebuildsFull += sm.resp.RebuildsFull
+		out.RebuildsDelta += sm.res.RebuildsDelta
+		out.RebuildsFull += sm.res.RebuildsFull
 	}
-	if firstErr != nil {
-		// One shard refusing or failing the batch while others applied it
-		// splits the lineage across generations; surface it as a gateway
-		// fault (or the shards' own deterministic 4xx) so the caller knows
-		// convergence is not complete. Queries stay safe either way — every
-		// shard serves whichever generation it holds, atomically.
-		code := http.StatusBadGateway
-		if firstCode >= http.StatusBadRequest && firstCode < http.StatusInternalServerError && !retryableStatus(firstCode) {
-			code = firstCode
+	if failed != nil {
+		// A batch no shard applied and a shard refused with a deterministic
+		// 4xx is refused as a single node refuses it. Otherwise one shard
+		// refusing or failing the batch while others applied it splits the
+		// lineage across generations; surface it as a gateway fault (or the
+		// shards' own deterministic 4xx, or 413 for a batch too large for a
+		// frame) so the caller knows convergence is not complete. Queries
+		// stay safe either way — every shard serves whichever generation it
+		// holds, atomically.
+		if applied == 0 && finalRefusal(failed.refusal) {
+			return wire.MutateResult{}, failed.refusal
 		}
-		return fail(code, fmt.Errorf("cluster: mutate applied on %d of %d shards: %w", applied, len(members), firstErr))
+		code := http.StatusBadGateway
+		switch {
+		case finalRefusal(failed.refusal):
+			code = failed.refusal.Code
+		case errors.Is(failed.err, wire.ErrFrameTooLarge):
+			code = http.StatusRequestEntityTooLarge
+		}
+		return wire.MutateResult{}, &wire.Error{Code: code, Msg: fmt.Sprintf(
+			"cluster: mutate applied on %d of %d shards: shard %s: %v", applied, len(members), failed.member.ID, failed.err)}
 	}
 	if applied == 0 {
-		return fail(http.StatusNotFound, fmt.Errorf("%s%016x (POST /build first)", server.UnknownGraphPrefix, lineage))
+		err := &server.UnknownGraphError{Fingerprint: lineage}
+		return wire.MutateResult{}, &wire.Error{Code: http.StatusNotFound, Msg: err.Error()}
 	}
 	rt.rm.mutationShards.Add(uint64(applied))
 	rt.rm.mutationsDelta.Add(uint64(out.RebuildsDelta))
 	rt.rm.mutationsFull.Add(uint64(out.RebuildsFull))
-	body, err := json.Marshal(&out)
-	if err != nil {
-		return fail(http.StatusInternalServerError, err)
-	}
-	return flightResult{code: http.StatusOK, body: body}
-}
-
-// buildGraph is the slice of the root Graph API fanOutBuild needs; keeping
-// it an interface lets tests fan out without a full build pipeline.
-type buildGraph interface {
-	Write(io.Writer) error
-	Fingerprint() uint64
-	N() int
-	M() int
+	return out, nil
 }
 
 // ShardStat is one member's entry in a RouterStatsResponse.
@@ -1360,7 +1120,7 @@ type RouterStatsResponse struct {
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+		rt.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	members := rt.m.Members()
@@ -1432,7 +1192,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	rt.writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // promContentType is the Prometheus text exposition content type, matching
@@ -1452,7 +1212,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // than averaged per shard.
 func (rt *Router) handleMetricsFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+		rt.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	members := rt.m.Members()
@@ -1496,7 +1256,7 @@ func (rt *Router) handleMetricsFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, server.HealthResponse{
+	server.WriteJSON(w, http.StatusOK, server.HealthResponse{
 		OK:            true,
 		Role:          "router",
 		ID:            rt.opts.ID,
@@ -1524,5 +1284,5 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !resp.Ready {
 		code = http.StatusServiceUnavailable
 	}
-	rt.writeJSON(w, code, resp)
+	server.WriteJSON(w, code, resp)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"sort"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"ftbfs/internal/chaos"
+	"ftbfs/internal/server"
 	"ftbfs/internal/telemetry"
 	"ftbfs/internal/wire"
 )
@@ -100,6 +102,95 @@ func promValue(t testing.TB, body, series string) float64 {
 	}
 	t.Fatalf("series %s not found in exposition body", series)
 	return 0
+}
+
+// TestErrorsCountedOnce refuses requests at both tiers and checks that each
+// one moves ftbfs_router_errors_total (router) and ftbfs_request_errors_total
+// (shard) by exactly one on the tier that refused it: a request the router
+// relays counts once on each tier, one the router refuses itself never
+// reaches the shard, and a draining /readyz 503 is no error at all.
+func TestErrorsCountedOnce(t *testing.T) {
+	lc, err := StartLocal(1, LocalOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{13}, []int{0}, 0.3)[0]
+	g, _ := clusterGraph(60, 90, 13)
+	var text strings.Builder
+	if err := g.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	router, shard := lc.URL(), lc.Shards[0].Addr()
+	counts := func() (float64, float64) {
+		return promValue(t, getBody(t, router+"/metrics"), "ftbfs_router_errors_total"),
+			promValue(t, getBody(t, shard+"/metrics"), "ftbfs_request_errors_total")
+	}
+	badSource, err := json.Marshal(server.BuildRequest{Graph: text.String(), Sources: []int{999}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	selfLoop, err := json.Marshal(server.MutateRequest{Graph: fx.fp, Mutations: []server.MutationJSON{{Op: "insert", U: 3, V: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outOfRange := fmt.Sprintf("/dist?graph=%s&eps=0.3&v=99999", fx.fp)
+	for _, c := range []struct {
+		name, base, path, body string
+		code                   int
+		router, shard          float64 // counter moves
+	}{
+		{"parse 400 at the router", router, "/dist?graph=zz&v=1", "", http.StatusBadRequest, 1, 0},
+		{"parse 400 at the shard", shard, "/dist?graph=zz&v=1", "", http.StatusBadRequest, 0, 1},
+		{"relayed shard 400", router, outOfRange, "", http.StatusBadRequest, 1, 1},
+		{"shard 400", shard, outOfRange, "", http.StatusBadRequest, 0, 1},
+		{"build 400 at the router", router, "/build", "{}", http.StatusBadRequest, 1, 0},
+		{"build 400 at the shard", shard, "/build", "{}", http.StatusBadRequest, 0, 1},
+		{"relayed build 400", router, "/build", string(badSource), http.StatusBadRequest, 1, 1},
+		{"relayed mutate 400", router, "/mutate", string(selfLoop), http.StatusBadRequest, 1, 1},
+	} {
+		r0, s0 := counts()
+		var code int
+		if c.body == "" {
+			code, _ = getJSON(t, c.base+c.path, nil)
+		} else {
+			code, _ = postRaw(t, c.base+c.path, c.body)
+		}
+		r1, s1 := counts()
+		if code != c.code || r1-r0 != c.router || s1-s0 != c.shard {
+			t.Errorf("%s: %d, errors moved router %+g shard %+g; want %d, %+g and %+g",
+				c.name, code, r1-r0, s1-s0, c.code, c.router, c.shard)
+		}
+	}
+
+	// The router's own 503 with no shards joined.
+	empty := NewRouter(NewMembership(1, 0), RouterOptions{})
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, fmt.Sprintf("/dist?graph=%s&v=1", fx.fp), nil),
+		httptest.NewRequest(http.MethodPost, "/mutate", strings.NewReader(string(selfLoop))),
+	} {
+		before := empty.rm.errs.Value()
+		rec := httptest.NewRecorder()
+		empty.ServeHTTP(rec, req)
+		if moved := empty.rm.errs.Value() - before; rec.Code != http.StatusServiceUnavailable || moved != 1 {
+			t.Errorf("%s with no shards joined: %d, errors moved %d; want 503 counted once", req.URL.Path, rec.Code, moved)
+		}
+	}
+
+	// A draining /readyz answers 503 but refuses nothing.
+	lc.Router.SetDraining(true)
+	lc.Shards[0].Server.SetDraining(true)
+	r0, s0 := counts()
+	for _, base := range []string{router, shard} {
+		if code, _ := getJSON(t, base+"/readyz", nil); code != http.StatusServiceUnavailable {
+			t.Errorf("draining %s/readyz: %d, want 503", base, code)
+		}
+	}
+	if r1, s1 := counts(); r1 != r0 || s1 != s0 {
+		t.Errorf("draining /readyz moved errors: router %+g shard %+g", r1-r0, s1-s0)
+	}
+	lc.Router.SetDraining(false)
+	lc.Shards[0].Server.SetDraining(false)
 }
 
 // TestShardAndRouterMetricsProm proves both tiers serve valid exposition

@@ -123,7 +123,7 @@ type HandoffKeysResponse struct {
 
 func (s *Server) handleHandoffKeys(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+		s.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	keys := s.store.Keys()
@@ -134,7 +134,7 @@ func (s *Server) handleHandoffKeys(w http.ResponseWriter, r *http.Request) {
 	for _, fp := range s.store.Graphs() {
 		resp.Graphs = append(resp.Graphs, fmt.Sprintf("%016x", fp))
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handoffKeyFromQuery parses a structure key out of /handoff/record URL
@@ -159,12 +159,12 @@ func handoffKeyFromQuery(r *http.Request) (store.Key, error) {
 
 func (s *Server) handleHandoffRecord(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+		s.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	k, err := handoffKeyFromQuery(r)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.edge.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	data, err := s.store.ExportRecord(k)
@@ -173,7 +173,7 @@ func (s *Server) handleHandoffRecord(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, store.ErrNotHeld) {
 			code = http.StatusNotFound
 		}
-		s.writeErr(w, code, err)
+		s.edge.Error(w, code, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -182,17 +182,17 @@ func (s *Server) handleHandoffRecord(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHandoffGraph(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+		s.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	fp, err := strconv.ParseUint(r.URL.Query().Get("graph"), 16, 64)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad graph fingerprint %q", r.URL.Query().Get("graph")))
+		s.edge.Error(w, http.StatusBadRequest, fmt.Sprintf("bad graph fingerprint %q", r.URL.Query().Get("graph")))
 		return
 	}
 	data, err := s.store.GraphText(fp)
 	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+		s.edge.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -251,20 +251,20 @@ func handoffGet(ctx context.Context, url string) ([]byte, error) {
 
 func (s *Server) handleHandoffPull(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		s.edge.Error(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req HandoffPullRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+		s.edge.Error(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
 	if req.From == "" {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("missing source address"))
+		s.edge.Error(w, http.StatusBadRequest, "missing source address")
 		return
 	}
 	resp := s.pull(r.Context(), &req)
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // pull fetches and installs the requested keys from the source shard:

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"net/http"
-	"strconv"
-
 	"ftbfs"
 	"ftbfs/internal/telemetry"
 	"ftbfs/internal/wire"
@@ -21,10 +18,6 @@ type serverMetrics struct {
 	queries      *telemetry.Counter // individual distance queries answered
 	errs         *telemetry.Counter // requests answered with an error status
 	shed         *telemetry.Counter // requests refused by the load shedder
-
-	// httpByRoute holds one outcome-labeled histogram per registered route;
-	// the map is never written after New, so lookups are safe without a lock.
-	httpByRoute map[string]*telemetry.OutcomeHist
 
 	// wireByType is indexed by wire frame type (TDist..TMutate); unused slots
 	// stay nil and OutcomeHist.Observe tolerates nil receivers.
@@ -46,9 +39,9 @@ var wireTypeNames = [wire.TMutate + 1]string{
 }
 
 // newServerMetrics builds the shard registry, pre-registering one histogram
-// family per route/frame type and adopting the process-wide query-plan
-// counters as snapshot-time funcs.
-func newServerMetrics(routes []string) *serverMetrics {
+// per frame type and adopting the process-wide query-plan counters as
+// snapshot-time funcs; the edge registers one histogram per route (route).
+func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
@@ -62,13 +55,8 @@ func newServerMetrics(routes []string) *serverMetrics {
 			"Requests answered with an error status."),
 		shed: reg.Counter("ftbfs_shed_total", "",
 			"Requests refused by the load shedder."),
-		httpByRoute: make(map[string]*telemetry.OutcomeHist, len(routes)),
 		queueWait: reg.Histogram("ftbfs_queue_wait_seconds", "",
 			"Time requests waited in the shedder queue before a work slot freed."),
-	}
-	for _, route := range routes {
-		m.httpByRoute[route] = reg.OutcomeHist("ftbfs_http_request_seconds",
-			`route="`+route+`"`, "HTTP request latency by route and outcome.")
 	}
 	for typ, name := range wireTypeNames {
 		if name == "" {
@@ -92,72 +80,9 @@ func newServerMetrics(routes []string) *serverMetrics {
 	return m
 }
 
-// retryAfterSecs derives the Retry-After hint on shed responses from the
-// observed queue-wait p50, clamped to [1, 5] seconds: a lightly backed-up
-// node invites a quick retry, a deeply backed-up one pushes callers further
-// out instead of inviting a synchronized stampede one second later.
-func (m *serverMetrics) retryAfterSecs() string {
-	p50 := m.queueWait.Quantile(0.5)
-	secs := (p50 + 1e9 - 1) / 1e9
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 5 {
-		secs = 5
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-// statusWriter captures the status code a handler writes, so ServeHTTP can
-// label its latency observation with the request outcome.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// bufferedWriter additionally buffers the body of a traced request: the
-// span header must be set before the first body byte reaches the client, and
-// the spans are only complete once the handler returns. Traced requests are
-// a sampled minority, so the extra copy never touches the hot path.
-type bufferedWriter struct {
-	statusWriter
-	body []byte
-}
-
-func (w *bufferedWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-}
-
-func (w *bufferedWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	w.body = append(w.body, b...)
-	return len(b), nil
-}
-
-// flush writes the buffered status and body for real.
-func (w *bufferedWriter) flush() {
-	code := w.status
-	if code == 0 {
-		code = http.StatusOK
-	}
-	w.ResponseWriter.WriteHeader(code)
-	w.ResponseWriter.Write(w.body)
+// route registers the latency histogram of one HTTP route
+// (EdgeOptions.Route).
+func (m *serverMetrics) route(path string) *telemetry.OutcomeHist {
+	return m.reg.OutcomeHist("ftbfs_http_request_seconds",
+		`route="`+path+`"`, "HTTP request latency by route and outcome.")
 }

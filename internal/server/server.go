@@ -43,8 +43,15 @@
 // partial results. A slot carrying "failedVertex" instead of "fail" is a
 // vertex-failure query; both models may mix freely in one vector.
 //
-// batchbody.go owns /batch-query body decoding, for this server and the
-// cluster router alike; wire.go owns the HTTP→wire conversion.
+// The HTTP edge (edge.go) is written once for both tiers: Edge bounds the
+// body, applies the deadline budget, traces, sheds load, times every route
+// and serves /build, /mutate, the point endpoints and /batch-query through a
+// four-method Backend (point, batch, mutate, build) that takes requests in
+// wire form. *Server implements Backend with its store; the cluster router
+// implements it with its shards, so a router answers those endpoints
+// exactly as a single node does. batchbody.go owns /batch-query body
+// decoding; wire.go owns the HTTP→wire conversion and the dispatch behind
+// both transports.
 //
 // Distances use -1 for "unreachable". Errors are {"error": "..."} with a
 // 4xx/5xx status.
@@ -79,8 +86,7 @@ const DefaultEps = 0.25
 const MaxBuildN = 1_000_000
 
 // MaxBodyBytes bounds every JSON request body (graph text for 1M edges is
-// well under this). The cluster router applies the same bound so the two
-// tiers never disagree about what is acceptable.
+// well under this). The edge applies it on both tiers.
 const MaxBodyBytes = 64 << 20
 
 // BudgetHeader carries a request's deadline budget in whole milliseconds
@@ -105,7 +111,7 @@ type limiter struct {
 	slots    chan struct{}
 	queued   atomic.Int64
 	maxQueue int64
-	wait     *telemetry.Histogram // queue-wait times; nil-safe to skip
+	wait     *telemetry.Histogram // queue-wait times, behind retryAfter
 }
 
 func newLimiter(inflight, queue int, wait *telemetry.Histogram) *limiter {
@@ -140,13 +146,20 @@ func (l *limiter) acquire(ctx context.Context, draining bool) bool {
 		ok = true
 	case <-ctx.Done():
 	}
-	if l.wait != nil {
-		l.wait.Observe(time.Since(start))
-	}
+	l.wait.Observe(time.Since(start))
 	return ok
 }
 
 func (l *limiter) release() { <-l.slots }
+
+// retryAfter derives the Retry-After hint on shed responses from the
+// observed queue-wait p50, clamped to [1, 5] seconds: a lightly backed-up
+// node invites a quick retry, a deeply backed-up one pushes callers further
+// out instead of inviting a synchronized stampede one second later.
+func (l *limiter) retryAfter() string {
+	secs := (l.wait.Quantile(0.5) + 1e9 - 1) / 1e9
+	return strconv.FormatInt(min(max(secs, 1), 5), 10)
+}
 
 // identity names a node for /healthz and /stats; held behind an atomic
 // pointer because `serve` only learns its default ID (the bound address)
@@ -156,10 +169,11 @@ type identity struct {
 	id   string
 }
 
-// Server is the HTTP handler of the query service.
+// Server is the HTTP handler of the query service: the Edge over its own
+// dispatch.
 type Server struct {
 	store *store.Store
-	mux   *http.ServeMux
+	edge  *Edge
 	start time.Time
 
 	ident atomic.Pointer[identity]
@@ -180,10 +194,8 @@ type Server struct {
 	// limiter. Swapped atomically so SetWorkLimits is safe while serving.
 	work atomic.Pointer[limiter]
 
-	// m backs every request counter and latency histogram; traces keeps the
-	// most recent traced requests for /debug/traces.
-	m      *serverMetrics
-	traces *telemetry.TraceRing
+	// m backs every request counter and latency histogram.
+	m *serverMetrics
 
 	draining atomic.Bool // graceful shutdown in progress (readyz gates on it)
 }
@@ -192,39 +204,27 @@ type Server struct {
 func New(st *store.Store) *Server {
 	s := &Server{
 		store:    st,
-		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		groupSem: make(chan struct{}, 8),
-		traces:   telemetry.NewTraceRing(256, 0),
+		m:        newServerMetrics(),
 	}
-	routes := []struct {
-		path    string
-		handler http.HandlerFunc
-	}{
-		{"/build", s.handleBuild},
-		{"/mutate", s.handleMutate},
-		{"/dist", s.handlePoint},
-		{"/dist-avoiding", s.handlePoint},
-		{"/dist-avoiding-vertex", s.handlePoint},
-		{"/batch-query", s.handleBatchQuery},
-		{"/handoff/keys", s.handleHandoffKeys},
-		{"/handoff/record", s.handleHandoffRecord},
-		{"/handoff/graph", s.handleHandoffGraph},
-		{"/handoff/pull", s.handleHandoffPull},
-		{"/stats", s.handleStats},
-		{"/healthz", s.handleHealthz},
-		{"/readyz", s.handleReadyz},
-		{"/metrics", s.handleMetrics},
-		{"/metrics.json", s.handleMetricsJSON},
-		{"/debug/traces", func(w http.ResponseWriter, r *http.Request) { s.traces.ServeHTTP(w, r) }},
-	}
-	paths := make([]string, len(routes))
-	for i, rt := range routes {
-		s.mux.HandleFunc(rt.path, rt.handler)
-		paths[i] = rt.path
-	}
-	s.m = newServerMetrics(paths)
 	s.work.Store(newLimiter(DefaultMaxInflight, DefaultMaxQueued, s.m.queueWait))
+	s.edge = NewEdge(s, EdgeOptions{
+		Span:     "shard.handle",
+		Requests: s.m.requests,
+		Errors:   s.m.errs,
+		Route:    s.m.route,
+		admit:    s.admit,
+	})
+	s.edge.Handle("/handoff/keys", s.handleHandoffKeys)
+	s.edge.Handle("/handoff/record", s.handleHandoffRecord)
+	s.edge.Handle("/handoff/graph", s.handleHandoffGraph)
+	s.edge.Handle("/handoff/pull", s.handleHandoffPull)
+	s.edge.Handle("/stats", s.handleStats)
+	s.edge.Handle("/healthz", s.handleHealthz)
+	s.edge.Handle("/readyz", s.handleReadyz)
+	s.edge.Handle("/metrics", s.handleMetrics)
+	s.edge.Handle("/metrics.json", s.handleMetricsJSON)
 	return s
 }
 
@@ -236,19 +236,6 @@ func New(st *store.Store) *Server {
 // release into the limiter they acquired from.
 func (s *Server) SetWorkLimits(inflight, queue int) {
 	s.work.Store(newLimiter(inflight, queue, s.m.queueWait))
-}
-
-// shedPaths are the endpoints subject to load shedding: the ones doing
-// query/build work. Health and readiness probes must answer on an overloaded
-// node (shedding them would flap the cluster's routing), stats feed
-// dashboards, and the handoff surface stays up so a draining or struggling
-// node can still move its structures away.
-func shedsLoad(path string) bool {
-	switch path {
-	case "/build", "/mutate", "/dist", "/dist-avoiding", "/dist-avoiding-vertex", "/batch-query":
-		return true
-	}
-	return false
 }
 
 // SetIdentity names the node for /healthz and /stats; a cluster shard sets
@@ -285,75 +272,26 @@ func (s *Server) WireAddr() string {
 	return ""
 }
 
-// ServeHTTP implements http.Handler. Two pieces of the robustness story run
-// here, before any handler: the request's deadline budget (BudgetHeader)
-// becomes a context deadline, and work-bearing endpoints pass through the
-// load shedder — a saturated node answers 503 + Retry-After immediately
-// instead of queueing without bound and missing every deadline at once.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
-	start := time.Now()
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	}
-	if h := r.Header.Get(BudgetHeader); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-	}
-	// A trace header makes the request traced: its spans travel back in the
-	// response's span header and the trace is retained at /debug/traces.
-	var tr *telemetry.Trace
-	if id, ok := telemetry.ParseTraceID(r.Header.Get(telemetry.TraceHeader)); ok {
-		tr = telemetry.NewTrace(id)
-		r = r.WithContext(telemetry.WithTrace(r.Context(), tr))
-	}
-	sw := statusWriter{ResponseWriter: w}
-	if shedsLoad(r.URL.Path) {
-		work := s.work.Load()
-		if !work.acquire(r.Context(), s.draining.Load()) {
-			if r.Context().Err() != nil {
-				// The budget ran out while queued: the caller is gone, answer
-				// 504 so retries count it against the right failure mode.
-				s.writeErr(&sw, http.StatusGatewayTimeout, fmt.Errorf("deadline budget exhausted while queued"))
-			} else {
-				s.m.shed.Inc()
-				sw.Header().Set("Retry-After", s.m.retryAfterSecs())
-				s.writeErr(&sw, http.StatusServiceUnavailable, fmt.Errorf("server overloaded; retry later"))
-			}
-			s.observeHTTP(r.URL.Path, start, sw.status)
-			return
-		}
-		defer work.release()
-	}
-	if tr == nil {
-		s.mux.ServeHTTP(&sw, r)
-		s.observeHTTP(r.URL.Path, start, sw.status)
-		return
-	}
-	// Traced path: buffer the response so the span header (complete only
-	// after the handler returns) still precedes the body.
-	bw := &bufferedWriter{statusWriter: statusWriter{ResponseWriter: w}}
-	s.mux.ServeHTTP(bw, r)
-	tr.Add("shard.handle", start)
-	bw.Header().Set(telemetry.SpanHeader, tr.SpansJSON())
-	bw.flush()
-	s.traces.Record(tr, r.URL.Path, time.Since(start))
-	s.observeHTTP(r.URL.Path, start, bw.status)
-}
+// ServeHTTP implements http.Handler through the shared edge (Edge).
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.edge.ServeHTTP(w, r) }
 
-// observeHTTP records one finished HTTP request into its route's
-// outcome-labeled histogram; unregistered paths (404s) are not a route and
-// record nothing.
-func (s *Server) observeHTTP(path string, start time.Time, status int) {
-	if h := s.m.httpByRoute[path]; h != nil {
-		if status == 0 {
-			status = http.StatusOK
-		}
-		h.Observe(time.Since(start), telemetry.OutcomeOf(status))
+// admit passes a work-bearing request of either transport through the load
+// shedder. It refuses a shed request (503, counted in ftbfs_shed_total) and
+// one whose budget ran out while queued (504); otherwise the caller owns a
+// work slot and must release it. The limiter comes back either way: a shed
+// HTTP reply reads its Retry-After from it.
+func (s *Server) admit(ctx context.Context) (*limiter, *wire.Error) {
+	work := s.work.Load()
+	if work.acquire(ctx, s.draining.Load()) {
+		return work, nil
 	}
+	if ctx.Err() != nil {
+		// The budget ran out while queued: the caller is gone, answer 504 so
+		// retries count it against the right failure mode.
+		return work, &wire.Error{Code: http.StatusGatewayTimeout, Msg: "deadline budget exhausted while queued"}
+	}
+	s.m.shed.Inc()
+	return work, &wire.Error{Code: http.StatusServiceUnavailable, Msg: "server overloaded; retry later"}
 }
 
 // handleMetrics serves the shard's Prometheus exposition: the server's own
@@ -368,26 +306,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the cluster router scrapes and merges into /metrics/fleet.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	snap := telemetry.Merge(s.m.reg.Snapshot(), s.store.Telemetry().Snapshot())
-	s.writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
-	s.m.errs.Inc()
-	s.writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// writeWireErr relays a dispatch refusal over HTTP; the dispatch has already
-// counted it.
-func (s *Server) writeWireErr(w http.ResponseWriter, werr *wire.Error) {
-	s.writeJSON(w, werr.Code, map[string]string{"error": werr.Msg})
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 // BuildPair names one (source, ε) structure of a /build request.
@@ -471,8 +390,8 @@ func checkTextGraphSize(text string) error {
 }
 
 // GraphFromBuildRequest materialises and validates the graph a BuildRequest
-// carries (text form or inline n+edges). The cluster router shares this with
-// handleBuild so both reject oversized or malformed graphs identically.
+// carries (text form or inline n+edges), rejecting oversized or malformed
+// graphs before any work.
 func GraphFromBuildRequest(req *BuildRequest) (*ftbfs.Graph, error) {
 	switch {
 	case req.Graph != "":
@@ -529,42 +448,22 @@ type BuildResponse struct {
 	VertexStructures []VertexStructureInfo `json:"vertexStructures,omitempty"`
 }
 
-func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req BuildRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-		return
-	}
-	g, err := GraphFromBuildRequest(&req)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	alg, err := core.ParseAlgorithm(req.Alg)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	pairs := req.ResolvedPairs()
+// Build registers g and builds the structures the request asks for
+// (Backend): the dispatch behind POST /build.
+func (s *Server) Build(ctx context.Context, g *ftbfs.Graph, req *BuildRequest, alg ftbfs.Algorithm, pairs []BuildPair) (*BuildResponse, *wire.Error) {
 	fp, err := s.store.AddGraph(g)
 	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
+		return nil, refusal(err)
 	}
 	reqs := make([]store.Req, len(pairs))
 	for i, p := range pairs {
 		reqs[i] = store.Req{Source: p.Source, Eps: p.Eps, Alg: alg}
 	}
-	sts, err := s.store.GetOrBuildMany(r.Context(), fp, reqs)
+	sts, err := s.store.GetOrBuildMany(ctx, fp, reqs)
 	if err != nil {
-		s.writeErr(w, statusFor(err), err)
-		return
+		return nil, refusal(err)
 	}
-	resp := BuildResponse{Fingerprint: fmt.Sprintf("%016x", fp), N: g.N(), M: g.M()}
+	resp := &BuildResponse{Fingerprint: fmt.Sprintf("%016x", fp), N: g.N(), M: g.M()}
 	for i, st := range sts {
 		resp.Structures = append(resp.Structures, StructureInfo{
 			Source:     reqs[i].Source,
@@ -576,10 +475,9 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	for _, src := range req.VertexSources {
-		vst, err := s.store.GetOrBuildVertex(r.Context(), fp, src)
+		vst, err := s.store.GetOrBuildVertex(ctx, fp, src)
 		if err != nil {
-			s.writeErr(w, statusFor(err), err)
-			return
+			return nil, refusal(err)
 		}
 		resp.VertexStructures = append(resp.VertexStructures, VertexStructureInfo{
 			Source: src,
@@ -587,7 +485,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 			Pairs:  vst.Pairs(),
 		})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // MutationJSON is one edge mutation of a /mutate request: op "insert" or
@@ -617,34 +515,6 @@ type MutateResponse struct {
 	Fingerprint   string `json:"fingerprint"`
 	RebuildsDelta int    `json:"rebuildsDelta"`
 	RebuildsFull  int    `json:"rebuildsFull"`
-}
-
-// handleMutate applies one edge-mutation batch to a registered graph. The
-// store does the heavy lifting — rebuilding resident structures against the
-// new generation while the old one keeps serving, then swapping atomically —
-// so this handler is thin: convert to wire form, run the dispatch WireMutate
-// uses.
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-		return
-	}
-	lineage, muts, err := req.Wire()
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	res, werr := s.mutate(r.Context(), lineage, muts)
-	if werr != nil {
-		s.writeWireErr(w, werr)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, MutateResponseFrom(res))
 }
 
 // QueryRequest addresses one structure plus one (target, failure) query.
@@ -826,6 +696,12 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
+// refusal words a dispatch error as the in-protocol refusal both transports
+// relay, classified by statusFor.
+func refusal(err error) *wire.Error {
+	return &wire.Error{Code: statusFor(err), Msg: err.Error()}
+}
+
 // structureForKey resolves (load-through or build-through) a structure by
 // registry key, validating the optional target vertex against its graph.
 // ctx carries the request's deadline budget into the store's miss path.
@@ -840,32 +716,6 @@ func (s *Server) structureForKey(ctx context.Context, k store.Key, v *int) (*ftb
 	// GetOrBuild serves a resident structure on its fast path; misses fall
 	// through to load- or build-through.
 	return s.store.GetOrBuild(ctx, k)
-}
-
-type distResponse struct {
-	Dist int `json:"dist"` // -1 means unreachable
-}
-
-// handlePoint serves /dist, /dist-avoiding and /dist-avoiding-vertex: the
-// request converts to wire form and answers through the dispatch WirePoint
-// uses.
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseQuery(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	_, typ, pq, err := q.Wire(r.URL.Path)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	d, werr := s.point(r.Context(), typ, &pq)
-	if werr != nil {
-		s.writeWireErr(w, werr)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, distResponse{Dist: int(d)})
 }
 
 // vertexStructureForKey resolves (load-through or build-through) a
@@ -991,7 +841,7 @@ func (gr *queryGroup) fail(err error, dists []int, errs []string) {
 // many-core shard no longer spreads its resident groups over cores.
 // Concurrency comes from concurrent requests instead — the router keeps 4
 // pooled connections per shard, as it does for points. Both the HTTP
-// /batch-query handler and the wire-protocol batch handler funnel here,
+// /batch-query endpoint and the wire-protocol batch handler funnel here,
 // which is what makes the two transports answer-identical by construction.
 func (s *Server) answerGroups(ctx context.Context, groups []queryGroup, dists []int, errs []string) uint64 {
 	var cold *sync.WaitGroup
@@ -1077,33 +927,6 @@ func (s *Server) answerGroup(ctx context.Context, gr *queryGroup, dists []int, e
 	}
 }
 
-func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	req, err := DecodeBatchQuery(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("empty query vector"))
-		return
-	}
-	_, slots, errs := req.Wire()
-	dists := make([]int, len(slots))
-	s.batch(r.Context(), slots, dists, errs)
-	resp := BatchQueryResponse{Dists: dists}
-	for _, e := range errs {
-		if e != "" {
-			resp.Errors = errs
-			break
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
 // StatsResponse is the reply of GET /stats. Store carries the registry
 // counters (hits, misses, loads, builds, evictions, saves) alongside the
 // request-level totals.
@@ -1122,11 +945,11 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
+		s.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	ident := s.identitySnapshot()
-	s.writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Role:          ident.role,
 		ID:            ident.id,
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -1154,7 +977,7 @@ type HealthResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ident := s.identitySnapshot()
-	s.writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		OK:            true,
 		Role:          ident.role,
 		ID:            ident.id,
@@ -1186,7 +1009,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !resp.Ready {
 		code = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 // drainable lets Serve flip a handler's readiness gate before draining;

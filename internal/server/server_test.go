@@ -67,6 +67,11 @@ func postJSON(t testing.TB, url string, body, out any) (int, string) {
 	return resp.StatusCode, buf.String()
 }
 
+// distResponse is a point endpoint's JSON answer.
+type distResponse struct {
+	Dist int `json:"dist"` // -1 means unreachable
+}
+
 func getJSON(t testing.TB, url string, out any) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)

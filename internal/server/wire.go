@@ -18,12 +18,12 @@ import (
 
 // This file is the one place HTTP meets the binary protocol. The conversions
 // turn a QueryRequest, a BatchQueryRequest vector or a MutateRequest into wire
-// form — defaults resolved, fields the wire cannot carry refused — and both
-// the cluster router and this server's own HTTP handlers use them. The
-// dispatch below (point, batch, mutate) answers wire-form requests through
-// the store and pooled oracles, and both the HTTP handlers and the
-// wire.Backend methods call it: a query answers identically whichever
-// transport it arrived on and whichever tier received it, by construction.
+// form — defaults resolved, fields the wire cannot carry refused — for the
+// Edge of either tier. The dispatch below (Point, Batch, Mutate) is the
+// shard's Backend: it answers wire-form requests through the store and
+// pooled oracles, for the Edge and the wire.Backend methods alike, so a
+// query answers identically whichever transport it arrived on and whichever
+// tier received it, by construction.
 
 // narrower narrows request fields to the wire's 32-bit slots, remembering the
 // first field that would truncate: a value the wire cannot carry is refused,
@@ -188,44 +188,22 @@ func keyForPoint(typ byte, q *wire.PointQuery) (store.Key, error) {
 	return store.Key{Graph: q.FP, Source: int(q.Source), Eps: e, Alg: ftbfs.Algorithm(q.Alg)}, nil
 }
 
-// shedWire passes a wire request through the same load shedder as the HTTP
-// handlers. It returns a non-nil in-protocol error when the request is shed
-// (503, mirroring HTTP's Retry-After semantics) or its budget ran out while
-// queued (504); otherwise the caller owns a work slot and must release it.
-func (s *Server) shedWire(ctx context.Context) (*limiter, *wire.Error) {
-	work := s.work.Load()
-	if !work.acquire(ctx, s.draining.Load()) {
-		s.m.errs.Inc()
-		if ctx.Err() != nil {
-			return nil, &wire.Error{Code: http.StatusGatewayTimeout, Msg: "deadline budget exhausted while queued"}
+// finishWire files one answered wire request: its latency under its frame
+// type's outcome-labeled histogram (inline starts and a direct array index
+// keep the point path allocation-free) and, when traced, a shard.wire span,
+// which travels back to the caller in the response frame, plus a record in
+// this shard's own /debug/traces ring.
+func (s *Server) finishWire(ctx context.Context, typ byte, start time.Time, werr *wire.Error) {
+	if int(typ) < len(s.m.wireByType) {
+		out := telemetry.OutcomeOK
+		if werr != nil {
+			out = telemetry.OutcomeOf(werr.Code)
 		}
-		s.m.shed.Inc()
-		return nil, &wire.Error{Code: http.StatusServiceUnavailable, Msg: "server overloaded; retry later"}
+		s.m.wireByType[typ].Observe(time.Since(start), out)
 	}
-	return work, nil
-}
-
-// observeWire records one finished wire request into its frame type's
-// outcome-labeled histogram. Inline starts and a direct array index keep the
-// point-query path allocation-free.
-func (s *Server) observeWire(typ byte, start time.Time, werr *wire.Error) {
-	if int(typ) >= len(s.m.wireByType) {
-		return
-	}
-	out := telemetry.OutcomeOK
-	if werr != nil {
-		out = telemetry.OutcomeOf(werr.Code)
-	}
-	s.m.wireByType[typ].Observe(time.Since(start), out)
-}
-
-// traceWire files a traced wire request: a shard.wire span, which travels
-// back to the caller in the response frame, and a record in this shard's
-// own /debug/traces ring.
-func (s *Server) traceWire(ctx context.Context, start time.Time) {
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
 		tr.Add("shard.wire", start)
-		s.traces.Record(tr, "wire", time.Since(start))
+		s.edge.traces.Record(tr, "wire", time.Since(start))
 	}
 }
 
@@ -236,45 +214,44 @@ func (s *Server) WirePoint(ctx context.Context, typ byte, q *wire.PointQuery) (i
 	s.m.wireRequests.Inc()
 	start := time.Now()
 	d, werr := s.wirePoint(ctx, typ, q)
-	s.observeWire(typ, start, werr)
-	s.traceWire(ctx, start)
+	if werr != nil {
+		s.m.errs.Inc()
+	}
+	s.finishWire(ctx, typ, start, werr)
 	return d, werr
 }
 
 func (s *Server) wirePoint(ctx context.Context, typ byte, q *wire.PointQuery) (int32, *wire.Error) {
-	work, werr := s.shedWire(ctx)
+	work, werr := s.admit(ctx)
 	if werr != nil {
 		return 0, werr
 	}
 	defer work.release()
-	return s.point(ctx, typ, q)
-}
-
-// point answers one wire-form point query: the dispatch behind both
-// WirePoint and the HTTP point endpoints.
-func (s *Server) point(ctx context.Context, typ byte, q *wire.PointQuery) (int32, *wire.Error) {
 	k, err := keyForPoint(typ, q)
 	if err != nil {
-		s.m.errs.Inc()
 		return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
+	return s.Point(ctx, k, typ, *q)
+}
+
+// Point answers one point query addressing key k (Backend): the dispatch
+// behind WirePoint and the HTTP point endpoints. Its callers pass the load
+// shedder.
+func (s *Server) Point(ctx context.Context, k store.Key, typ byte, q wire.PointQuery) (int32, *wire.Error) {
 	v := int(q.V)
 	var d int
+	var err error
 	switch typ {
-	case wire.TDist:
-		st, err := s.structureForKey(ctx, k, &v)
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
+	case wire.TDist, wire.TDistAvoiding:
+		var st *ftbfs.Structure
+		if st, err = s.structureForKey(ctx, k, &v); err != nil {
+			break
 		}
-		// Intact distances come from the structure's shared cached vector —
-		// no oracle (and no BFS scratch allocation) needed.
-		d = st.Dist(v)
-	case wire.TDistAvoiding:
-		st, err := s.structureForKey(ctx, k, &v)
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
+		if typ == wire.TDist {
+			// Intact distances come from the structure's shared cached
+			// vector — no oracle (and no BFS scratch allocation) needed.
+			d = st.Dist(v)
+			break
 		}
 		// DistAvoiding runs against the structure's QueryPlan: O(1) for
 		// non-tree-edge failures, subtree-local repair otherwise.
@@ -283,15 +260,10 @@ func (s *Server) point(ctx context.Context, typ byte, q *wire.PointQuery) (int32
 			d, qerr = o.DistAvoiding(v, int(q.A), int(q.B))
 			return qerr
 		})
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
-		}
 	case wire.TDistAvoidingVertex:
-		st, err := s.vertexStructureForKey(ctx, k, &v)
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: statusFor(err), Msg: err.Error()}
+		var st *ftbfs.VertexStructure
+		if st, err = s.vertexStructureForKey(ctx, k, &v); err != nil {
+			break
 		}
 		// DistAvoidingVertex runs against the structure's VertexQueryPlan:
 		// O(1) for off-tree-path failures, subtree-local repair otherwise.
@@ -300,13 +272,11 @@ func (s *Server) point(ctx context.Context, typ byte, q *wire.PointQuery) (int32
 			d, qerr = o.DistAvoidingVertex(v, int(q.A))
 			return qerr
 		})
-		if err != nil {
-			s.m.errs.Inc()
-			return 0, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
-		}
 	default:
-		s.m.errs.Inc()
-		return 0, &wire.Error{Code: http.StatusBadRequest, Msg: fmt.Sprintf("unknown point type %#x", typ)}
+		err = fmt.Errorf("unknown point type %#x", typ)
+	}
+	if err != nil {
+		return 0, refusal(err)
 	}
 	s.m.queries.Inc()
 	return int32(d), nil
@@ -317,29 +287,31 @@ func (s *Server) WireMutate(ctx context.Context, lineage uint64, wmuts []wire.Mu
 	s.m.wireRequests.Inc()
 	start := time.Now()
 	res, werr := s.wireMutate(ctx, lineage, wmuts)
-	s.observeWire(wire.TMutate, start, werr)
-	s.traceWire(ctx, start)
+	if werr != nil {
+		s.m.errs.Inc()
+	}
+	s.finishWire(ctx, wire.TMutate, start, werr)
 	return res, werr
 }
 
 func (s *Server) wireMutate(ctx context.Context, lineage uint64, wmuts []wire.MutationWire) (wire.MutateResult, *wire.Error) {
-	work, werr := s.shedWire(ctx)
+	work, werr := s.admit(ctx)
 	if werr != nil {
 		return wire.MutateResult{}, werr
 	}
 	defer work.release()
-	return s.mutate(ctx, lineage, wmuts)
+	return s.Mutate(ctx, lineage, wmuts)
 }
 
-// mutate applies one wire-form mutation batch through store.Mutate: the
-// dispatch behind both WireMutate and POST /mutate.
-func (s *Server) mutate(ctx context.Context, lineage uint64, wmuts []wire.MutationWire) (wire.MutateResult, *wire.Error) {
+// Mutate applies one wire-form mutation batch through store.Mutate
+// (Backend): the dispatch behind WireMutate and POST /mutate. The store
+// rebuilds resident structures against the new generation while the old one
+// keeps serving, then swaps atomically.
+func (s *Server) Mutate(ctx context.Context, lineage uint64, wmuts []wire.MutationWire) (wire.MutateResult, *wire.Error) {
 	if _, ok := s.store.Graph(lineage); !ok {
 		// 404, not 400: on a cluster shard the graph may not have reached
 		// this replica, and the router treats 404 as tolerable shard state.
-		s.m.errs.Inc()
-		err := &UnknownGraphError{Fingerprint: lineage}
-		return wire.MutateResult{}, &wire.Error{Code: statusFor(err), Msg: err.Error()}
+		return wire.MutateResult{}, refusal(&UnknownGraphError{Fingerprint: lineage})
 	}
 	muts := make([]ftbfs.Mutation, len(wmuts))
 	for i, m := range wmuts {
@@ -349,8 +321,7 @@ func (s *Server) mutate(ctx context.Context, lineage uint64, wmuts []wire.Mutati
 	}
 	res, err := s.store.Mutate(ctx, lineage, muts)
 	if err != nil {
-		s.m.errs.Inc()
-		return wire.MutateResult{}, &wire.Error{Code: statusFor(err), Msg: err.Error()}
+		return wire.MutateResult{}, refusal(err)
 	}
 	return wire.MutateResult{
 		Lineage:       res.Lineage,
@@ -368,16 +339,17 @@ func (s *Server) WireBatch(ctx context.Context, slots []wire.BatchSlot) ([]int32
 	start := time.Now()
 	dists := make([]int, len(slots))
 	errs := make([]string, len(slots))
-	work, werr := s.shedWire(ctx)
+	work, werr := s.admit(ctx)
 	if werr != nil {
 		// A shed batch fails every slot with the shed message; the router's
 		// per-slot retry machinery then redistributes them.
+		s.m.errs.Inc()
 		for i := range slots {
 			dists[i] = ftbfs.Unreachable
 			errs[i] = werr.Msg
 		}
 	} else {
-		s.batch(ctx, slots, dists, errs)
+		s.Batch(ctx, nil, slots, dists, errs)
 		work.release()
 		for _, e := range errs {
 			if e != "" {
@@ -390,16 +362,16 @@ func (s *Server) WireBatch(ctx context.Context, slots []wire.BatchSlot) ([]int32
 	for i, d := range dists {
 		out[i] = int32(d)
 	}
-	s.observeWire(wire.TBatch, start, werr)
-	s.traceWire(ctx, start)
+	s.finishWire(ctx, wire.TBatch, start, werr)
 	return out, errs
 }
 
-// batch answers a wire-form batch into dists/errs (parallel to slots),
-// answering -1 for slots whose errs entry is already set: slots group by
-// resolved key and funnel into answerGroups. The dispatch behind both
-// WireBatch and POST /batch-query.
-func (s *Server) batch(ctx context.Context, slots []wire.BatchSlot, dists []int, errs []string) {
+// Batch answers a wire-form batch into dists/errs (Backend), answering -1
+// for slots whose errs entry is already set: slots group by the key each
+// resolves to — keys is not consulted, so both transports group alike — and
+// funnel into answerGroups. The dispatch behind WireBatch and POST
+// /batch-query.
+func (s *Server) Batch(ctx context.Context, _ []store.Key, slots []wire.BatchSlot, dists []int, errs []string) {
 	s.m.queries.Add(s.answerGroups(ctx, groupSlots(slots, dists, errs), dists, errs))
 }
 

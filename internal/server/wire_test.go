@@ -418,7 +418,7 @@ func TestBatchGroupingAllocs(t *testing.T) {
 	srv, _, _, fp, ref := residentFixture(t, sources)
 	slots := edgeSlots(fp, sources, ref, 16)
 	dists, errs := make([]int, len(slots)), make([]string, len(slots))
-	srv.batch(context.Background(), slots, dists, errs)
+	srv.Batch(context.Background(), nil, slots, dists, errs)
 	for i, e := range errs {
 		if e != "" {
 			t.Fatalf("slot %d: %s", i, e)

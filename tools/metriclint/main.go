@@ -15,7 +15,10 @@
 // To add a new counter: use telemetry.Registry (Counter/Gauge/Histogram or
 // CounterFunc over existing state). To keep a genuinely non-metric atomic
 // (sequence numbers, breaker state, queue depth feeding a GaugeFunc), add it
-// to the allowlist below with a one-line justification.
+// to the allowlist below with a one-line justification. An allowlist entry
+// that matches no declaration is a finding too: a moved or deleted atomic
+// must take its entry with it, so the list never vouches for code that is
+// gone.
 package main
 
 import (
@@ -23,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -43,14 +47,13 @@ var scanDirs = []string{
 // allowlist maps "path:identifier" to why that atomic is not a metric.
 var allowlist = map[string]string{
 	"internal/server/server.go:queued":             "work-queue depth; exposed through a telemetry GaugeFunc",
-	"internal/server/server.go:answered":           "local batch bookkeeping inside one request",
+	"internal/server/edge.go:pointSeq":             "trace-sampling sequence, not exposed",
 	"internal/wire/client.go:ids":                  "frame-ID sequence, protocol state",
 	"internal/wire/client.go:next":                 "connection round-robin cursor",
 	"internal/wire/client.go:wpend":                "write-mutex waiter count, flush coalescing",
 	"internal/cluster/membership.go:probeFailures": "breaker input; exposed through breakerSnapshot + CounterFunc",
 	"internal/cluster/membership.go:reqFailures":   "breaker input; exposed through breakerSnapshot + CounterFunc",
 	"internal/cluster/membership.go:probes":        "breaker input; exposed through breakerSnapshot + CounterFunc",
-	"internal/cluster/router.go:pointSeq":          "trace-sampling sequence, not exposed",
 }
 
 var (
@@ -66,6 +69,7 @@ func main() {
 		root = os.Args[1]
 	}
 	bad := 0
+	matched := make(map[string]bool, len(allowlist))
 	for _, dir := range scanDirs {
 		base := filepath.Join(root, dir)
 		err := filepath.Walk(base, func(path string, info os.FileInfo, err error) error {
@@ -102,8 +106,8 @@ func main() {
 				if m == nil {
 					continue
 				}
-				if why, ok := allowlist[rel+":"+m[1]]; ok {
-					_ = why
+				if _, ok := allowlist[rel+":"+m[1]]; ok {
+					matched[rel+":"+m[1]] = true
 					continue
 				}
 				fmt.Fprintf(os.Stderr, "%s:%d: ad-hoc atomic counter %q outside internal/telemetry; use telemetry.Counter/Gauge/Histogram (or add to tools/metriclint allowlist with a justification)\n", rel, i+1, m[1])
@@ -115,6 +119,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "metriclint: %v\n", err)
 			os.Exit(2)
 		}
+	}
+	stale := make([]string, 0, len(allowlist))
+	for entry := range allowlist {
+		if !matched[entry] {
+			stale = append(stale, entry)
+		}
+	}
+	sort.Strings(stale)
+	for _, entry := range stale {
+		fmt.Fprintf(os.Stderr, "tools/metriclint: allowlist entry %q matches no declaration; remove it or move it with its atomic\n", entry)
+		bad++
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "metriclint: %d finding(s)\n", bad)
