@@ -650,6 +650,52 @@ func BenchmarkClusterRoute(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterBuild measures one routed /build on a fresh in-process
+// 4-shard / R=2 cluster: a fixed n=200 graph with 8 edge sources at ε=0.3
+// and 2 vertex sources, so 10 structures each land on their 2 owners. Boot
+// and teardown run with the timer stopped; what is timed is the fan-out —
+// the builds, the record installs and the merged reply.
+func BenchmarkClusterBuild(b *testing.B) {
+	const n = 200
+	g := ftbfs.NewGraph(n)
+	for _, e := range gen.RandomConnected(n, 600, 11).Edges() {
+		g.MustAddEdge(int(e.U), int(e.V))
+	}
+	var text bytes.Buffer
+	if err := g.Write(&text); err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(server.BuildRequest{
+		Graph:         text.String(),
+		Sources:       []int{0, 25, 50, 75, 100, 125, 150, 175},
+		Eps:           []float64{0.3},
+		VertexSources: []int{10, 110},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		lc, err := cluster.StartLocal(4, cluster.LocalOptions{Replicas: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		resp, err := http.Post(lc.URL()+"/build", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		b.StopTimer()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("/build: status %d", resp.StatusCode)
+		}
+		lc.Close()
+	}
+}
+
 // BenchmarkRebalance measures the elastic-cluster machinery on an in-process
 // 3-shard / R=2 cluster. "handoff" is raw record-transfer throughput over the
 // shards' persistent binary protocol (the same FetchRecord path a rebalance

@@ -367,6 +367,18 @@ func TestRouterMutateBuildMatchSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	lineage := fmt.Sprintf("%016x", g.Fingerprint())
+	// A graph text may carry a later generation of its lineage; both tiers
+	// key it by that lineage.
+	g2, edges2 := clusterGraph(60, 90, 20)
+	last := edges2[len(edges2)-1] // not a tree edge: the graph stays connected
+	g2, _, err = g2.Mutate([]ftbfs.Mutation{{Op: ftbfs.MutDelete, U: last[0], V: last[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text2 bytes.Buffer
+	if err := g2.Write(&text2); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name, path string
 		body       any
@@ -374,6 +386,7 @@ func TestRouterMutateBuildMatchSingleNode(t *testing.T) {
 	}{
 		{"build ok", "/build", server.BuildRequest{Graph: text.String(), Sources: []int{0}, Eps: []float64{0.3}}, http.StatusOK},
 		{"build source out of range", "/build", server.BuildRequest{Graph: text.String(), Sources: []int{999}, Eps: []float64{0.3}}, http.StatusBadRequest},
+		{"build a later generation", "/build", server.BuildRequest{Graph: text2.String(), Sources: []int{0, 7}, Eps: []float64{0.3}}, http.StatusOK},
 		{"mutate unknown graph", "/mutate", server.MutateRequest{Graph: "00000000000000ff", Mutations: []server.MutationJSON{{Op: "delete", U: 1, V: 2}}}, http.StatusNotFound},
 		{"mutate self-loop", "/mutate", server.MutateRequest{Graph: lineage, Mutations: []server.MutationJSON{{Op: "insert", U: 3, V: 3}}}, http.StatusBadRequest},
 	} {
@@ -684,8 +697,9 @@ func TestRouterConcurrentDifferential(t *testing.T) {
 }
 
 // TestRouterBuildSingleFlight launches identical concurrent /build requests
-// and asserts exactly-once fan-out: each owning shard builds each structure
-// once, no matter how many clients raced.
+// and asserts exactly-once fan-out: each structure is built once, on one of
+// its owners, and installed once on its other owner, no matter how many
+// clients raced.
 func TestRouterBuildSingleFlight(t *testing.T) {
 	lc, err := StartLocal(4, LocalOptions{Replicas: 2})
 	if err != nil {
@@ -722,21 +736,26 @@ func TestRouterBuildSingleFlight(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	// Exactly-once per replica: 4 pairs × R=2 = 8 shard-side builds in
-	// total, regardless of how many of the 8 clients coalesced. (Even a
-	// flight miss is absorbed by the shard store's own single-flight, so
-	// this holds unconditionally — the router flight just avoids the
-	// redundant fan-out traffic.)
-	var shardBuilds uint64
+	// Exactly once per structure: 4 pairs = 4 shard-side builds in total,
+	// and with R=2 one install of each on its other owner, regardless of
+	// how many of the 8 clients coalesced. (Even a flight miss is absorbed:
+	// the builder's store hits, and the other owner's pull skips a held
+	// record — the router flight just avoids the redundant fan-out traffic.)
+	var shardBuilds, installs uint64
 	for _, sh := range lc.Shards {
-		shardBuilds += sh.Store.Stats().Builds
+		st := sh.Store.Stats()
+		shardBuilds += st.Builds
+		installs += st.HandoffsIn
 	}
-	if shardBuilds != 8 {
-		t.Fatalf("shards performed %d builds in total, want exactly 8 (4 structures × R=2)", shardBuilds)
+	if shardBuilds != 4 || installs != 4 {
+		t.Fatalf("shards performed %d builds and %d installs in total, want exactly 4 and 4 (4 structures, R=2)", shardBuilds, installs)
 	}
 	var rs RouterStatsResponse
 	if code, body := getJSON(t, lc.URL()+"/stats", &rs); code != http.StatusOK {
 		t.Fatalf("/stats: %d %s", code, body)
+	}
+	if rs.StructuresTransferred != 4 {
+		t.Fatalf("router counted %d structures transferred, want 4 (one install per structure)", rs.StructuresTransferred)
 	}
 	if rs.Builds+rs.BuildsCoalesced != clients {
 		t.Fatalf("router flight accounting: %d builds + %d coalesced != %d clients",

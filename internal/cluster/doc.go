@@ -4,8 +4,9 @@
 // full query surface (/build, /dist, /dist-avoiding, /batch-query, /stats)
 // to the owning shards — hedged reads across replicas for point queries,
 // scatter-gather with per-shard sub-batching for multi-structure
-// /batch-query vectors, and single-flight build fan-out so one logical
-// /build lands on every replica exactly once.
+// /batch-query vectors, and a single-flight /build that runs each
+// structure's construction once, on one owner, while the other owners
+// install its record over the handoff path.
 //
 // # One HTTP edge
 //
@@ -70,7 +71,18 @@
 // frames THandoff/TGraph carry the same payloads), and POST /handoff/pull
 // tells a shard to fetch a key list from a named source and install it.
 // Pulls are idempotent — a receiver skips keys it already holds — so a
-// re-driven rebalance converges instead of re-copying.
+// re-driven rebalance converges instead of re-copying. A handoff key names
+// its graph by lineage, and the receiver registers whatever generation the
+// source serves, so a mutated lineage moves like any other.
+//
+// /build replicates through the same pulls. A structure is a deterministic
+// function of its key, so each key is built once, on its first healthy
+// owner (the next one on a transport fault or 5xx, or when half of the
+// build budget passes unanswered), and every other owner pulls the
+// builder's record — one pull in flight per owner, counted in
+// structures_transferred and bytes_moved, even when another key fails the
+// build. An owner whose pull installs nothing builds the key itself; that
+// fallback failing is tolerated like a down replica.
 //
 // The rebalance lifecycle around a join (Router.AddShard) is
 // transfer-before-flip:

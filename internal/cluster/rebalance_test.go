@@ -141,6 +141,12 @@ func TestRouterRebalanceJoinDrainDifferential(t *testing.T) {
 	fixtures := buildFixtures(t, lc.URL(), []int64{61, 62, 63}, []int{0, 5}, 0.3)
 	vfixtures := buildVertexFixtures(t, lc.URL(), 64, []int{0, 1, 2, 3})
 	qs := rebalanceQueries(t, lc.URL(), fixtures, vfixtures)
+	// /build's installs count as transfers too; the rebalance is measured
+	// from here.
+	var rs0 RouterStatsResponse
+	if code, body := getJSON(t, lc.URL()+"/stats", &rs0); code != http.StatusOK {
+		t.Fatalf("/stats: %d %s", code, body)
+	}
 
 	var wrong, errs atomic.Uint64
 	stop := make(chan struct{})
@@ -227,9 +233,9 @@ func TestRouterRebalanceJoinDrainDifferential(t *testing.T) {
 	if rs.Rebalances != 2 {
 		t.Fatalf("stats report %d rebalances, want 2 (one join, one drain)", rs.Rebalances)
 	}
-	if rs.StructuresTransferred < 1 || rs.BytesMoved == 0 {
-		t.Fatalf("stats report %d structures / %d bytes moved — load-through masked a broken handoff",
-			rs.StructuresTransferred, rs.BytesMoved)
+	if rs.StructuresTransferred <= rs0.StructuresTransferred || rs.BytesMoved <= rs0.BytesMoved {
+		t.Fatalf("stats report %d structures / %d bytes moved by the rebalance — load-through masked a broken handoff",
+			rs.StructuresTransferred-rs0.StructuresTransferred, rs.BytesMoved-rs0.BytesMoved)
 	}
 	if rs.RangesPending != 0 {
 		t.Fatalf("stats report %d ranges still pending after both rebalances", rs.RangesPending)
@@ -400,6 +406,12 @@ func TestChurnSoak(t *testing.T) {
 	fixtures := buildFixtures(t, lc.URL(), []int64{71, 72}, []int{0, 5}, 0.3)
 	vfixtures := buildVertexFixtures(t, lc.URL(), 73, []int{0, 1})
 	qs := rebalanceQueries(t, lc.URL(), fixtures, vfixtures)
+	// /build's installs count as transfers too; the churn is measured from
+	// here.
+	var rs0 RouterStatsResponse
+	if code, body := getJSON(t, lc.URL()+"/stats", &rs0); code != http.StatusOK {
+		t.Fatalf("/stats: %d %s", code, body)
+	}
 
 	sampler := newSoakSampler()
 	sampler.setPhase("baseline")
@@ -516,8 +528,8 @@ func TestChurnSoak(t *testing.T) {
 	if rs.RangesPending != 0 {
 		t.Fatalf("%d ranges pending after soak", rs.RangesPending)
 	}
-	if rs.StructuresTransferred == 0 {
-		t.Fatal("soak completed without a single structure transfer")
+	if rs.StructuresTransferred == rs0.StructuresTransferred || rs.BytesMoved == rs0.BytesMoved {
+		t.Fatalf("soak moved %d structures / %d bytes — not a single transfer", rs.StructuresTransferred-rs0.StructuresTransferred, rs.BytesMoved-rs0.BytesMoved)
 	}
 }
 
@@ -539,6 +551,14 @@ func TestPromoteHotWidensReplicaSet(t *testing.T) {
 		e := fx.edges[i%len(fx.edges)]
 		checkPoint(t, lc.URL(), fx, (i*5)%fx.n, e)
 	}
+	// /build already installed the key on its second owner; the promotion
+	// is measured from here.
+	var builds0, installs0 uint64
+	for _, sh := range lc.Shards {
+		st := sh.Store.Stats()
+		builds0 += st.Builds
+		installs0 += st.HandoffsIn
+	}
 	ctx := context.Background()
 	n, err := lc.Router.PromoteHot(ctx, 1, 10)
 	if err != nil {
@@ -554,18 +574,22 @@ func TestPromoteHotWidensReplicaSet(t *testing.T) {
 
 	// The structure now resides on R+1 = 3 shards, the extra copy by handoff.
 	k := edgeKey(t, fx)
-	holders, handoffs := 0, uint64(0)
+	holders := 0
+	var builds, installs uint64
 	for _, sh := range lc.Shards {
 		if sh.Store.Has(k) {
 			holders++
-			handoffs += sh.Store.Stats().HandoffsIn
 		}
+		st := sh.Store.Stats()
+		builds += st.Builds
+		installs += st.HandoffsIn
 	}
 	if holders != 3 {
 		t.Fatalf("%d shards hold the hot key, want 3 (R=2 + 1)", holders)
 	}
-	if handoffs != 1 {
-		t.Fatalf("%d handoff installs among holders, want 1 (the promoted copy)", handoffs)
+	if installs-installs0 != 1 || builds != builds0 {
+		t.Fatalf("the promotion made %d handoff installs and %d builds, want 1 install (the promoted copy) and no build",
+			installs-installs0, builds-builds0)
 	}
 
 	// Routing sees the widened set and answers stay correct.
@@ -579,5 +603,69 @@ func TestPromoteHotWidensReplicaSet(t *testing.T) {
 	for i := 0; i < len(fx.edges); i += 2 {
 		e := fx.edges[i]
 		checkPoint(t, lc.URL(), fx, (i*11)%fx.n, e)
+	}
+}
+
+// TestJoinTransfersMutatedLineage joins a shard after a lineage has moved
+// to generation 1. A handoff key names the graph by lineage while the graph
+// it fetches is the source's serving generation, so the pull must check the
+// lineage, not the generation's fingerprint: the joiner installs every key
+// it gains, builds none, and every routed answer stays what it was.
+func TestJoinTransfersMutatedLineage(t *testing.T) {
+	lc, err := StartLocal(2, LocalOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	g, edges := clusterGraph(60, 90, 5)
+	var text bytes.Buffer
+	if err := g.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	sources := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	var br server.BuildResponse
+	if code, body := postJSON(t, lc.URL()+"/build", server.BuildRequest{Graph: text.String(), Sources: sources, Eps: []float64{0.3}}, &br); code != http.StatusOK {
+		t.Fatalf("/build: %d %s", code, body)
+	}
+	// Delete a non-tree edge: the graph stays connected.
+	e := edges[len(edges)-1]
+	code, mr, body, err := mutateVia(http.DefaultClient, lc.URL(), br.Fingerprint, []server.MutationJSON{{Op: "delete", U: e[0], V: e[1]}})
+	if err != nil || code != http.StatusOK || mr.Gen != 1 {
+		t.Fatalf("/mutate: %d %s (%v), want 200 at gen 1", code, body, err)
+	}
+	answers := func() map[string]string {
+		out := make(map[string]string)
+		for _, src := range sources {
+			for v := 0; v < g.N(); v += 7 {
+				q := fmt.Sprintf("%s/dist?graph=%s&source=%d&eps=0.3&v=%d", lc.URL(), br.Fingerprint, src, v)
+				code, body := getJSON(t, q, nil)
+				if code != http.StatusOK {
+					t.Fatalf("routed %s: %d %s", q, code, body)
+				}
+				out[q] = body
+			}
+		}
+		return out
+	}
+	before := answers()
+
+	sh, report, err := lc.AddShard(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Ranges == 0 {
+		t.Fatal("the joiner gained no key; the test tested nothing")
+	}
+	if report.Transferred != report.Ranges || len(report.Errors) != 0 {
+		t.Fatalf("join moved %d of %d ranges, errors %v", report.Transferred, report.Ranges, report.Errors)
+	}
+	if b := sh.Store.Stats().Builds; b != 0 {
+		t.Fatalf("the joiner built %d structures, want 0 (all handed off)", b)
+	}
+	after := answers()
+	for q, want := range before {
+		if after[q] != want {
+			t.Fatalf("routed %s after the join: %s, before it: %s", q, after[q], want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,7 +94,8 @@ type RouterOptions struct {
 // only: point queries go to the key's replica set with hedged reads;
 // /batch-query vectors scatter as one sub-batch per shard and gather
 // per-query results with failover; /mutate fans out to every member. /build
-// fans out over HTTP to every owning replica exactly once (single-flight).
+// builds each structure once over HTTP, on one owner, and the others install
+// its record (single-flight).
 type Router struct {
 	m     *Membership
 	edge  *server.Edge
@@ -763,10 +765,10 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 	}
 }
 
-// Build fans a /build out to every shard owning any of its requested
-// structures (server.Backend), exactly once per logical build: concurrent
-// identical requests coalesce on a single-flight key of (fingerprint,
-// algorithm, pairs).
+// Build runs a /build on the cluster (server.Backend), exactly once per
+// logical build: concurrent identical requests coalesce on a single-flight
+// key of (fingerprint, algorithm, pairs). Each structure is built on one of
+// its owners and installed on the others (fanOutBuild).
 func (rt *Router) Build(ctx context.Context, g *ftbfs.Graph, req *server.BuildRequest, alg ftbfs.Algorithm, pairs []server.BuildPair) (*server.BuildResponse, *wire.Error) {
 	flightKey := fmt.Sprintf("%016x|%d|%v|v%v", g.Fingerprint(), alg, pairs, req.VertexSources)
 	resp, werr, shared := rt.buildFlight.Do(flightKey, func() (*server.BuildResponse, *wire.Error) {
@@ -784,157 +786,251 @@ func (rt *Router) Build(ctx context.Context, g *ftbfs.Graph, req *server.BuildRe
 	return resp, werr
 }
 
-// fanOutBuild ships one /build per involved shard, each carrying exactly
-// the (source, ε) pairs that shard owns, and merges the per-shard replies
-// into one BuildResponse in request-pair order. A structure succeeds when
-// any of its replicas built it; one whose whole replica set failed fails the
-// build, with the first replica's deterministic 4xx relayed as the shard
-// worded it (a single node's answer), else with a gateway fault.
+// buildKey is one distinct structure a /build asks for — an edge pair or a
+// vertex source — with its owners, healthy first, and what building it gave.
+type buildKey struct {
+	k       store.Key
+	owners  []*Member
+	tried   int     // owners[:tried] were asked to build it
+	running int     // of those, the ones that have not answered yet
+	builder *Member // the first owner that built it; nil until one did
+	info    server.StructureInfo
+	vinfo   server.VertexStructureInfo
+	err     error       // why the last owner that answered did not build it
+	refusal *wire.Error // that owner's own refusal behind err, if it refused
+}
+
+// decided reports whether bk needs no further answer: an owner built it,
+// or refused it as every owner would.
+func (bk *buildKey) decided() bool { return bk.builder != nil || finalRefusal(bk.refusal) }
+
+// waiting reports whether bk is undecided with an attempt still running.
+func (bk *buildKey) waiting() bool { return !bk.decided() && bk.running > 0 }
+
+// buildReply is a member's answer to one /build of keys (sendBuild).
+type buildReply struct {
+	m       *Member
+	keys    []*buildKey
+	resp    *server.BuildResponse
+	refusal *wire.Error
+	err     error
+}
+
+// fanOutBuild builds every requested structure once, on one owner, and then
+// installs it on the others (installReplicas). A structure is a
+// deterministic function of its key, so running the construction on all R
+// owners would only repeat it.
+//
+// Each key goes to its first owner, healthy first, as one /build per member
+// carrying all of that member's keys. A transport fault, a 5xx or a
+// malformed reply sends the member's keys on to their next owners at once;
+// a deterministic 4xx is final. Keys still unanswered when half of the time
+// left has passed are hedged the same way, so a builder that never replies
+// cannot spend the whole budget; the first owner to build a key is its
+// builder. The reply is merged from each key's builder in request order, so
+// it is what a single node answers; a key no owner built fails the build,
+// with a final refusal relayed as the shard worded it, else with a gateway
+// fault. The keys that were built are installed either way.
 func (rt *Router) fanOutBuild(ctx context.Context, g *ftbfs.Graph, req *server.BuildRequest, alg ftbfs.Algorithm, pairs []server.BuildPair) (*server.BuildResponse, *wire.Error) {
 	// Re-encode once: the canonical text preserves edge order, so every
-	// shard computes the same fingerprint the router routed on.
-	var text bytes.Buffer
-	if err := g.Write(&text); err != nil {
+	// shard computes the same lineage the router routed on.
+	var buf bytes.Buffer
+	if err := g.Write(&buf); err != nil {
 		return nil, &wire.Error{Code: http.StatusInternalServerError, Msg: err.Error()}
 	}
-	fp := g.Fingerprint()
+	text, fp := buf.String(), g.Lineage()
 
-	type shardBuild struct {
-		member   *Member
-		pairs    []server.BuildPair
-		index    map[server.BuildPair]int // pair -> position in pairs
-		vsources []int
-		vindex   map[int]int // vertex source -> position in vsources
-		resp     server.BuildResponse
-		err      error       // why this shard's build failed; nil when it succeeded
-		refusal  *wire.Error // the shard's own refusal behind err, if it refused
-	}
-	var shards []*shardBuild
-	byMember := make(map[*Member]*shardBuild)
-	shardFor := func(m *Member) *shardBuild {
-		sb := byMember[m]
-		if sb == nil {
-			sb = &shardBuild{member: m, index: make(map[server.BuildPair]int), vindex: make(map[int]int)}
-			byMember[m] = sb
-			shards = append(shards, sb)
+	// One entry per distinct key, edge pairs first, so every /build lists
+	// its pairs before its vertex sources; slots maps every request slot to
+	// its entry. Builds route on the same registry key as queries.
+	var keys []*buildKey
+	index := make(map[store.Key]int)
+	slots := make([]int, 0, len(pairs)+len(req.VertexSources))
+	add := func(k store.Key) bool {
+		i, ok := index[k]
+		if !ok {
+			owners := healthyFirst(rt.m.Owners(KeyHash(k)))
+			if len(owners) == 0 {
+				return false
+			}
+			i = len(keys)
+			index[k] = i
+			keys = append(keys, &buildKey{k: k, owners: owners})
 		}
-		return sb
+		slots = append(slots, i)
+		return true
 	}
-	pairOwners := make([][]*Member, len(pairs))
-	for i, p := range pairs {
-		// Builds route on the same registry key as queries; algorithm
-		// differences are part of the key, so a mixed-alg workload shards
-		// consistently. Replication ignores health: a down replica simply
-		// fails its sub-request and the pair survives on the others.
-		k := store.Key{Graph: fp, Source: p.Source, Eps: p.Eps, Alg: alg}
-		owners := rt.m.Owners(KeyHash(k))
-		if len(owners) == 0 {
+	for _, p := range pairs {
+		if !add(store.Key{Graph: fp, Source: p.Source, Eps: p.Eps, Alg: alg}) {
 			return nil, errNoShardsJoined
 		}
-		pairOwners[i] = owners
-		for _, m := range owners {
-			sb := shardFor(m)
-			if _, dup := sb.index[p]; !dup {
-				sb.index[p] = len(sb.pairs)
-				sb.pairs = append(sb.pairs, p)
-			}
-		}
 	}
-	// Vertex structures route on their own vertex-model keys, so their
-	// owners are generally different shards than any edge pair's — which is
-	// exactly what makes the graph reach every shard a later
-	// /dist-avoiding-vertex can land on.
-	vsrcOwners := make([][]*Member, len(req.VertexSources))
-	for i, src := range req.VertexSources {
-		owners := rt.m.Owners(KeyHash(store.VertexKey(fp, src)))
-		if len(owners) == 0 {
+	for _, src := range req.VertexSources {
+		if !add(store.VertexKey(fp, src)) {
 			return nil, errNoShardsJoined
-		}
-		vsrcOwners[i] = owners
-		for _, m := range owners {
-			sb := shardFor(m)
-			if _, dup := sb.vindex[src]; !dup {
-				sb.vindex[src] = len(sb.vsources)
-				sb.vsources = append(sb.vsources, src)
-			}
 		}
 	}
 
+	// send starts an attempt on the next owner of every undecided key that
+	// has one left and, unless hedging, no attempt running; it reports
+	// whether it started any.
+	actx, cancel := context.WithCancel(ctx)
+	replies := make(chan buildReply)
+	inFlight := 0
+	send := func(hedge bool) bool {
+		byMember := make(map[*Member][]*buildKey)
+		for _, bk := range keys {
+			if !bk.decided() && bk.tried < len(bk.owners) && (hedge || bk.running == 0) {
+				m := bk.owners[bk.tried]
+				bk.tried++
+				bk.running++
+				byMember[m] = append(byMember[m], bk)
+			}
+		}
+		for m, ks := range byMember {
+			inFlight++
+			go func() {
+				resp, refusal, err := rt.sendBuild(actx, m, text, req.Alg, ks)
+				replies <- buildReply{m: m, keys: ks, resp: resp, refusal: refusal, err: err}
+			}()
+		}
+		return len(byMember) > 0
+	}
+	send(false)
+	deadline, _ := ctx.Deadline()
+	hedge := time.NewTimer(time.Until(deadline) / 2)
+	for slices.ContainsFunc(keys, (*buildKey).waiting) {
+		select {
+		case r := <-replies:
+			inFlight--
+			for j, bk := range r.keys {
+				bk.running--
+				switch {
+				case bk.decided(): // another owner answered first
+				case r.err != nil:
+					bk.err, bk.refusal = fmt.Errorf("shard %s: %w", r.m.ID, r.err), r.refusal
+				case bk.k.Model == store.ModelVertex:
+					bk.builder, bk.vinfo = r.m, r.resp.VertexStructures[j-len(r.resp.Structures)]
+				default:
+					bk.builder, bk.info = r.m, r.resp.Structures[j]
+				}
+			}
+			send(false)
+		case <-hedge.C:
+			if send(true) {
+				hedge.Reset(time.Until(deadline) / 2)
+			}
+		}
+	}
+	hedge.Stop()
+	cancel() // ends the attempts a hedge outran
+	for ; inFlight > 0; inFlight-- {
+		<-replies
+	}
+	rt.installReplicas(ctx, keys, text, req.Alg)
+
+	out := &server.BuildResponse{Fingerprint: fmt.Sprintf("%016x", fp), N: g.N(), M: g.M()}
+	for _, i := range slots {
+		bk := keys[i]
+		switch {
+		case bk.builder == nil && finalRefusal(bk.refusal):
+			return nil, bk.refusal
+		case bk.builder == nil:
+			what := fmt.Sprintf("build (source=%d, eps=%g)", bk.k.Source, bk.k.Eps)
+			if bk.k.Model == store.ModelVertex {
+				what = fmt.Sprintf("vertex build (source=%d)", bk.k.Source)
+			}
+			return nil, &wire.Error{Code: http.StatusBadGateway, Msg: fmt.Sprintf("cluster: %s failed on all %d replicas: %v", what, len(bk.owners), bk.err)}
+		case bk.k.Model == store.ModelVertex:
+			out.VertexStructures = append(out.VertexStructures, bk.vinfo)
+		default:
+			out.Structures = append(out.Structures, bk.info)
+		}
+	}
+	return out, nil
+}
+
+// installReplicas has every owner of a built key other than its builder
+// pull the builder's record over the handoff path rebalance uses
+// (/handoff/pull), one pull in flight per owner: each walks its builders in
+// turn. Keys a pull did not install are built on that owner instead — an
+// owner that built nothing has no graph until a pull succeeds — and a
+// failure there is tolerated as a down replica is: the key serves from its
+// builder.
+func (rt *Router) installReplicas(ctx context.Context, keys []*buildKey, text, alg string) {
+	targets := make(map[*Member]map[*Member][]*buildKey) // owner → builder → keys
+	for _, bk := range keys {
+		for _, m := range bk.owners {
+			if bk.builder != nil && m != bk.builder {
+				if targets[m] == nil {
+					targets[m] = make(map[*Member][]*buildKey)
+				}
+				targets[m][bk.builder] = append(targets[m][bk.builder], bk)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for _, sb := range shards {
-		sb := sb
+	for target, bySrc := range targets {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			payload, err := json.Marshal(&server.BuildRequest{
-				Graph:         text.String(),
-				Pairs:         sb.pairs,
-				Alg:           req.Alg,
-				VertexSources: sb.vsources,
-			})
-			if err != nil {
-				sb.err = err
-				return
+			var missed []*buildKey
+			for src, ks := range bySrc {
+				infos := make([]server.HandoffKeyInfo, len(ks))
+				for j, bk := range ks {
+					infos[j] = server.HandoffKeyFor(bk.k)
+				}
+				res, err := rt.pullTo(ctx, target.Addr(), src, infos)
+				if err != nil || res.Transferred+res.Skipped < len(infos) {
+					missed = append(missed, ks...)
+				}
 			}
-			code, body, err := rt.forward(ctx, rt.buildClient, sb.member, http.MethodPost, "/build", payload)
-			switch {
-			case err != nil:
-				sb.err = err
-			case code != http.StatusOK:
-				var reply struct{ Error string }
-				if json.Unmarshal(body, &reply) != nil {
-					reply.Error = string(bytes.TrimSpace(body))
-				}
-				sb.refusal = &wire.Error{Code: code, Msg: reply.Error}
-				sb.err = fmt.Errorf("status %d: %s", code, reply.Error)
-			default:
-				sb.err = json.Unmarshal(body, &sb.resp)
-				if sb.err == nil && len(sb.resp.Structures) != len(sb.pairs) {
-					sb.err = fmt.Errorf("shard built %d of %d structures", len(sb.resp.Structures), len(sb.pairs))
-				}
-				if sb.err == nil && len(sb.resp.VertexStructures) != len(sb.vsources) {
-					sb.err = fmt.Errorf("shard built %d of %d vertex structures", len(sb.resp.VertexStructures), len(sb.vsources))
-				}
+			if len(missed) > 0 {
+				// A failure leaves the keys serving from their builders.
+				_, _, _ = rt.sendBuild(ctx, target, text, alg, missed)
 			}
 		}()
 	}
 	wg.Wait()
+}
 
-	// built returns the first of owners whose shard build succeeded, else
-	// the refusal the structure named by what fails the build with.
-	built := func(owners []*Member, what string, args ...any) (*shardBuild, *wire.Error) {
-		var failed *shardBuild
-		for _, m := range owners {
-			sb := byMember[m]
-			if sb.err == nil {
-				return sb, nil
-			}
-			if failed == nil {
-				failed = sb
-			}
+// sendBuild posts one /build of the keys' structures to m: the graph text,
+// the edge pairs and the vertex sources, in the order of keys. It returns
+// m's reply, or why m did not build them all — its refusal, when it refused,
+// alongside the error.
+func (rt *Router) sendBuild(ctx context.Context, m *Member, text, alg string, keys []*buildKey) (*server.BuildResponse, *wire.Error, error) {
+	breq := server.BuildRequest{Graph: text, Alg: alg}
+	for _, bk := range keys {
+		if bk.k.Model == store.ModelVertex {
+			breq.VertexSources = append(breq.VertexSources, bk.k.Source)
+		} else {
+			breq.Pairs = append(breq.Pairs, server.BuildPair{Source: bk.k.Source, Eps: bk.k.Eps})
 		}
-		if finalRefusal(failed.refusal) {
-			return nil, failed.refusal
-		}
-		return nil, &wire.Error{Code: http.StatusBadGateway, Msg: fmt.Sprintf("cluster: %s failed on all %d replicas: shard %s: %v",
-			fmt.Sprintf(what, args...), len(owners), failed.member.ID, failed.err)}
 	}
-	out := &server.BuildResponse{Fingerprint: fmt.Sprintf("%016x", fp), N: g.N(), M: g.M()}
-	for i, p := range pairs {
-		sb, werr := built(pairOwners[i], "build (source=%d, eps=%g)", p.Source, p.Eps)
-		if werr != nil {
-			return nil, werr
-		}
-		out.Structures = append(out.Structures, sb.resp.Structures[sb.index[p]])
+	payload, err := json.Marshal(&breq)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i, src := range req.VertexSources {
-		sb, werr := built(vsrcOwners[i], "vertex build (source=%d)", src)
-		if werr != nil {
-			return nil, werr
-		}
-		out.VertexStructures = append(out.VertexStructures, sb.resp.VertexStructures[sb.vindex[src]])
+	code, body, err := rt.forward(ctx, rt.buildClient, m, http.MethodPost, "/build", payload)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	if code != http.StatusOK {
+		var reply struct{ Error string }
+		if json.Unmarshal(body, &reply) != nil {
+			reply.Error = string(bytes.TrimSpace(body))
+		}
+		return nil, &wire.Error{Code: code, Msg: reply.Error}, fmt.Errorf("status %d: %s", code, reply.Error)
+	}
+	var resp server.BuildResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, nil, err
+	}
+	if len(resp.Structures) != len(breq.Pairs) || len(resp.VertexStructures) != len(breq.VertexSources) {
+		return nil, nil, fmt.Errorf("shard built %d+%d of %d+%d structures",
+			len(resp.Structures), len(resp.VertexStructures), len(breq.Pairs), len(breq.VertexSources))
+	}
+	return &resp, nil, nil
 }
 
 // Mutate fans an edge-mutation batch out to every shard holding the graph's
@@ -1104,9 +1200,9 @@ type RouterStatsResponse struct {
 	Errors                uint64 `json:"errors"`
 	Replicas              int    `json:"replicas"`
 
-	// Rebalance state: a churn soak asserts StructuresTransferred > 0 (the
-	// transfer actually ran — load-through would mask a broken handoff) and
-	// RangesPending == 0 (it finished).
+	// Rebalance state: a churn soak asserts StructuresTransferred grows (the
+	// transfer actually ran — load-through would mask a broken handoff; it
+	// counts /build's installs too) and RangesPending == 0 (it finished).
 	Rebalances            uint64 `json:"rebalances"`
 	RangesPending         int64  `json:"ranges_pending"`
 	RangesMoved           uint64 `json:"ranges_moved"`

@@ -303,8 +303,10 @@ func (s *Server) pull(ctx context.Context, req *HandoffPullRequest) *HandoffPull
 			return fmt.Errorf("decode graph %016x: %w", fp, err)
 		}
 		g.Freeze()
-		if g.Fingerprint() != fp {
-			return fmt.Errorf("graph fetched for %016x has fingerprint %016x", fp, g.Fingerprint())
+		// Keys name a graph by lineage, which stays put while the graph
+		// mutates; the fetched text is the source's serving generation.
+		if g.Lineage() != fp {
+			return fmt.Errorf("graph fetched for %016x has lineage %016x", fp, g.Lineage())
 		}
 		if _, err := s.store.AddGraph(g); err != nil {
 			// A PersistError means the graph is registered and serving from

@@ -15,17 +15,20 @@ import (
 // readRecord slurps a structure record, pre-sizing the buffer when the
 // reader's length is knowable (files via Stat, in-memory readers via Size)
 // so a load costs one allocation instead of a doubling growth chain — slab
-// loading is otherwise fast enough that buffer churn shows up.
+// loading is otherwise fast enough that buffer churn shows up. The slack is
+// bytes.MinRead because ReadFrom wants that much room before the read that
+// finds EOF: with less it reallocates to about twice the size, and a slab
+// structure keeps whatever buffer it was decoded from.
 func readRecord(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
 	switch src := r.(type) {
 	case *os.File:
 		if fi, err := src.Stat(); err == nil && fi.Size() > 0 {
-			buf.Grow(int(fi.Size()) + 1)
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
 		}
 	case interface{ Size() int64 }: // bytes.Reader, strings.Reader
 		if sz := src.Size(); sz > 0 {
-			buf.Grow(int(sz) + 1)
+			buf.Grow(int(sz) + bytes.MinRead)
 		}
 	}
 	if _, err := buf.ReadFrom(r); err != nil {
