@@ -1063,7 +1063,7 @@ func BenchmarkVertexQuery(b *testing.B) {
 	var leaves, internal []int
 	descendant := make(map[int]int) // internal w -> one strict descendant
 	for w := 1; w < n; w++ {
-		if plan.SubtreeSize(w) == 0 {
+		if plan.VertexSubtreeSize(w) == 0 {
 			leaves = append(leaves, w)
 			continue
 		}

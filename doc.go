@@ -69,23 +69,25 @@
 //
 // # Vertex failures
 //
-// The same serving machinery exists one model up, for single VERTEX
-// failures (the companion problem of Parter DISC'14 / Parter–Peleg
-// ESA'13): BuildVertex constructs a VertexStructure whose
-// VertexQueryPlan mirrors the edge plan — a failed vertex off the
-// target's tree path in H's BFS tree is an O(1) read of the cached intact
-// vector, a failed tree vertex repairs only its strict-descendant subtree
-// with every arc of the failed vertex banned
-// (bfs.Repair.RunAvoidingVertex). VertexOracle.DistAvoidingVertex is the
-// point query, DistAvoidingVertexRef the full-BFS reference it is
+// The same serving machinery answers single VERTEX failures (the companion
+// problem of Parter DISC'14 / Parter–Peleg ESA'13): BuildVertex constructs
+// a VertexStructure, which embeds the serving core Structure embeds, so
+// both failure models share one QueryPlan, one Oracle and one OraclePool
+// (VertexQueryPlan, VertexOracle and VertexOraclePool are aliases of them).
+// The models differ only in which subtree of H's BFS tree a failure can
+// change and what the repair bans: a failed vertex off the target's tree
+// path is an O(1) read of the cached intact vector, a failed tree vertex
+// repairs only its strict-descendant subtree with every arc of the failed
+// vertex banned (bfs.Repair.Run). Oracle.DistAvoidingVertex is the point
+// query, DistAvoidingVertexRef the full-BFS reference it is
 // differential-tested against, DistAvoidingVertexMany /
-// DistAvoidingVertexEach the grouped batch forms, and
-// VertexStructure.OraclePool the concurrent checkout. VertexStructure.Save
-// and LoadVertexStructure persist the structure as a version-2 record of
-// the structure text format (edge files keep their version-1 record); the
-// store keys vertex structures under a failure-model Key dimension
-// (store.VertexKey) with the same single-flight build-through, LRU and
-// persist directory, and the server exposes them on /dist-avoiding-vertex
+// DistAvoidingVertexEach the grouped batch forms. An oracle refuses the
+// other model's failures with an error, as it refuses a reinforced edge.
+// VertexStructure.Save and LoadVertexStructure persist the structure as a
+// version-2 record of the structure text format (edge files keep their
+// version-1 record); the store keys vertex structures under a failure-model
+// Key dimension (store.VertexKey) and resolves both models through one
+// single-flight path, and the server exposes them on /dist-avoiding-vertex
 // plus "failedVertex" slots in /batch-query vectors.
 //
 // # Sharded serving

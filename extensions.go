@@ -6,7 +6,7 @@ import (
 
 // BuildVertexFT is the original name of BuildVertex, kept for
 // compatibility; the vertex-failure serving surface (query plan, oracles,
-// persistence) lives on the VertexStructure it returns — see vertex.go.
+// persistence) lives on the VertexStructure it returns.
 func BuildVertexFT(g *Graph, source int) (*VertexStructure, error) {
 	return BuildVertex(g, source)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"ftbfs/internal/batch"
 	"ftbfs/internal/core"
@@ -107,20 +106,20 @@ func WithoutPhase2() BuildOption {
 	return func(o *core.Options) { o.SkipPhase2 = true }
 }
 
-// Structure is a built (b, r) FT-BFS structure. Structures are immutable
-// once built; the read-only query methods are safe for concurrent use, and
-// OraclePool serves concurrent failure-simulation queries.
+// Structure is a built (b, r) FT-BFS structure. It embeds the serving core
+// VertexStructure embeds — Source, Size, Contains, Edges, Dist, Plan, Oracle
+// and OraclePool are one code path for both failure models — and its
+// oracles answer edge failures. Structures are immutable once built; the
+// read-only query methods are safe for concurrent use, and OraclePool
+// serves concurrent failure-simulation queries.
 type Structure struct {
+	serving
 	st *core.Structure
+}
 
-	intactOnce sync.Once
-	intactDist []int32 // cached dist(s, ·) in the intact H; see intactDistances
-
-	planOnce sync.Once
-	qplan    *QueryPlan // cached serving plan; see Plan
-
-	poolOnce sync.Once
-	pool     *OraclePool
+// newStructure wraps a built edge structure in its serving core.
+func newStructure(st *core.Structure) *Structure {
+	return &Structure{serving: serving{g: st.G, src: st.S, h: st.Edges, reinforced: st.Reinforced}, st: st}
 }
 
 // Build constructs an ε FT-BFS structure for (g, source). The graph is
@@ -137,17 +136,11 @@ func Build(g *Graph, source int, eps float64, opts ...BuildOption) (*Structure, 
 	if err != nil {
 		return nil, err
 	}
-	return &Structure{st: st}, nil
+	return newStructure(st), nil
 }
-
-// Source returns the BFS source.
-func (s *Structure) Source() int { return s.st.S }
 
 // Epsilon returns the tradeoff parameter the structure was built with.
 func (s *Structure) Epsilon() float64 { return s.st.Eps }
-
-// Size returns |E(H)|.
-func (s *Structure) Size() int { return s.st.Size() }
 
 // BackupCount returns b — the number of fault-prone edges purchased.
 func (s *Structure) BackupCount() int { return s.st.BackupCount() }
@@ -160,20 +153,11 @@ func (s *Structure) Cost(backupPrice, reinforcePrice float64) float64 {
 	return s.st.Cost(backupPrice, reinforcePrice)
 }
 
-// Contains reports whether edge {u,v} belongs to the structure.
-func (s *Structure) Contains(u, v int) bool {
-	id := s.st.G.EdgeIDOf(u, v)
-	return id != graph.NoEdge && s.st.Edges.Contains(id)
-}
-
 // IsReinforced reports whether edge {u,v} is reinforced.
 func (s *Structure) IsReinforced(u, v int) bool {
 	id := s.st.G.EdgeIDOf(u, v)
 	return id != graph.NoEdge && s.st.Reinforced.Contains(id)
 }
-
-// Edges returns all structure edges as endpoint pairs.
-func (s *Structure) Edges() [][2]int { return edgePairs(s.st.G, s.st.Edges) }
 
 // ReinforcedEdges returns the reinforced edges as endpoint pairs.
 func (s *Structure) ReinforcedEdges() [][2]int { return edgePairs(s.st.G, s.st.Reinforced) }

@@ -6,13 +6,13 @@ import (
 	"ftbfs/internal/graph"
 )
 
-// Repair recomputes BFS distances after a tree-edge (Run) or tree-vertex
-// (RunAvoidingVertex) failure, touching only the vertices that can actually
-// change: the failed subtree. Deleting a tree edge e = (p, c) of a BFS tree
-// of H leaves every vertex outside the subtree of c with its intact
-// distance (its tree path avoids e), so the new distances inside the
-// subtree satisfy a unit-weight shortest-path problem seeded from the arcs
-// crossing into the subtree: for w inside,
+// Repair recomputes BFS distances after a tree-edge or tree-vertex failure
+// (Run), touching only the vertices that can actually change: the failed
+// subtree. Deleting a tree edge e = (p, c) of a BFS tree of H leaves every
+// vertex outside the subtree of c with its intact distance (its tree path
+// avoids e), so the new distances inside the subtree satisfy a unit-weight
+// shortest-path problem seeded from the arcs crossing into the subtree: for
+// w inside,
 //
 //	dist'(w) = min( min_{u outside, {u,w} ∈ H\{e}} intact(u) + 1 + dist_sub(w', w) )
 //
@@ -43,28 +43,16 @@ func NewRepair(n int) *Repair {
 	}
 }
 
-// Run computes dist(s, ·) in H \ {failed} for every vertex of sub, where h
-// is the CSR adjacency of H, failed is a tree edge of H's BFS tree, sub is
-// the subtree hanging below it (the exact set of vertices whose distance
-// may change), and intact[u] is the unchanged distance of every u ∉ sub.
-// Results stay readable through Dist until the next Run.
-func (r *Repair) Run(h *graph.CSR, intact []int32, sub []int32, failed graph.EdgeID) {
-	r.run(h, intact, sub, failed, -1)
-}
-
-// RunAvoidingVertex is Run for a failed VERTEX w of H's BFS tree: sub must
-// be the strict descendants of w (the exact set of vertices whose distance
-// may change — every vertex outside w's subtree keeps its tree path, and w
-// itself leaves the graph), and every arc incident to w is banned from the
-// search. intact[u] is the unchanged distance of every u ∉ sub ∪ {w}.
-func (r *Repair) RunAvoidingVertex(h *graph.CSR, intact []int32, sub []int32, failed int32) {
-	r.run(h, intact, sub, graph.NoEdge, failed)
-}
-
-// run is the shared repair search; bannedEdge is graph.NoEdge or the failed
-// tree edge, bannedVertex is -1 or the failed tree vertex. Exactly one of
-// the two names a real failure.
-func (r *Repair) run(h *graph.CSR, intact []int32, sub []int32, bannedEdge graph.EdgeID, bannedVertex int32) {
+// Run computes dist(s, ·) in H minus one failure for every vertex of sub,
+// where h is the CSR adjacency of H and intact[u] is the unchanged distance
+// of every u ∉ sub. The failure is a tree edge of H's BFS tree (bannedEdge,
+// with bannedVertex -1), and sub the subtree hanging below it; or a tree
+// vertex w (bannedVertex, with bannedEdge graph.NoEdge), and sub the strict
+// descendants of w, with every arc incident to w banned. Either way sub is
+// the exact set of vertices whose distance may change: every vertex outside
+// keeps its tree path, and a failed vertex leaves the graph. Results stay
+// readable through Dist until the next Run.
+func (r *Repair) Run(h *graph.CSR, intact []int32, sub []int32, bannedEdge graph.EdgeID, bannedVertex int32) {
 	r.nextEpoch()
 	for _, v := range sub {
 		r.inSub[v] = r.epoch

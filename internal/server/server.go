@@ -32,9 +32,11 @@
 // /dist-avoiding-vertex serves the vertex failure model: it addresses a
 // vertex-failure structure (keyed by graph + source only — the vertex
 // construction has no ε or algorithm dimension), built through the store on
-// first use, and answers through pooled VertexOracles exactly like the edge
-// path: an off-tree-path failed vertex is an O(1) read of the intact
-// vector, a failed tree vertex repairs only its subtree.
+// first use. Both models resolve through one helper to the structure's
+// OraclePool — one plan, oracle and pool type serve edge and vertex
+// structures alike — and every point query answers in one OraclePool.Do: an
+// off-tree-path failed vertex is an O(1) read of the intact vector, a failed
+// tree vertex repairs only its subtree.
 //
 // A /batch-query vector may span several structures (each query can carry
 // its own graph/source/eps/alg, defaulting to the request-level address) and
@@ -702,10 +704,11 @@ func refusal(err error) *wire.Error {
 	return &wire.Error{Code: statusFor(err), Msg: err.Error()}
 }
 
-// structureForKey resolves (load-through or build-through) a structure by
-// registry key, validating the optional target vertex against its graph.
-// ctx carries the request's deadline budget into the store's miss path.
-func (s *Server) structureForKey(ctx context.Context, k store.Key, v *int) (*ftbfs.Structure, error) {
+// poolForKey resolves (load-through or build-through) the structure k
+// addresses, of either failure model, to its oracle pool, validating the
+// optional target vertex against its graph. ctx carries the request's
+// deadline budget into the store's miss path.
+func (s *Server) poolForKey(ctx context.Context, k store.Key, v *int) (*ftbfs.OraclePool, error) {
 	g, ok := s.store.Graph(k.Graph)
 	if !ok {
 		return nil, &UnknownGraphError{Fingerprint: k.Graph}
@@ -713,23 +716,13 @@ func (s *Server) structureForKey(ctx context.Context, k store.Key, v *int) (*ftb
 	if v != nil && (*v < 0 || *v >= g.N()) {
 		return nil, fmt.Errorf("vertex %d out of range [0,%d)", *v, g.N())
 	}
-	// GetOrBuild serves a resident structure on its fast path; misses fall
+	// Resolve serves a resident structure on its fast path; misses fall
 	// through to load- or build-through.
-	return s.store.GetOrBuild(ctx, k)
-}
-
-// vertexStructureForKey resolves (load-through or build-through) a
-// vertex-failure structure by registry key, validating the optional target
-// vertex against its graph.
-func (s *Server) vertexStructureForKey(ctx context.Context, k store.Key, v *int) (*ftbfs.VertexStructure, error) {
-	g, ok := s.store.Graph(k.Graph)
-	if !ok {
-		return nil, &UnknownGraphError{Fingerprint: k.Graph}
+	st, err := s.store.Resolve(ctx, k)
+	if err != nil {
+		return nil, err
 	}
-	if v != nil && (*v < 0 || *v >= g.N()) {
-		return nil, fmt.Errorf("vertex %d out of range [0,%d)", *v, g.N())
-	}
-	return s.store.GetOrBuildVertex(ctx, k.Graph, k.Source)
+	return st.OraclePool(), nil
 }
 
 // BatchQuery is one entry of a /batch-query vector: the target vertex, the
@@ -816,9 +809,8 @@ type queryGroup struct {
 	errs     []error
 	answered uint64 // queries that succeeded
 
-	// The structure, when answerGroups found it resident.
-	st  *ftbfs.Structure
-	vst *ftbfs.VertexStructure
+	// The structure's oracle pool, when answerGroups found it resident.
+	pool *ftbfs.OraclePool
 }
 
 // fail fails every slot of the group with err.
@@ -847,8 +839,8 @@ func (s *Server) answerGroups(ctx context.Context, groups []queryGroup, dists []
 	var cold *sync.WaitGroup
 	for g := range groups {
 		gr := &groups[g]
-		var ok bool
-		if gr.st, gr.vst, ok = s.store.Resident(gr.key); ok {
+		if st, ok := s.store.Resident(gr.key); ok {
+			gr.pool = st.OraclePool()
 			continue
 		}
 		// Waiting for a slot respects the caller's budget: a batch stuck
@@ -872,7 +864,7 @@ func (s *Server) answerGroups(ctx context.Context, groups []queryGroup, dists []
 		}()
 	}
 	for g := range groups {
-		if gr := &groups[g]; gr.st != nil || gr.vst != nil {
+		if gr := &groups[g]; gr.pool != nil {
 			s.answerGroup(ctx, gr, dists, errs)
 		}
 	}
@@ -889,29 +881,20 @@ func (s *Server) answerGroups(ctx context.Context, groups []queryGroup, dists []
 // answerGroup answers one group with one pooled oracle of its structure:
 // the resident one answerGroups found, else one the store loads or builds.
 func (s *Server) answerGroup(ctx context.Context, gr *queryGroup, dists []int, errs []string) {
+	pool := gr.pool
 	var err error
-	if gr.key.Model == store.ModelVertex {
-		vst := gr.vst
-		if vst == nil {
-			vst, err = s.vertexStructureForKey(ctx, gr.key, nil)
-		}
-		if err == nil {
-			_ = vst.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
+	if pool == nil {
+		pool, err = s.poolForKey(ctx, gr.key, nil)
+	}
+	if err == nil {
+		_ = pool.Do(func(o *ftbfs.Oracle) error {
+			if gr.key.Model == store.ModelVertex {
 				o.DistAvoidingVertexEach(gr.vqueries, gr.dists, gr.errs)
-				return nil
-			})
-		}
-	} else {
-		st := gr.st
-		if st == nil {
-			st, err = s.structureForKey(ctx, gr.key, nil)
-		}
-		if err == nil {
-			_ = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
+			} else {
 				o.DistAvoidingEach(gr.queries, gr.dists, gr.errs)
-				return nil
-			})
-		}
+			}
+			return nil
+		})
 	}
 	if err != nil {
 		gr.fail(err, dists, errs)

@@ -238,42 +238,28 @@ func (s *Server) wirePoint(ctx context.Context, typ byte, q *wire.PointQuery) (i
 // behind WirePoint and the HTTP point endpoints. Its callers pass the load
 // shedder.
 func (s *Server) Point(ctx context.Context, k store.Key, typ byte, q wire.PointQuery) (int32, *wire.Error) {
+	if typ != wire.TDist && typ != wire.TDistAvoiding && typ != wire.TDistAvoidingVertex {
+		return 0, refusal(fmt.Errorf("unknown point type %#x", typ))
+	}
 	v := int(q.V)
 	var d int
-	var err error
-	switch typ {
-	case wire.TDist, wire.TDistAvoiding:
-		var st *ftbfs.Structure
-		if st, err = s.structureForKey(ctx, k, &v); err != nil {
-			break
-		}
-		if typ == wire.TDist {
-			// Intact distances come from the structure's shared cached
-			// vector — no oracle (and no BFS scratch allocation) needed.
-			d = st.Dist(v)
-			break
-		}
-		// DistAvoiding runs against the structure's QueryPlan: O(1) for
-		// non-tree-edge failures, subtree-local repair otherwise.
-		err = st.OraclePool().Do(func(o *ftbfs.Oracle) error {
+	pool, err := s.poolForKey(ctx, k, &v)
+	if err == nil {
+		// Intact distances read the structure's shared cached vector; failure
+		// queries run against its QueryPlan: O(1) for failures off the
+		// target's tree path, subtree-local repair otherwise.
+		err = pool.Do(func(o *ftbfs.Oracle) error {
 			var qerr error
-			d, qerr = o.DistAvoiding(v, int(q.A), int(q.B))
+			switch typ {
+			case wire.TDist:
+				d = o.Dist(v)
+			case wire.TDistAvoiding:
+				d, qerr = o.DistAvoiding(v, int(q.A), int(q.B))
+			default:
+				d, qerr = o.DistAvoidingVertex(v, int(q.A))
+			}
 			return qerr
 		})
-	case wire.TDistAvoidingVertex:
-		var st *ftbfs.VertexStructure
-		if st, err = s.vertexStructureForKey(ctx, k, &v); err != nil {
-			break
-		}
-		// DistAvoidingVertex runs against the structure's VertexQueryPlan:
-		// O(1) for off-tree-path failures, subtree-local repair otherwise.
-		err = st.OraclePool().Do(func(o *ftbfs.VertexOracle) error {
-			var qerr error
-			d, qerr = o.DistAvoidingVertex(v, int(q.A))
-			return qerr
-		})
-	default:
-		err = fmt.Errorf("unknown point type %#x", typ)
 	}
 	if err != nil {
 		return 0, refusal(err)

@@ -9,9 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
-
-	"ftbfs"
-	"ftbfs/internal/core"
 )
 
 // This file is the store's side of shard-to-shard structure handoff: a shard
@@ -90,13 +87,7 @@ func (s *Store) ExportRecord(k Key) ([]byte, error) {
 	s.mu.Unlock()
 	if ok {
 		var buf bytes.Buffer
-		var err error
-		if k.Model == ModelVertex {
-			err = e.vst.SaveSlab(&buf)
-		} else {
-			err = e.st.SaveSlab(&buf)
-		}
-		if err != nil {
+		if err := e.st.SaveSlab(&buf); err != nil {
 			return nil, fmt.Errorf("store: export %v: %w", k, err)
 		}
 		s.m.handoffsOut.Inc()
@@ -116,12 +107,12 @@ func (s *Store) ExportRecord(k Key) ([]byte, error) {
 }
 
 // ImportRecord installs a record exported by another shard under key k: the
-// record is fully validated against the (already registered) graph through
-// the zero-parse load path, cross-checked against the key it claims to be,
-// inserted resident with its query plan pre-built, and persisted verbatim
-// when the store has a directory. Installing a key that is already resident
-// is a no-op (installed = false). The graph must be registered first — a
-// handoff pull fetches it from the source before the records.
+// record is fully validated against the (already registered) graph and
+// cross-checked against the key it claims to be by the decoder load-through
+// uses, inserted resident with its query plan pre-built, and persisted
+// verbatim when the store has a directory. Installing a key that is already
+// resident is a no-op (installed = false). The graph must be registered
+// first — a handoff pull fetches it from the source before the records.
 func (s *Store) ImportRecord(k Key, data []byte) (installed bool, err error) {
 	importStart := time.Now()
 	s.mu.Lock()
@@ -136,37 +127,9 @@ func (s *Store) ImportRecord(k Key, data []byte) (installed bool, err error) {
 	if !haveGraph {
 		return false, fmt.Errorf("store: handoff of %v: unknown graph %016x (pull the graph first)", k, k.Graph)
 	}
-	// Cheap model peek before the full decode: a mis-addressed record fails
-	// with a model mismatch, not a deep validation error.
-	if m, ok := core.SlabModelOf(data); ok {
-		want := core.SlabEdge
-		if k.Model == ModelVertex {
-			want = core.SlabVertex
-		}
-		if m != want {
-			return false, fmt.Errorf("store: handoff of %v: record is a %d-model slab, key wants %d", k, m, want)
-		}
-	}
-	var st *ftbfs.Structure
-	var vst *ftbfs.VertexStructure
-	if k.Model == ModelVertex {
-		vst, err = ftbfs.LoadVertexStructure(g, bytes.NewReader(data))
-		if err != nil {
-			return false, fmt.Errorf("store: handoff of %v: %w", k, err)
-		}
-		if vst.Source() != k.Source {
-			return false, fmt.Errorf("store: handoff of %v: record has source %d", k, vst.Source())
-		}
-		vst.Plan()
-	} else {
-		st, err = ftbfs.LoadStructure(g, bytes.NewReader(data))
-		if err != nil {
-			return false, fmt.Errorf("store: handoff of %v: %w", k, err)
-		}
-		if st.Source() != k.Source || st.Epsilon() != k.Eps {
-			return false, fmt.Errorf("store: handoff of %v: record is (source=%d, eps=%g)", k, st.Source(), st.Epsilon())
-		}
-		st.Plan()
+	st, err := decode(g, k, data)
+	if err != nil {
+		return false, fmt.Errorf("store: handoff of %v: %w", k, err)
 	}
 	s.mu.Lock()
 	if _, resident = s.entries[k]; resident {
@@ -174,7 +137,7 @@ func (s *Store) ImportRecord(k Key, data []byte) (installed bool, err error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	s.insertLocked(k, st, vst)
+	s.insertLocked(k, st)
 	s.m.handoffsIn.Inc()
 	s.mu.Unlock()
 	if dir != "" {

@@ -58,8 +58,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 
 	type resident struct {
 		key Key
-		st  *ftbfs.Structure
-		vst *ftbfs.VertexStructure
+		st  Structure
 	}
 	s.mu.Lock()
 	g, ok := s.graphs[lineage]
@@ -70,7 +69,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 	var snap []resident
 	for k, e := range s.entries {
 		if k.Graph == lineage {
-			snap = append(snap, resident{key: k, st: e.st, vst: e.vst})
+			snap = append(snap, resident{key: k, st: e.st})
 		}
 	}
 	dir := s.dir
@@ -86,34 +85,29 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 	// Rebuild every resident structure against the new generation, old
 	// generation still serving. A structure the delta provably cannot have
 	// invalidated is carried over (edge-set re-keying plus a fresh serving
-	// plan); anything else — and every vertex structure — rebuilds fully.
+	// plan); anything else — and every vertex structure — rebuilds fully,
+	// the edge structures in one batched build.
 	rebuildStart := time.Now()
 	rebuilt := make([]resident, 0, len(snap))
+	var full []Key
 	for _, r := range snap {
 		nk := r.key
 		nk.Gen = newGen
-		if r.key.Model == ModelVertex {
-			vst, err := ftbfs.BuildVertex(newG, r.key.Source)
-			if err != nil {
-				return MutateResult{}, fmt.Errorf("store: mutate %016x: vertex rebuild s%d: %w", lineage, r.key.Source, err)
+		if est, ok := r.st.(*ftbfs.Structure); ok {
+			if st, ok := ftbfs.DeltaRebuild(est, newG, delta); ok {
+				rebuilt = append(rebuilt, resident{key: nk, st: st})
+				continue
 			}
-			vst.Plan()
-			res.RebuildsFull++
-			rebuilt = append(rebuilt, resident{key: nk, vst: vst})
-			continue
 		}
-		if st, ok := ftbfs.DeltaRebuild(r.st, newG, delta); ok {
-			res.RebuildsDelta++
-			rebuilt = append(rebuilt, resident{key: nk, st: st})
-			continue
-		}
-		st, err := ftbfs.Build(newG, r.key.Source, r.key.Eps, ftbfs.WithAlgorithm(r.key.Alg))
-		if err != nil {
-			return MutateResult{}, fmt.Errorf("store: mutate %016x: rebuild %v: %w", lineage, r.key, err)
-		}
-		st.Plan()
-		res.RebuildsFull++
-		rebuilt = append(rebuilt, resident{key: nk, st: st})
+		full = append(full, nk)
+	}
+	sts, err := build(newG, full)
+	if err != nil {
+		return MutateResult{}, fmt.Errorf("store: mutate %016x: %w", lineage, err)
+	}
+	res.RebuildsDelta, res.RebuildsFull = len(rebuilt), len(full)
+	for i, k := range full {
+		rebuilt = append(rebuilt, resident{key: k, st: sts[i]})
 	}
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
 		tr.Add("store.rebuild", rebuildStart)
@@ -136,11 +130,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 		}
 		for _, r := range rebuilt {
 			p := s.structPath(r.key)
-			save := r.st.SaveSlab
-			if r.key.Model == ModelVertex {
-				save = r.vst.SaveSlab
-			}
-			if err := s.writeAtomic(p, save); err != nil {
+			if err := s.writeAtomic(p, r.st.SaveSlab); err != nil {
 				return fail(fmt.Errorf("%v: %w", r.key, err))
 			}
 			written = append(written, p)
@@ -166,7 +156,7 @@ func (s *Store) Mutate(ctx context.Context, lineage uint64, muts []ftbfs.Mutatio
 		}
 	}
 	for _, r := range rebuilt {
-		s.insertLocked(r.key, r.st, r.vst)
+		s.insertLocked(r.key, r.st)
 	}
 	s.mu.Unlock()
 	s.m.swapDur.Observe(time.Since(swapStart))

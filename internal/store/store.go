@@ -2,12 +2,14 @@
 // state behind the query service in internal/server. Structures are keyed by
 // (graph fingerprint, source, ε, algorithm, failure model) — the Model
 // dimension separates edge-failure structures from the vertex-failure
-// structures served by /dist-avoiding-vertex, which share the registry, the
-// LRU, the single-flight map and the persist directory (under their own
-// "stv-" file prefix); the registry holds at most a
-// configured number of structures in memory (LRU eviction), builds missing
-// entries on demand through ftbfs.BuildBatch (one batched build per request
-// burst, deduplicated per key via single-flight), and — when given a
+// structures served by /dist-avoiding-vertex. Both models share one serving
+// core in the library, so the registry holds either as one Structure value:
+// one entry type, one LRU, one single-flight resolve path (Resolve) and one
+// persist directory (vertex records under their own "stv-" file prefix),
+// with typed accessors on top. The registry holds at most a configured
+// number of structures in memory (LRU eviction), builds missing entries on
+// demand (edge misses of one request burst in one ftbfs.BuildBatch call,
+// deduplicated per key via single-flight), and — when given a
 // directory — persists every structure as a version-3 binary slab record
 // (graphs keep the text format) so a restarted server warm-starts from disk
 // and evicted structures load back through — a zero-parse read — instead of
@@ -180,19 +182,27 @@ type PersistError struct{ Err error }
 func (e *PersistError) Error() string { return PersistPrefix + e.Err.Error() }
 func (e *PersistError) Unwrap() error { return e.Err }
 
+// Structure is a built structure of either failure model: *ftbfs.Structure
+// or *ftbfs.VertexStructure. Both embed the library's one serving core, so
+// the registry holds, persists, exports and serves them alike; the typed
+// accessors (Get, GetVertex, GetOrBuild, GetOrBuildVertex, GetOrBuildMany)
+// hand them out under their own types.
+type Structure interface {
+	Plan() *ftbfs.QueryPlan
+	OraclePool() *ftbfs.OraclePool
+	SaveSlab(io.Writer) error
+}
+
 type entry struct {
 	key Key
-	st  *ftbfs.Structure       // resident edge structure (ModelEdge keys)
-	vst *ftbfs.VertexStructure // resident vertex structure (ModelVertex keys)
-	el  *list.Element          // position in Store.lru; value is *entry
+	st  Structure     // of the key's failure model
+	el  *list.Element // position in Store.lru; value is *entry
 }
 
 // flight is an in-progress load-or-build shared by concurrent requesters.
-// Exactly one of st/vst is set on success, matching the key's model.
 type flight struct {
 	done chan struct{}
-	st   *ftbfs.Structure
-	vst  *ftbfs.VertexStructure
+	st   Structure
 	err  error
 }
 
@@ -491,49 +501,48 @@ func (s *Store) Graphs() []uint64 {
 // Get returns the edge structure for k if it is resident in memory,
 // touching its LRU position. It never loads or builds; use GetOrBuild for
 // read-through. Vertex keys miss here by definition — use GetVertex.
-func (s *Store) Get(k Key) (*ftbfs.Structure, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[s.normLocked(k)]
-	if !ok || e.st == nil {
-		s.m.misses.Inc()
-		return nil, false
-	}
-	s.m.hits.Inc()
-	s.lru.MoveToFront(e.el)
-	return e.st, true
-}
+func (s *Store) Get(k Key) (*ftbfs.Structure, bool) { return get[*ftbfs.Structure](s, k) }
 
 // GetVertex returns the vertex structure of (fp, source) if it is resident
 // in memory, touching its LRU position. It never loads or builds; use
 // GetOrBuildVertex for read-through.
 func (s *Store) GetVertex(fp uint64, source int) (*ftbfs.VertexStructure, bool) {
+	return get[*ftbfs.VertexStructure](s, VertexKey(fp, source))
+}
+
+// get is Get and GetVertex: the resident structure of k if it has type T,
+// counted as a hit or a miss.
+func get[T Structure](s *Store, k Key) (T, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[s.normLocked(VertexKey(fp, source))]
-	if !ok || e.vst == nil {
+	var st T
+	e, ok := s.entries[s.normLocked(k)]
+	if ok {
+		st, ok = e.st.(T)
+	}
+	if !ok {
 		s.m.misses.Inc()
-		return nil, false
+		return st, false
 	}
 	s.m.hits.Inc()
 	s.lru.MoveToFront(e.el)
-	return e.vst, true
+	return st, true
 }
 
-// Resident returns the structure for k if it is resident in memory — the
-// edge structure or, for a vertex-model key, the vertex structure — counting
-// a hit and touching its LRU position. Unlike Get it counts nothing when the
-// structure is absent: the read-through that follows counts that miss.
-func (s *Store) Resident(k Key) (*ftbfs.Structure, *ftbfs.VertexStructure, bool) {
+// Resident returns the structure for k, of either model, if it is resident
+// in memory, counting a hit and touching its LRU position. Unlike Get it
+// counts nothing when the structure is absent: the read-through that
+// follows counts that miss.
+func (s *Store) Resident(k Key) (Structure, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[s.normLocked(k)]
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	s.m.hits.Inc()
 	s.lru.MoveToFront(e.el)
-	return e.st, e.vst, true
+	return e.st, true
 }
 
 // Len returns the number of structures resident in memory.
@@ -579,51 +588,95 @@ func (s *Store) Stats() Stats {
 // shard's /metrics without the store knowing about HTTP.
 func (s *Store) Telemetry() *telemetry.Registry { return s.m.reg }
 
-// GetOrBuild returns the structure for k, loading it from the persist
-// directory or building it through BuildBatch on a miss. Concurrent calls
-// for the same key share one load/build. A resident structure is returned
-// on an allocation-free fast path — the steady state of a serving hot loop.
-// ctx bounds the miss path only: an already-expired deadline budget fails
-// fast instead of starting a load or build the caller will never see.
+// GetOrBuild returns the edge structure for k, loading it from the persist
+// directory or building it through BuildBatch on a miss (see Resolve).
 func (s *Store) GetOrBuild(ctx context.Context, k Key) (*ftbfs.Structure, error) {
 	if k.Model != ModelEdge {
 		return nil, fmt.Errorf("store: %v is not an edge-structure key (use GetOrBuildVertex)", k)
 	}
-	if st, _, ok := s.Resident(k); ok {
+	st, err := s.Resolve(ctx, k)
+	if err != nil {
+		return nil, err
+	}
+	return st.(*ftbfs.Structure), nil
+}
+
+// GetOrBuildVertex returns the vertex-failure structure of (fp, source),
+// loading it from the persist directory or building it through
+// ftbfs.BuildVertex on a miss (see Resolve). It is persisted next to the
+// edge files under its own "stv-" prefix.
+func (s *Store) GetOrBuildVertex(ctx context.Context, fp uint64, source int) (*ftbfs.VertexStructure, error) {
+	st, err := s.Resolve(ctx, VertexKey(fp, source))
+	if err != nil {
+		return nil, err
+	}
+	return st.(*ftbfs.VertexStructure), nil
+}
+
+// Resolve returns the structure for k, of either failure model, loading it
+// from the persist directory or building it on a miss. Concurrent calls for
+// the same key share one load/build. A resident structure is returned on an
+// allocation-free fast path — the steady state of a serving hot loop. ctx
+// bounds the miss path only: an already-expired deadline budget fails fast
+// instead of starting a load or build the caller will never see.
+func (s *Store) Resolve(ctx context.Context, k Key) (Structure, error) {
+	if st, ok := s.Resident(k); ok {
 		return st, nil
 	}
-	sts, err := s.GetOrBuildMany(ctx, k.Graph, []Req{{Source: k.Source, Eps: k.Eps, Alg: k.Alg}})
+	sts, err := s.getOrBuild(ctx, k.Graph, []Key{k})
 	if err != nil {
 		return nil, err
 	}
 	return sts[0], nil
 }
 
-// GetOrBuildMany resolves a batch of requests against one registered graph.
-// Cached structures are served from memory; the remaining misses are first
-// tried against the persist directory and whatever is still missing is built
-// in a single ftbfs.BuildBatch call, so requests sharing a source share the
-// BFS tree, the replacement-path preprocessing and the reinforcement sweep.
-// Results are returned in request order.
+// GetOrBuildMany resolves a batch of edge-structure requests against one
+// registered graph; see getOrBuild. Results are returned in request order.
+func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*ftbfs.Structure, error) {
+	keys := make([]Key, len(reqs))
+	for i, r := range reqs {
+		keys[i] = Key{Graph: fp, Source: r.Source, Eps: r.Eps, Alg: r.Alg}
+	}
+	sts, err := s.getOrBuild(ctx, fp, keys)
+	if err != nil || len(sts) == 0 {
+		return nil, err
+	}
+	out := make([]*ftbfs.Structure, len(sts))
+	for i, st := range sts {
+		out[i] = st.(*ftbfs.Structure)
+	}
+	return out, nil
+}
+
+// getOrBuild is the one single-flight resolve path of both key models: it
+// resolves keys (of either model) against one registered graph, at its
+// serving generation. Cached structures are served from memory; the remaining
+// misses are first tried against the persist directory and whatever is still
+// missing is built — every edge key in a single ftbfs.BuildBatch call, so
+// keys sharing a source share the BFS tree, the replacement-path
+// preprocessing and the reinforcement sweep. Concurrent calls for the same
+// key share one load/build. Results are returned in key order.
 //
 // ctx carries the caller's deadline budget. It is checked before any work
 // starts and again while waiting on another call's in-flight build; a build
 // this call owns always runs to completion (other waiters may depend on it,
 // and the result is cached for the retry), so expiry mid-build costs at most
-// one build beyond the budget — never a wrong or partial answer.
-func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*ftbfs.Structure, error) {
-	if len(reqs) == 0 {
+// one build beyond the budget — never a wrong or partial answer. A persist
+// fault fails the call with a PersistError while the built structures stay
+// resident and serve every later request.
+func (s *Store) getOrBuild(ctx context.Context, fp uint64, keys []Key) ([]Structure, error) {
+	if len(keys) == 0 {
 		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, r := range reqs {
+	for _, k := range keys {
 		// NaN never compares equal, so a NaN-eps Key would be inserted into
 		// the inflight map and never found again (nil-deref on the
 		// re-lookup, plus a permanent map leak). Inf is equally meaningless.
-		if math.IsNaN(r.Eps) || math.IsInf(r.Eps, 0) {
-			return nil, fmt.Errorf("store: eps must be finite, got %v", r.Eps)
+		if math.IsNaN(k.Eps) || math.IsInf(k.Eps, 0) {
+			return nil, fmt.Errorf("store: eps must be finite, got %v", k.Eps)
 		}
 	}
 	s.mu.Lock()
@@ -633,13 +686,13 @@ func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*f
 		return nil, fmt.Errorf("store: unknown graph %016x (register it with AddGraph or /build first)", fp)
 	}
 	gen := s.gens[fp] // resolve the batch against one serving generation
-	out := make([]*ftbfs.Structure, len(reqs))
+	out := make([]Structure, len(keys))
 	var mine []Key // keys this call is responsible for resolving
 	mineIdx := make(map[Key][]int)
 	var waits []*flight // flights owned by other calls
 	waitIdx := make(map[*flight][]int)
-	for i, r := range reqs {
-		k := Key{Graph: fp, Source: r.Source, Eps: r.Eps, Alg: r.Alg, Gen: gen}
+	for i, k := range keys {
+		k.Gen = gen
 		if e, ok := s.entries[k]; ok {
 			s.m.hits.Inc()
 			s.lru.MoveToFront(e.el)
@@ -683,7 +736,7 @@ func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*f
 			// and the loaded/built structure must not be thrown away.
 			if st := resolved[k]; st != nil {
 				fl.st = st
-				s.insertLocked(k, st, nil)
+				s.insertLocked(k, st)
 				for _, i := range mineIdx[k] {
 					out[i] = st
 				}
@@ -723,121 +776,15 @@ func (s *Store) GetOrBuildMany(ctx context.Context, fp uint64, reqs []Req) ([]*f
 	return out, nil
 }
 
-// GetOrBuildVertex returns the vertex-failure structure of (fp, source),
-// loading it from the persist directory or building it through
-// ftbfs.BuildVertex on a miss. Concurrent calls for the same key share one
-// load/build via the same single-flight map the edge path uses (the Key's
-// Model dimension keeps the two namespaces apart), a built structure is
-// persisted next to the edge files under its own "stv-" prefix, and — like
-// every structure entering the registry — it is handed out with its query
-// plan pre-built. A resident structure is returned on an allocation-free
-// fast path. ctx follows the same budget rules as GetOrBuildMany.
-func (s *Store) GetOrBuildVertex(ctx context.Context, fp uint64, source int) (*ftbfs.VertexStructure, error) {
-	s.mu.Lock()
-	k := s.normLocked(VertexKey(fp, source))
-	if e, ok := s.entries[k]; ok {
-		s.m.hits.Inc()
-		s.lru.MoveToFront(e.el)
-		s.mu.Unlock()
-		return e.vst, nil
-	}
-	s.m.misses.Inc()
-	g, ok := s.graphs[fp]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("store: unknown graph %016x (register it with AddGraph or /build first)", fp)
-	}
-	if err := ctx.Err(); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	if fl, ok := s.inflight[k]; ok {
-		s.mu.Unlock()
-		select {
-		case <-fl.done:
-			return fl.vst, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	fl := &flight{done: make(chan struct{})}
-	s.inflight[k] = fl
-	s.mu.Unlock()
-
-	resolveStart := time.Now()
-	vst, err := s.resolveVertex(g, k, source)
-	if tr := telemetry.TraceFrom(ctx); tr != nil {
-		tr.Add("store.resolve", resolveStart)
-	}
-	s.mu.Lock()
-	delete(s.inflight, k)
-	if vst != nil {
-		fl.vst = vst
-		s.insertLocked(k, nil, vst)
-	} else {
-		fl.err = err
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	if vst != nil {
-		// A persist fault (err != nil with a built structure) is surfaced to
-		// this caller only; waiters got the structure they asked for.
-		return vst, err
-	}
-	return nil, err
-}
-
-// resolveVertex loads or builds one vertex structure, pre-building its
-// query plan; a build is persisted when the store has a directory, with
-// disk faults reported as PersistError alongside the usable structure.
-func (s *Store) resolveVertex(g *ftbfs.Graph, k Key, source int) (*ftbfs.VertexStructure, error) {
-	s.mu.Lock()
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		loadStart := time.Now()
-		if data, err := s.readFile(s.structPath(k)); err == nil {
-			vst, lerr := ftbfs.LoadVertexStructure(g, bytes.NewReader(data))
-			if lerr == nil && vst.Source() == source {
-				s.m.loads.Inc()
-				s.m.loadDur.Observe(time.Since(loadStart))
-				vst.Plan()
-				return vst, nil
-			}
-			// Unreadable or mismatched file: fall through to a rebuild that
-			// overwrites it.
-		}
-	}
-	buildStart := time.Now()
-	vst, err := ftbfs.BuildVertex(g, source)
-	if err != nil {
-		return nil, fmt.Errorf("store: vertex build: %w", err)
-	}
-	s.m.builds.Inc()
-	s.m.buildDur.Observe(time.Since(buildStart))
-	vst.Plan()
-	if dir != "" {
-		if err := s.writeAtomic(s.structPath(k), vst.SaveSlab); err != nil {
-			return vst, &PersistError{Err: fmt.Errorf("%v: %w", k, err)}
-		}
-		s.m.saves.Inc()
-	}
-	return vst, nil
-}
-
 // resolve loads or builds the structures for keys (all on graph g), returning
 // them keyed. Load failures fall through to a rebuild; the rebuilt structure
-// overwrites the unreadable file. Every structure entering the registry is
-// handed out with its query plan already built (Structure.Plan), so the
-// first failure query a freshly built or loaded structure serves never pays
-// the plan extraction inline.
-func (s *Store) resolve(g *ftbfs.Graph, keys []Key) (resolved map[Key]*ftbfs.Structure, err error) {
-	defer func() {
-		for _, st := range resolved {
-			st.Plan()
-		}
-	}()
-	resolved = make(map[Key]*ftbfs.Structure, len(keys))
+// overwrites the unreadable file, and a disk fault is reported as a
+// PersistError alongside the usable structures. Every structure entering the
+// registry is handed out with its query plan already built, so the first
+// failure query a freshly built or loaded structure serves never pays the
+// plan extraction inline.
+func (s *Store) resolve(g *ftbfs.Graph, keys []Key) (map[Key]Structure, error) {
+	resolved := make(map[Key]Structure, len(keys))
 	var toBuild []Key
 	for _, k := range keys {
 		if st := s.loadFromDir(k, g); st != nil {
@@ -849,18 +796,10 @@ func (s *Store) resolve(g *ftbfs.Graph, keys []Key) (resolved map[Key]*ftbfs.Str
 	if len(toBuild) == 0 {
 		return resolved, nil
 	}
-	breqs := make([]ftbfs.BatchRequest, len(toBuild))
-	for i, k := range toBuild {
-		breqs[i] = ftbfs.BatchRequest{
-			Source:  k.Source,
-			Eps:     k.Eps,
-			Options: []ftbfs.BuildOption{ftbfs.WithAlgorithm(k.Alg)},
-		}
-	}
 	buildStart := time.Now()
-	sts, err := ftbfs.BuildBatch(g, breqs)
+	sts, err := build(g, toBuild)
 	if err != nil {
-		return resolved, fmt.Errorf("store: build: %w", err)
+		return resolved, err
 	}
 	s.m.builds.Add(uint64(len(toBuild)))
 	s.m.buildDur.Observe(time.Since(buildStart))
@@ -886,10 +825,48 @@ func (s *Store) resolve(g *ftbfs.Graph, keys []Key) (resolved map[Key]*ftbfs.Str
 	return resolved, persistErr
 }
 
+// build constructs the structures keys name against g, with their query
+// plans: every edge key in one ftbfs.BuildBatch call, every vertex key
+// through ftbfs.BuildVertex. Results are in key order.
+func build(g *ftbfs.Graph, keys []Key) ([]Structure, error) {
+	out := make([]Structure, len(keys))
+	var breqs []ftbfs.BatchRequest
+	var edgeIdx []int
+	for i, k := range keys {
+		if k.Model == ModelVertex {
+			vst, err := ftbfs.BuildVertex(g, k.Source)
+			if err != nil {
+				return nil, fmt.Errorf("store: vertex build: %w", err)
+			}
+			out[i] = vst
+			continue
+		}
+		breqs = append(breqs, ftbfs.BatchRequest{
+			Source:  k.Source,
+			Eps:     k.Eps,
+			Options: []ftbfs.BuildOption{ftbfs.WithAlgorithm(k.Alg)},
+		})
+		edgeIdx = append(edgeIdx, i)
+	}
+	if len(breqs) > 0 {
+		sts, err := ftbfs.BuildBatch(g, breqs)
+		if err != nil {
+			return nil, fmt.Errorf("store: build: %w", err)
+		}
+		for j, st := range sts {
+			out[edgeIdx[j]] = st
+		}
+	}
+	for _, st := range out {
+		st.Plan()
+	}
+	return out, nil
+}
+
 // loadFromDir loads the persisted structure for k, or nil when the store is
 // memory-only, the file is absent, or it fails to decode (the caller then
 // rebuilds and overwrites it).
-func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) *ftbfs.Structure {
+func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) Structure {
 	s.mu.Lock()
 	dir := s.dir
 	s.mu.Unlock()
@@ -901,8 +878,8 @@ func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) *ftbfs.Structure {
 	if err != nil {
 		return nil
 	}
-	st, err := ftbfs.LoadStructure(g, bytes.NewReader(data))
-	if err != nil || st.Source() != k.Source || st.Epsilon() != k.Eps {
+	st, err := decode(g, k, data)
+	if err != nil {
 		return nil
 	}
 	s.m.loads.Inc()
@@ -910,9 +887,47 @@ func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) *ftbfs.Structure {
 	return st
 }
 
-// insertLocked adds a resolved structure (edge or vertex, matching the
-// key's model) and evicts down to capacity. s.mu must be held.
-func (s *Store) insertLocked(k Key, st *ftbfs.Structure, vst *ftbfs.VertexStructure) {
+// decode loads a structure record against g — a version-3 slab through the
+// zero-parse path, or an older text record — checks that it is the
+// structure k names, and pre-builds its query plan. Load-through and
+// ImportRecord share it.
+func decode(g *ftbfs.Graph, k Key, data []byte) (Structure, error) {
+	// Cheap model peek before the full decode: a mis-addressed record fails
+	// with a model mismatch, not a deep validation error.
+	want := core.SlabEdge
+	if k.Model == ModelVertex {
+		want = core.SlabVertex
+	}
+	if m, ok := core.SlabModelOf(data); ok && m != want {
+		return nil, fmt.Errorf("record is a %d-model slab, key wants %d", m, want)
+	}
+	var st Structure
+	if k.Model == ModelVertex {
+		vst, err := ftbfs.LoadVertexStructure(g, bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		if vst.Source() != k.Source {
+			return nil, fmt.Errorf("record has source %d", vst.Source())
+		}
+		st = vst
+	} else {
+		est, err := ftbfs.LoadStructure(g, bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		if est.Source() != k.Source || est.Epsilon() != k.Eps {
+			return nil, fmt.Errorf("record is (source=%d, eps=%g)", est.Source(), est.Epsilon())
+		}
+		st = est
+	}
+	st.Plan()
+	return st, nil
+}
+
+// insertLocked adds a resolved structure and evicts down to capacity. s.mu
+// must be held.
+func (s *Store) insertLocked(k Key, st Structure) {
 	if gen, ok := s.gens[k.Graph]; ok && k.Gen != gen {
 		// A load/build that resolved against a generation a concurrent
 		// Mutate swapped out while it ran: nothing will ever look this key
@@ -923,7 +938,7 @@ func (s *Store) insertLocked(k Key, st *ftbfs.Structure, vst *ftbfs.VertexStruct
 		s.lru.MoveToFront(e.el)
 		return
 	}
-	e := &entry{key: k, st: st, vst: vst}
+	e := &entry{key: k, st: st}
 	e.el = s.lru.PushFront(e)
 	s.entries[k] = e
 	for s.capacity > 0 && len(s.entries) > s.capacity {

@@ -213,11 +213,12 @@ func (t *Tree) Subtree(v int32) []int32 {
 }
 
 // InSubtree reports whether v lies in the subtree rooted at c (including
-// v == c), in O(1) via the preorder interval.
+// v == c), in O(1) via the preorder interval. It is one unsigned compare of
+// v's offset into c's interval, with no branch to mispredict on the
+// serving path: an unreachable c has Size 0, and an unreachable v's
+// negative offset wraps to a huge one.
 func (t *Tree) InSubtree(v, c int32) bool {
-	pv := t.PreIndex[v]
-	pc := t.PreIndex[c]
-	return pv >= pc && pc >= 0 && pv < pc+t.Size[c]
+	return uint32(t.PreIndex[v]-t.PreIndex[c]) < uint32(t.Size[c])
 }
 
 // IsAncestor reports whether u is an ancestor of v (or u == v).

@@ -133,7 +133,7 @@ func DeltaRebuild(old *Structure, g *Graph, d *GraphDelta) (*Structure, bool) {
 		TreeEdges:  translate(old.st.TreeEdges),
 		Stats:      old.st.Stats, // diagnostics of the original build
 	}
-	s := &Structure{st: cs}
+	s := newStructure(cs)
 	// The intact distance vector is per-vertex, not per-edge-id, and the
 	// theorem above says it is unchanged — seed it so the carry-over never
 	// reruns the intact BFS.

@@ -2,33 +2,28 @@ package ftbfs
 
 import "ftbfs/internal/telemetry"
 
-// Process-wide query-plan path totals: how many failure queries were
-// answered O(1) from the cached intact vector (hits) vs through a subtree
-// repair search. Oracles count in plain per-oracle fields — the plan query
-// path is ~30 ns and must not pay an atomic op — and the pools fold those
-// into these totals when an oracle is checked back in, i.e. once per
-// served request rather than once per query. Direct (non-pooled) oracle
-// users such as benchmarks never flush and never pay. The counters are
-// standalone telemetry.Counter values (not registered here — this package
-// must not depend on any registry); serving layers adopt them as
-// CounterFuncs via PlanQueryCounts.
-var (
-	planEdgeHits      telemetry.Counter
-	planEdgeRepairs   telemetry.Counter
-	planVertexHits    telemetry.Counter
-	planVertexRepairs telemetry.Counter
-)
+// Process-wide query-plan path totals per failure model (indexed by
+// edgeModel and vertexModel): how many failure queries were answered O(1)
+// from the cached intact vector (hits) vs through a subtree repair search.
+// Oracles count in plain per-oracle fields — the plan query path is ~30 ns
+// and must not pay an atomic op — and the pool folds those into these totals
+// when an oracle is checked back in, i.e. once per served request rather
+// than once per query. Direct (non-pooled) oracle users such as benchmarks
+// never flush and never pay. The counters are standalone telemetry.Counter
+// values (not registered here — this package must not depend on any
+// registry); serving layers adopt them as CounterFuncs via PlanQueryCounts.
+var planHits, planRepairs [2]telemetry.Counter
 
-// flushPlanCounts folds an oracle's plan-path counts into the shared
-// totals and resets them.
-func flushPlanCounts(hits, repairs *telemetry.Counter, oHits, oRepairs *uint64) {
-	if *oHits != 0 {
-		hits.Add(*oHits)
-		*oHits = 0
+// flushPlanCounts folds the oracle's plan-path counts into the totals of
+// its structure's failure model and resets them.
+func (o *Oracle) flushPlanCounts() {
+	if o.planHits != 0 {
+		planHits[o.st.model].Add(o.planHits)
+		o.planHits = 0
 	}
-	if *oRepairs != 0 {
-		repairs.Add(*oRepairs)
-		*oRepairs = 0
+	if o.planRepairs != 0 {
+		planRepairs[o.st.model].Add(o.planRepairs)
+		o.planRepairs = 0
 	}
 }
 
@@ -37,6 +32,6 @@ func flushPlanCounts(hits, repairs *telemetry.Counter, oHits, oRepairs *uint64) 
 // vs through a repair run. Serving layers register these as telemetry
 // counter funcs; the numbers cover every pooled oracle in the process.
 func PlanQueryCounts() (edgeHits, edgeRepairs, vertexHits, vertexRepairs uint64) {
-	return planEdgeHits.Value(), planEdgeRepairs.Value(),
-		planVertexHits.Value(), planVertexRepairs.Value()
+	return planHits[edgeModel].Value(), planRepairs[edgeModel].Value(),
+		planHits[vertexModel].Value(), planRepairs[vertexModel].Value()
 }

@@ -7,7 +7,6 @@ import (
 	"ftbfs/internal/bfs"
 	"ftbfs/internal/core"
 	"ftbfs/internal/graph"
-	"ftbfs/internal/tree"
 	"ftbfs/internal/vertexft"
 )
 
@@ -22,22 +21,12 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("ftbfs: slab save: %w", err)
 	}
-	p := s.Plan()
-	return core.EncodeSlab(w, s.st.G, &core.SlabRecord{
+	return s.saveSlab(w, &core.SlabRecord{
 		Model:      core.SlabEdge,
-		S:          s.st.S,
 		Eps:        s.st.Eps,
 		Alg:        alg,
-		Gen:        s.st.G.Generation(),
-		Edges:      s.st.Edges,
 		Reinforced: s.st.Reinforced,
 		TreeEdges:  s.st.TreeEdges,
-		Intact:     p.intact,
-		RowStart:   p.h.RowStart,
-		Arcs:       p.h.Arcs,
-		Parent:     p.t.Parent,
-		ParentEdge: p.t.ParentEdge,
-		Order:      p.t.Order(),
 	})
 }
 
@@ -45,47 +34,54 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 // vertex model stores no ε/algorithm/reinforcement dimension, mirroring the
 // version-2 text record. See Structure.SaveSlab.
 func (s *VertexStructure) SaveSlab(w io.Writer) error {
-	p := s.Plan()
-	return core.EncodeSlab(w, s.st.G, &core.SlabRecord{
-		Model:      core.SlabVertex,
-		S:          s.st.S,
-		Pairs:      s.st.Pairs,
-		Gen:        s.st.G.Generation(),
-		Edges:      s.st.Edges,
-		Intact:     p.intact,
-		RowStart:   p.h.RowStart,
-		Arcs:       p.h.Arcs,
-		Parent:     p.t.Parent,
-		ParentEdge: p.t.ParentEdge,
-		Order:      p.t.Order(),
-	})
+	return s.saveSlab(w, &core.SlabRecord{Model: core.SlabVertex, Pairs: s.st.Pairs})
 }
 
-// slabTree reassembles the canonical BFS tree of H from a decoded record.
-// BuildAncestry is a linear pass over arrays the decoder already validated —
-// no search runs anywhere on the slab load path.
-func slabTree(g *graph.Graph, rec *core.SlabRecord) *tree.Tree {
-	return tree.BuildAncestry(g.N(), &bfs.Tree{
+// saveSlab completes rec, which carries the model's own fields, with the
+// sections every record shares — H and its serving plan — and encodes it.
+func (s *serving) saveSlab(w io.Writer, rec *core.SlabRecord) error {
+	p := s.Plan()
+	rec.S = s.src
+	rec.Gen = s.g.Generation()
+	rec.Edges = s.h
+	rec.Intact = p.intact
+	rec.RowStart = p.h.RowStart
+	rec.Arcs = p.h.Arcs
+	rec.Parent = p.t.Parent
+	rec.ParentEdge = p.t.ParentEdge
+	rec.Order = p.t.Order()
+	return core.EncodeSlab(w, s.g, rec)
+}
+
+// installSlab seeds the serving core with the intact vector and the query
+// plan a decoded record carries, so the first query after a load-through
+// pays nothing. The plan's tree is reassembled by a linear pass over arrays
+// the decoder already validated — no search runs anywhere on the slab load
+// path.
+func (s *serving) installSlab(rec *core.SlabRecord) error {
+	h, err := graph.NewCSR(s.g.N(), rec.RowStart, rec.Arcs)
+	if err != nil {
+		return err
+	}
+	h.Gen = rec.Gen // the decoder verified rec.Gen == g.Generation()
+	bt := &bfs.Tree{
 		Source:     int32(rec.S),
 		Dist:       rec.Intact,
 		Parent:     rec.Parent,
 		ParentEdge: rec.ParentEdge,
 		Order:      rec.Order,
-	})
+	}
+	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
+	s.planOnce.Do(func() { s.qplan = newPlan(s.g, h, rec.Intact, bt, s.model) })
+	return nil
 }
 
 // slabStructure assembles a serving-ready edge structure from a decoded
-// binary record: the query plan and intact vector are installed directly, so
-// the first query after a load-through pays nothing.
+// binary record.
 func slabStructure(g *graph.Graph, rec *core.SlabRecord) (*Structure, error) {
 	if rec.Model != core.SlabEdge {
 		return nil, fmt.Errorf("ftbfs: record is a vertex structure (load it with LoadVertexStructure)")
 	}
-	h, err := graph.NewCSR(g.N(), rec.RowStart, rec.Arcs)
-	if err != nil {
-		return nil, err
-	}
-	h.Gen = rec.Gen // the decoder verified rec.Gen == g.Generation()
 	cs := &core.Structure{
 		G:          g,
 		S:          rec.S,
@@ -95,23 +91,10 @@ func slabStructure(g *graph.Graph, rec *core.SlabRecord) (*Structure, error) {
 		TreeEdges:  rec.TreeEdges,
 	}
 	cs.Stats.Algorithm = rec.Alg.String()
-	p := &QueryPlan{
-		h:         h,
-		intact:    rec.Intact,
-		t:         slabTree(g, rec),
-		edgeChild: make([]int32, g.M()),
+	s := newStructure(cs)
+	if err := s.installSlab(rec); err != nil {
+		return nil, err
 	}
-	for id := range p.edgeChild {
-		p.edgeChild[id] = -1
-	}
-	for _, v := range rec.Order {
-		if id := rec.ParentEdge[v]; id != graph.NoEdge {
-			p.edgeChild[id] = v
-		}
-	}
-	s := &Structure{st: cs}
-	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
-	s.planOnce.Do(func() { s.qplan = p })
 	return s, nil
 }
 
@@ -120,15 +103,9 @@ func slabVertexStructure(g *graph.Graph, rec *core.SlabRecord) (*VertexStructure
 	if rec.Model != core.SlabVertex {
 		return nil, fmt.Errorf("ftbfs: record is an edge structure (load it with LoadStructure)")
 	}
-	h, err := graph.NewCSR(g.N(), rec.RowStart, rec.Arcs)
-	if err != nil {
+	s := newVertexStructure(&vertexft.Structure{G: g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs})
+	if err := s.installSlab(rec); err != nil {
 		return nil, err
 	}
-	h.Gen = rec.Gen // the decoder verified rec.Gen == g.Generation()
-	s := &VertexStructure{st: &vertexft.Structure{G: g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs}}
-	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
-	s.planOnce.Do(func() {
-		s.qplan = &VertexQueryPlan{h: h, intact: rec.Intact, t: slabTree(g, rec)}
-	})
 	return s, nil
 }

@@ -2,12 +2,8 @@ package ftbfs
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
-	"ftbfs/internal/bfs"
-	"ftbfs/internal/graph"
-	"ftbfs/internal/tree"
 	"ftbfs/internal/vertexft"
 )
 
@@ -15,20 +11,19 @@ import (
 // subgraph H ⊆ G with dist(s, v, H \ {w}) ≤ dist(s, v, G \ {w}) for every
 // vertex v and every failed vertex w ≠ s — the companion problem of the
 // paper's edge-failure construction (Parter DISC'14; Parter–Peleg ESA'13).
-// Like Structure, it is immutable once built: the read-only query methods
-// are safe for concurrent use, and VertexOraclePool serves concurrent
-// vertex-failure queries.
+// It embeds the serving core Structure embeds — Source, Size, Contains,
+// Edges, Dist, Plan, Oracle and OraclePool are one code path for both
+// models — and its oracles answer vertex failures. Like Structure, it is
+// immutable once built: the read-only query methods are safe for
+// concurrent use, and OraclePool serves concurrent vertex-failure queries.
 type VertexStructure struct {
+	serving
 	st *vertexft.Structure
+}
 
-	intactOnce sync.Once
-	intactDist []int32 // cached dist(s, ·) in the intact H; see intactDistances
-
-	planOnce sync.Once
-	qplan    *VertexQueryPlan // cached serving plan; see Plan
-
-	poolOnce sync.Once
-	pool     *VertexOraclePool
+// newVertexStructure wraps a built vertex structure in its serving core.
+func newVertexStructure(st *vertexft.Structure) *VertexStructure {
+	return &VertexStructure{serving: serving{g: st.G, src: st.S, h: st.Edges, model: vertexModel}, st: st}
 }
 
 // vertexWorkspaces recycles vertexft build workspaces across BuildVertex
@@ -51,27 +46,12 @@ func BuildVertex(g *Graph, source int) (*VertexStructure, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VertexStructure{st: st}, nil
+	return newVertexStructure(st), nil
 }
-
-// Source returns the BFS source.
-func (s *VertexStructure) Source() int { return s.st.S }
-
-// Size returns |E(H)|.
-func (s *VertexStructure) Size() int { return s.st.Size() }
 
 // Pairs returns the number of ⟨v, w⟩ pairs that purchased a replacement
 // last edge during the build (equivalently |H| − |T0|).
 func (s *VertexStructure) Pairs() int { return s.st.Pairs }
-
-// Contains reports whether edge {u,v} belongs to the structure.
-func (s *VertexStructure) Contains(u, v int) bool {
-	id := s.st.G.EdgeIDOf(u, v)
-	return id != graph.NoEdge && s.st.Edges.Contains(id)
-}
-
-// Edges returns all structure edges as endpoint pairs.
-func (s *VertexStructure) Edges() [][2]int { return edgePairs(s.st.G, s.st.Edges) }
 
 // Verify exhaustively checks the vertex FT-BFS contract over every single
 // vertex failure; it runs O(n) BFS passes and is intended for validation,
@@ -81,384 +61,4 @@ func (s *VertexStructure) Verify() error {
 		return fmt.Errorf("ftbfs: vertex FT-BFS contract violated: %v", viol)
 	}
 	return nil
-}
-
-// intactDistances returns the distance vector of the intact structure H,
-// computing it on the first call; shared read-only by every oracle and by
-// the query plan.
-func (s *VertexStructure) intactDistances() []int32 {
-	s.intactOnce.Do(func() {
-		sc := bfs.NewScratch(s.st.G.N())
-		s.intactDist = sc.DistancesAvoiding(s.st.G, s.st.S,
-			bfs.Restriction{BannedEdge: graph.NoEdge, AllowedEdges: s.st.Edges},
-			make([]int32, s.st.G.N()))
-	})
-	return s.intactDist
-}
-
-// Dist returns dist(source, v) inside the intact structure H; the vector is
-// computed once and cached forever, so the method is safe for concurrent
-// use and repeated calls are O(1) lookups.
-func (s *VertexStructure) Dist(v int) int {
-	return int(s.intactDistances()[v])
-}
-
-// VertexQueryPlan is the precomputed serving view of a vertex structure:
-// H materialized as its own flat CSR adjacency, the cached intact distance
-// vector, and the canonical BFS tree of H with preorder subtree intervals.
-// The failure classification mirrors the edge plan one level up:
-//
-//   - a failed vertex w OFF the tree path of the target v — w is not a
-//     proper ancestor of v in H's BFS tree, including every leaf and every
-//     vertex unreachable in H — cannot change v's distance: v's tree path
-//     survives, so the answer is an O(1) read of the intact vector.
-//   - a failed tree vertex w with v hanging below it can only change
-//     distances inside w's strict-descendant subtree. The repair search
-//     (bfs.Repair.RunAvoidingVertex) seeds that subtree from the
-//     intact-distance frontier crossing into it with every arc of w banned
-//     — O(Σ deg_H(subtree)) work instead of a full restricted BFS over G.
-//
-// A VertexQueryPlan is immutable and safe for concurrent use; the per-query
-// repair scratch lives in the VertexOracle that uses the plan.
-type VertexQueryPlan struct {
-	h      *graph.CSR // H's own adjacency; scans touch no non-H arc
-	intact []int32    // dist(s, ·) in the intact H, shared with VertexStructure
-	t      *tree.Tree // canonical BFS tree of H with subtree intervals
-}
-
-// Plan returns the structure's query plan, building it on the first call
-// (one CSR extraction plus the ancestry pass) and caching it forever —
-// structures are immutable once built.
-func (s *VertexStructure) Plan() *VertexQueryPlan {
-	s.planOnce.Do(func() {
-		g := s.st.G
-		h := g.SubgraphCSR(s.st.Edges)
-		s.qplan = &VertexQueryPlan{
-			h:      h,
-			intact: s.intactDistances(),
-			t:      tree.BuildAncestry(g.N(), bfs.FromCSR(h, s.st.S)),
-		}
-	})
-	return s.qplan
-}
-
-// OnTreePath reports whether the failed vertex w lies on the tree path
-// π(s, v) of H's canonical BFS tree (strictly between s and v) — the only
-// kind of failure that forces a repair search for target v; all others
-// answer in O(1).
-func (p *VertexQueryPlan) OnTreePath(w, v int) bool {
-	if w < 0 || v < 0 || w >= p.h.N() || v >= p.h.N() || w == v {
-		return false
-	}
-	return p.t.InSubtree(int32(v), int32(w)) && int32(w) != p.t.Root
-}
-
-// SubtreeSize returns the number of vertices a failure of w can affect: the
-// strict descendants of w in H's BFS tree, 0 for leaves and vertices
-// unreachable in H. It is the work bound of the repair search and useful
-// for admission control.
-func (p *VertexQueryPlan) SubtreeSize(w int) int {
-	if w < 0 || w >= p.h.N() || p.t.PreIndex[w] < 0 {
-		return 0
-	}
-	return int(p.t.Size[w]) - 1
-}
-
-// dist answers dist(source, v) in H \ {w} using the plan's O(1) paths,
-// falling back to r for the subtree repair of a tree-vertex failure. The
-// caller owns r and guarantees repairedW is the vertex r last ran for (-1
-// for none) and that v ≠ w; dist returns the vertex the scratch holds
-// afterwards, so consecutive failures of one vertex — the shape of a
-// grouped batch — repair once and serve every target from the same scratch.
-func (p *VertexQueryPlan) dist(v int, w int32, r *bfs.Repair, repairedW int32) (d int32, _ int32, viaRepair bool) {
-	if p.t.PreIndex[w] < 0 || p.t.Size[w] <= 1 {
-		// w is unreachable in H or a leaf of its BFS tree: nobody's tree
-		// path runs through it, every distance survives.
-		return p.intact[v], repairedW, false
-	}
-	if !p.t.InSubtree(int32(v), w) {
-		// Tree vertex, but v hangs outside the failed subtree: its tree
-		// path avoids the failure.
-		return p.intact[v], repairedW, false
-	}
-	if w != repairedW {
-		// Subtree(w) is w followed by its strict descendants in preorder;
-		// the repair's sub set is exactly the strict descendants — w itself
-		// leaves the graph.
-		r.RunAvoidingVertex(p.h, p.intact, p.t.Subtree(w)[1:], w)
-		repairedW = w
-	}
-	return r.Dist(int32(v)), repairedW, true
-}
-
-// VertexOracle answers distance queries inside a vertex structure under
-// simulated single-VERTEX failures. Failure queries run against the
-// structure's VertexQueryPlan: a failed vertex off the target's tree path
-// is an O(1) lookup of the cached intact vector, a failed tree vertex
-// repairs only its strict-descendant subtree; DistAvoidingVertexRef keeps
-// the full-BFS search as the reference implementation.
-// A VertexOracle is not safe for concurrent use; create one per goroutine
-// or check oracles out of a VertexOraclePool.
-type VertexOracle struct {
-	st      *VertexStructure
-	plan    *VertexQueryPlan
-	scratch *bfs.Scratch     // Ref path
-	dist    []int32          // Ref path
-	banned  *graph.VertexSet // Ref path
-
-	// Subtree-repair state, mirroring Oracle: repairedW names the failed
-	// vertex whose repair the scratch currently holds, so repeated failures
-	// of one vertex — including a whole grouped batch — answer from a
-	// single repair run.
-	repair    *bfs.Repair
-	repairedW int32
-
-	// DistAvoidingVertexMany scratch, reused across batches.
-	ids []int32
-	ord []int32
-
-	// Plan-path accounting, mirroring Oracle: plain counters folded into
-	// the process-wide telemetry totals by VertexOraclePool.Put.
-	planHits, planRepairs uint64
-}
-
-// Oracle returns a vertex-failure-simulation oracle for the structure.
-func (s *VertexStructure) Oracle() *VertexOracle {
-	return &VertexOracle{
-		st:        s,
-		plan:      s.Plan(),
-		scratch:   bfs.NewScratch(s.st.G.N()),
-		dist:      make([]int32, s.st.G.N()),
-		banned:    graph.NewVertexSet(s.st.G.N()),
-		repairedW: -1,
-	}
-}
-
-// Dist returns dist(source, v) inside the intact structure H; it reads the
-// structure's shared cached vector, so repeated calls are O(1) lookups.
-func (o *VertexOracle) Dist(v int) int { return o.st.Dist(v) }
-
-// failedVertex validates a failed vertex for simulation: it must exist and
-// must not be the source (the source cannot fail by contract — there is no
-// meaningful dist(s, ·) without s).
-func (o *VertexOracle) failedVertex(w int) (int32, error) {
-	if w < 0 || w >= o.st.st.G.N() {
-		return -1, fmt.Errorf("ftbfs: failed vertex %d out of range [0,%d)", w, o.st.st.G.N())
-	}
-	if w == o.st.st.S {
-		return -1, fmt.Errorf("ftbfs: the source %d cannot fail", w)
-	}
-	return int32(w), nil
-}
-
-// planDist answers one validated vertex-failure query through the query
-// plan, keeping the oracle's repair scratch in sync. The v == w case — the
-// target itself left the graph — short-circuits to Unreachable, matching
-// the restricted-BFS reference.
-func (o *VertexOracle) planDist(v int, w int32) int32 {
-	if int32(v) == w {
-		return bfs.Unreachable
-	}
-	if o.repair == nil {
-		o.repair = bfs.NewRepair(o.st.st.G.N())
-	}
-	d, repaired, viaRepair := o.plan.dist(v, w, o.repair, o.repairedW)
-	o.repairedW = repaired
-	if viaRepair {
-		o.planRepairs++
-	} else {
-		o.planHits++
-	}
-	return d
-}
-
-// DistAvoidingVertex returns dist(source, v) in H \ {w}. Failing the source
-// is rejected; querying the failed vertex itself answers Unreachable.
-//
-// The answer comes from the structure's VertexQueryPlan: O(1) when w is off
-// the target's tree path in H's BFS tree (the intact distances survive),
-// and a subtree-local repair search otherwise. It always equals what the
-// full-search DistAvoidingVertexRef returns.
-func (o *VertexOracle) DistAvoidingVertex(v, w int) (int, error) {
-	if v < 0 || v >= o.st.st.G.N() {
-		return 0, fmt.Errorf("ftbfs: vertex %d out of range [0,%d)", v, o.st.st.G.N())
-	}
-	fw, err := o.failedVertex(w)
-	if err != nil {
-		return 0, err
-	}
-	return int(o.planDist(v, fw)), nil
-}
-
-// DistAvoidingVertexRef is the reference implementation of
-// DistAvoidingVertex: a full restricted BFS over the base graph with w
-// banned, rejecting non-H arcs one by one. It is what the plan-backed fast
-// path is differential-tested against; prefer DistAvoidingVertex everywhere
-// else.
-func (o *VertexOracle) DistAvoidingVertexRef(v, w int) (int, error) {
-	if v < 0 || v >= o.st.st.G.N() {
-		return 0, fmt.Errorf("ftbfs: vertex %d out of range [0,%d)", v, o.st.st.G.N())
-	}
-	fw, err := o.failedVertex(w)
-	if err != nil {
-		return 0, err
-	}
-	o.banned.Clear()
-	o.banned.Add(fw)
-	o.scratch.DistancesAvoiding(o.st.st.G, o.st.st.S,
-		bfs.Restriction{BannedEdge: graph.NoEdge, BannedVertices: o.banned, AllowedEdges: o.st.st.Edges},
-		o.dist)
-	return int(o.dist[v]), nil
-}
-
-// BaselineDistAvoidingVertex returns dist(source, v) in the full graph G
-// minus the failed vertex — the yardstick the vertex FT-BFS contract
-// compares against.
-func (o *VertexOracle) BaselineDistAvoidingVertex(v, w int) (int, error) {
-	if v < 0 || v >= o.st.st.G.N() {
-		return 0, fmt.Errorf("ftbfs: vertex %d out of range [0,%d)", v, o.st.st.G.N())
-	}
-	fw, err := o.failedVertex(w)
-	if err != nil {
-		return 0, err
-	}
-	o.banned.Clear()
-	o.banned.Add(fw)
-	o.scratch.DistancesAvoiding(o.st.st.G, o.st.st.S,
-		bfs.Restriction{BannedEdge: graph.NoEdge, BannedVertices: o.banned}, o.dist)
-	return int(o.dist[v]), nil
-}
-
-// VertexFailureQuery is one entry of a DistAvoidingVertexMany batch: the
-// target vertex and the simulated failed vertex.
-type VertexFailureQuery struct {
-	V      int
-	Failed int
-}
-
-// DistAvoidingVertexMany answers a vector of (target, failed-vertex)
-// queries. The whole batch is validated up front — an invalid query
-// (out-of-range target, out-of-range or source failed vertex) fails the
-// call before any result is published, so out is never left partially
-// written. Valid batches are then answered grouped by failed vertex:
-// queries failing the same tree vertex share one subtree repair, and
-// off-tree-path failures are O(1) lookups. Results land in out (allocated
-// when nil) in query order; each equals what DistAvoidingVertex returns.
-func (o *VertexOracle) DistAvoidingVertexMany(queries []VertexFailureQuery, out []int) ([]int, error) {
-	if out == nil {
-		out = make([]int, len(queries))
-	}
-	if len(out) != len(queries) {
-		return nil, fmt.Errorf("ftbfs: DistAvoidingVertexMany: out has %d slots for %d queries", len(out), len(queries))
-	}
-	n := o.st.st.G.N()
-	o.ids = o.ids[:0]
-	o.ord = o.ord[:0]
-	for i, q := range queries {
-		if q.V < 0 || q.V >= n {
-			return nil, fmt.Errorf("ftbfs: query %d: vertex %d out of range [0,%d)", i, q.V, n)
-		}
-		w, err := o.failedVertex(q.Failed)
-		if err != nil {
-			return nil, fmt.Errorf("ftbfs: query %d: %w", i, err)
-		}
-		o.ids = append(o.ids, w)
-		o.ord = append(o.ord, int32(i))
-	}
-	// Group by failed vertex: answering in vertex order means each
-	// tree-vertex failure is repaired exactly once and serves all its
-	// targets (planDist reuses the scratch while w repeats). The sort runs
-	// on the oracle's recycled index buffer, so steady-state batches
-	// allocate nothing.
-	slices.SortFunc(o.ord, func(a, b int32) int { return int(o.ids[a]) - int(o.ids[b]) })
-	for _, i := range o.ord {
-		out[i] = int(o.planDist(queries[i].V, o.ids[i]))
-	}
-	return out, nil
-}
-
-// DistAvoidingVertexEach answers a vector of (target, failed-vertex)
-// queries with per-query error slots: an invalid query fills errs[i] and
-// leaves out[i] at Unreachable instead of failing the whole batch — the
-// partial-result contract a scatter-gather router needs. Valid queries are
-// still answered grouped by failed vertex, exactly as in
-// DistAvoidingVertexMany. out and errs are allocated when nil or mis-sized;
-// both are returned.
-func (o *VertexOracle) DistAvoidingVertexEach(queries []VertexFailureQuery, out []int, errs []error) ([]int, []error) {
-	if len(out) != len(queries) {
-		out = make([]int, len(queries))
-	}
-	if len(errs) != len(queries) {
-		errs = make([]error, len(queries))
-	}
-	n := o.st.st.G.N()
-	o.ids = o.ids[:0]
-	o.ord = o.ord[:0]
-	for i, q := range queries {
-		errs[i] = nil
-		out[i] = Unreachable
-		if q.V < 0 || q.V >= n {
-			errs[i] = fmt.Errorf("ftbfs: vertex %d out of range [0,%d)", q.V, n)
-			o.ids = append(o.ids, -1)
-			continue
-		}
-		w, err := o.failedVertex(q.Failed)
-		if err != nil {
-			errs[i] = err
-			o.ids = append(o.ids, -1)
-			continue
-		}
-		o.ids = append(o.ids, w)
-		o.ord = append(o.ord, int32(i))
-	}
-	slices.SortFunc(o.ord, func(a, b int32) int { return int(o.ids[a]) - int(o.ids[b]) })
-	for _, i := range o.ord {
-		out[i] = int(o.planDist(queries[i].V, o.ids[i]))
-	}
-	return out, errs
-}
-
-// VertexOraclePool hands out per-goroutine VertexOracles for one structure,
-// mirroring OraclePool: oracles are not concurrency-safe (each owns its BFS
-// and repair scratches), so a concurrent server checks one out per request
-// and returns it afterwards. All oracles of a pool share the structure's
-// cached intact distance vector and query plan. Backed by sync.Pool: idle
-// oracles may be dropped under memory pressure and are recreated
-// transparently.
-type VertexOraclePool struct {
-	s *VertexStructure
-	p sync.Pool
-}
-
-// OraclePool returns the structure's vertex oracle pool, created on the
-// first call and shared by subsequent calls.
-func (s *VertexStructure) OraclePool() *VertexOraclePool {
-	s.poolOnce.Do(func() {
-		s.pool = &VertexOraclePool{s: s}
-		s.pool.p.New = func() any { return s.Oracle() }
-	})
-	return s.pool
-}
-
-// Get checks an oracle out of the pool, allocating one if the pool is
-// empty. Return it with Put when the query burst is done.
-func (p *VertexOraclePool) Get() *VertexOracle { return p.p.Get().(*VertexOracle) }
-
-// Put returns an oracle to the pool, folding its plan-path counts into the
-// process-wide totals. Only oracles of the pool's own structure are
-// accepted; foreign oracles are dropped.
-func (p *VertexOraclePool) Put(o *VertexOracle) {
-	if o == nil || o.st != p.s {
-		return
-	}
-	flushPlanCounts(&planVertexHits, &planVertexRepairs, &o.planHits, &o.planRepairs)
-	p.p.Put(o)
-}
-
-// Do checks out an oracle, runs f with it, and returns it to the pool. The
-// oracle must not escape f.
-func (p *VertexOraclePool) Do(f func(*VertexOracle) error) error {
-	o := p.Get()
-	defer p.Put(o)
-	return f(o)
 }

@@ -165,41 +165,6 @@ func TestVertexManyGroupsAndValidates(t *testing.T) {
 	}
 }
 
-// TestVertexOffPathQueryZeroAllocs asserts the acceptance criterion: an
-// off-tree-path vertex failure answers from the intact vector with zero
-// allocations per query.
-func TestVertexOffPathQueryZeroAllocs(t *testing.T) {
-	tc := vertexCorpus()["denser-random"]
-	st, err := ftbfs.BuildVertex(tc.g, tc.source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := st.Plan()
-	o := st.Oracle()
-	n := tc.g.N()
-	// An off-path pair: a failed leaf of H's BFS tree cannot be on anyone's
-	// tree path.
-	w := -1
-	for x := 0; x < n; x++ {
-		if x != tc.source && plan.SubtreeSize(x) == 0 {
-			w = x
-			break
-		}
-	}
-	if w < 0 {
-		t.Skip("no leaf vertex in fixture")
-	}
-	v := (w + 1) % n
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := o.DistAvoidingVertex(v, w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("off-tree-path vertex failure allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
 // TestVertexPoolConcurrent hammers pooled oracles from many goroutines
 // (run under -race in CI) and checks every answer against a precomputed
 // reference table.
