@@ -43,9 +43,10 @@
 // router learns each one's address from /readyz probes (one sweep before
 // `ftbfs route` serves) and AddShard refuses a shard without one; a probe
 // that learns a new address retires the old client, whose calls in flight
-// still finish. HTTP stays the control and ops plane — /build fan-out, the
-// one remaining goroutine-per-member fan-out, /stats, /metrics.json,
-// /handoff/* and /readyz probes.
+// still finish. Structure records and graph texts move shard to shard over
+// the protocol too, and only over it. HTTP stays the control and ops plane —
+// /build fan-out, the one remaining goroutine-per-member fan-out, /stats,
+// /metrics.json, /handoff/keys and /handoff/pull, and /readyz probes.
 //
 // Routing hashes exactly what the store keys: (graph fingerprint, source,
 // ε, algorithm, failure model) — vertex-failure queries land on the same
@@ -60,16 +61,19 @@
 //
 // Membership changes move bytes, not just ranges. The router drives the
 // rebalance through the shards' /handoff surface (internal/server), which
-// streams version-3 slab records (internal/core) shard-to-shard — over the
-// source's persistent binary-protocol connections when it advertises them,
-// HTTP otherwise — and installs them on the receiver through the store's
+// streams version-3 slab records (internal/core) shard-to-shard over the
+// source's binary-protocol connections — a record or graph text may reach
+// wire.MaxRecord, the HTTP body bound, so anything /build accepts moves in
+// one frame — and installs them on the receiver through the store's
 // zero-parse LoadStructure/LoadVertexStructure path. A moved structure is
 // never rebuilt.
 //
 // The handoff protocol is receiver-driven: GET /handoff/keys inventories a
-// shard, GET /handoff/record and /handoff/graph export raw bytes (wire
-// frames THandoff/TGraph carry the same payloads), and POST /handoff/pull
-// tells a shard to fetch a key list from a named source and install it.
+// shard, and POST /handoff/pull tells a shard to fetch a key list from a
+// source's wire address (THandoff/TGraph frames) and install it. A fetch
+// that fails is reported under its key in the pull's errors, and the key is
+// then not held there: /build has that owner build it, a join leaves it to
+// load-through, and PromoteHot widens no key onto an owner that lacks it.
 // Pulls are idempotent — a receiver skips keys it already holds — so a
 // re-driven rebalance converges instead of re-copying. A handoff key names
 // its graph by lineage, and the receiver registers whatever generation the
@@ -139,8 +143,8 @@
 // The router tracks per-key hit counts on the point-query path. PromoteHot
 // promotes keys whose count passes a threshold to R+k replication: the k
 // extra owners — the next distinct members on the key's ring walk past the
-// base replica set — pull the structure ahead of time, and from then on
-// ownersFor returns the widened set, so hedged reads and batch slots for a
+// base replica set — pull the structure ahead of time, and once every one
+// of them holds it ownersFor returns the widened set, so hedged reads and batch slots for a
 // hot key spread over R+k replicas instead of R. Promotion survives
 // membership changes (the widened walk is re-evaluated against the current
 // ring on every lookup) and demotion is simply dropping the entry.

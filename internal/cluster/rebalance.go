@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 
 	"ftbfs/internal/server"
@@ -40,23 +42,10 @@ func (rt *Router) gatherInventory(ctx context.Context) map[store.Key][]*Member {
 	keysOf := make([][]store.Key, len(members))
 	var wg sync.WaitGroup
 	for i, m := range members {
-		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code, body, err := rt.forward(ctx, rt.opts.Client, m, http.MethodGet, "/handoff/keys", nil)
-			if err != nil || code != http.StatusOK {
-				return
-			}
-			var kr server.HandoffKeysResponse
-			if json.Unmarshal(body, &kr) != nil {
-				return
-			}
-			for _, info := range kr.Keys {
-				if k, err := info.StoreKey(); err == nil {
-					keysOf[i] = append(keysOf[i], k)
-				}
-			}
+			keysOf[i], _ = rt.memberKeys(ctx, m)
 		}()
 	}
 	wg.Wait()
@@ -69,7 +58,7 @@ func (rt *Router) gatherInventory(ctx context.Context) map[store.Key][]*Member {
 	return inv
 }
 
-// memberKeys inventories a single member.
+// memberKeys inventories a single member (GET /handoff/keys).
 func (rt *Router) memberKeys(ctx context.Context, m *Member) ([]store.Key, error) {
 	code, body, err := rt.forward(ctx, rt.opts.Client, m, http.MethodGet, "/handoff/keys", nil)
 	if err != nil {
@@ -91,16 +80,14 @@ func (rt *Router) memberKeys(ctx context.Context, m *Member) ([]store.Key, error
 	return keys, nil
 }
 
-// pullTo posts one /handoff/pull to targetAddr: pull keys from src. The
-// target need not be a member yet — on a join it is the not-yet-routed
-// shard. Moved structures and bytes land in the router's rebalance counters.
+// pullTo posts one /handoff/pull to targetAddr: pull keys from src over
+// src's wire address. The target need not be a member yet — on a join it is
+// the not-yet-routed shard. Moved structures and bytes land in the router's
+// rebalance counters. A pull that answered 200 may still have installed
+// only some keys: its per-key failures are in the response's Errors.
 func (rt *Router) pullTo(ctx context.Context, targetAddr string, src *Member, keys []server.HandoffKeyInfo) (server.HandoffPullResponse, error) {
 	var resp server.HandoffPullResponse
-	payload, err := json.Marshal(&server.HandoffPullRequest{
-		From: src.Addr(),
-		Wire: src.WireAddr(),
-		Keys: keys,
-	})
+	payload, err := json.Marshal(&server.HandoffPullRequest{Wire: src.WireAddr(), Keys: keys})
 	if err != nil {
 		return resp, err
 	}
@@ -117,7 +104,8 @@ func (rt *Router) pullTo(ctx context.Context, targetAddr string, src *Member, ke
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		return resp, fmt.Errorf("cluster: pull to %s: status %d", targetAddr, res.StatusCode)
+		body, _ := io.ReadAll(io.LimitReader(res.Body, 4<<10))
+		return resp, fmt.Errorf("cluster: pull to %s: status %d: %s", targetAddr, res.StatusCode, bytes.TrimSpace(body))
 	}
 	if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
 		return resp, err
@@ -295,7 +283,8 @@ func (rt *Router) DrainShard(ctx context.Context, id string) (*RebalanceReport, 
 // PromoteHot promotes every tracked key with at least minHits recorded hits
 // to R+extra replication: the extra owners — the next distinct members on
 // the key's ring walk — pull the structure from a current owner, and only
-// once the pull succeeds does ownersFor start returning the widened set
+// once every extra owner holds it (installed or already held, as
+// installReplicas requires) does ownersFor start returning the widened set
 // (transfer before flip, again). Returns how many keys were promoted this
 // call; already-promoted keys are skipped.
 func (rt *Router) PromoteHot(ctx context.Context, extra int, minHits uint64) (int, error) {
@@ -326,7 +315,11 @@ func (rt *Router) PromoteHot(ctx context.Context, extra int, minHits uint64) (in
 		info := []server.HandoffKeyInfo{server.HandoffKeyFor(k)}
 		ok := true
 		for _, m := range wide[len(base):] {
-			if _, err := rt.pullTo(ctx, m.Addr(), src, info); err != nil {
+			res, err := rt.pullTo(ctx, m.Addr(), src, info)
+			if err == nil && res.Transferred+res.Skipped < len(info) {
+				err = fmt.Errorf("cluster: promote %v onto %s: %s", k, m.ID, strings.Join(res.Errors, "; "))
+			}
+			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}

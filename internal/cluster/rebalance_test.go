@@ -606,6 +606,73 @@ func TestPromoteHotWidensReplicaSet(t *testing.T) {
 	}
 }
 
+// TestPromoteHotNeedsTheRecord heats a key whose promotion source — its
+// first owner in ring order — can no longer export it: the source's
+// memory-only store evicted it, so the extra owner's pull installs nothing
+// and answers 200 with the key in its errors. PromoteHot must promote
+// nothing: hot_promotions and the key's owner set stay as they were, the
+// extra owner holds nothing, and routed answers stay correct.
+func TestPromoteHotNeedsTheRecord(t *testing.T) {
+	lc, err := StartLocal(4, LocalOptions{Replicas: 2, StoreCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{81}, []int{0}, 0.3)[0]
+	for i := 0; i < 12; i++ {
+		checkPoint(t, lc.URL(), fx, (i*5)%fx.n, fx.edges[i%len(fx.edges)])
+	}
+	k := edgeKey(t, fx)
+	ownerIDs := func() []string {
+		var ids []string
+		for _, m := range lc.Router.ownersFor(k) {
+			ids = append(ids, m.ID)
+		}
+		sort.Strings(ids)
+		return ids
+	}
+	before := ownerIDs()
+	ms := lc.Router.Membership()
+	base := ms.OwnersN(KeyHash(k), ms.Replicas())
+	wide := ms.OwnersN(KeyHash(k), ms.Replicas()+1)
+	if len(wide) != len(base)+1 {
+		t.Fatalf("the key widens from %d to %d owners, want one more", len(base), len(wide))
+	}
+	// A capacity-1 store keeps only the structure it resolved last.
+	src := shardByID(t, lc, firstHealthy(base).ID)
+	other := store.Key{Graph: k.Graph, Source: k.Source + 1, Eps: k.Eps}
+	if _, err := src.Store.GetOrBuild(context.Background(), other); err != nil {
+		t.Fatal(err)
+	}
+	if src.Store.Has(k) {
+		t.Fatal("the source still holds the hot key; the test tests nothing")
+	}
+
+	n, err := lc.Router.PromoteHot(context.Background(), 1, 10)
+	if n != 0 {
+		t.Fatalf("promoted %d keys from a source that cannot export them", n)
+	}
+	if err == nil {
+		t.Fatal("PromoteHot reported no error for a pull that installed nothing")
+	}
+	var rs RouterStatsResponse
+	if code, body := getJSON(t, lc.URL()+"/stats", &rs); code != http.StatusOK {
+		t.Fatalf("/stats: %d %s", code, body)
+	}
+	if rs.HotPromotions != 0 || rs.PromotedKeys != 0 {
+		t.Fatalf("stats: hot_promotions=%d promoted_keys=%d, want 0/0", rs.HotPromotions, rs.PromotedKeys)
+	}
+	if after := ownerIDs(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("the key's owners went from %v to %v", before, after)
+	}
+	if shardByID(t, lc, wide[len(base)].ID).Store.Has(k) {
+		t.Fatal("the extra owner holds the key although the source could not export it")
+	}
+	for i := 0; i < len(fx.edges); i += 2 {
+		checkPoint(t, lc.URL(), fx, (i*11)%fx.n, fx.edges[i])
+	}
+}
+
 // TestJoinTransfersMutatedLineage joins a shard after a lineage has moved
 // to generation 1. A handoff key names the graph by lineage while the graph
 // it fetches is the source's serving generation, so the pull must check the

@@ -6,12 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
-	"time"
 
 	"ftbfs"
 	"ftbfs/internal/core"
@@ -23,21 +20,18 @@ import (
 // between shards when the cluster ring changes, without rebuilding:
 //
 //	GET  /handoff/keys    inventory of every exportable structure key
-//	GET  /handoff/record  raw record bytes of one structure (octet-stream)
-//	GET  /handoff/graph   canonical text of one registered graph
-//	POST /handoff/pull    pull a key list FROM a named source shard
+//	POST /handoff/pull    pull a key list from a named source shard
 //
 // The pull endpoint is receiver-driven: the cluster router tells the new
-// owner what to pull and from whom, the receiver fetches graph + records
-// (over the source's persistent wire connections when it advertises them,
-// HTTP otherwise) and installs them through the store's zero-parse import
-// path. The same frames also travel the binary protocol (THandoff/TGraph);
-// *Server implements wire.HandoffBackend below.
+// owner what to pull and from whom, and the receiver fetches graph and
+// records over the source's binary protocol (THandoff/TGraph, answered by
+// *Server's HandoffRecord and HandoffGraph below; a record or graph text may
+// reach wire.MaxRecord, the HTTP body bound) and installs them through the
+// store's zero-parse import path. The record bytes have no HTTP route.
 
 // HandoffKeyInfo is the JSON form of one structure key on the handoff
-// surface. Eps round-trips exactly through JSON (shortest-repr encoding)
-// and the record URL (FormatFloat -1); Alg travels as the core algorithm
-// code, Model as "vertex" or "" (edge).
+// surface. Eps round-trips exactly through JSON (shortest-repr encoding);
+// Alg travels as the core algorithm code, Model as "vertex" or "" (edge).
 type HandoffKeyInfo struct {
 	Graph  string  `json:"graph"` // %016x fingerprint
 	Source int     `json:"source"`
@@ -84,35 +78,16 @@ func (i HandoffKeyInfo) StoreKey() (store.Key, error) {
 	return store.Key{Graph: fp, Source: i.Source, Eps: e, Alg: ftbfs.Algorithm(i.Alg)}, nil
 }
 
-// WireKey converts to the binary-protocol handoff key.
-func (i HandoffKeyInfo) WireKey() (wire.HandoffKey, error) {
-	k, err := i.StoreKey()
-	if err != nil {
-		return wire.HandoffKey{}, err
-	}
+// handoffWireKey converts a registry key to its binary-protocol form, ε as
+// its bit pattern.
+func handoffWireKey(k store.Key) wire.HandoffKey {
 	return wire.HandoffKey{
 		FP:      k.Graph,
 		EpsBits: math.Float64bits(k.Eps),
 		Source:  int32(k.Source),
 		Alg:     int32(k.Alg),
 		Vertex:  k.Model == store.ModelVertex,
-	}, nil
-}
-
-// recordQuery encodes the /handoff/record URL parameters for a key.
-// FormatFloat with precision -1 produces the shortest decimal that parses
-// back to the exact same float, so the key survives the URL round trip.
-func recordQuery(i HandoffKeyInfo) string {
-	v := url.Values{}
-	v.Set("graph", i.Graph)
-	v.Set("source", strconv.Itoa(i.Source))
-	if i.Model != "" {
-		v.Set("model", i.Model)
-	} else {
-		v.Set("eps", strconv.FormatFloat(i.Eps, 'g', -1, 64))
-		v.Set("alg", strconv.Itoa(i.Alg))
 	}
-	return v.Encode()
 }
 
 // HandoffKeysResponse is the reply of GET /handoff/keys.
@@ -137,76 +112,11 @@ func (s *Server) handleHandoffKeys(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// handoffKeyFromQuery parses a structure key out of /handoff/record URL
-// parameters (the inverse of recordQuery).
-func handoffKeyFromQuery(r *http.Request) (store.Key, error) {
-	vals := r.URL.Query()
-	info := HandoffKeyInfo{Graph: vals.Get("graph"), Model: vals.Get("model")}
-	var err error
-	if info.Source, err = strconv.Atoi(vals.Get("source")); err != nil {
-		return store.Key{}, fmt.Errorf("bad source=%q", vals.Get("source"))
-	}
-	if info.Model == "" {
-		if info.Eps, err = strconv.ParseFloat(vals.Get("eps"), 64); err != nil {
-			return store.Key{}, fmt.Errorf("bad eps=%q", vals.Get("eps"))
-		}
-		if info.Alg, err = strconv.Atoi(vals.Get("alg")); err != nil {
-			return store.Key{}, fmt.Errorf("bad alg=%q", vals.Get("alg"))
-		}
-	}
-	return info.StoreKey()
-}
-
-func (s *Server) handleHandoffRecord(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	k, err := handoffKeyFromQuery(r)
-	if err != nil {
-		s.edge.Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	data, err := s.store.ExportRecord(k)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, store.ErrNotHeld) {
-			code = http.StatusNotFound
-		}
-		s.edge.Error(w, code, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-func (s *Server) handleHandoffGraph(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.edge.Error(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	fp, err := strconv.ParseUint(r.URL.Query().Get("graph"), 16, 64)
-	if err != nil {
-		s.edge.Error(w, http.StatusBadRequest, fmt.Sprintf("bad graph fingerprint %q", r.URL.Query().Get("graph")))
-		return
-	}
-	data, err := s.store.GraphText(fp)
-	if err != nil {
-		s.edge.Error(w, http.StatusNotFound, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
 // HandoffPullRequest is the body of POST /handoff/pull: the receiving shard
-// pulls the listed keys from the named source. Wire, when non-empty, is the
-// source's binary-protocol address — records stream over its persistent
-// connections and only fall back to From's HTTP surface on a transport
-// fault or an over-limit record.
+// pulls the listed keys from the source shard whose binary-protocol address
+// Wire names.
 type HandoffPullRequest struct {
-	From string           `json:"from"`
-	Wire string           `json:"wire,omitempty"`
+	Wire string           `json:"wire"`
 	Keys []HandoffKeyInfo `json:"keys"`
 }
 
@@ -220,35 +130,6 @@ type HandoffPullResponse struct {
 	Errors      []string `json:"errors,omitempty"`
 }
 
-// handoffClient fetches records over HTTP when the wire path is unavailable.
-// Transfers can be large, so the timeout is generous; each request is still
-// bounded by the pull request's context.
-var handoffClient = &http.Client{Timeout: 2 * time.Minute}
-
-// handoffGet fetches one URL, demanding a 200.
-func handoffGet(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := handoffClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	if len(body) > MaxBodyBytes {
-		return nil, fmt.Errorf("record exceeds %d bytes", MaxBodyBytes)
-	}
-	return body, nil
-}
-
 func (s *Server) handleHandoffPull(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.edge.Error(w, http.StatusMethodNotAllowed, "POST required")
@@ -259,23 +140,31 @@ func (s *Server) handleHandoffPull(w http.ResponseWriter, r *http.Request) {
 		s.edge.Error(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
-	if req.From == "" {
-		s.edge.Error(w, http.StatusBadRequest, "missing source address")
+	if req.Wire == "" {
+		s.edge.Error(w, http.StatusBadRequest, "missing source wire address")
 		return
 	}
 	resp := s.pull(r.Context(), &req)
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// pull fetches and installs the requested keys from the source shard:
-// wire-first per record, HTTP fallback, graphs fetched once on first need.
+// fetched folds a wire fetch's two failure kinds into one error: the peer's
+// in-protocol refusal (404 not held, 413 over wire.MaxRecord) or the
+// transport fault.
+func fetched(data []byte, werr *wire.Error, err error) ([]byte, error) {
+	if werr != nil {
+		return nil, werr
+	}
+	return data, err
+}
+
+// pull fetches and installs the requested keys from the source shard over
+// its wire address, graphs fetched once on first need. A fetch that fails
+// is reported in Errors under its key.
 func (s *Server) pull(ctx context.Context, req *HandoffPullRequest) *HandoffPullResponse {
 	resp := &HandoffPullResponse{}
-	var wc *wire.Client
-	if req.Wire != "" {
-		wc = wire.NewClient(req.Wire, 2)
-		defer wc.Close()
-	}
+	wc := wire.NewClient(req.Wire, 2)
+	defer wc.Close()
 	haveGraph := make(map[uint64]bool)
 	fetchGraph := func(fp uint64) error {
 		if haveGraph[fp] {
@@ -285,18 +174,9 @@ func (s *Server) pull(ctx context.Context, req *HandoffPullRequest) *HandoffPull
 			haveGraph[fp] = true
 			return nil
 		}
-		var data []byte
-		if wc != nil {
-			if b, werr, err := wc.FetchGraph(ctx, fp); err == nil && werr == nil {
-				data = b
-			}
-		}
-		if data == nil {
-			b, err := handoffGet(ctx, fmt.Sprintf("%s/handoff/graph?graph=%016x", req.From, fp))
-			if err != nil {
-				return fmt.Errorf("fetch graph %016x: %w", fp, err)
-			}
-			data = b
+		data, err := fetched(wc.FetchGraph(ctx, fp))
+		if err != nil {
+			return fmt.Errorf("fetch graph %016x: %w", fp, err)
 		}
 		g, err := ftbfs.ReadGraph(bytes.NewReader(data))
 		if err != nil {
@@ -341,24 +221,14 @@ func (s *Server) pull(ctx context.Context, req *HandoffPullRequest) *HandoffPull
 			continue
 		}
 		if err := fetchGraph(k.Graph); err != nil {
-			resp.Errors = append(resp.Errors, err.Error())
+			resp.Errors = append(resp.Errors, fmt.Sprintf("%v: %v", k, err))
 			continue
 		}
-		var data []byte
-		if wc != nil {
-			if wk, err := info.WireKey(); err == nil {
-				if b, werr, err := wc.FetchRecord(ctx, &wk); err == nil && werr == nil {
-					data = b
-				}
-			}
-		}
-		if data == nil {
-			b, err := handoffGet(ctx, req.From+"/handoff/record?"+recordQuery(info))
-			if err != nil {
-				resp.Errors = append(resp.Errors, fmt.Sprintf("fetch %v: %v", k, err))
-				continue
-			}
-			data = b
+		wk := handoffWireKey(k)
+		data, err := fetched(wc.FetchRecord(ctx, &wk))
+		if err != nil {
+			resp.Errors = append(resp.Errors, fmt.Sprintf("fetch %v: %v", k, err))
+			continue
 		}
 		installed, err := s.store.ImportRecord(k, data)
 		if installed {
@@ -383,9 +253,9 @@ func (s *Server) pull(ctx context.Context, req *HandoffPullRequest) *HandoffPull
 	return resp
 }
 
-// HandoffRecord implements wire.HandoffBackend: the binary-protocol twin of
-// GET /handoff/record. A record larger than the frame bound is answered 413
-// by wire.Serve, so the puller falls back to HTTP (which has no such bound).
+// HandoffRecord answers a THandoff frame (wire.Backend) with the record
+// bytes of one held structure; wire.Serve answers 413 for a record over
+// wire.MaxRecord.
 func (s *Server) HandoffRecord(ctx context.Context, k *wire.HandoffKey) ([]byte, *wire.Error) {
 	s.m.wireRequests.Inc()
 	if err := ctx.Err(); err != nil {
@@ -406,8 +276,8 @@ func (s *Server) HandoffRecord(ctx context.Context, k *wire.HandoffKey) ([]byte,
 	return data, nil
 }
 
-// HandoffGraph implements wire.HandoffBackend: the binary-protocol twin of
-// GET /handoff/graph.
+// HandoffGraph answers a TGraph frame (wire.Backend) with the canonical
+// text of one registered graph.
 func (s *Server) HandoffGraph(ctx context.Context, fp uint64) ([]byte, *wire.Error) {
 	s.m.wireRequests.Inc()
 	if err := ctx.Err(); err != nil {

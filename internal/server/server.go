@@ -22,9 +22,8 @@
 //	GET|POST /dist-avoiding-vertex  dist(s, v) in H minus one failed VERTEX
 //	POST /batch-query    a vector of failure queries, per-query error slots
 //	GET  /handoff/keys   inventory of exportable structure keys
-//	GET  /handoff/record raw record bytes of one structure
-//	GET  /handoff/graph  canonical text of one registered graph
-//	POST /handoff/pull   pull structures from a peer shard (rebalance; handoff.go)
+//	POST /handoff/pull   pull structures from a peer shard over its wire
+//	                     address (rebalance; handoff.go)
 //	GET  /stats          store and server counters
 //	GET  /healthz        liveness: identity + uptime, always 200 while up
 //	GET  /readyz         readiness: 503 while draining, else store summary
@@ -88,8 +87,10 @@ const DefaultEps = 0.25
 const MaxBuildN = 1_000_000
 
 // MaxBodyBytes bounds every JSON request body (graph text for 1M edges is
-// well under this). The edge applies it on both tiers.
-const MaxBodyBytes = 64 << 20
+// well under this). The edge applies it on both tiers. It is the wire's
+// record bound, so any graph /build accepts reaches a key's other owners in
+// one TGraph frame.
+const MaxBodyBytes = wire.MaxRecord
 
 // BudgetHeader carries a request's deadline budget in whole milliseconds
 // over HTTP — the JSON-surface twin of the wire frame's budget field. The
@@ -219,8 +220,6 @@ func New(st *store.Store) *Server {
 		admit:    s.admit,
 	})
 	s.edge.Handle("/handoff/keys", s.handleHandoffKeys)
-	s.edge.Handle("/handoff/record", s.handleHandoffRecord)
-	s.edge.Handle("/handoff/graph", s.handleHandoffGraph)
 	s.edge.Handle("/handoff/pull", s.handleHandoffPull)
 	s.edge.Handle("/stats", s.handleStats)
 	s.edge.Handle("/healthz", s.handleHealthz)

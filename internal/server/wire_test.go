@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ftbfs"
@@ -431,5 +432,46 @@ func TestBatchGroupingAllocs(t *testing.T) {
 	}
 	if allocs > 7 {
 		t.Fatalf("grouping a 64-slot, 4-group batch costs %.0f allocs, want at most 7: none per slot", allocs)
+	}
+}
+
+// TestHandoffPullIsWireOnly pins the handoff surface: record and graph
+// bytes have no HTTP route, a pull that names no source wire address is
+// refused, a pull over the source's wire address installs the key, and a
+// key the source cannot export is reported in errors under its key.
+func TestHandoffPullIsWireOnly(t *testing.T) {
+	srcTS, srcWire, srcStore := newWireServer(t)
+	dstTS, dstStore := newTestServer(t)
+	g := testGraph(t, 40, 60, 7)
+	br := buildVia(t, srcTS, g, []int{0}, 0.3)
+	key := HandoffKeyInfo{Graph: br.Fingerprint, Source: 0, Eps: 0.3}
+	for _, path := range []string{
+		"/handoff/record?graph=" + br.Fingerprint + "&source=0&eps=0.3&alg=0",
+		"/handoff/graph?graph=" + br.Fingerprint,
+	} {
+		if code, _ := getJSON(t, srcTS.URL+path, nil); code != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", path, code)
+		}
+	}
+	if code, body := postJSON(t, dstTS.URL+"/handoff/pull", map[string]any{"from": srcTS.URL, "keys": []HandoffKeyInfo{key}}, nil); code != http.StatusBadRequest {
+		t.Fatalf("pull without a wire address: %d %s, want 400", code, body)
+	}
+	var res HandoffPullResponse
+	code, body := postJSON(t, dstTS.URL+"/handoff/pull", HandoffPullRequest{Wire: srcWire.Addr(), Keys: []HandoffKeyInfo{key}}, &res)
+	if code != http.StatusOK || res.Transferred != 1 || len(res.Errors) != 0 {
+		t.Fatalf("pull over wire: %d %s, want 1 transferred", code, body)
+	}
+	sk, err := key.StoreKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dstStore.Has(sk) || dstStore.Stats().Builds != 0 || srcStore.Stats().HandoffsOut != 1 {
+		t.Fatalf("the receiver holds %v: %v, builds %d; the source exported %d", sk, dstStore.Has(sk), dstStore.Stats().Builds, srcStore.Stats().HandoffsOut)
+	}
+	missing := HandoffKeyInfo{Graph: br.Fingerprint, Source: 5, Eps: 0.3}
+	res = HandoffPullResponse{}
+	code, body = postJSON(t, dstTS.URL+"/handoff/pull", HandoffPullRequest{Wire: srcWire.Addr(), Keys: []HandoffKeyInfo{missing}}, &res)
+	if code != http.StatusOK || res.Transferred != 0 || len(res.Errors) != 1 || !strings.Contains(res.Errors[0], "status 404") {
+		t.Fatalf("pull of a key the source does not hold: %d %s, want 200 with one 404 error", code, body)
 	}
 }

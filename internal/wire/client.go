@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -215,11 +216,20 @@ func (cc *clientConn) readLoop() {
 			cc.fail(fmt.Errorf("wire: connection lost: %w", err))
 			return
 		}
-		if call := cc.take(id); call != nil {
+		call := cc.take(id)
+		if len(buf) > MaxPayload+frameTrailer {
+			// A frame past MaxPayload came in a buffer of its own
+			// (readFrame): its payload goes to its call as it is, and the
+			// connection keeps no record-sized buffer.
+			buf = nil
+		} else if call != nil {
 			// Copy out of the read buffer: the caller owns its payload.
 			p := make([]byte, len(payload))
 			copy(p, payload)
-			call.typ, call.payload, call.Spans = typ, p, spans
+			payload = p
+		}
+		if call != nil {
+			call.typ, call.payload, call.Spans = typ, payload, spans
 			call.Done <- call
 		}
 	}
@@ -464,11 +474,10 @@ func (c *Client) Mutate(ctx context.Context, lineage uint64, muts []MutationWire
 }
 
 // FetchRecord fetches the record bytes of one structure from a peer shard
-// over the persistent connection pool. A non-nil *Error is the peer's
-// definitive in-protocol answer (404 not held, 413 record exceeds the frame
-// bound); a non-nil error is a transport failure. Either way the handoff
-// puller falls back to the peer's HTTP record surface, whose body bound
-// (server.MaxBodyBytes) is larger than MaxPayload.
+// over the persistent connection pool; a record may reach MaxRecord, the
+// HTTP body bound, and is the only way records move between shards. A
+// non-nil *Error is the peer's definitive in-protocol answer (404 not held,
+// 413 record over MaxRecord); a non-nil error is a transport failure.
 func (c *Client) FetchRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error, error) {
 	buf := getBuf()
 	call := c.do(ctx, THandoff, appendHandoffKey((*buf)[:0], k))
@@ -483,8 +492,7 @@ func (c *Client) FetchRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error
 // Error semantics match FetchRecord.
 func (c *Client) FetchGraph(ctx context.Context, fp uint64) ([]byte, *Error, error) {
 	var payload [8]byte
-	payload[0], payload[1], payload[2], payload[3] = byte(fp), byte(fp>>8), byte(fp>>16), byte(fp>>24)
-	payload[4], payload[5], payload[6], payload[7] = byte(fp>>32), byte(fp>>40), byte(fp>>48), byte(fp>>56)
+	binary.LittleEndian.PutUint64(payload[:], fp)
 	call := c.do(ctx, TGraph, payload[:])
 	text, werr, err := call.answer(RGraph)
 	recycle(call)

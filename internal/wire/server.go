@@ -32,18 +32,12 @@ type Backend interface {
 	// lineage (or answers an in-protocol error: 404 unknown graph, 400
 	// invalid batch, 500 persist fault).
 	WireMutate(ctx context.Context, lineage uint64, muts []MutationWire) (MutateResult, *Error)
-}
-
-// HandoffBackend is the optional shard-to-shard extension of Backend:
-// backends implementing it additionally serve THandoff/TGraph frames, which
-// is how structures stream between shards during a rebalance. A backend
-// without it answers those frames with an in-protocol 501 — the puller then
-// falls back to the HTTP handoff surface.
-type HandoffBackend interface {
 	// HandoffRecord returns the record bytes of one held structure (or an
-	// in-protocol error: 404 not held, 413 record exceeds MaxPayload).
+	// in-protocol error, 404 when it is not held); Serve answers 413 for a
+	// record over MaxRecord. It is how structures move between shards.
 	HandoffRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error)
-	// HandoffGraph returns the canonical text of one registered graph.
+	// HandoffGraph returns the canonical text of one registered graph,
+	// bounded like a record.
 	HandoffGraph(ctx context.Context, fp uint64) ([]byte, *Error)
 }
 
@@ -172,11 +166,7 @@ func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint
 		if err != nil {
 			return errProtocol
 		}
-		hb, ok := backend.(HandoffBackend)
-		if !ok {
-			return writeResponse(w, RError, id, tr, appendError(out, 501, "handoff not supported"))
-		}
-		data, werr := hb.HandoffRecord(ctx, &k)
+		data, werr := backend.HandoffRecord(ctx, &k)
 		if werr != nil {
 			return writeResponse(w, RError, id, tr, appendError(out, werr.Code, werr.Msg))
 		}
@@ -185,13 +175,7 @@ func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint
 		if len(payload) != 8 {
 			return errProtocol
 		}
-		fp := uint64(payload[0]) | uint64(payload[1])<<8 | uint64(payload[2])<<16 | uint64(payload[3])<<24 |
-			uint64(payload[4])<<32 | uint64(payload[5])<<40 | uint64(payload[6])<<48 | uint64(payload[7])<<56
-		hb, ok := backend.(HandoffBackend)
-		if !ok {
-			return writeResponse(w, RError, id, tr, appendError(out, 501, "handoff not supported"))
-		}
-		data, werr := hb.HandoffGraph(ctx, fp)
+		data, werr := backend.HandoffGraph(ctx, binary.LittleEndian.Uint64(payload))
 		if werr != nil {
 			return writeResponse(w, RError, id, tr, appendError(out, werr.Code, werr.Msg))
 		}
@@ -213,8 +197,9 @@ func answer(ctx context.Context, w io.Writer, backend Backend, typ byte, id uint
 
 // writeResponse writes one response frame. An untraced response (tr nil) is
 // the bare body with a zero trace field; a traced one echoes the trace ID and
-// prefixes the body with the spans the backend recorded. A response over
-// MaxPayload goes out as an untraced 413 instead: the client would drop the
+// prefixes the body with the spans the backend recorded. A response over its
+// type's bound (MaxRecord for a record or graph text, MaxPayload otherwise)
+// goes out as an untraced 413 instead: the client would drop the
 // connection, and every request pipelined on it, rather than read it.
 func writeResponse(w io.Writer, typ byte, id uint64, tr *telemetry.Trace, body []byte) error {
 	var trace uint64
@@ -224,8 +209,8 @@ func writeResponse(w io.Writer, typ byte, id uint64, tr *telemetry.Trace, body [
 		*buf = append(appendSpans((*buf)[:0], tr.Spans()), body...)
 		body, trace = *buf, tr.ID()
 	}
-	if len(body) > MaxPayload {
-		msg := fmt.Sprintf("%d-byte response exceeds the %d-byte frame bound", len(body), MaxPayload)
+	if bound := payloadBound(typ); len(body) > bound {
+		msg := fmt.Sprintf("%d-byte response exceeds the %d-byte frame bound", len(body), bound)
 		return writeFrame(w, RError, id, 0, 0, appendError(nil, 413, msg))
 	}
 	return writeFrame(w, typ, id, 0, trace, body)

@@ -1,6 +1,7 @@
 // Package wire implements the binary protocol spoken inside the cluster:
 // every point query, batch and mutation the router sends a shard travels
-// over it, as do shard-to-shard handoff transfers. A connection is
+// over it, as does every structure record and graph text a shard hands to
+// another (THandoff/TGraph; every Backend serves both). A connection is
 // persistent and carries length-prefixed frames both ways; requests carry
 // client-chosen ids that responses echo, so many requests can be in flight
 // on one connection (pipelining) and responses may arrive out of order.
@@ -55,6 +56,16 @@
 // count 9-byte entries (op u8 — 0 insert, 1 delete — u i32, v i32). The
 // RMutate response is fixed 32 bytes: lineage u64, new generation u64, new
 // fingerprint u64, delta-rebuild count u32, full-rebuild count u32.
+//
+// Handoff payloads: THandoff is a 28-byte structure key (graph u64, ε bits
+// u64, source i32, algorithm i32, flags u32 — bit 0 vertex model), TGraph a
+// graph lineage u64; RHandoff carries the raw slab record, RGraph the
+// canonical graph text.
+//
+// Payloads are bounded by frame type, alike on both sides: RHandoff and
+// RGraph by MaxRecord (the HTTP body bound, so whatever /build accepts moves
+// in one frame), every other frame by MaxPayload. A body past MaxPayload is
+// buffered as its bytes arrive, never allocated from its announced length.
 package wire
 
 import (
@@ -77,10 +88,17 @@ const (
 	// field a meaning on responses (echo + span section).
 	Version uint32 = 4
 
-	// MaxPayload bounds a frame's payload; a peer announcing more is
-	// protocol-corrupt and the connection is dropped. A client refuses to
-	// send more; a server answers 413 rather than write a larger response.
+	// MaxPayload bounds the payload of every frame but a handoff answer; a
+	// peer announcing more is protocol-corrupt and the connection is
+	// dropped. A client refuses to send more; a server answers 413 rather
+	// than write a larger response.
 	MaxPayload = 8 << 20
+
+	// MaxRecord bounds the payload of a handoff answer (RHandoff, RGraph):
+	// one structure record or one graph text. It is also the HTTP body
+	// bound (server.MaxBodyBytes), so a graph /build accepts fits in one
+	// RGraph frame.
+	MaxRecord = 64 << 20
 
 	// MaxBatchSlots bounds the slots of one TBatch frame: the request stays
 	// under 0.7 MB, the answer under MaxPayload at ~490-byte slot errors.
@@ -299,11 +317,30 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("wire: status %d: %s", e.Code, e.Msg) }
 
 // frameBufs recycles frame encode/decode buffers across connections and
-// requests; point frames are tiny but batches are worth pooling.
+// requests; point frames are tiny but batches are worth pooling. A buffer
+// grown past MaxPayload (a handoff answer) is left to the collector, so one
+// large transfer cannot pin tens of MB in the pool the point path draws from.
 var frameBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-func getBuf() *[]byte  { return frameBufs.Get().(*[]byte) }
-func putBuf(b *[]byte) { *b = (*b)[:0]; frameBufs.Put(b) }
+func getBuf() *[]byte { return frameBufs.Get().(*[]byte) }
+func putBuf(b *[]byte) {
+	if cap(*b) <= MaxPayload {
+		*b = (*b)[:0]
+		frameBufs.Put(b)
+	}
+}
+
+// payloadBound is the largest payload a frame of type typ may carry.
+func payloadBound(typ byte) int {
+	if typ == RHandoff || typ == RGraph {
+		return MaxRecord
+	}
+	return MaxPayload
+}
+
+// largeChunk is the first allocation for a frame body past MaxPayload; the
+// buffer doubles from there as the bytes arrive.
+const largeChunk = 1 << 20
 
 // appendFrame appends a complete frame to buf: header, payload, and the
 // CRC-32C trailer over everything after the length prefix.
@@ -330,27 +367,33 @@ func writeFrame(w io.Writer, typ byte, id uint64, budget uint32, trace uint64, p
 
 // readFrame reads one frame from r into buf (grown as needed), returning the
 // payload as a sub-slice of the returned buffer — valid until the next call.
-// A checksum mismatch is a transport error: the caller drops the connection
-// rather than act on bytes the wire may have mangled.
+// A body past MaxPayload gets a buffer of its own, grown as its bytes
+// arrive. A checksum mismatch is a transport error: the caller drops the
+// connection rather than act on bytes the wire may have mangled.
 func readFrame(r io.Reader, buf []byte) (typ byte, id uint64, budget uint32, trace uint64, payload, newBuf []byte, err error) {
 	var hdr [4 + frameOverhead]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, 0, 0, nil, buf, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[:4])
-	if length < frameOverhead+frameTrailer || length > frameOverhead+MaxPayload+frameTrailer {
+	typ = hdr[4]
+	if length < frameOverhead+frameTrailer || length > uint32(frameOverhead+payloadBound(typ)+frameTrailer) {
 		return 0, 0, 0, 0, nil, buf, fmt.Errorf("wire: bad frame length %d", length)
 	}
-	typ = hdr[4]
 	id = binary.LittleEndian.Uint64(hdr[5:])
 	budget = binary.LittleEndian.Uint32(hdr[13:])
 	trace = binary.LittleEndian.Uint64(hdr[17:])
 	n := int(length) - frameOverhead // payload + trailer
-	if cap(buf) < n {
-		buf = make([]byte, n, n+n/2)
+	if n > MaxPayload+frameTrailer {
+		buf, err = readLarge(r, n)
+	} else {
+		if cap(buf) < n {
+			buf = make([]byte, n, n+n/2)
+		}
+		buf = buf[:n]
+		_, err = io.ReadFull(r, buf)
 	}
-	buf = buf[:n]
-	if _, err = io.ReadFull(r, buf); err != nil {
+	if err != nil {
 		return 0, 0, 0, 0, nil, buf, err
 	}
 	sum := crc32.Checksum(hdr[4:], castagnoli)
@@ -359,6 +402,24 @@ func readFrame(r io.Reader, buf []byte) (typ byte, id uint64, budget uint32, tra
 		return 0, 0, 0, 0, nil, buf, fmt.Errorf("wire: frame checksum mismatch (corrupted bytes)")
 	}
 	return typ, id, budget, trace, buf[:n-frameTrailer], buf, nil
+}
+
+// readLarge reads an n-byte frame body past MaxPayload into a buffer that
+// starts at largeChunk and doubles as the bytes arrive, so a header that
+// announces more than its peer sends costs what arrived, not what it
+// announced.
+func readLarge(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, largeChunk)
+	for {
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil || len(buf) == n {
+			return buf, err
+		}
+		grown := make([]byte, len(buf), min(n, 2*cap(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // AppendPoint appends the fixed point payload of a TDist, TDistAvoiding or

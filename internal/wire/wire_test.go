@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,8 +22,34 @@ import (
 // real store: point answers V + A + B + int32(typ), batches echo per-slot,
 // mutations echo the lineage and count, and A == -7 triggers an in-protocol
 // error. A batch slot with A == -13 errors with a message as long as a
-// whole frame.
+// whole frame. A record is testBytes(Source) and a graph text
+// testBytes(fp), so a test picks their sizes by the key it asks for.
 type testBackend struct{}
+
+func (testBackend) HandoffRecord(ctx context.Context, k *HandoffKey) ([]byte, *Error) {
+	if k.Source < 0 {
+		return nil, &Error{Code: 404, Msg: "not held"}
+	}
+	return testBytes(int(k.Source)), nil
+}
+
+func (testBackend) HandoffGraph(ctx context.Context, fp uint64) ([]byte, *Error) {
+	return testBytes(int(fp)), nil
+}
+
+// testBytes returns n bytes of a pattern whose period, 4093, divides no
+// power of two, so a copy that drops, repeats or moves a chunk of a
+// doubling buffer does not compare equal.
+func testBytes(n int) []byte {
+	b := make([]byte, n)
+	for i := 0; i < n && i < 4093; i++ {
+		b[i] = byte(i*131 ^ i>>3)
+	}
+	for filled := min(n, 4093); filled < n; filled *= 2 {
+		copy(b[filled:], b[:filled])
+	}
+	return b
+}
 
 func (testBackend) WirePoint(ctx context.Context, typ byte, q *PointQuery) (int32, *Error) {
 	if q.A == -7 {
@@ -304,8 +333,10 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// traceBackend records the trace ID each point request's context carried.
+// traceBackend records the trace ID each point request's context carried;
+// its handoff methods are testBackend's.
 type traceBackend struct {
+	testBackend
 	mu   sync.Mutex
 	seen []uint64
 }
@@ -498,21 +529,112 @@ func TestOversizedBatchKeepsConnection(t *testing.T) {
 }
 
 // TestOversizedResponseKeepsConnection has the backend answer a batch whose
-// response would exceed MaxPayload: the server answers an in-protocol 413
-// instead of a frame the client would drop the connection over.
+// response would exceed MaxPayload, and a record over MaxRecord: the server
+// answers an in-protocol 413 instead of a frame the client would drop the
+// connection over.
 func TestOversizedResponseKeepsConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ask  func(ctx context.Context, c *Client) (*Error, error)
+	}{
+		{"batch", func(ctx context.Context, c *Client) (*Error, error) {
+			_, _, werr, err := c.Batch(ctx, []BatchSlot{{PointQuery: PointQuery{V: 1}}, {PointQuery: PointQuery{V: 2, A: -13}}})
+			return werr, err
+		}},
+		{"record", func(ctx context.Context, c *Client) (*Error, error) {
+			_, werr, err := c.FetchRecord(ctx, &HandoffKey{Source: MaxRecord + 1})
+			return werr, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln := startCountingWire(t)
+			c := NewClient(ln.Addr().String(), 1)
+			defer c.Close()
+			ctx := context.Background()
+			werr, err := tc.ask(ctx, c)
+			if err != nil || werr == nil || werr.Code != 413 {
+				t.Fatalf("%s with an oversized answer: %v / %v, want an in-protocol 413", tc.name, werr, err)
+			}
+			if d, werr, err := c.Point(ctx, TDist, &PointQuery{V: 1}); err != nil || werr != nil || d != 1+int32(TDist) {
+				t.Fatalf("Point after the 413: %d, %v / %v", d, werr, err)
+			}
+			if n := ln.accepts.Load(); n != 1 {
+				t.Fatalf("client dialed %d connections, want 1: the oversized response killed the pooled connection", n)
+			}
+		})
+	}
+}
+
+// TestRecordsPastMaxPayloadCrossTheWire fetches a 9 MB record and a 9 MB
+// graph text, both past MaxPayload and under MaxRecord, over one
+// connection: they arrive intact, and the connection keeps serving.
+func TestRecordsPastMaxPayloadCrossTheWire(t *testing.T) {
 	ln := startCountingWire(t)
 	c := NewClient(ln.Addr().String(), 1)
 	defer c.Close()
 	ctx := context.Background()
-	_, _, werr, err := c.Batch(ctx, []BatchSlot{{PointQuery: PointQuery{V: 1}}, {PointQuery: PointQuery{V: 2, A: -13}}})
-	if err != nil || werr == nil || werr.Code != 413 {
-		t.Fatalf("Batch with an oversized answer: %v / %v, want an in-protocol 413", werr, err)
+	const size = 9 << 20
+	want := testBytes(size)
+	rec, werr, err := c.FetchRecord(ctx, &HandoffKey{Source: size})
+	if err != nil || werr != nil {
+		t.Fatalf("FetchRecord of %d bytes: %v / %v", size, werr, err)
+	}
+	if !bytes.Equal(rec, want) {
+		t.Fatalf("the record arrived as %d bytes that differ from the %d sent", len(rec), size)
+	}
+	text, werr, err := c.FetchGraph(ctx, size)
+	if err != nil || werr != nil {
+		t.Fatalf("FetchGraph of %d bytes: %v / %v", size, werr, err)
+	}
+	if !bytes.Equal(text, want) {
+		t.Fatalf("the graph text arrived as %d bytes that differ from the %d sent", len(text), size)
 	}
 	if d, werr, err := c.Point(ctx, TDist, &PointQuery{V: 1}); err != nil || werr != nil || d != 1+int32(TDist) {
-		t.Fatalf("Point after the 413: %d, %v / %v", d, werr, err)
+		t.Fatalf("Point after the transfers: %d, %v / %v", d, werr, err)
 	}
 	if n := ln.accepts.Load(); n != 1 {
-		t.Fatalf("client dialed %d connections, want 1: the oversized response killed the pooled connection", n)
+		t.Fatalf("client dialed %d connections, want 1", n)
+	}
+}
+
+// TestRecordFrameBufferedAsItArrives gives readFrame a header announcing a
+// MaxRecord-byte record over a short body: it fails on the short read
+// having allocated one chunk, not the announced length. A query frame
+// announcing more than MaxPayload is still refused on its header alone.
+func TestRecordFrameBufferedAsItArrives(t *testing.T) {
+	frame := func(typ byte, payload int) []byte {
+		b := appendFrame(nil, typ, 1, 0, 0, nil)[:4+frameOverhead]
+		binary.LittleEndian.PutUint32(b, uint32(frameOverhead+payload+frameTrailer))
+		return append(b, make([]byte, 100)...)
+	}
+	data := frame(RHandoff, MaxRecord)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, _, _, _, err := readFrame(bytes.NewReader(data), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("readFrame of a short record frame: %v, want a short read", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*largeChunk {
+		t.Fatalf("readFrame allocated %d bytes for a %d-byte body announcing %d", got, 100, MaxRecord)
+	}
+	for _, typ := range []byte{TBatch, RBatch, RError} {
+		_, _, _, _, _, _, err := readFrame(bytes.NewReader(frame(typ, MaxPayload+1)), nil)
+		if err == nil || !strings.Contains(err.Error(), "bad frame length") {
+			t.Fatalf("frame type %#x announcing MaxPayload+1: %v, want bad frame length", typ, err)
+		}
+	}
+}
+
+// TestFramePoolKeepsNoRecordBuffer returns a buffer grown past MaxPayload
+// to the frame pool, which must not keep it for the point path to draw.
+// The pool may already hold buffers, so several are drawn.
+func TestFramePoolKeepsNoRecordBuffer(t *testing.T) {
+	big := make([]byte, 0, MaxPayload+1)
+	putBuf(&big)
+	for i := 0; i < 8; i++ {
+		if b := getBuf(); cap(*b) > MaxPayload {
+			t.Fatalf("the frame pool handed out a %d-byte buffer", cap(*b))
+		}
 	}
 }
