@@ -32,7 +32,7 @@ func WithBatchWorkers(w int) BatchOption {
 // (not once per request), runs one reinforcement sweep per source, recycles
 // engine scratch across requests, and dispatches source groups onto a worker
 // pool. Results are returned in request order and each structure is
-// byte-identical (via Save) to what the corresponding Build call returns; the
+// byte-identical (via SaveSlab) to what the corresponding Build call returns; the
 // first failing request aborts the batch with its error.
 func BuildBatch(g *Graph, reqs []BatchRequest, opts ...BatchOption) ([]*Structure, error) {
 	var bo batch.Options

@@ -9,8 +9,8 @@ import (
 
 // TestBuildBatchByteIdenticalToSequential is the BuildBatch acceptance
 // contract: over ≥ 8 (source, ε) requests the batched structures serialise
-// byte-identically (via Save) to sequential Build calls, and every structure
-// passes Verify.
+// byte-identically (via SaveSlab, which also covers the plan arrays) to
+// sequential Build calls, and every structure passes Verify.
 func TestBuildBatchByteIdenticalToSequential(t *testing.T) {
 	reqs := []ftbfs.BatchRequest{
 		{Source: 0, Eps: 0.2},
@@ -26,7 +26,7 @@ func TestBuildBatchByteIdenticalToSequential(t *testing.T) {
 
 	save := func(st *ftbfs.Structure) string {
 		var buf bytes.Buffer
-		if err := st.Save(&buf); err != nil {
+		if err := st.SaveSlab(&buf); err != nil {
 			t.Fatalf("save: %v", err)
 		}
 		return buf.String()

@@ -1289,10 +1289,9 @@ func BenchmarkWireServe(b *testing.B) {
 }
 
 // BenchmarkSlabLoad measures load-to-serving-ready — decode a persisted
-// structure record and build its query plan — for the text format versus the
-// binary slab format, through the same sniffing LoadStructure entry point
-// the store uses. The slab path validates and reinterprets; the text path
-// re-parses and re-derives.
+// slab record and build its query plan — through the LoadStructure entry
+// point the store uses: the loader validates and reinterprets, it runs no
+// search.
 func BenchmarkSlabLoad(b *testing.B) {
 	g := ftbfs.NewGraph(2000)
 	for _, e := range gen.RandomConnected(2000, 6000, 9).Edges() {
@@ -1302,28 +1301,22 @@ func BenchmarkSlabLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var text, slab bytes.Buffer
-	if err := st.Save(&text); err != nil {
-		b.Fatal(err)
-	}
+	var slab bytes.Buffer
 	if err := st.SaveSlab(&slab); err != nil {
 		b.Fatal(err)
 	}
-	run := func(raw []byte) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(raw)))
-			for i := 0; i < b.N; i++ {
-				s, err := ftbfs.LoadStructure(g, bytes.NewReader(raw))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Plan() == nil {
-					b.Fatal("no plan")
-				}
+	raw := slab.Bytes()
+	b.Run("slab", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			s, err := ftbfs.LoadStructure(g, bytes.NewReader(raw))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if s.Plan() == nil {
+				b.Fatal("no plan")
 			}
 		}
-	}
-	b.Run("text", run(text.Bytes()))
-	b.Run("slab", run(slab.Bytes()))
+	})
 }

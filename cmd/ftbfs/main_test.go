@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ftbfs/internal/cli"
+	"ftbfs/internal/core"
 )
 
 // Smoke tests of the ftbfs binary's main path (main delegates to cli.Main
@@ -41,8 +42,8 @@ func TestMainPathGenBuildVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(saved), "ftbfs-structure 1") {
-		t.Fatalf("saved structure has wrong header: %.40s", saved)
+	if !core.IsSlabRecord(saved) {
+		t.Fatalf("saved structure is not a slab record: %.40q", saved)
 	}
 
 	out.Reset()

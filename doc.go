@@ -60,12 +60,12 @@
 // The internal/store package keys built structures by
 // (Graph.Fingerprint, source, ε, algorithm) with LRU eviction, builds
 // misses on demand through BuildBatch, and — given a directory — persists
-// everything via Save/LoadStructure so evicted entries load back through and
-// a restarted process warm-starts from disk. internal/server exposes that
-// registry over HTTP/JSON ("ftbfs serve": /build, /dist, /dist-avoiding,
-// /batch-query, /stats, /healthz, /readyz); /batch-query vectors may span
-// several structures and answer with per-query error slots
-// (Oracle.DistAvoidingEach).
+// everything via SaveSlab/LoadStructure so evicted entries load back
+// through and a restarted process warm-starts from disk. internal/server
+// exposes that registry over HTTP/JSON ("ftbfs serve": /build, /dist,
+// /dist-avoiding, /batch-query, /stats, /healthz, /readyz); /batch-query
+// vectors may span several structures and answer with per-query error
+// slots (Oracle.DistAvoidingEach).
 //
 // # Vertex failures
 //
@@ -83,12 +83,11 @@
 // differential-tested against, DistAvoidingVertexMany /
 // DistAvoidingVertexEach the grouped batch forms. An oracle refuses the
 // other model's failures with an error, as it refuses a reinforced edge.
-// VertexStructure.Save and LoadVertexStructure persist the structure as a
-// version-2 record of the structure text format (edge files keep their
-// version-1 record); the store keys vertex structures under a failure-model
-// Key dimension (store.VertexKey) and resolves both models through one
-// single-flight path, and the server exposes them on /dist-avoiding-vertex
-// plus "failedVertex" slots in /batch-query vectors.
+// VertexStructure.SaveSlab and LoadVertexStructure persist the structure as
+// a slab record of the vertex model; the store keys vertex structures under
+// a failure-model Key dimension (store.VertexKey) and resolves both models
+// through one single-flight path, and the server exposes them on
+// /dist-avoiding-vertex plus "failedVertex" slots in /batch-query vectors.
 //
 // # Sharded serving
 //
@@ -110,14 +109,13 @@
 // equivalents. Structure.SaveSlab and VertexStructure.SaveSlab write a
 // version-3 binary record ("slab"): a fixed little-endian header plus
 // 8-aligned array sections holding exactly the serving arrays the query
-// plan needs, guarded by a CRC-32C checksum. LoadStructure and
-// LoadVertexStructure sniff the format from the first bytes — text records
-// (versions 1 and 2) keep loading unchanged — and on little-endian hosts a
-// slab's arrays are reinterpreted in place rather than parsed, so loading
-// is I/O-bound and the store's warm start and load-through revalidate
-// cheaply instead of re-deriving. The store persists slabs atomically
-// (temp file, fsync, rename, directory sync) so a crash never leaves a
-// torn record.
+// plan needs, guarded by a CRC-32C checksum. The slab is the one structure
+// record format: LoadStructure and LoadVertexStructure refuse anything else,
+// and on little-endian hosts a slab's arrays are reinterpreted in place
+// rather than parsed, so loading is I/O-bound and the store's warm start
+// and load-through revalidate cheaply instead of re-deriving. The store
+// persists slabs atomically (temp file, fsync, rename, directory sync) so
+// a crash never leaves a torn record.
 //
 // internal/wire speaks a length-prefixed binary frame protocol over
 // persistent TCP connections ("ftbfs serve -wire"): requests carry a fixed

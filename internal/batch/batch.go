@@ -13,8 +13,8 @@
 // that keeps the Phase S2 hot path allocation-free. Within a source group the
 // canonical trees and the memoised Phase S0 pairs are computed once and
 // shared by every ε, and core.BuildGroup runs a single reinforcement sweep
-// for the whole group. Every structure produced is byte-identical (under
-// core.EncodeStructure) to the one a sequential core.Build would return.
+// for the whole group. Every structure produced is identical (the same ε,
+// algorithm and edge sets) to the one a sequential core.Build would return.
 package batch
 
 import (

@@ -21,12 +21,11 @@ import (
 	"strconv"
 	"strings"
 
-	"ftbfs/internal/batch"
+	"ftbfs"
 	"ftbfs/internal/core"
 	"ftbfs/internal/expstats"
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
-	"ftbfs/internal/vertexft"
 )
 
 // Main dispatches the subcommand and returns the process exit code.
@@ -60,7 +59,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if err != nil {
-		fmt.Fprintf(stderr, "ftbfs: %v\n", err)
+		// Errors of the root package already carry the "ftbfs: " prefix.
+		fmt.Fprintf(stderr, "ftbfs: %s\n", strings.TrimPrefix(err.Error(), "ftbfs: "))
 		return 1
 	}
 	return 0
@@ -92,10 +92,14 @@ surfaces over the same consistent-hash ring, reaching shards over the
 binary protocol (serve -shard -wire); -hot-extra promotes the hottest keys
 to replication+K replicas via shard-to-shard handoff.
 
+build -save and vertexft -save write a binary slab record, the one
+structure record format; verify -structure reads one. Graphs stay text.
+
 FILE "-" means stdin/stdout.`)
 }
 
-func readGraph(path string) (*graph.Graph, error) {
+// readGraph reads a graph file in the text format, or stdin for "-".
+func readGraph(path string) (*ftbfs.Graph, error) {
 	var r io.Reader
 	if path == "-" || path == "" {
 		r = os.Stdin
@@ -107,7 +111,7 @@ func readGraph(path string) (*graph.Graph, error) {
 		defer f.Close()
 		r = f
 	}
-	return graph.Decode(r)
+	return ftbfs.ReadGraph(r)
 }
 
 func openOut(path string, stdout io.Writer) (io.Writer, func() error, error) {
@@ -185,7 +189,7 @@ func cmdBuild(args []string, stdout io.Writer) error {
 	eps := fs.Float64("eps", 0.25, "tradeoff parameter ε")
 	algName := fs.String("alg", "auto", "algorithm: auto|tree|baseline|epsilon|greedy")
 	workers := fs.Int("workers", 0, "parallel reinforcement sweep (0 = sequential, -1 = all cores)")
-	save := fs.String("save", "", "write the structure to file")
+	save := fs.String("save", "", "write the structure to file (slab record)")
 	dot := fs.String("dot", "", "write Graphviz rendering to file")
 	verify := fs.Bool("verify", false, "exhaustively verify the contract (slow)")
 	if err := fs.Parse(args); err != nil {
@@ -200,49 +204,47 @@ func cmdBuild(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, err := core.Build(g, *source, *eps, core.Options{Algorithm: alg, Workers: *workers})
+	st, err := ftbfs.Build(g, *source, *eps, ftbfs.WithAlgorithm(alg),
+		ftbfs.BuildOption(func(o *core.Options) { o.Workers = *workers }))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout, st)
+	stats := st.Stats()
 	fmt.Fprintf(stdout, "phases: uncovered=%d I1=%d I2=%d S1+=%d S2+=%d glue+=%d leftovers=%d\n",
-		st.Stats.UncoveredPairs, st.Stats.I1Size, st.Stats.I2Size,
-		st.Stats.S1Added, st.Stats.S2Added, st.Stats.S2GlueAdded, st.Stats.S1Leftover)
+		stats.UncoveredPairs, stats.I1Size, stats.I2Size,
+		stats.S1Added, stats.S2Added, stats.S2GlueAdded, stats.S1Leftover)
 	if *save != "" {
-		w, closeFn, err := openOut(*save, stdout)
-		if err != nil {
-			return err
-		}
-		if err := core.EncodeStructure(w, st); err != nil {
-			closeFn()
-			return err
-		}
-		if err := closeFn(); err != nil {
+		if err := writeOut(*save, stdout, st.SaveSlab); err != nil {
 			return err
 		}
 	}
 	if *dot != "" {
-		w, closeFn, err := openOut(*dot, stdout)
-		if err != nil {
-			return err
-		}
-		if err := graph.WriteDOT(w, g, graph.DOTOptions{
-			Structure: st.Edges, Reinforced: st.Reinforced, Source: *source,
-		}); err != nil {
-			closeFn()
-			return err
-		}
-		if err := closeFn(); err != nil {
+		if err := writeOut(*dot, stdout, st.WriteDOT); err != nil {
 			return err
 		}
 	}
 	if *verify {
-		if viol := core.Verify(st, 5); len(viol) > 0 {
-			return fmt.Errorf("contract violated: %v", viol)
+		if err := st.Verify(); err != nil {
+			return err
 		}
 		fmt.Fprintln(stdout, "verified: contract holds for every non-reinforced edge")
 	}
 	return nil
+}
+
+// writeOut runs write against the named output file ("-" for stdout) and
+// closes it.
+func writeOut(path string, stdout io.Writer, write func(io.Writer) error) error {
+	w, closeFn, err := openOut(path, stdout)
+	if err != nil {
+		return err
+	}
+	if err := write(w); err != nil {
+		closeFn()
+		return err
+	}
+	return closeFn()
 }
 
 func cmdSweep(args []string, stdout io.Writer) error {
@@ -269,7 +271,7 @@ func cmdSweep(args []string, stdout io.Writer) error {
 		}
 		grid = append(grid, x)
 	}
-	points, best, err := batch.CostSweep(g, *source, grid, *bPrice, *rPrice, batch.Options{})
+	points, best, err := ftbfs.SweepCost(g, *source, grid, *bPrice, *rPrice)
 	if err != nil {
 		return err
 	}
@@ -287,7 +289,7 @@ func cmdSweep(args []string, stdout io.Writer) error {
 	} else {
 		t.Render(stdout)
 	}
-	fmt.Fprintf(stdout, "predicted optimal ε ≈ %.3f\n", core.PredictedOptimalEps(g.N(), *bPrice, *rPrice))
+	fmt.Fprintf(stdout, "predicted optimal ε ≈ %.3f\n", ftbfs.PredictOptimalEpsilon(g.N(), *bPrice, *rPrice))
 	return nil
 }
 
@@ -296,7 +298,7 @@ func cmdVerify(args []string, stdout io.Writer) error {
 	in := fs.String("in", "-", "input graph")
 	source := fs.Int("source", 0, "BFS source")
 	eps := fs.Float64("eps", 0.25, "tradeoff parameter ε (ignored with -structure)")
-	structPath := fs.String("structure", "", "verify a saved structure instead of building one")
+	structPath := fs.String("structure", "", "verify a saved structure (slab record) instead of building one")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -305,29 +307,25 @@ func cmdVerify(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var st *core.Structure
+	var st *ftbfs.Structure
 	if *structPath != "" {
 		f, err := os.Open(*structPath)
 		if err != nil {
 			return err
 		}
-		st, err = core.DecodeStructure(f, g)
+		st, err = ftbfs.LoadStructure(g, f)
 		f.Close()
 		if err != nil {
 			return err
 		}
 	} else {
-		st, err = core.Build(g, *source, *eps, core.Options{})
+		st, err = ftbfs.Build(g, *source, *eps)
 		if err != nil {
 			return err
 		}
 	}
-	viol := core.Verify(st, 10)
-	if len(viol) > 0 {
-		for _, v := range viol {
-			fmt.Fprintln(stdout, v)
-		}
-		return fmt.Errorf("%d violations", len(viol))
+	if err := st.Verify(); err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "%v\nverified: contract holds\n", st)
 	return nil
@@ -338,7 +336,7 @@ func cmdVertexFT(args []string, stdout io.Writer) error {
 	in := fs.String("in", "-", "input graph")
 	source := fs.Int("source", 0, "BFS source")
 	verify := fs.Bool("verify", false, "exhaustively verify the vertex contract")
-	save := fs.String("save", "", "write the vertex structure to file (version-2 record)")
+	save := fs.String("save", "", "write the vertex structure to file (slab record)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -347,28 +345,19 @@ func cmdVertexFT(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, err := vertexft.Build(g, *source)
+	st, err := ftbfs.BuildVertex(g, *source)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "vertex-ftbfs{n=%d m=%d |H|=%d pairs=%d}\n", g.N(), g.M(), st.Size(), st.Pairs)
+	fmt.Fprintf(stdout, "vertex-ftbfs{n=%d m=%d |H|=%d pairs=%d}\n", g.N(), g.M(), st.Size(), st.Pairs())
 	if *save != "" {
-		w, closeFn, err := openOut(*save, stdout)
-		if err != nil {
-			return err
-		}
-		rec := &core.VertexRecord{S: st.S, Pairs: st.Pairs, Edges: st.Edges}
-		if err := core.EncodeVertexRecord(w, g, rec); err != nil {
-			closeFn()
-			return err
-		}
-		if err := closeFn(); err != nil {
+		if err := writeOut(*save, stdout, st.SaveSlab); err != nil {
 			return err
 		}
 	}
 	if *verify {
-		if viol := vertexft.Verify(st, 5); len(viol) > 0 {
-			return fmt.Errorf("vertex contract violated: %v", viol)
+		if err := st.Verify(); err != nil {
+			return err
 		}
 		fmt.Fprintln(stdout, "verified: vertex contract holds")
 	}

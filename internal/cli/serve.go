@@ -12,7 +12,6 @@ import (
 	"strings"
 	"syscall"
 
-	"ftbfs"
 	"ftbfs/internal/core"
 	"ftbfs/internal/server"
 	"ftbfs/internal/store"
@@ -28,23 +27,6 @@ var serveSignalContext = func() (context.Context, context.CancelFunc) {
 // serveReady is called with the bound address once the listener is up; tests
 // replace it to discover :0 ports.
 var serveReady = func(addr string) {}
-
-// readRootGraph reads a graph file (or stdin for "-") as the root package
-// type the store registers.
-func readRootGraph(path string) (*ftbfs.Graph, error) {
-	var r io.Reader
-	if path == "-" || path == "" {
-		r = os.Stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return ftbfs.ReadGraph(r)
-}
 
 func cmdServe(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
@@ -75,7 +57,7 @@ func cmdServe(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *in != "" {
-		g, err := readRootGraph(*in)
+		g, err := readGraph(*in)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -282,11 +283,12 @@ func (rt *Router) DrainShard(ctx context.Context, id string) (*RebalanceReport, 
 
 // PromoteHot promotes every tracked key with at least minHits recorded hits
 // to R+extra replication: the extra owners — the next distinct members on
-// the key's ring walk — pull the structure from a current owner, and only
-// once every extra owner holds it (installed or already held, as
-// installReplicas requires) does ownersFor start returning the widened set
-// (transfer before flip, again). Returns how many keys were promoted this
-// call; already-promoted keys are skipped.
+// the key's ring walk — pull the structure from a current owner, healthy
+// owners first, trying the next owner when one cannot supply it (it may
+// have evicted the key), and only once every extra owner holds it
+// (installed or already held, as installReplicas requires) does ownersFor
+// start returning the widened set (transfer before flip, again). Returns how
+// many keys were promoted this call; already-promoted keys are skipped.
 func (rt *Router) PromoteHot(ctx context.Context, extra int, minHits uint64) (int, error) {
 	if extra < 1 {
 		return 0, nil
@@ -308,18 +310,10 @@ func (rt *Router) PromoteHot(ctx context.Context, extra int, minHits uint64) (in
 		if len(wide) <= len(base) {
 			continue // cluster is smaller than R+extra; nothing to widen onto
 		}
-		src := firstHealthy(base)
-		if src == nil {
-			continue
-		}
-		info := []server.HandoffKeyInfo{server.HandoffKeyFor(k)}
+		srcs := healthyFirst(base)
 		ok := true
 		for _, m := range wide[len(base):] {
-			res, err := rt.pullTo(ctx, m.Addr(), src, info)
-			if err == nil && res.Transferred+res.Skipped < len(info) {
-				err = fmt.Errorf("cluster: promote %v onto %s: %s", k, m.ID, strings.Join(res.Errors, "; "))
-			}
-			if err != nil {
+			if err := rt.pullFromAny(ctx, m, srcs, k); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -337,4 +331,23 @@ func (rt *Router) PromoteHot(ctx context.Context, extra int, minHits uint64) (in
 		promoted++
 	}
 	return promoted, firstErr
+}
+
+// pullFromAny has target pull k from each source in turn until a pull
+// covers it (installed or already held). It returns nil on the first
+// covering pull, else every source's failure.
+func (rt *Router) pullFromAny(ctx context.Context, target *Member, srcs []*Member, k store.Key) error {
+	info := []server.HandoffKeyInfo{server.HandoffKeyFor(k)}
+	var errs []error
+	for _, src := range srcs {
+		res, err := rt.pullTo(ctx, target.Addr(), src, info)
+		if err == nil && res.Transferred+res.Skipped >= len(info) {
+			return nil
+		}
+		if err == nil {
+			err = errors.New(strings.Join(res.Errors, "; "))
+		}
+		errs = append(errs, fmt.Errorf("cluster: promote %v onto %s from %s: %w", k, target.ID, src.ID, err))
+	}
+	return errors.Join(errs...)
 }

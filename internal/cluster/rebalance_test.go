@@ -606,12 +606,12 @@ func TestPromoteHotWidensReplicaSet(t *testing.T) {
 	}
 }
 
-// TestPromoteHotNeedsTheRecord heats a key whose promotion source — its
-// first owner in ring order — can no longer export it: the source's
-// memory-only store evicted it, so the extra owner's pull installs nothing
-// and answers 200 with the key in its errors. PromoteHot must promote
-// nothing: hot_promotions and the key's owner set stay as they were, the
-// extra owner holds nothing, and routed answers stay correct.
+// TestPromoteHotNeedsTheRecord heats a key whose promotion sources — every
+// owner of its base replica set — can no longer export it: their
+// memory-only stores evicted it, so each of the extra owner's pulls installs
+// nothing and answers 200 with the key in its errors. PromoteHot must
+// promote nothing: hot_promotions and the key's owner set stay as they
+// were, the extra owner holds nothing, and routed answers stay correct.
 func TestPromoteHotNeedsTheRecord(t *testing.T) {
 	lc, err := StartLocal(4, LocalOptions{Replicas: 2, StoreCapacity: 1})
 	if err != nil {
@@ -639,13 +639,8 @@ func TestPromoteHotNeedsTheRecord(t *testing.T) {
 		t.Fatalf("the key widens from %d to %d owners, want one more", len(base), len(wide))
 	}
 	// A capacity-1 store keeps only the structure it resolved last.
-	src := shardByID(t, lc, firstHealthy(base).ID)
-	other := store.Key{Graph: k.Graph, Source: k.Source + 1, Eps: k.Eps}
-	if _, err := src.Store.GetOrBuild(context.Background(), other); err != nil {
-		t.Fatal(err)
-	}
-	if src.Store.Has(k) {
-		t.Fatal("the source still holds the hot key; the test tests nothing")
+	for _, m := range base {
+		evictKey(t, shardByID(t, lc, m.ID), k)
 	}
 
 	n, err := lc.Router.PromoteHot(context.Background(), 1, 10)
@@ -667,6 +662,67 @@ func TestPromoteHotNeedsTheRecord(t *testing.T) {
 	}
 	if shardByID(t, lc, wide[len(base)].ID).Store.Has(k) {
 		t.Fatal("the extra owner holds the key although the source could not export it")
+	}
+	for i := 0; i < len(fx.edges); i += 2 {
+		checkPoint(t, lc.URL(), fx, (i*11)%fx.n, fx.edges[i])
+	}
+}
+
+// evictKey makes the capacity-1 store of sh resolve another key of k's
+// graph, so it no longer holds k.
+func evictKey(t *testing.T, sh *LocalShard, k store.Key) {
+	t.Helper()
+	other := store.Key{Graph: k.Graph, Source: k.Source + 1, Eps: k.Eps}
+	if _, err := sh.Store.GetOrBuild(context.Background(), other); err != nil {
+		t.Fatal(err)
+	}
+	if sh.Store.Has(k) {
+		t.Fatalf("shard %s still holds %v after resolving another key", sh.ID, k)
+	}
+}
+
+// TestPromoteHotTriesEveryBaseOwner heats a key whose first base owner
+// evicted it while the second still holds it. PromoteHot must fall back to
+// the second owner as the pull source: it promotes the key, the extra owner
+// holds it, and routed answers stay correct.
+func TestPromoteHotTriesEveryBaseOwner(t *testing.T) {
+	lc, err := StartLocal(4, LocalOptions{Replicas: 2, StoreCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{81}, []int{0}, 0.3)[0]
+	for i := 0; i < 12; i++ {
+		checkPoint(t, lc.URL(), fx, (i*5)%fx.n, fx.edges[i%len(fx.edges)])
+	}
+	k := edgeKey(t, fx)
+	ms := lc.Router.Membership()
+	base := healthyFirst(ms.OwnersN(KeyHash(k), ms.Replicas()))
+	wide := ms.OwnersN(KeyHash(k), ms.Replicas()+1)
+	if len(base) != 2 || len(wide) != 3 {
+		t.Fatalf("the key has %d base and %d widened owners, want 2 and 3", len(base), len(wide))
+	}
+	evictKey(t, shardByID(t, lc, base[0].ID), k)
+	if !shardByID(t, lc, base[1].ID).Store.Has(k) {
+		t.Fatal("the second base owner does not hold the hot key; the test tests nothing")
+	}
+
+	n, err := lc.Router.PromoteHot(context.Background(), 1, 10)
+	if err != nil || n != 1 {
+		t.Fatalf("PromoteHot = %d, %v; want the key promoted from the second base owner", n, err)
+	}
+	if !shardByID(t, lc, wide[2].ID).Store.Has(k) {
+		t.Fatal("the extra owner does not hold the promoted key")
+	}
+	var rs RouterStatsResponse
+	if code, body := getJSON(t, lc.URL()+"/stats", &rs); code != http.StatusOK {
+		t.Fatalf("/stats: %d %s", code, body)
+	}
+	if rs.HotPromotions != 1 || rs.PromotedKeys != 1 {
+		t.Fatalf("stats: hot_promotions=%d promoted_keys=%d, want 1/1", rs.HotPromotions, rs.PromotedKeys)
+	}
+	if got := len(lc.Router.ownersFor(k)); got != 3 {
+		t.Fatalf("the promoted key routes to %d owners, want 3", got)
 	}
 	for i := 0; i < len(fx.edges); i += 2 {
 		checkPoint(t, lc.URL(), fx, (i*11)%fx.n, fx.edges[i])

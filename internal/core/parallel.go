@@ -1,11 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
-	"ftbfs/internal/bfs"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/replacement"
 )
@@ -33,82 +30,5 @@ func LastUnprotectedParallel(en *replacement.Engine, H *graph.EdgeSet, workers i
 		}
 		pool.Put(l)
 	})
-	return out
-}
-
-// VerifyParallel is Verify with the failure checks parallelised. limit ≤ 0
-// checks everything. With a positive limit the returned slice is clamped to
-// at most limit violations and the result is deterministic — identical to
-// Verify(st, limit) regardless of worker count or scheduling: violations are
-// collected per failure (in increasing failure-edge-id order, vertices
-// ascending within a failure) and workers stop early only once a fully
-// processed prefix of the failure list already holds limit violations, so
-// the clamp always keeps the canonical first ones.
-func VerifyParallel(st *Structure, limit, workers int) []Violation {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := st.G
-	failures := st.TreeEdges.Minus(st.Reinforced).IDs()
-	perFailure := make([][]Violation, len(failures))
-	done := make([]atomic.Bool, len(failures))
-	var (
-		mu         sync.Mutex
-		watermark  int // failures[:watermark] fully processed
-		prefixViol int // violations found within the watermark prefix
-		stop       atomic.Bool
-		next       atomic.Int64
-		wg         sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scG := bfs.NewScratch(g.N())
-			scH := bfs.NewScratch(g.N())
-			distG := make([]int32, g.N())
-			distH := make([]int32, g.N())
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(failures) || stop.Load() {
-					return
-				}
-				e := failures[i]
-				scG.DistancesAvoiding(g, st.S, bfs.Restriction{BannedEdge: e}, distG)
-				scH.DistancesAvoiding(g, st.S, bfs.Restriction{BannedEdge: e, AllowedEdges: st.Edges}, distH)
-				var viol []Violation
-				for v := int32(0); v < int32(g.N()); v++ {
-					if distG[v] == bfs.Unreachable {
-						continue
-					}
-					if distH[v] == bfs.Unreachable || distH[v] > distG[v] {
-						viol = append(viol, Violation{Edge: e, Vertex: v, InH: distH[v], InG: distG[v]})
-					}
-				}
-				perFailure[i] = viol
-				done[i].Store(true)
-				if limit > 0 {
-					mu.Lock()
-					for watermark < len(failures) && done[watermark].Load() {
-						prefixViol += len(perFailure[watermark])
-						watermark++
-					}
-					if prefixViol >= limit {
-						stop.Store(true)
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var out []Violation
-	for _, viol := range perFailure {
-		out = append(out, viol...)
-		if limit > 0 && len(out) >= limit {
-			out = out[:limit]
-			break
-		}
-	}
 	return out
 }

@@ -39,64 +39,6 @@ func TestLastUnprotectedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestVerifyParallelMatchesSerial(t *testing.T) {
-	g := gen.RandomConnected(60, 90, 7)
-	st := mustBuild(t, g, 0, 0.3, Options{})
-	if len(VerifyParallel(st, 0, 4)) != 0 {
-		t.Fatal("parallel verifier found violations on a valid structure")
-	}
-	// a broken structure: both verifiers find the same violation count
-	en := replacement.NewEngine(gen.Cycle(20), 0)
-	bogus := &Structure{
-		G:          en.G,
-		S:          0,
-		Edges:      en.TreeEdges.Clone(),
-		Reinforced: graph.NewEdgeSet(en.G.M()),
-		TreeEdges:  en.TreeEdges.Clone(),
-	}
-	serial := Verify(bogus, 0)
-	par := VerifyParallel(bogus, 0, 4)
-	if len(serial) != len(par) {
-		t.Fatalf("violation counts differ: serial %d, parallel %d", len(serial), len(par))
-	}
-	if limited := VerifyParallel(bogus, 3, 4); len(limited) != 3 {
-		t.Fatalf("limit must be a true cap: got %d violations, want exactly 3", len(limited))
-	}
-}
-
-func TestVerifyParallelLimitDeterministic(t *testing.T) {
-	// With a positive limit the parallel verifier must return exactly the
-	// violations the serial one does, in the same order, for any worker
-	// count — the early stop may not depend on scheduling.
-	en := replacement.NewEngine(gen.RandomConnected(50, 75, 17), 0)
-	bogus := &Structure{
-		G:          en.G,
-		S:          0,
-		Edges:      en.TreeEdges.Clone(),
-		Reinforced: graph.NewEdgeSet(en.G.M()),
-		TreeEdges:  en.TreeEdges.Clone(),
-	}
-	for _, limit := range []int{1, 2, 5, 20} {
-		want := Verify(bogus, limit)
-		if len(want) > limit {
-			t.Fatalf("serial Verify overflowed its limit: %d > %d", len(want), limit)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			for round := 0; round < 3; round++ {
-				got := VerifyParallel(bogus, limit, workers)
-				if len(got) != len(want) {
-					t.Fatalf("limit=%d workers=%d: %d violations, want %d", limit, workers, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("limit=%d workers=%d: violation %d differs: %v vs %v", limit, workers, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestForEachFailureParallelCoverage(t *testing.T) {
 	g := gen.RandomConnected(70, 100, 9)
 	en := replacement.NewEngine(g, 0)

@@ -35,9 +35,9 @@ import (
 // little-endian reads. The payload is integrity-checked by length and a
 // CRC-32C digest in the header, and every array is bounds-validated
 // against the base graph before anything downstream touches it — a corrupt
-// or adversarial record fails decoding, it cannot panic a query. Text v1/v2
-// records are unaffected: the magic ("FTB3"/"FTB4") is disjoint from the
-// text header prefix, and loaders sniff the first bytes to pick the decoder.
+// or adversarial record fails decoding, it cannot panic a query. The slab
+// is the only structure record: loaders refuse any input that does not
+// start with its magic ("FTB3"/"FTB4").
 //
 // The version-4 record is version 3 with the reserved header word carrying
 // the generation of the base graph the structure was built from ("live
@@ -58,9 +58,9 @@ var (
 type SlabModel uint32
 
 const (
-	// SlabEdge is an edge-failure (b, r) structure (text version 1).
+	// SlabEdge is an edge-failure (b, r) structure.
 	SlabEdge SlabModel = 0
-	// SlabVertex is a vertex-failure structure (text version 2).
+	// SlabVertex is a vertex-failure structure.
 	SlabVertex SlabModel = 1
 )
 
@@ -85,7 +85,7 @@ const (
 )
 
 // IsSlabRecord reports whether the byte prefix starts a version-3 or -4
-// binary record; loaders use it to sniff binary vs text before dispatching.
+// binary record; loaders refuse anything else before decoding.
 func IsSlabRecord(prefix []byte) bool {
 	if len(prefix) < len(slabMagic) {
 		return false

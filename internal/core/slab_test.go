@@ -79,8 +79,8 @@ func TestSlabRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, again) {
 		t.Fatalf("re-encoded bytes differ")
 	}
-	// Text records must never sniff as slabs.
-	if IsSlabRecord([]byte("ftbfs-structure 1\n")) || IsSlabRecord([]byte(vertexHeader)) {
+	// The retired text records must never sniff as slabs.
+	if IsSlabRecord([]byte("ftbfs-structure 1\n")) || IsSlabRecord([]byte("ftbfs-structure 2 vertex\n")) {
 		t.Fatalf("text header sniffed as binary")
 	}
 }

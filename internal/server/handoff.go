@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 
 	"ftbfs"
-	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 	"ftbfs/internal/wire"
 )
@@ -52,12 +50,12 @@ func HandoffKeyFor(k store.Key) HandoffKeyInfo {
 	return info
 }
 
-// StoreKey converts back to the registry key, with the same validation the
-// query paths apply (-0 ε folds to +0, finite ε, algorithm in range).
+// StoreKey converts back to the registry key through the validator the
+// query paths use (edgeKey).
 func (i HandoffKeyInfo) StoreKey() (store.Key, error) {
-	fp, err := strconv.ParseUint(i.Graph, 16, 64)
+	fp, err := parseGraph(i.Graph)
 	if err != nil {
-		return store.Key{}, fmt.Errorf("bad graph fingerprint %q", i.Graph)
+		return store.Key{}, err
 	}
 	if i.Model == "vertex" {
 		return store.VertexKey(fp, i.Source), nil
@@ -65,17 +63,16 @@ func (i HandoffKeyInfo) StoreKey() (store.Key, error) {
 	if i.Model != "" {
 		return store.Key{}, fmt.Errorf("unknown model %q", i.Model)
 	}
-	e := i.Eps
-	if math.IsNaN(e) || math.IsInf(e, 0) {
-		return store.Key{}, fmt.Errorf("eps must be finite, got %v", e)
+	return edgeKey(fp, i.Source, i.Eps, i.Alg)
+}
+
+// handoffStoreKey converts a binary-protocol handoff key back to the
+// registry key, through the validator every other entry point uses.
+func handoffStoreKey(k *wire.HandoffKey) (store.Key, error) {
+	if k.Vertex {
+		return store.VertexKey(k.FP, int(k.Source)), nil
 	}
-	if e == 0 {
-		e = 0
-	}
-	if i.Alg < 0 || i.Alg > int(core.Greedy) {
-		return store.Key{}, fmt.Errorf("unknown algorithm code %d", i.Alg)
-	}
-	return store.Key{Graph: fp, Source: i.Source, Eps: e, Alg: ftbfs.Algorithm(i.Alg)}, nil
+	return edgeKey(k.FP, int(k.Source), math.Float64frombits(k.EpsBits), int(k.Alg))
 }
 
 // handoffWireKey converts a registry key to its binary-protocol form, ε as
@@ -254,16 +251,16 @@ func (s *Server) pull(ctx context.Context, req *HandoffPullRequest) *HandoffPull
 }
 
 // HandoffRecord answers a THandoff frame (wire.Backend) with the record
-// bytes of one held structure; wire.Serve answers 413 for a record over
-// wire.MaxRecord.
+// bytes of one held structure; a malformed key is refused with 400, and
+// wire.Serve answers 413 for a record over wire.MaxRecord.
 func (s *Server) HandoffRecord(ctx context.Context, k *wire.HandoffKey) ([]byte, *wire.Error) {
 	s.m.wireRequests.Inc()
 	if err := ctx.Err(); err != nil {
 		return nil, &wire.Error{Code: http.StatusGatewayTimeout, Msg: err.Error()}
 	}
-	sk := store.Key{Graph: k.FP, Source: int(k.Source), Eps: math.Float64frombits(k.EpsBits), Alg: ftbfs.Algorithm(k.Alg)}
-	if k.Vertex {
-		sk = store.VertexKey(k.FP, int(k.Source))
+	sk, err := handoffStoreKey(k)
+	if err != nil {
+		return nil, &wire.Error{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	data, err := s.store.ExportRecord(sk)
 	if err != nil {

@@ -556,15 +556,25 @@ func resolveKey(fp uint64, source int, eps *float64, algName string) (store.Key,
 	if eps != nil {
 		e = *eps
 	}
-	if math.IsNaN(e) || math.IsInf(e, 0) {
-		return store.Key{}, fmt.Errorf("eps must be finite, got %v", e)
+	return edgeKey(fp, source, e, int(alg))
+}
+
+// edgeKey is the one validator of an edge-model key, whichever entry point
+// (JSON, wire point, handoff) addresses it: ε must be finite, -0 folds to
+// +0 (JSON "-0" parses to negative zero) so the key — and the cluster ring
+// position derived from its bits — is unique, and the algorithm code must
+// name a construction.
+func edgeKey(fp uint64, source int, eps float64, alg int) (store.Key, error) {
+	if math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return store.Key{}, fmt.Errorf("eps must be finite, got %v", eps)
 	}
-	if e == 0 {
-		// JSON "-0" parses to negative zero; fold it into +0 so the key —
-		// and the cluster ring position derived from its bits — is unique.
-		e = 0
+	if eps == 0 {
+		eps = 0
 	}
-	return store.Key{Graph: fp, Source: source, Eps: e, Alg: alg}, nil
+	if alg < 0 || alg > int(core.Greedy) {
+		return store.Key{}, fmt.Errorf("unknown algorithm code %d", alg)
+	}
+	return store.Key{Graph: fp, Source: source, Eps: eps, Alg: core.Algorithm(alg)}, nil
 }
 
 // EdgeKey resolves the edge-model structure key the request addresses —

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ftbfs"
-	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 	"ftbfs/internal/telemetry"
 	"ftbfs/internal/wire"
@@ -167,25 +166,13 @@ func MutateResponseFrom(res wire.MutateResult) MutateResponse {
 	}
 }
 
-// keyForPoint resolves the registry key a wire point query addresses,
-// mirroring resolveKey and QueryRequest.VertexKey (which parse the same
-// fields out of JSON): -0 ε folds to +0, non-finite ε and out-of-range
-// algorithms are rejected before they can poison a store key.
+// keyForPoint resolves the registry key a wire point query addresses
+// through the validators the JSON addresses use (edgeKey, store.VertexKey).
 func keyForPoint(typ byte, q *wire.PointQuery) (store.Key, error) {
 	if typ == wire.TDistAvoidingVertex {
 		return store.VertexKey(q.FP, int(q.Source)), nil
 	}
-	e := q.Eps()
-	if math.IsNaN(e) || math.IsInf(e, 0) {
-		return store.Key{}, fmt.Errorf("eps must be finite, got %v", e)
-	}
-	if e == 0 {
-		e = 0 // fold IEEE -0 into +0, matching resolveKey
-	}
-	if q.Alg < 0 || q.Alg > int32(core.Greedy) {
-		return store.Key{}, fmt.Errorf("unknown algorithm code %d", q.Alg)
-	}
-	return store.Key{Graph: q.FP, Source: int(q.Source), Eps: e, Alg: ftbfs.Algorithm(q.Alg)}, nil
+	return edgeKey(q.FP, int(q.Source), q.Eps(), int(q.Alg))
 }
 
 // finishWire files one answered wire request: its latency under its frame

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"ftbfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 	"ftbfs/internal/wire"
 )
@@ -473,5 +475,71 @@ func TestHandoffPullIsWireOnly(t *testing.T) {
 	code, body = postJSON(t, dstTS.URL+"/handoff/pull", HandoffPullRequest{Wire: srcWire.Addr(), Keys: []HandoffKeyInfo{missing}}, &res)
 	if code != http.StatusOK || res.Transferred != 0 || len(res.Errors) != 1 || !strings.Contains(res.Errors[0], "status 404") {
 		t.Fatalf("pull of a key the source does not hold: %d %s, want 200 with one 404 error", code, body)
+	}
+}
+
+// TestKeyEntryPointsAgree resolves the same edge-model addresses through
+// every entry point that names a structure key — a JSON query
+// (QueryRequest.EdgeKey), a wire point (keyForPoint), a /handoff/pull key
+// (HandoffKeyInfo.StoreKey) and a THandoff frame (HandoffRecord) — and
+// requires the same key or the same error text from each. A JSON query
+// names its algorithm, so a code no construction has reaches it as no name
+// at all; that column is skipped for those rows.
+func TestKeyEntryPointsAgree(t *testing.T) {
+	srv, st, _, fp, _ := residentFixture(t, []int{0})
+	if _, err := st.GetOrBuild(context.Background(), store.Key{Graph: fp, Source: 0, Eps: 0}); err != nil {
+		t.Fatal(err)
+	}
+	fpHex := fmt.Sprintf("%016x", fp)
+	past := int(core.Greedy) + 1
+	cases := []struct {
+		name string
+		eps  float64
+		alg  int
+		want store.Key
+		err  string
+	}{
+		{name: "NaN eps", eps: math.NaN(), err: "eps must be finite, got NaN"},
+		{name: "+Inf eps", eps: math.Inf(1), err: "eps must be finite, got +Inf"},
+		{name: "-Inf eps", eps: math.Inf(-1), err: "eps must be finite, got -Inf"},
+		{name: "-0 eps", eps: math.Copysign(0, -1), want: store.Key{Graph: fp, Eps: 0}},
+		{name: "algorithm -1", eps: 0.3, alg: -1, err: "unknown algorithm code -1"},
+		{name: "algorithm past greedy", eps: 0.3, alg: past, err: fmt.Sprintf("unknown algorithm code %d", past)},
+		{name: "good", eps: 0.3, want: store.Key{Graph: fp, Eps: 0.3}},
+	}
+	for _, tc := range cases {
+		check := func(entry string, got store.Key, err error) {
+			t.Helper()
+			switch {
+			case tc.err != "" && (err == nil || err.Error() != tc.err):
+				t.Errorf("%s via %s: key %+v err %v, want error %q", tc.name, entry, got, err, tc.err)
+			case tc.err == "" && (err != nil || got != tc.want || math.Signbit(got.Eps)):
+				t.Errorf("%s via %s: key %+v err %v, want key %+v", tc.name, entry, got, err, tc.want)
+			}
+		}
+		if tc.alg >= 0 && tc.alg <= int(core.Greedy) {
+			eps := tc.eps
+			k, err := (&QueryRequest{Graph: fpHex, Eps: &eps, Alg: core.Algorithm(tc.alg).String()}).EdgeKey()
+			check("JSON query", k, err)
+		}
+		k, err := keyForPoint(wire.TDistAvoiding, &wire.PointQuery{FP: fp, EpsBits: math.Float64bits(tc.eps), Alg: int32(tc.alg)})
+		check("wire point", k, err)
+		k, err = HandoffKeyInfo{Graph: fpHex, Eps: tc.eps, Alg: tc.alg}.StoreKey()
+		check("handoff pull key", k, err)
+
+		data, werr := srv.HandoffRecord(context.Background(), &wire.HandoffKey{FP: fp, EpsBits: math.Float64bits(tc.eps), Alg: int32(tc.alg)})
+		if tc.err != "" {
+			if werr == nil || werr.Code != http.StatusBadRequest || werr.Msg != tc.err {
+				t.Errorf("%s via THandoff: %v, want 400 %q", tc.name, werr, tc.err)
+			}
+			continue
+		}
+		want, err := st.ExportRecord(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if werr != nil || !bytes.Equal(data, want) {
+			t.Errorf("%s via THandoff: %d bytes, %v; want the record of %+v", tc.name, len(data), werr, tc.want)
+		}
 	}
 }

@@ -72,12 +72,12 @@ func (s *Store) Has(k Key) bool {
 	return err == nil
 }
 
-// ExportRecord returns the record bytes of a held structure, ready for a
-// peer store's ImportRecord: a resident structure is encoded as a version-3
-// slab record, an on-disk structure ships as its raw file bytes (loaders
-// sniff binary vs text, so pre-slab files still transfer). Structures are
-// immutable, so encoding outside the lock is safe. Returns ErrNotHeld
-// (wrapped) when the store has nothing for k.
+// ExportRecord returns the slab record of a held structure, ready for a
+// peer store's ImportRecord: a resident structure is encoded with SaveSlab,
+// an on-disk structure ships as its raw file bytes, which the importer
+// decodes as any load does. Structures are immutable, so encoding outside
+// the lock is safe. Returns ErrNotHeld (wrapped) when the store has nothing
+// for k.
 func (s *Store) ExportRecord(k Key) ([]byte, error) {
 	exportStart := time.Now()
 	s.mu.Lock()

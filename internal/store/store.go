@@ -13,10 +13,11 @@
 // directory — persists every structure as a version-3 binary slab record
 // (graphs keep the text format) so a restarted server warm-starts from disk
 // and evicted structures load back through — a zero-parse read — instead of
-// rebuilding. Loading sniffs the record header, so directories holding text
-// v1/v2 records from older stores keep working. Structures leave the resolver
-// with their serving QueryPlan pre-built, so the query hot path never pays
-// the CSR extraction or tree preprocessing inline.
+// rebuilding. The slab is the only structure record the store reads: the
+// warm scan quarantines any other structure file (a text record an older
+// store wrote, say), and its key rebuilds on first use. Structures leave the
+// resolver with their serving QueryPlan pre-built, so the query hot path
+// never pays the CSR extraction or tree preprocessing inline.
 //
 // Graphs are live: a registered graph is a (lineage, generation) pair, and
 // the Graph dimension of every Key is the lineage — stable across mutations,
@@ -276,7 +277,7 @@ func New(capacity int, dir string) (*Store, error) {
 // for inspection but never rescanned or served. Files the store cannot even
 // claim (foreign names) or cannot rename are merely skipped and counted in
 // Stats.WarmSkipped. Structure contents still load lazily: the warm scan
-// verifies record integrity (binary checksum, text header) without retaining
+// verifies each slab's integrity (length, checksum) without retaining
 // anything, keys become loadable through GetOrBuild, and the structures
 // themselves stay on disk until requested.
 func (s *Store) warmStart() error {
@@ -357,25 +358,17 @@ func (s *Store) quarantine(path string, cause error) {
 	log.Printf("store: warm start: quarantined %s -> %s.corrupt: %v", filepath.Base(path), filepath.Base(path), cause)
 }
 
-// textRecordPrefix starts every text structure record (versions 1 and 2).
-const textRecordPrefix = "ftbfs-structure "
-
-// checkStructFile verifies a structure record file is intact without
-// decoding it against a graph: binary records are checksum-verified, text
-// records are sniffed by header. Deep (graph-dependent) validation still
-// happens at load-through; a file failing there falls back to a rebuild.
+// checkStructFile verifies a structure record file is an intact slab
+// without decoding it against a graph: length and checksum. Any other file,
+// such as a text record of the format stores wrote before the slab, fails
+// here and is quarantined. Deep (graph-dependent) validation still happens
+// at load-through; a file failing there falls back to a rebuild.
 func (s *Store) checkStructFile(path string) error {
 	data, err := s.readFile(path)
 	if err != nil {
 		return err
 	}
-	if core.IsSlabRecord(data) {
-		return core.CheckSlab(data)
-	}
-	if !strings.HasPrefix(string(data[:min(len(data), len(textRecordPrefix))]), textRecordPrefix) {
-		return fmt.Errorf("unrecognised record header")
-	}
-	return nil
+	return core.CheckSlab(data)
 }
 
 // graphPath returns the persist path of a graph file.
@@ -887,10 +880,9 @@ func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) Structure {
 	return st
 }
 
-// decode loads a structure record against g — a version-3 slab through the
-// zero-parse path, or an older text record — checks that it is the
-// structure k names, and pre-builds its query plan. Load-through and
-// ImportRecord share it.
+// decode loads a slab record against g through the zero-parse path, checks
+// that it is the structure k names, and pre-builds its query plan.
+// Load-through and ImportRecord share it.
 func decode(g *ftbfs.Graph, k Key, data []byte) (Structure, error) {
 	// Cheap model peek before the full decode: a mis-addressed record fails
 	// with a model mismatch, not a deep validation error.

@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,7 +34,7 @@ func testGraph(t testing.TB, n, extra int, seed int64) *ftbfs.Graph {
 func savedBytes(t *testing.T, st *ftbfs.Structure) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
+	if err := st.SaveSlab(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -453,7 +455,7 @@ func TestVertexPersistRoundTripThroughEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	var firstSave bytes.Buffer
-	if err := v1.Save(&firstSave); err != nil {
+	if err := v1.SaveSlab(&firstSave); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "stv-*.fts"))
@@ -476,7 +478,7 @@ func TestVertexPersistRoundTripThroughEviction(t *testing.T) {
 		t.Fatalf("evicted vertex structure rebuilt instead of loaded (loads %d -> %d)", before, s.Stats().Loads)
 	}
 	var secondSave bytes.Buffer
-	if err := v2.Save(&secondSave); err != nil {
+	if err := v2.SaveSlab(&secondSave); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(firstSave.Bytes(), secondSave.Bytes()) {
@@ -614,5 +616,71 @@ func TestWarmStartCountsAndSkipsStructureFiles(t *testing.T) {
 	}
 	if err := s2.checkStructFile(s2.structPath(bad)); err != nil {
 		t.Fatalf("rebuilt record still corrupt: %v", err)
+	}
+}
+
+// TestWarmStartQuarantinesTextRecord: the slab is the only structure record
+// the store reads, so a text record (the format stores wrote before the
+// slab) left in a persist directory is quarantined at warm start like any
+// unreadable record — counted in WarmQuarantined, renamed .corrupt — and its
+// key rebuilds on first use into a slab record.
+func TestWarmStartQuarantinesTextRecord(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := s1.AddGraph(testGraph(t, 40, 60, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := Key{Graph: fp, Source: 0, Eps: 0.25}
+	st, err := s1.GetOrBuild(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := savedBytes(t, st)
+	// Overwrite the slab with the same structure as a version-1 text record.
+	var text strings.Builder
+	fmt.Fprintf(&text, "ftbfs-structure 1\nsource %d eps %g alg %s\n", st.Source(), st.Epsilon(), st.Stats().Algorithm)
+	for _, e := range st.Edges() {
+		tag := "b"
+		if st.IsReinforced(e[0], e[1]) {
+			tag = "r"
+		}
+		fmt.Fprintf(&text, "%s %d %d\n", tag, e[0], e[1])
+	}
+	path := s1.structPath(k)
+	if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(0, dir)
+	if err != nil {
+		t.Fatalf("a text record made the store unbootable: %v", err)
+	}
+	ws := s2.Stats()
+	if ws.WarmLoaded != 1 || ws.WarmQuarantined != 1 || ws.WarmSkipped != 0 {
+		t.Fatalf("warm start loaded %d, quarantined %d, skipped %d; want the graph loaded and the text record quarantined",
+			ws.WarmLoaded, ws.WarmQuarantined, ws.WarmSkipped)
+	}
+	if got, err := os.ReadFile(path + ".corrupt"); err != nil || string(got) != text.String() {
+		t.Fatalf("quarantined text record missing or changed: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("text record still in the load path: %v", err)
+	}
+	st2, err := s2.GetOrBuild(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Stats().Builds != 1 {
+		t.Fatalf("builds = %d, want the quarantined key rebuilt once", s2.Stats().Builds)
+	}
+	if got := savedBytes(t, st2); !bytes.Equal(got, want) {
+		t.Fatal("rebuilt structure differs from the one the text record held")
+	}
+	if err := s2.checkStructFile(path); err != nil {
+		t.Fatalf("rebuild did not write a slab record: %v", err)
 	}
 }

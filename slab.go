@@ -1,8 +1,10 @@
 package ftbfs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"os"
 
 	"ftbfs/internal/bfs"
 	"ftbfs/internal/core"
@@ -10,11 +12,11 @@ import (
 	"ftbfs/internal/vertexft"
 )
 
-// SaveSlab serialises the structure as a version-3 binary record: the edge
-// sets plus the fully materialized query plan (H's CSR, the intact distance
-// vector, H's canonical BFS tree in BFS order), stored as flat little-endian
-// slabs. Loading such a record skips text parsing, endpoint re-binding and
-// every BFS pass — see LoadStructure, which sniffs the format. The plan is
+// SaveSlab serialises the structure as a version-3 binary record, the one
+// structure record format: the edge sets plus the fully materialized query
+// plan (H's CSR, the intact distance vector, H's canonical BFS tree in BFS
+// order), stored as flat little-endian slabs. Loading such a record skips
+// endpoint re-binding and every BFS pass — see LoadStructure. The plan is
 // built first if the structure has never served a query.
 func (s *Structure) SaveSlab(w io.Writer) error {
 	alg, err := core.ParseAlgorithm(s.st.Stats.Algorithm)
@@ -31,8 +33,8 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 }
 
 // SaveSlab serialises the vertex structure as a version-3 binary record; the
-// vertex model stores no ε/algorithm/reinforcement dimension, mirroring the
-// version-2 text record. See Structure.SaveSlab.
+// vertex model stores no ε/algorithm/reinforcement dimension. See
+// Structure.SaveSlab.
 func (s *VertexStructure) SaveSlab(w io.Writer) error {
 	return s.saveSlab(w, &core.SlabRecord{Model: core.SlabVertex, Pairs: s.st.Pairs})
 }
@@ -51,6 +53,88 @@ func (s *serving) saveSlab(w io.Writer, rec *core.SlabRecord) error {
 	rec.ParentEdge = p.t.ParentEdge
 	rec.Order = p.t.Order()
 	return core.EncodeSlab(w, s.g, rec)
+}
+
+// LoadStructure reads a structure record written by SaveSlab, re-binding it
+// against its base graph; the graph is frozen by this call. The record
+// carries its serving arrays ready-built and is cross-validated without any
+// search, so loading is I/O-bound (use Verify for the full contract). Any
+// input that is not a slab record is refused.
+func LoadStructure(g *Graph, r io.Reader) (*Structure, error) {
+	rec, err := loadSlab(g, r)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Model != core.SlabEdge {
+		return nil, fmt.Errorf("ftbfs: record is a vertex structure (load it with LoadVertexStructure)")
+	}
+	cs := &core.Structure{
+		G:          g.g,
+		S:          rec.S,
+		Eps:        rec.Eps,
+		Edges:      rec.Edges,
+		Reinforced: rec.Reinforced,
+		TreeEdges:  rec.TreeEdges,
+	}
+	cs.Stats.Algorithm = rec.Alg.String()
+	s := newStructure(cs)
+	if err := s.installSlab(rec); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// LoadVertexStructure is LoadStructure for a vertex structure written by
+// VertexStructure.SaveSlab.
+func LoadVertexStructure(g *Graph, r io.Reader) (*VertexStructure, error) {
+	rec, err := loadSlab(g, r)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Model != core.SlabVertex {
+		return nil, fmt.Errorf("ftbfs: record is an edge structure (load it with LoadStructure)")
+	}
+	s := newVertexStructure(&vertexft.Structure{G: g.g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs})
+	if err := s.installSlab(rec); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// loadSlab freezes g, reads a record and decodes it against g; DecodeSlab
+// refuses any input without the slab magic.
+func loadSlab(g *Graph, r io.Reader) (*core.SlabRecord, error) {
+	g.g.Freeze()
+	data, err := readRecord(r)
+	if err != nil {
+		return nil, err
+	}
+	return core.DecodeSlab(data, g.g)
+}
+
+// readRecord slurps a structure record, pre-sizing the buffer when the
+// reader's length is knowable (files via Stat, in-memory readers via Size)
+// so a load costs one allocation instead of a doubling growth chain — slab
+// loading is otherwise fast enough that buffer churn shows up. The slack is
+// bytes.MinRead because ReadFrom wants that much room before the read that
+// finds EOF: with less it reallocates to about twice the size, and a slab
+// structure keeps whatever buffer it was decoded from.
+func readRecord(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	switch src := r.(type) {
+	case *os.File:
+		if fi, err := src.Stat(); err == nil && fi.Size() > 0 {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	case interface{ Size() int64 }: // bytes.Reader, strings.Reader
+		if sz := src.Size(); sz > 0 {
+			buf.Grow(int(sz) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // installSlab seeds the serving core with the intact vector and the query
@@ -74,38 +158,4 @@ func (s *serving) installSlab(rec *core.SlabRecord) error {
 	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
 	s.planOnce.Do(func() { s.qplan = newPlan(s.g, h, rec.Intact, bt, s.model) })
 	return nil
-}
-
-// slabStructure assembles a serving-ready edge structure from a decoded
-// binary record.
-func slabStructure(g *graph.Graph, rec *core.SlabRecord) (*Structure, error) {
-	if rec.Model != core.SlabEdge {
-		return nil, fmt.Errorf("ftbfs: record is a vertex structure (load it with LoadVertexStructure)")
-	}
-	cs := &core.Structure{
-		G:          g,
-		S:          rec.S,
-		Eps:        rec.Eps,
-		Edges:      rec.Edges,
-		Reinforced: rec.Reinforced,
-		TreeEdges:  rec.TreeEdges,
-	}
-	cs.Stats.Algorithm = rec.Alg.String()
-	s := newStructure(cs)
-	if err := s.installSlab(rec); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// slabVertexStructure is slabStructure for the vertex model.
-func slabVertexStructure(g *graph.Graph, rec *core.SlabRecord) (*VertexStructure, error) {
-	if rec.Model != core.SlabVertex {
-		return nil, fmt.Errorf("ftbfs: record is an edge structure (load it with LoadStructure)")
-	}
-	s := newVertexStructure(&vertexft.Structure{G: g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs})
-	if err := s.installSlab(rec); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -26,51 +26,28 @@ func slabFixture(t testing.TB, n, m int, seed int64) (*ftbfs.Graph, *ftbfs.Struc
 	return g, s, edges
 }
 
-// TestSlabTextInterop round-trips an edge structure through both formats and
-// asserts they describe the same structure: text → slab → text is
-// byte-identical, slab → slab is byte-identical, and the slab-loaded
-// structure answers every failable edge exactly like the builder's.
+// TestSlabTextInterop round-trips an edge structure through the slab
+// record, the one structure record format (the text record it was once
+// checked against is retired): slab → load → slab is byte-identical, and the
+// slab-loaded structure answers every failable edge exactly like the
+// builder's.
 func TestSlabTextInterop(t *testing.T) {
 	g, s, edges := slabFixture(t, 120, 360, 7)
 
-	var text1, slab1 bytes.Buffer
-	if err := s.Save(&text1); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	var slab1 bytes.Buffer
 	if err := s.SaveSlab(&slab1); err != nil {
 		t.Fatalf("SaveSlab: %v", err)
 	}
-
-	// Load the slab, re-encode both ways.
 	fromSlab, err := ftbfs.LoadStructure(g, bytes.NewReader(slab1.Bytes()))
 	if err != nil {
 		t.Fatalf("LoadStructure(slab): %v", err)
 	}
-	var text2, slab2 bytes.Buffer
-	if err := fromSlab.Save(&text2); err != nil {
-		t.Fatalf("re-Save: %v", err)
-	}
+	var slab2 bytes.Buffer
 	if err := fromSlab.SaveSlab(&slab2); err != nil {
 		t.Fatalf("re-SaveSlab: %v", err)
 	}
-	if !bytes.Equal(text1.Bytes(), text2.Bytes()) {
-		t.Fatalf("text re-encode after slab round trip differs")
-	}
 	if !bytes.Equal(slab1.Bytes(), slab2.Bytes()) {
 		t.Fatalf("slab re-encode differs")
-	}
-
-	// Load the text record and re-encode it as a slab: same bytes again.
-	fromText, err := ftbfs.LoadStructure(g, bytes.NewReader(text1.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadStructure(text): %v", err)
-	}
-	var slab3 bytes.Buffer
-	if err := fromText.SaveSlab(&slab3); err != nil {
-		t.Fatalf("SaveSlab(from text): %v", err)
-	}
-	if !bytes.Equal(slab1.Bytes(), slab3.Bytes()) {
-		t.Fatalf("slab encode of text-loaded structure differs")
 	}
 
 	// The slab-loaded structure serves identical answers, for every failable
@@ -102,42 +79,20 @@ func TestSlabTextInteropVertex(t *testing.T) {
 		t.Fatalf("BuildVertex: %v", err)
 	}
 
-	var text1, slab1 bytes.Buffer
-	if err := s.Save(&text1); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	var slab1 bytes.Buffer
 	if err := s.SaveSlab(&slab1); err != nil {
 		t.Fatalf("SaveSlab: %v", err)
 	}
-
 	fromSlab, err := ftbfs.LoadVertexStructure(g, bytes.NewReader(slab1.Bytes()))
 	if err != nil {
 		t.Fatalf("LoadVertexStructure(slab): %v", err)
 	}
-	var text2, slab2 bytes.Buffer
-	if err := fromSlab.Save(&text2); err != nil {
-		t.Fatalf("re-Save: %v", err)
-	}
+	var slab2 bytes.Buffer
 	if err := fromSlab.SaveSlab(&slab2); err != nil {
 		t.Fatalf("re-SaveSlab: %v", err)
 	}
-	if !bytes.Equal(text1.Bytes(), text2.Bytes()) {
-		t.Fatalf("vertex text re-encode after slab round trip differs")
-	}
 	if !bytes.Equal(slab1.Bytes(), slab2.Bytes()) {
 		t.Fatalf("vertex slab re-encode differs")
-	}
-
-	fromText, err := ftbfs.LoadVertexStructure(g, bytes.NewReader(text1.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadVertexStructure(text): %v", err)
-	}
-	var slab3 bytes.Buffer
-	if err := fromText.SaveSlab(&slab3); err != nil {
-		t.Fatalf("SaveSlab(from text): %v", err)
-	}
-	if !bytes.Equal(slab1.Bytes(), slab3.Bytes()) {
-		t.Fatalf("vertex slab encode of text-loaded structure differs")
 	}
 
 	// Every failable vertex, spread of targets.

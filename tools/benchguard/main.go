@@ -191,7 +191,7 @@ func main() {
 	baselinePath := flag.String("baseline", "", "baseline benchmark results (bench text or go test -json)")
 	latestPath := flag.String("latest", "", "latest benchmark results (bench text or go test -json)")
 	threshold := flag.Float64("threshold", 0.20, "relative regression tolerance (0.20 = +20%)")
-	filterSpec := flag.String("filter", "BenchmarkServeQueries|BenchmarkOraclePool|BenchmarkBuildBatch|BenchmarkQueryPlan|BenchmarkClusterRoute|BenchmarkVertexQuery|BenchmarkWireServe|BenchmarkSlabLoad",
+	filterSpec := flag.String("filter", "BenchmarkServeQueries|BenchmarkOraclePool|BenchmarkBuildBatch|BenchmarkQueryPlan|BenchmarkClusterRoute|BenchmarkVertexQuery|BenchmarkWireServe|BenchmarkSlabLoad/slab",
 		"regexp of benchmark names to gate on")
 	allowMissing := flag.Bool("allow-missing-baseline", false, "exit 0 when the baseline file does not exist")
 	allocsOnly := flag.Bool("allocs-only", false,
