@@ -30,9 +30,7 @@ import (
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/replacement"
-	"ftbfs/internal/sensitivity"
 	"ftbfs/internal/server"
-	"ftbfs/internal/simulate"
 	"ftbfs/internal/store"
 	"ftbfs/internal/tree"
 	"ftbfs/internal/vertexft"
@@ -983,17 +981,32 @@ func BenchmarkMutate(b *testing.B) {
 	})
 }
 
+// The one verifier over both failure models, on the same lower-bound graph.
 func BenchmarkVerifyStructure(b *testing.B) {
 	lb := gen.LowerBoundParams(3, 4, 8)
 	st, err := core.Build(lb.G, lb.S, 0.25, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if viol := core.Verify(st, 0); len(viol) != 0 {
-			b.Fatal("violations")
-		}
+	vst, err := vertexft.Build(lb.G, lb.S)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		h, reinf *graph.EdgeSet
+		model    core.Model
+	}{
+		{"edge", st.Edges, st.Reinforced, core.ModelEdge},
+		{"vertex", vst.Edges, nil, core.ModelVertex},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if viol := core.Verify(lb.G, lb.S, c.h, c.reinf, c.model, 0); len(viol) != 0 {
+					b.Fatal("violations")
+				}
+			}
+		})
 	}
 }
 
@@ -1137,34 +1150,6 @@ func BenchmarkVertexQuery(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkSensitivityOracleQuery(b *testing.B) {
-	g := gen.RandomConnected(800, 2400, 3)
-	o, err := sensitivity.New(g, 0, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := g.M()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.DistAvoidingID(i%g.N(), graph.EdgeID(i%m))
-	}
-}
-
-func BenchmarkFailureCampaign(b *testing.B) {
-	lb := gen.LowerBoundParams(2, 3, 8)
-	st, err := core.Build(lb.G, lb.S, 0.3, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := simulate.EdgeCampaign(st, 4, int64(i))
-		if err != nil || !rep.Clean() {
-			b.Fatal("campaign failed")
-		}
-	}
 }
 
 func BenchmarkParallelReinforcementSweep(b *testing.B) {

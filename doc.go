@@ -33,7 +33,19 @@
 // SweepCost / PredictOptimalEpsilon to pick ε from the per-edge prices of
 // backup and reinforced links. BuildBatch builds many (source, ε, algorithm)
 // requests at once, sharing the BFS tree, the replacement-path preprocessing
-// and the reinforcement sweep per source.
+// and the reinforcement sweep per source. The walkthroughs in example_test.go
+// (Example_quickstart, ExampleBuild_tradeoff, ExampleSweepCost,
+// ExampleBuildMulti) run under go test.
+//
+// # Checking the contract
+//
+// Structure.Verify and VertexStructure.Verify run one loop for both failure
+// models (core.Verify): each failure f of the model in turn, comparing BFS
+// in H \ {f} with BFS in G \ {f}. The failures come from G and H, never
+// from a loaded record: with T the canonical BFS tree of G, only failures on
+// T are checked when T ⊆ H, and all of them otherwise. SimulateFailures,
+// SensitivityOracle and BuildVertexFT are gone; use Verify,
+// Oracle.BaselineDistAvoiding and BuildVertex.
 //
 // # Concurrent serving
 //

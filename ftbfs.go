@@ -107,8 +107,8 @@ func WithoutPhase2() BuildOption {
 }
 
 // Structure is a built (b, r) FT-BFS structure. It embeds the serving core
-// VertexStructure embeds — Source, Size, Contains, Edges, Dist, Plan, Oracle
-// and OraclePool are one code path for both failure models — and its
+// VertexStructure embeds — Source, Size, Contains, Edges, Dist, Plan, Oracle,
+// OraclePool and Verify are one code path for both failure models — and its
 // oracles answer edge failures. Structures are immutable once built; the
 // read-only query methods are safe for concurrent use, and OraclePool
 // serves concurrent failure-simulation queries.
@@ -170,11 +170,6 @@ func edgePairs(g *graph.Graph, set *graph.EdgeSet) [][2]int {
 	})
 	return out
 }
-
-// Verify exhaustively checks the FT-BFS contract and returns an error
-// describing the first violations, or nil. It runs O(n) BFS passes and is
-// intended for validation, not hot paths.
-func (s *Structure) Verify() error { return core.MustVerify(s.st) }
 
 // Stats exposes per-phase construction diagnostics.
 func (s *Structure) Stats() BuildStats { return s.st.Stats }

@@ -238,28 +238,3 @@ func TestWriteDOT(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
-
-func TestSimulateFailures(t *testing.T) {
-	g := randomGraph(50, 70, 31)
-	st, err := ftbfs.Build(g, 0, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := st.SimulateFailures(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("campaign found %d violations", rep.Violations)
-	}
-	if rep.Failures != st.BackupCount() || rep.Probes == 0 {
-		t.Fatalf("campaign shape wrong: %+v", rep)
-	}
-	sampled, err := st.SimulateFailures(3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sampled.Probes != sampled.Failures*3 {
-		t.Fatal("sampled probe count wrong")
-	}
-}

@@ -57,7 +57,7 @@ func TestBuildMatchesSequential(t *testing.T) {
 			if !sameStructure(st, want[i]) {
 				t.Fatalf("workers=%d request %d: batch structure differs from sequential Build", workers, i)
 			}
-			if viol := core.Verify(st, 5); len(viol) > 0 {
+			if viol := core.Verify(st.G, st.S, st.Edges, st.Reinforced, core.ModelEdge, 5); len(viol) > 0 {
 				t.Fatalf("workers=%d request %d: contract violated: %v", workers, i, viol)
 			}
 		}

@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ftbfs/internal/bfs"
+	"ftbfs/internal/core"
+	"ftbfs/internal/graph"
 )
 
 func run(t *testing.T, args ...string) (string, string, int) {
@@ -114,6 +118,50 @@ func TestVerifyBuildsWhenNoStructure(t *testing.T) {
 	out, errS, code := run(t, "verify", "-in", g, "-eps", "0.3")
 	if code != 0 || !strings.Contains(out, "contract holds") {
 		t.Fatalf("verify: code=%d out=%q err=%q", code, out, errS)
+	}
+}
+
+// TestVerifyRefusesBrokenRecord hands `verify -structure` a slab record
+// that breaks the contract: G is the 4-cycle 0-1-2-3-0 with source 0, H is
+// the path {0,1}, {1,2}, {2,3}, nothing is reinforced and the record's T0
+// section is empty. Failing {0,1} strands vertex 1 in H while G\{0,1}
+// reaches it at distance 3, so the command must fail and print no
+// "verified" line.
+func TestVerifyRefusesBrokenRecord(t *testing.T) {
+	g := graph.New(4)
+	h := graph.NewEdgeSet(4)
+	h.Add(g.MustAddEdge(0, 1))
+	h.Add(g.MustAddEdge(1, 2))
+	h.Add(g.MustAddEdge(2, 3))
+	g.MustAddEdge(3, 0)
+	g.Freeze()
+	csr := g.SubgraphCSR(h)
+	bt := bfs.FromCSR(csr, 0)
+	none := graph.NewEdgeSet(g.M())
+	rec, err := core.EncodeSlabBytes(g, &core.SlabRecord{
+		Model: core.ModelEdge, Alg: core.Epsilon,
+		Edges: h, Reinforced: none, TreeEdges: none,
+		Intact: bt.Dist, RowStart: csr.RowStart, Arcs: csr.Arcs,
+		Parent: bt.Parent, ParentEdge: bt.ParentEdge, Order: bt.Order,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	gpath, spath := filepath.Join(dir, "g.txt"), filepath.Join(dir, "st.slab")
+	var text bytes.Buffer
+	if err := graph.Encode(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gpath, text.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spath, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errS, code := run(t, "verify", "-in", gpath, "-structure", spath)
+	if code == 0 || strings.Contains(out, "verified") || !strings.Contains(errS, "contract violated") {
+		t.Fatalf("verify of a broken record: code=%d out=%q err=%q", code, out, errS)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ftbfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/server"
 	"ftbfs/internal/store"
 )
@@ -104,7 +105,7 @@ func TestRouterBuildRecordIdentity(t *testing.T) {
 				for k := range distinct {
 					var want bytes.Buffer
 					var err error
-					if k.Model == store.ModelVertex {
+					if k.Model == core.ModelVertex {
 						var vst *ftbfs.VertexStructure
 						if vst, err = ftbfs.BuildVertex(g, k.Source); err == nil {
 							err = vst.SaveSlab(&want)

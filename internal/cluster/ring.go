@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 )
 
@@ -60,8 +61,8 @@ func KeyHash(k store.Key) uint64 {
 	h = fnvMix(h, uint64(int64(k.Source)))
 	h = fnvMix(h, math.Float64bits(eps))
 	h = fnvMix(h, uint64(int64(k.Alg)))
-	if k.Model != store.ModelEdge {
-		h = fnvMix(h, uint64(int64(k.Model)))
+	if k.Model != core.ModelEdge {
+		h = fnvMix(h, uint64(k.Model))
 	}
 	return h
 }

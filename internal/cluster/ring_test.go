@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"ftbfs"
 	"ftbfs/internal/store"
 )
 
@@ -58,6 +59,20 @@ func TestKeyHashNegativeZeroEps(t *testing.T) {
 	if KeyHash(pos) != KeyHash(neg) {
 		t.Fatalf("KeyHash(+0 eps) = %x, KeyHash(-0 eps) = %x — same store key routes to different shards",
 			KeyHash(pos), KeyHash(neg))
+	}
+}
+
+// TestKeyHashPinned pins one edge key's and one vertex key's ring position
+// to fixed values: a change to how the key's failure model is typed or
+// hashed must not move a structure a cluster already holds.
+func TestKeyHashPinned(t *testing.T) {
+	edge := store.Key{Graph: 0x633c26dbd76a1f1d, Source: 7, Eps: 0.3, Alg: ftbfs.AlgoEpsilon}
+	if got := KeyHash(edge); got != 0xc3d7536d68c5f7aa {
+		t.Fatalf("KeyHash(%v) = %#x, want 0xc3d7536d68c5f7aa", edge, got)
+	}
+	vertex := store.VertexKey(0x633c26dbd76a1f1d, 7)
+	if got := KeyHash(vertex); got != 0xa49158899f611684 {
+		t.Fatalf("KeyHash(%v) = %#x, want 0xa49158899f611684", vertex, got)
 	}
 }
 

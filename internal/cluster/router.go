@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ftbfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/server"
 	"ftbfs/internal/store"
 	"ftbfs/internal/telemetry"
@@ -909,7 +910,7 @@ func (rt *Router) fanOutBuild(ctx context.Context, g *ftbfs.Graph, req *server.B
 				case bk.decided(): // another owner answered first
 				case r.err != nil:
 					bk.err, bk.refusal = fmt.Errorf("shard %s: %w", r.m.ID, r.err), r.refusal
-				case bk.k.Model == store.ModelVertex:
+				case bk.k.Model == core.ModelVertex:
 					bk.builder, bk.vinfo = r.m, r.resp.VertexStructures[j-len(r.resp.Structures)]
 				default:
 					bk.builder, bk.info = r.m, r.resp.Structures[j]
@@ -937,11 +938,11 @@ func (rt *Router) fanOutBuild(ctx context.Context, g *ftbfs.Graph, req *server.B
 			return nil, bk.refusal
 		case bk.builder == nil:
 			what := fmt.Sprintf("build (source=%d, eps=%g)", bk.k.Source, bk.k.Eps)
-			if bk.k.Model == store.ModelVertex {
+			if bk.k.Model == core.ModelVertex {
 				what = fmt.Sprintf("vertex build (source=%d)", bk.k.Source)
 			}
 			return nil, &wire.Error{Code: http.StatusBadGateway, Msg: fmt.Sprintf("cluster: %s failed on all %d replicas: %v", what, len(bk.owners), bk.err)}
-		case bk.k.Model == store.ModelVertex:
+		case bk.k.Model == core.ModelVertex:
 			out.VertexStructures = append(out.VertexStructures, bk.vinfo)
 		default:
 			out.Structures = append(out.Structures, bk.info)
@@ -1001,7 +1002,7 @@ func (rt *Router) installReplicas(ctx context.Context, keys []*buildKey, text, a
 func (rt *Router) sendBuild(ctx context.Context, m *Member, text, alg string, keys []*buildKey) (*server.BuildResponse, *wire.Error, error) {
 	breq := server.BuildRequest{Graph: text, Alg: alg}
 	for _, bk := range keys {
-		if bk.k.Model == store.ModelVertex {
+		if bk.k.Model == core.ModelVertex {
 			breq.VertexSources = append(breq.VertexSources, bk.k.Source)
 		} else {
 			breq.Pairs = append(breq.Pairs, server.BuildPair{Source: bk.k.Source, Eps: bk.k.Eps})

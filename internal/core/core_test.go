@@ -86,7 +86,7 @@ func TestTreeAlgorithm(t *testing.T) {
 		if st.ReinforcedCount() > g.N()-1 {
 			t.Fatalf("%s: r=%d > n-1", name, st.ReinforcedCount())
 		}
-		if err := MustVerify(st); err != nil {
+		if err := mustVerify(st); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestBaselineProtectsEverything(t *testing.T) {
 		if st.ReinforcedCount() != 0 {
 			t.Fatalf("%s: baseline needs %d reinforced edges, want 0", name, st.ReinforcedCount())
 		}
-		if err := MustVerify(st); err != nil {
+		if err := mustVerify(st); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		// Theorem of [14]: |E(H)| = O(n^{3/2}); generous constant 4.
@@ -119,7 +119,7 @@ func TestEpsilonValidAcrossFamiliesAndEps(t *testing.T) {
 			if st.Stats.Algorithm != "epsilon" {
 				t.Fatalf("%s ε=%g: algorithm=%s", name, eps, st.Stats.Algorithm)
 			}
-			if err := MustVerify(st); err != nil {
+			if err := mustVerify(st); err != nil {
 				t.Fatalf("%s ε=%g: %v", name, eps, err)
 			}
 		}
@@ -173,7 +173,7 @@ func TestGreedyValid(t *testing.T) {
 		if st.Stats.Algorithm != "greedy" {
 			t.Fatalf("%s: algorithm=%s", name, st.Stats.Algorithm)
 		}
-		if err := MustVerify(st); err != nil {
+		if err := mustVerify(st); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestAblationsStillValid(t *testing.T) {
 	noS1 := mustBuild(t, g, 0, 0.3, Options{SkipPhase1: true})
 	noS2 := mustBuild(t, g, 0, 0.3, Options{SkipPhase2: true})
 	for _, st := range []*Structure{full, noS1, noS2} {
-		if err := MustVerify(st); err != nil {
+		if err := mustVerify(st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,14 +215,11 @@ func TestVerifyCatchesBrokenStructure(t *testing.T) {
 		Reinforced: graph.NewEdgeSet(g.M()),
 		TreeEdges:  en.TreeEdges.Clone(),
 	}
-	if len(Verify(bogus, 0)) == 0 {
+	if len(verifyStructure(bogus, 0)) == 0 {
 		t.Fatal("Verify accepted an invalid structure")
 	}
-	if len(Verify(bogus, 2)) != 2 {
+	if len(verifyStructure(bogus, 2)) != 2 {
 		t.Fatal("violation limit not honoured")
-	}
-	if MustVerify(bogus) == nil {
-		t.Fatal("MustVerify accepted an invalid structure")
 	}
 }
 
@@ -267,7 +264,7 @@ func TestDisconnectedGraphHandled(t *testing.T) {
 	g := b.Graph()
 	for _, eps := range []float64{0, 0.3, 1} {
 		st := mustBuild(t, g, 0, eps, Options{})
-		if err := MustVerify(st); err != nil {
+		if err := mustVerify(st); err != nil {
 			t.Fatalf("ε=%g: %v", eps, err)
 		}
 	}
@@ -282,7 +279,7 @@ func TestTinyGraphs(t *testing.T) {
 		g := b.Graph()
 		for _, eps := range []float64{0, 0.25, 1} {
 			st := mustBuild(t, g, 0, eps, Options{})
-			if err := MustVerify(st); err != nil {
+			if err := mustVerify(st); err != nil {
 				t.Fatalf("n=%d ε=%g: %v", n, eps, err)
 			}
 		}
@@ -293,7 +290,7 @@ func TestDifferentSources(t *testing.T) {
 	g := gen.RandomConnected(40, 60, 9)
 	for s := 0; s < 10; s++ {
 		st := mustBuild(t, g, s, 0.3, Options{})
-		if err := MustVerify(st); err != nil {
+		if err := mustVerify(st); err != nil {
 			t.Fatalf("source %d: %v", s, err)
 		}
 	}

@@ -52,7 +52,7 @@ func TestGreedyDefaultBudget(t *testing.T) {
 	if st.ReinforcedCount() > 7 {
 		t.Fatalf("reinforced %d exceeds default budget 7", st.ReinforcedCount())
 	}
-	if err := MustVerify(st); err != nil {
+	if err := mustVerify(st); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -57,21 +57,13 @@ func (ms *MultiStructure) ReinforcedCount() int { return ms.Reinforced.Len() }
 func (ms *MultiStructure) Size() int { return ms.Edges.Len() }
 
 // VerifyMulti checks the FT-MBFS contract for every source against the
-// union edge set and union reinforcement set.
+// union edge set and union reinforcement set: each per-source guarantee must
+// hold in the union H (which can only help) with every union-reinforced
+// edge exempt from failing.
 func VerifyMulti(ms *MultiStructure, limit int) []Violation {
 	var out []Violation
-	for i, st := range ms.Per {
-		// check against the union H (may only be better) with the union
-		// reinforcement removed from the failure set
-		union := &Structure{
-			G:          ms.G,
-			S:          ms.Sources[i],
-			Eps:        ms.Eps,
-			Edges:      ms.Edges,
-			Reinforced: ms.Reinforced,
-			TreeEdges:  st.TreeEdges,
-		}
-		out = append(out, Verify(union, limit)...)
+	for _, s := range ms.Sources {
+		out = append(out, Verify(ms.G, s, ms.Edges, ms.Reinforced, ModelEdge, limit)...)
 		if limit > 0 && len(out) >= limit {
 			break
 		}

@@ -54,16 +54,6 @@ var (
 	slabMagicV4 = [4]byte{'F', 'T', 'B', '4'}
 )
 
-// SlabModel says which failure model a slab record stores.
-type SlabModel uint32
-
-const (
-	// SlabEdge is an edge-failure (b, r) structure.
-	SlabEdge SlabModel = 0
-	// SlabVertex is a vertex-failure structure.
-	SlabVertex SlabModel = 1
-)
-
 // slabHeaderSize is the fixed header length in bytes.
 const slabHeaderSize = 64
 
@@ -100,18 +90,18 @@ func slabGenOf(data []byte) uint64 {
 	return uint64(binary.LittleEndian.Uint32(data[slabOffGen:]))
 }
 
-// SlabModelOf peeks the failure model of a version-3 record from its header
+// RecordModel peeks the failure model of a version-3 record from its header
 // without decoding or checksumming the payload; ok is false when the bytes
 // are not a plausible slab record. Handoff installers use it to cross-check
 // a shipped record against the registry key it is meant for before paying
 // the full decode — a mis-addressed record fails with a model mismatch
 // instead of a confusing deep validation error.
-func SlabModelOf(data []byte) (SlabModel, bool) {
+func RecordModel(data []byte) (Model, bool) {
 	if len(data) < slabHeaderSize || !IsSlabRecord(data) {
 		return 0, false
 	}
-	m := SlabModel(binary.LittleEndian.Uint32(data[slabOffModel:]))
-	if m != SlabEdge && m != SlabVertex {
+	m := Model(binary.LittleEndian.Uint32(data[slabOffModel:]))
+	if m != ModelEdge && m != ModelVertex {
 		return 0, false
 	}
 	return m, true
@@ -123,7 +113,7 @@ func SlabModelOf(data []byte) (SlabModel, bool) {
 // from a built plan; decoding hands them back validated, so the caller can
 // assemble a query plan without running a single search.
 type SlabRecord struct {
-	Model SlabModel
+	Model Model
 	S     int
 	Eps   float64   // edge model only
 	Alg   Algorithm // edge model only
@@ -132,7 +122,7 @@ type SlabRecord struct {
 
 	Edges      *graph.EdgeSet
 	Reinforced *graph.EdgeSet // edge model only
-	TreeEdges  *graph.EdgeSet // edge model only; T0 over the base graph
+	TreeEdges  *graph.EdgeSet // edge model only; T0 over the base graph (Verify recomputes T0 from G instead)
 
 	Intact     []int32
 	RowStart   []int32
@@ -146,10 +136,10 @@ type SlabRecord struct {
 func slabI32Bytes(count int) int { return (count*4 + 7) &^ 7 }
 
 // slabPayloadLen computes the exact payload length for the given shape.
-func slabPayloadLen(model SlabModel, n, m, arcCount, reachable int) int {
+func slabPayloadLen(model Model, n, m, arcCount, reachable int) int {
 	words := (m + 63) / 64
 	bitsets := 1
-	if model == SlabEdge {
+	if model == ModelEdge {
 		bitsets = 3
 	}
 	return bitsets*words*8 +
@@ -186,10 +176,10 @@ func EncodeSlabBytes(g *graph.Graph, rec *SlabRecord) ([]byte, error) {
 	if rec.S < 0 || rec.S >= n {
 		return nil, fmt.Errorf("core: slab encode: source %d out of range [0,%d)", rec.S, n)
 	}
-	if rec.Model != SlabEdge && rec.Model != SlabVertex {
+	if rec.Model != ModelEdge && rec.Model != ModelVertex {
 		return nil, fmt.Errorf("core: slab encode: unknown model %d", rec.Model)
 	}
-	if rec.Model == SlabEdge && (rec.Alg < Auto || rec.Alg > Greedy) {
+	if rec.Model == ModelEdge && (rec.Alg < Auto || rec.Alg > Greedy) {
 		return nil, fmt.Errorf("core: slab encode: unknown algorithm %d", rec.Alg)
 	}
 	if rec.Gen > math.MaxUint32 {
@@ -225,7 +215,7 @@ func EncodeSlabBytes(g *graph.Graph, rec *SlabRecord) ([]byte, error) {
 
 	w := &slabWriter{buf: out}
 	w.words(rec.Edges.Words())
-	if rec.Model == SlabEdge {
+	if rec.Model == ModelEdge {
 		w.words(rec.Reinforced.Words())
 		w.words(rec.TreeEdges.Words())
 	}
@@ -285,13 +275,13 @@ func CheckSlab(data []byte) error {
 		return fmt.Errorf("core: binary record shorter than its header")
 	}
 	le := binary.LittleEndian
-	model := SlabModel(le.Uint32(data[slabOffModel:]))
+	model := Model(le.Uint32(data[slabOffModel:]))
 	n := int(le.Uint32(data[slabOffN:]))
 	m := int(le.Uint32(data[slabOffM:]))
 	reachable := int(le.Uint32(data[slabOffReachable:]))
 	arcCount := int(le.Uint32(data[slabOffArcs:]))
 	payloadLen := le.Uint64(data[slabOffPayloadLen:])
-	if model != SlabEdge && model != SlabVertex {
+	if model != ModelEdge && model != ModelVertex {
 		return fmt.Errorf("core: binary record has unknown model %d", model)
 	}
 	if err := checkSlabGen(data); err != nil {
@@ -445,7 +435,7 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 		return nil, fmt.Errorf("core: binary record shorter than its header")
 	}
 	le := binary.LittleEndian
-	model := SlabModel(le.Uint32(data[slabOffModel:]))
+	model := Model(le.Uint32(data[slabOffModel:]))
 	n := int(le.Uint32(data[slabOffN:]))
 	m := int(le.Uint32(data[slabOffM:]))
 	source := int(le.Uint32(data[slabOffSource:]))
@@ -457,7 +447,7 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 	payloadLen := le.Uint64(data[slabOffPayloadLen:])
 	checksum := le.Uint64(data[slabOffChecksum:])
 
-	if model != SlabEdge && model != SlabVertex {
+	if model != ModelEdge && model != ModelVertex {
 		return nil, fmt.Errorf("core: binary record has unknown model %d", model)
 	}
 	if err := checkSlabGen(data); err != nil {
@@ -474,7 +464,7 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("core: binary record source %d out of range [0,%d)", source, n)
 	}
-	if model == SlabEdge {
+	if model == ModelEdge {
 		if alg < Auto || alg > Greedy {
 			return nil, fmt.Errorf("core: binary record has unknown algorithm %d", alg)
 		}
@@ -515,7 +505,7 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 	if rec.Edges, err = readSet(); err != nil {
 		return nil, err
 	}
-	if model == SlabEdge {
+	if model == ModelEdge {
 		if rec.Reinforced, err = readSet(); err != nil {
 			return nil, err
 		}
@@ -553,7 +543,7 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 // them without re-deriving anything.
 func validateSlab(rec *SlabRecord, g *graph.Graph) error {
 	n, m := g.N(), g.M()
-	if rec.Model == SlabEdge {
+	if rec.Model == ModelEdge {
 		sub := rec.Reinforced.Minus(rec.Edges)
 		if sub.Len() != 0 {
 			return fmt.Errorf("core: binary record: %d reinforced edges outside E(H)", sub.Len())

@@ -34,7 +34,7 @@ func slabTestRecord(t testing.TB, n, m int, seed int64) (*graph.Graph, *SlabReco
 	h := g.SubgraphCSR(st.Edges)
 	bt := bfs.FromCSR(h, st.S)
 	return g, &SlabRecord{
-		Model:      SlabEdge,
+		Model:      ModelEdge,
 		S:          st.S,
 		Eps:        st.Eps,
 		Alg:        alg,

@@ -523,7 +523,7 @@ func VerifyExact(cfg Config) ([]*expstats.Table, error) {
 			return nil, err
 		}
 		for i, st := range sts {
-			viol := core.Verify(st, 0)
+			viol := core.Verify(st.G, st.S, st.Edges, st.Reinforced, core.ModelEdge, 0)
 			t.AddRow(f.name, f.g.N(), grid[i], st.Stats.Algorithm, len(viol))
 		}
 	}
@@ -554,7 +554,7 @@ func VertexFT(cfg Config) ([]*expstats.Table, error) {
 			return nil, err
 		}
 		est := must(core.Build(f.g, 0, 1, core.Options{}))
-		viol := vertexft.Verify(vst, 0)
+		viol := core.Verify(vst.G, vst.S, vst.Edges, nil, core.ModelVertex, 0)
 		t.AddRow(f.name, f.g.N(), f.g.M(), vst.Size(), est.Size(), len(viol))
 	}
 	return []*expstats.Table{t}, nil

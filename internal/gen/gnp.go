@@ -1,4 +1,4 @@
-// Package gen generates the graph families used by the tests, examples and
+// Package gen generates the graph families used by the tests, benchmarks and
 // experiments: classical random and structured families plus the paper's
 // Section 5 lower-bound constructions (single-source Theorem 5.1 and
 // multi-source Theorem 5.4).

@@ -10,6 +10,7 @@ import (
 	"net/http"
 
 	"ftbfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 	"ftbfs/internal/wire"
 )
@@ -41,7 +42,7 @@ type HandoffKeyInfo struct {
 // HandoffKeyFor converts a registry key to its handoff JSON form.
 func HandoffKeyFor(k store.Key) HandoffKeyInfo {
 	info := HandoffKeyInfo{Graph: fmt.Sprintf("%016x", k.Graph), Source: k.Source}
-	if k.Model == store.ModelVertex {
+	if k.Model == core.ModelVertex {
 		info.Model = "vertex"
 	} else {
 		info.Eps = k.Eps
@@ -83,7 +84,7 @@ func handoffWireKey(k store.Key) wire.HandoffKey {
 		EpsBits: math.Float64bits(k.Eps),
 		Source:  int32(k.Source),
 		Alg:     int32(k.Alg),
-		Vertex:  k.Model == store.ModelVertex,
+		Vertex:  k.Model == core.ModelVertex,
 	}
 }
 

@@ -897,7 +897,7 @@ func (s *Server) answerGroup(ctx context.Context, gr *queryGroup, dists []int, e
 	}
 	if err == nil {
 		_ = pool.Do(func(o *ftbfs.Oracle) error {
-			if gr.key.Model == store.ModelVertex {
+			if gr.key.Model == core.ModelVertex {
 				o.DistAvoidingVertexEach(gr.vqueries, gr.dists, gr.errs)
 			} else {
 				o.DistAvoidingEach(gr.queries, gr.dists, gr.errs)

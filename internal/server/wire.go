@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ftbfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/store"
 	"ftbfs/internal/telemetry"
 	"ftbfs/internal/wire"
@@ -106,7 +107,7 @@ func (req *BatchQueryRequest) Wire() (keys []store.Key, slots []wire.BatchSlot, 
 		var n narrower
 		sl := &slots[i]
 		sl.PointQuery = pointFor(keys[i], q.V, &n)
-		if keys[i].Model == store.ModelVertex {
+		if keys[i].Model == core.ModelVertex {
 			// keyFor only derives a vertex-model key from a slot carrying
 			// failedVertex, so the deref is safe.
 			sl.Vertex = true
@@ -393,7 +394,7 @@ func groupSlots(slots []wire.BatchSlot, dists []int, errs []string) []queryGroup
 		gr.slots, idx = idx[:0:gr.n], idx[gr.n:]
 		gr.dists, answers = answers[:gr.n], answers[gr.n:]
 		gr.errs, aerrs = aerrs[:gr.n], aerrs[gr.n:]
-		if gr.key.Model == store.ModelVertex {
+		if gr.key.Model == core.ModelVertex {
 			gr.vqueries, vqueries = vqueries[:0:gr.n], vqueries[gr.n:]
 		} else {
 			gr.queries, queries = queries[:0:gr.n], queries[gr.n:]

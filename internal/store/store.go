@@ -57,37 +57,17 @@ import (
 	"ftbfs/internal/telemetry"
 )
 
-// Model selects the failure model of a structure key: which kind of single
-// failure the structure tolerates. The zero value is the edge model, so
-// every pre-existing Key literal keeps meaning what it always did.
-type Model int
-
-const (
-	// ModelEdge keys an edge-failure (b, r) FT-BFS structure — the paper's
-	// construction, parameterised by (ε, algorithm).
-	ModelEdge Model = iota
-	// ModelVertex keys a vertex-failure FT-BFS structure. The vertex
-	// construction has no ε or algorithm dimension; vertex keys carry both
-	// at their zero values (see VertexKey) so each structure has exactly
-	// one key — and exactly one position on the cluster ring.
-	ModelVertex
-)
-
-// String implements fmt.Stringer.
-func (m Model) String() string {
-	if m == ModelVertex {
-		return "vertex"
-	}
-	return "edge"
-}
-
 // Key identifies one built structure in the registry.
 type Key struct {
 	Graph  uint64 // lineage of the base graph (fingerprint of its generation-0 root)
 	Source int
 	Eps    float64
 	Alg    ftbfs.Algorithm
-	Model  Model // failure model; zero value = ModelEdge
+	// Model is the failure model; the zero value is the edge model, so every
+	// edge-key literal leaves it out. Vertex keys carry ε and Alg at their
+	// zero values (see VertexKey), so each structure has exactly one key —
+	// and exactly one position on the cluster ring.
+	Model core.Model
 	// Gen is the graph generation the structure serves. Callers normally
 	// leave it 0, meaning "the currently-serving generation" — lookups
 	// normalise it against the registry — so pre-generation keys (and
@@ -104,7 +84,7 @@ func (k Key) String() string {
 	if k.Gen > 0 {
 		gen = fmt.Sprintf("@g%d", k.Gen)
 	}
-	if k.Model == ModelVertex {
+	if k.Model == core.ModelVertex {
 		return fmt.Sprintf("%016x%s/s%d/vertex", k.Graph, gen, k.Source)
 	}
 	return fmt.Sprintf("%016x%s/s%d/eps%g/%s", k.Graph, gen, k.Source, k.Eps, k.Alg)
@@ -115,7 +95,7 @@ func (k Key) String() string {
 // vertex keys through this helper — a vertex key with a stray ε would name
 // (and route to) a structure nobody ever builds.
 func VertexKey(fp uint64, source int) Key {
-	return Key{Graph: fp, Source: source, Model: ModelVertex}
+	return Key{Graph: fp, Source: source, Model: core.ModelVertex}
 }
 
 // Req names one structure for GetOrBuildMany (the Key minus the fingerprint,
@@ -388,7 +368,7 @@ func (s *Store) structPath(k Key) string {
 	if k.Gen > 0 {
 		gen = fmt.Sprintf("-g%d", k.Gen)
 	}
-	if k.Model == ModelVertex {
+	if k.Model == core.ModelVertex {
 		return filepath.Join(s.dir, fmt.Sprintf("stv-%016x-s%d%s.fts", k.Graph, k.Source, gen))
 	}
 	return filepath.Join(s.dir, fmt.Sprintf("st-%016x-s%d-e%016x-a%d%s.fts",
@@ -584,7 +564,7 @@ func (s *Store) Telemetry() *telemetry.Registry { return s.m.reg }
 // GetOrBuild returns the edge structure for k, loading it from the persist
 // directory or building it through BuildBatch on a miss (see Resolve).
 func (s *Store) GetOrBuild(ctx context.Context, k Key) (*ftbfs.Structure, error) {
-	if k.Model != ModelEdge {
+	if k.Model != core.ModelEdge {
 		return nil, fmt.Errorf("store: %v is not an edge-structure key (use GetOrBuildVertex)", k)
 	}
 	st, err := s.Resolve(ctx, k)
@@ -826,7 +806,7 @@ func build(g *ftbfs.Graph, keys []Key) ([]Structure, error) {
 	var breqs []ftbfs.BatchRequest
 	var edgeIdx []int
 	for i, k := range keys {
-		if k.Model == ModelVertex {
+		if k.Model == core.ModelVertex {
 			vst, err := ftbfs.BuildVertex(g, k.Source)
 			if err != nil {
 				return nil, fmt.Errorf("store: vertex build: %w", err)
@@ -886,15 +866,11 @@ func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) Structure {
 func decode(g *ftbfs.Graph, k Key, data []byte) (Structure, error) {
 	// Cheap model peek before the full decode: a mis-addressed record fails
 	// with a model mismatch, not a deep validation error.
-	want := core.SlabEdge
-	if k.Model == ModelVertex {
-		want = core.SlabVertex
-	}
-	if m, ok := core.SlabModelOf(data); ok && m != want {
-		return nil, fmt.Errorf("record is a %d-model slab, key wants %d", m, want)
+	if m, ok := core.RecordModel(data); ok && m != k.Model {
+		return nil, fmt.Errorf("record is a %d-model slab, key wants %d", m, k.Model)
 	}
 	var st Structure
-	if k.Model == ModelVertex {
+	if k.Model == core.ModelVertex {
 		vst, err := ftbfs.LoadVertexStructure(g, bytes.NewReader(data))
 		if err != nil {
 			return nil, err

@@ -392,7 +392,7 @@ func TestVertexKeyRoundTripsThroughFilename(t *testing.T) {
 	if !ok || got != k {
 		t.Fatalf("keyFromStructFile(%s) = %v, %v; want %v", s.structPath(k), got, ok, k)
 	}
-	if got.Model != ModelVertex {
+	if got.Model != core.ModelVertex {
 		t.Fatalf("round-tripped key lost its model: %v", got)
 	}
 }

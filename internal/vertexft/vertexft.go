@@ -8,7 +8,9 @@
 // (Parter, DISC'14 [16]; Parter–Peleg ESA'13 handles both). The
 // construction mirrors the edge baseline: the BFS tree plus the last edge
 // of a replacement path for every pair ⟨v, w⟩ with w on π(s,v), justified
-// by the vertex analogue of Observation 2.2.
+// by the vertex analogue of Observation 2.2. This package only builds:
+// core.Verify checks the contract, under core.ModelVertex, with the same
+// loop that checks the edge model.
 package vertexft
 
 import (
@@ -186,50 +188,3 @@ func BuildWith(g *graph.Graph, s int, ws *Workspace) (*Structure, error) {
 
 // Size returns |E(H)|.
 func (st *Structure) Size() int { return st.Edges.Len() }
-
-// Violation is a breach of the vertex FT-BFS contract.
-type Violation struct {
-	Failed int32 // failed vertex w
-	Vertex int32
-	InH    int32
-	InG    int32
-}
-
-// String implements fmt.Stringer.
-func (v Violation) String() string {
-	return fmt.Sprintf("vertex %d failed, vertex %d: dist in H\\w = %d > dist in G\\w = %d",
-		v.Failed, v.Vertex, v.InH, v.InG)
-}
-
-// Verify exhaustively checks the contract over all single vertex failures;
-// limit caps the number of reported violations (0 = unlimited).
-func Verify(st *Structure, limit int) []Violation {
-	g := st.G
-	scG := bfs.NewScratch(g.N())
-	scH := bfs.NewScratch(g.N())
-	distG := make([]int32, g.N())
-	distH := make([]int32, g.N())
-	banned := graph.NewVertexSet(g.N())
-	var out []Violation
-	for w := 0; w < g.N(); w++ {
-		if w == st.S {
-			continue
-		}
-		banned.Clear()
-		banned.Add(int32(w))
-		scG.DistancesAvoiding(g, st.S, bfs.Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}, distG)
-		scH.DistancesAvoiding(g, st.S, bfs.Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned, AllowedEdges: st.Edges}, distH)
-		for v := int32(0); v < int32(g.N()); v++ {
-			if v == int32(w) || distG[v] == bfs.Unreachable {
-				continue
-			}
-			if distH[v] == bfs.Unreachable || distH[v] > distG[v] {
-				out = append(out, Violation{Failed: int32(w), Vertex: v, InH: distH[v], InG: distG[v]})
-				if limit > 0 && len(out) >= limit {
-					return out
-				}
-			}
-		}
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftbfs/internal/bfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/tree"
@@ -25,13 +26,19 @@ func families() map[string]*graph.Graph {
 	}
 }
 
+// verify checks the vertex contract with the verifier both failure models
+// share.
+func verify(st *Structure, limit int) []core.Violation {
+	return core.Verify(st.G, st.S, st.Edges, nil, core.ModelVertex, limit)
+}
+
 func TestBuildValidAcrossFamilies(t *testing.T) {
 	for name, g := range families() {
 		st, err := Build(g, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if viol := Verify(st, 3); len(viol) != 0 {
+		if viol := verify(st, 3); len(viol) != 0 {
 			t.Fatalf("%s: contract violated: %v", name, viol)
 		}
 		if st.Size() > g.M() {
@@ -60,7 +67,7 @@ func TestDifferentSources(t *testing.T) {
 		if err != nil {
 			t.Fatalf("source %d: %v", s, err)
 		}
-		if viol := Verify(st, 1); len(viol) != 0 {
+		if viol := verify(st, 1); len(viol) != 0 {
 			t.Fatalf("source %d: %v", s, viol)
 		}
 	}
@@ -124,7 +131,7 @@ func TestVerifyCatchesBroken(t *testing.T) {
 		trial := full.Clone()
 		trial.Remove(id)
 		broken := &Structure{G: g, S: 0, Edges: trial}
-		if len(Verify(broken, 1)) > 0 {
+		if len(verify(broken, 1)) > 0 {
 			removed = true
 		}
 	})
@@ -133,10 +140,19 @@ func TestVerifyCatchesBroken(t *testing.T) {
 	}
 }
 
+// A vertex-model violation names the failed vertex: on a 6-cycle from 0,
+// the bare BFS tree loses vertex 2 when vertex 1 fails (G still reaches it
+// the other way round, at distance 4).
 func TestViolationString(t *testing.T) {
-	v := Violation{Failed: 3, Vertex: 7, InH: -1, InG: 4}
-	if v.String() == "" {
-		t.Fatal("empty violation string")
+	g := gen.Cycle(6)
+	tree := bfs.From(g, 0).EdgeSet(g.M())
+	viol := verify(&Structure{G: g, S: 0, Edges: tree}, 1)
+	if len(viol) != 1 {
+		t.Fatalf("violations %v, want one", viol)
+	}
+	want := "vertex 1 failed, vertex 2: dist in H\\w = -1 > dist in G\\w = 4"
+	if got := viol[0].String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -239,7 +255,7 @@ func TestNoRedundantReplacementEdges(t *testing.T) {
 			if st.Size() < naive.Len() {
 				shrank = true
 			}
-			if viol := Verify(st, 1); len(viol) != 0 {
+			if viol := verify(st, 1); len(viol) != 0 {
 				t.Fatalf("seed %d: contract violated after sparsity fix: %v", seed, viol)
 			}
 		}

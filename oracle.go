@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"ftbfs/internal/bfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/graph"
 )
 
@@ -79,7 +80,7 @@ func targetError(v, n int) error {
 // inG, where the Baseline forms measure G itself — must not be reinforced
 // (reinforced edges cannot fail by contract).
 func (o *Oracle) edgeFailure(u, v int, inG bool) (failure, error) {
-	if o.st.model != edgeModel {
+	if o.st.model != core.ModelEdge {
 		return noFailure, fmt.Errorf("ftbfs: a vertex-failure structure cannot fail edge {%d,%d}", u, v)
 	}
 	id := o.st.g.EdgeIDOf(u, v)
@@ -97,7 +98,7 @@ func (o *Oracle) edgeFailure(u, v int, inG bool) (failure, error) {
 // (the source cannot fail by contract — there is no meaningful dist(s, ·)
 // without s).
 func (o *Oracle) vertexFailure(w int) (failure, error) {
-	if o.st.model != vertexModel {
+	if o.st.model != core.ModelVertex {
 		return noFailure, fmt.Errorf("ftbfs: an edge-failure structure cannot fail vertex %d", w)
 	}
 	if n := o.st.g.N(); w < 0 || w >= n {

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"ftbfs/internal/core"
+	"ftbfs/internal/graph"
 )
 
 // TestReadRecordKeepsNoDoubledBuffer pins the buffer readRecord returns to
@@ -43,5 +47,38 @@ func TestReadRecordKeepsNoDoubledBuffer(t *testing.T) {
 		data, err := readRecord(f)
 		f.Close()
 		check("file", size, data, err)
+	}
+}
+
+// TestVerifyRefusesLoadedRecordWithEmptyT0 saves and loads a structure that
+// breaks the contract: G is the 4-cycle 0-1-2-3-0 with source 0, H is the
+// path {0,1}, {1,2}, {2,3}, nothing is reinforced, and the record's T0
+// section is empty. The loader never reads T0 against G, so the record
+// loads; Verify must still refuse it, because failing {0,1} strands vertex
+// 1 in H while G\{0,1} reaches it at distance 3.
+func TestVerifyRefusesLoadedRecordWithEmptyT0(t *testing.T) {
+	g := NewGraph(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	g.Freeze()
+	h := graph.NewEdgeSet(g.M())
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+		h.Add(g.g.EdgeIDOf(e[0], e[1]))
+	}
+	none := graph.NewEdgeSet(g.M())
+	bad := newStructure(&core.Structure{G: g.g, S: 0, Edges: h, Reinforced: none, TreeEdges: none})
+	bad.st.Stats.Algorithm = core.Epsilon.String()
+	var rec bytes.Buffer
+	if err := bad.SaveSlab(&rec); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadStructure(g, &rec)
+	if err != nil {
+		t.Fatalf("LoadStructure: %v", err)
+	}
+	err = st.Verify()
+	if want := `edge 0, vertex 1: dist in H\e = -1 > dist in G\e = 3`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Verify() = %v, want a violation %q", err, want)
 	}
 }

@@ -1,10 +1,13 @@
 package ftbfs
 
-import "ftbfs/internal/telemetry"
+import (
+	"ftbfs/internal/core"
+	"ftbfs/internal/telemetry"
+)
 
 // Process-wide query-plan path totals per failure model (indexed by
-// edgeModel and vertexModel): how many failure queries were answered O(1)
-// from the cached intact vector (hits) vs through a subtree repair search.
+// core.Model): how many failure queries were answered O(1) from the cached
+// intact vector (hits) vs through a subtree repair search.
 // Oracles count in plain per-oracle fields — the plan query path is ~30 ns
 // and must not pay an atomic op — and the pool folds those into these totals
 // when an oracle is checked back in, i.e. once per served request rather
@@ -32,6 +35,6 @@ func (o *Oracle) flushPlanCounts() {
 // vs through a repair run. Serving layers register these as telemetry
 // counter funcs; the numbers cover every pooled oracle in the process.
 func PlanQueryCounts() (edgeHits, edgeRepairs, vertexHits, vertexRepairs uint64) {
-	return planHits[edgeModel].Value(), planRepairs[edgeModel].Value(),
-		planHits[vertexModel].Value(), planRepairs[vertexModel].Value()
+	return planHits[core.ModelEdge].Value(), planRepairs[core.ModelEdge].Value(),
+		planHits[core.ModelVertex].Value(), planRepairs[core.ModelVertex].Value()
 }

@@ -2,6 +2,7 @@ package ftbfs
 
 import (
 	"ftbfs/internal/bfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/tree"
 )
@@ -44,9 +45,9 @@ type VertexQueryPlan = QueryPlan
 
 // newPlan assembles the plan of H (adjacency h) from its canonical BFS tree
 // bt. Only the edge model indexes tree edges by EdgeID.
-func newPlan(g *graph.Graph, h *graph.CSR, intact []int32, bt *bfs.Tree, model int) *QueryPlan {
+func newPlan(g *graph.Graph, h *graph.CSR, intact []int32, bt *bfs.Tree, model core.Model) *QueryPlan {
 	p := &QueryPlan{h: h, intact: intact, t: tree.BuildAncestry(g.N(), bt)}
-	if model == edgeModel {
+	if model == core.ModelEdge {
 		p.edgeChild = make([]int32, g.M())
 		for id := range p.edgeChild {
 			p.edgeChild[id] = -1

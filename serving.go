@@ -1,17 +1,12 @@
 package ftbfs
 
 import (
+	"fmt"
 	"sync"
 
 	"ftbfs/internal/bfs"
+	"ftbfs/internal/core"
 	"ftbfs/internal/graph"
-)
-
-// Failure models: which kind of single failure a structure tolerates. They
-// index the per-model plan-path totals (planstats.go).
-const (
-	edgeModel = iota
-	vertexModel
 )
 
 // serving is the query core that Structure and VertexStructure embed: H over
@@ -26,7 +21,7 @@ type serving struct {
 	src        int
 	h          *graph.EdgeSet // E(H)
 	reinforced *graph.EdgeSet // edges that cannot fail; nil in the vertex model
-	model      int            // edgeModel or vertexModel
+	model      core.Model     // failure model; indexes the plan-path totals (planstats.go)
 
 	intactOnce sync.Once
 	intactDist []int32 // cached dist(s, ·) in the intact H; see intactDistances
@@ -104,4 +99,19 @@ func (s *serving) OraclePool() *OraclePool {
 		s.pool.p.New = func() any { return s.Oracle() }
 	})
 	return s.pool
+}
+
+// Verify exhaustively checks the structure's contract: after any one
+// failure of its model — a non-reinforced edge of an edge structure, a
+// vertex other than the source of a vertex structure — every vertex is as
+// close to the source in H as in G. It returns an error naming the first
+// violations, or nil. The failures to check are picked from G and H alone
+// (core.Verify), so a loaded record is checked as strictly as a fresh
+// build. It runs up to two BFS passes per failure and is intended for
+// validation, not hot paths.
+func (s *serving) Verify() error {
+	if viol := core.Verify(s.g, s.src, s.h, s.reinforced, s.model, 5); len(viol) > 0 {
+		return fmt.Errorf("ftbfs: FT-BFS contract violated: %v", viol)
+	}
+	return nil
 }

@@ -24,7 +24,7 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 		return fmt.Errorf("ftbfs: slab save: %w", err)
 	}
 	return s.saveSlab(w, &core.SlabRecord{
-		Model:      core.SlabEdge,
+		Model:      core.ModelEdge,
 		Eps:        s.st.Eps,
 		Alg:        alg,
 		Reinforced: s.st.Reinforced,
@@ -36,7 +36,7 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 // vertex model stores no ε/algorithm/reinforcement dimension. See
 // Structure.SaveSlab.
 func (s *VertexStructure) SaveSlab(w io.Writer) error {
-	return s.saveSlab(w, &core.SlabRecord{Model: core.SlabVertex, Pairs: s.st.Pairs})
+	return s.saveSlab(w, &core.SlabRecord{Model: core.ModelVertex, Pairs: s.st.Pairs})
 }
 
 // saveSlab completes rec, which carries the model's own fields, with the
@@ -58,14 +58,15 @@ func (s *serving) saveSlab(w io.Writer, rec *core.SlabRecord) error {
 // LoadStructure reads a structure record written by SaveSlab, re-binding it
 // against its base graph; the graph is frozen by this call. The record
 // carries its serving arrays ready-built and is cross-validated without any
-// search, so loading is I/O-bound (use Verify for the full contract). Any
-// input that is not a slab record is refused.
+// search, so loading is I/O-bound. Use Verify for the full contract: it
+// picks the failures to check from G and H, never from the record's own
+// T0 section. Any input that is not a slab record is refused.
 func LoadStructure(g *Graph, r io.Reader) (*Structure, error) {
 	rec, err := loadSlab(g, r)
 	if err != nil {
 		return nil, err
 	}
-	if rec.Model != core.SlabEdge {
+	if rec.Model != core.ModelEdge {
 		return nil, fmt.Errorf("ftbfs: record is a vertex structure (load it with LoadVertexStructure)")
 	}
 	cs := &core.Structure{
@@ -91,7 +92,7 @@ func LoadVertexStructure(g *Graph, r io.Reader) (*VertexStructure, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rec.Model != core.SlabVertex {
+	if rec.Model != core.ModelVertex {
 		return nil, fmt.Errorf("ftbfs: record is an edge structure (load it with LoadStructure)")
 	}
 	s := newVertexStructure(&vertexft.Structure{G: g.g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs})

@@ -1,9 +1,9 @@
 package ftbfs
 
 import (
-	"fmt"
 	"sync"
 
+	"ftbfs/internal/core"
 	"ftbfs/internal/vertexft"
 )
 
@@ -12,8 +12,8 @@ import (
 // vertex v and every failed vertex w ≠ s — the companion problem of the
 // paper's edge-failure construction (Parter DISC'14; Parter–Peleg ESA'13).
 // It embeds the serving core Structure embeds — Source, Size, Contains,
-// Edges, Dist, Plan, Oracle and OraclePool are one code path for both
-// models — and its oracles answer vertex failures. Like Structure, it is
+// Edges, Dist, Plan, Oracle, OraclePool and Verify are one code path for
+// both models — and its oracles answer vertex failures. Like Structure, it is
 // immutable once built: the read-only query methods are safe for
 // concurrent use, and OraclePool serves concurrent vertex-failure queries.
 type VertexStructure struct {
@@ -23,7 +23,7 @@ type VertexStructure struct {
 
 // newVertexStructure wraps a built vertex structure in its serving core.
 func newVertexStructure(st *vertexft.Structure) *VertexStructure {
-	return &VertexStructure{serving: serving{g: st.G, src: st.S, h: st.Edges, model: vertexModel}, st: st}
+	return &VertexStructure{serving: serving{g: st.G, src: st.S, h: st.Edges, model: core.ModelVertex}, st: st}
 }
 
 // vertexWorkspaces recycles vertexft build workspaces across BuildVertex
@@ -52,13 +52,3 @@ func BuildVertex(g *Graph, source int) (*VertexStructure, error) {
 // Pairs returns the number of ⟨v, w⟩ pairs that purchased a replacement
 // last edge during the build (equivalently |H| − |T0|).
 func (s *VertexStructure) Pairs() int { return s.st.Pairs }
-
-// Verify exhaustively checks the vertex FT-BFS contract over every single
-// vertex failure; it runs O(n) BFS passes and is intended for validation,
-// not hot paths.
-func (s *VertexStructure) Verify() error {
-	if viol := vertexft.Verify(s.st, 5); len(viol) > 0 {
-		return fmt.Errorf("ftbfs: vertex FT-BFS contract violated: %v", viol)
-	}
-	return nil
-}

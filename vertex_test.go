@@ -314,3 +314,40 @@ func TestVertexStructureLoadRejectsEdgeRecord(t *testing.T) {
 		t.Fatal("vertex record loaded as an edge structure")
 	}
 }
+
+func TestBuildVertexFT(t *testing.T) {
+	g := ringWithChords(18)
+	vs, err := ftbfs.BuildVertex(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vs.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if vs.Size() < g.N()-1 || vs.Size() > g.M() {
+		t.Fatalf("size %d outside [n-1, m]", vs.Size())
+	}
+	found := false
+	for u := 0; u < g.N() && !found; u++ {
+		for v := u + 1; v < g.N(); v++ {
+			if vs.Contains(u, v) {
+				found = true
+				break
+			}
+		}
+	}
+	if !found {
+		t.Fatal("structure contains no edges?")
+	}
+	if vs.Contains(0, 0) {
+		t.Fatal("self-loop reported present")
+	}
+}
+
+func TestVertexFTErrorPropagation(t *testing.T) {
+	g := ftbfs.NewGraph(3)
+	g.MustAddEdge(0, 1)
+	if _, err := ftbfs.BuildVertex(g, 9); err == nil {
+		t.Fatal("bad source accepted")
+	}
+}
