@@ -1025,8 +1025,8 @@ func BenchmarkE11VertexFT(b *testing.B) {
 // workspace per call (vertexft.Build) against BuildWith recycling one
 // workspace across calls — what ftbfs.BuildVertex does via its workspace
 // pool, so the store's build-through and serve pre-builds take the recycled
-// path. The workspace removes the per-call BFS scratch, distance vector,
-// banned-vertex set and children-CSR allocations.
+// path. The workspace removes the per-call repair scratch, distance vector,
+// subtree buffer and children-CSR allocations.
 func BenchmarkVertexBuild(b *testing.B) {
 	g := gen.RandomConnected(300, 900, 7)
 	b.Run("fresh", func(b *testing.B) {
@@ -1150,24 +1150,6 @@ func BenchmarkVertexQuery(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkParallelReinforcementSweep(b *testing.B) {
-	lb := gen.LowerBoundParams(4, 5, 30)
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		name := "serial"
-		if workers > 1 {
-			name = "workers4"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Build(lb.G, lb.S, 0.25, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkWireServe measures the binary-protocol serving hot path end to

@@ -8,13 +8,15 @@
 //
 // The orchestrator instead groups the requests by source and dispatches the
 // groups to a worker pool. Each worker owns one replacement.Engine — recycled
-// between sources via Engine.Reset, so the per-failure BFS scratch is
-// allocated once per worker, not once per request — and one core.Workspace
-// that keeps the Phase S2 hot path allocation-free. Within a source group the
-// canonical trees and the memoised Phase S0 pairs are computed once and
-// shared by every ε, and core.BuildGroup runs a single reinforcement sweep
-// for the whole group. Every structure produced is identical (the same ε,
-// algorithm and edge sets) to the one a sequential core.Build would return.
+// between sources via Engine.Reset, so the engine's CSR of G and its search
+// and repair scratch are allocated once per worker, not once per request —
+// and one core.Workspace that keeps the Phase S2 hot path allocation-free.
+// Within a source group the canonical trees and the memoised Phase S0 pairs
+// are computed once and shared by every ε, and core.BuildGroup runs a single
+// reinforcement sweep for the whole group: one repair of each failed
+// subtree, O(Σ_v depth(v)·deg(v)) over all tree edges. Every structure
+// produced is identical (the same ε, algorithm and edge sets) to the one a
+// sequential core.Build would return.
 package batch
 
 import (
@@ -30,8 +32,8 @@ import (
 )
 
 // Request names one structure to build: a source, a tradeoff parameter and
-// the per-build options (algorithm, ablations). Opt.Workers and Opt.Workspace
-// are managed by the orchestrator and ignored if set.
+// the per-build options (algorithm, ablations). Opt.Workspace is managed by
+// the orchestrator and ignored if set.
 type Request struct {
 	Source int
 	Eps    float64
@@ -117,7 +119,6 @@ func Build(g *graph.Graph, reqs []Request, opt Options) ([]*core.Structure, erro
 				items := make([]core.GroupItem, len(idxs))
 				for k, ri := range idxs {
 					o := reqs[ri].Opt
-					o.Workers = 0
 					o.Workspace = ws
 					items[k] = core.GroupItem{Eps: reqs[ri].Eps, Opt: o}
 				}

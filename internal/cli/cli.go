@@ -72,7 +72,7 @@ func usage(w io.Writer) {
   gen      -family gnp|gnm|grid|cycle|hypercube|random|cliquechain|lowerbound
            -n N [-p P] [-m M] [-eps E] [-seed S] [-o FILE]
   build    -in FILE -source S -eps E [-alg auto|tree|baseline|epsilon|greedy]
-           [-workers W] [-save FILE] [-dot FILE] [-verify]
+           [-save FILE] [-dot FILE] [-verify]
   sweep    -in FILE -source S [-grid "0,0.25,0.5,1"] [-B 1] [-R 10] [-csv]
   verify   -in FILE -source S (-eps E | -structure FILE)
   vertexft -in FILE -source S [-verify] [-save FILE]
@@ -188,7 +188,6 @@ func cmdBuild(args []string, stdout io.Writer) error {
 	source := fs.Int("source", 0, "BFS source")
 	eps := fs.Float64("eps", 0.25, "tradeoff parameter ε")
 	algName := fs.String("alg", "auto", "algorithm: auto|tree|baseline|epsilon|greedy")
-	workers := fs.Int("workers", 0, "parallel reinforcement sweep (0 = sequential, -1 = all cores)")
 	save := fs.String("save", "", "write the structure to file (slab record)")
 	dot := fs.String("dot", "", "write Graphviz rendering to file")
 	verify := fs.Bool("verify", false, "exhaustively verify the contract (slow)")
@@ -204,8 +203,7 @@ func cmdBuild(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, err := ftbfs.Build(g, *source, *eps, ftbfs.WithAlgorithm(alg),
-		ftbfs.BuildOption(func(o *core.Options) { o.Workers = *workers }))
+	st, err := ftbfs.Build(g, *source, *eps, ftbfs.WithAlgorithm(alg))
 	if err != nil {
 		return err
 	}

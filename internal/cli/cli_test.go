@@ -65,7 +65,7 @@ func TestBuildVerifySaveRoundTrip(t *testing.T) {
 	g := genFile(t, "-family", "gnp", "-n", "60", "-p", "0.1", "-seed", "3")
 	saved := filepath.Join(t.TempDir(), "st.txt")
 	dot := filepath.Join(t.TempDir(), "g.dot")
-	out, errS, code := run(t, "build", "-in", g, "-eps", "0.25", "-save", saved, "-dot", dot, "-verify", "-workers", "2")
+	out, errS, code := run(t, "build", "-in", g, "-eps", "0.25", "-save", saved, "-dot", dot, "-verify")
 	if code != 0 {
 		t.Fatalf("build failed: %s", errS)
 	}

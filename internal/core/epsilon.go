@@ -26,7 +26,6 @@ func Build(g *graph.Graph, s int, eps float64, opt Options) (*Structure, error) 
 // pairs) across many builds on the same source. The result is identical to
 // Build(en.G, en.S, eps, opt).
 func BuildWithEngine(en *replacement.Engine, eps float64, opt Options) (*Structure, error) {
-	en.SetWorkers(opt.Workers)
 	h, stats, err := buildEdges(en, eps, opt, &sharedS0{})
 	if err != nil {
 		return nil, err
@@ -37,9 +36,9 @@ func BuildWithEngine(en *replacement.Engine, eps float64, opt Options) (*Structu
 }
 
 // sharedS0 caches the ε-independent products of Phase S0 across the builds
-// of a same-source group: the pair interference index (with its memoised
-// π-intersection cache) and the I1/I2 interference split. A fresh value is
-// used per Build; BuildGroup shares one across all its items.
+// of a same-source group: the pair interference index and the I1/I2
+// interference split. A fresh value is used per Build; BuildGroup shares
+// one across all its items.
 type sharedS0 struct {
 	ix     *pairIndex
 	i1, i2 []int32
@@ -161,24 +160,14 @@ func epsilonEdges(en *replacement.Engine, eps float64, opt Options, sh *sharedS0
 }
 
 // newStructure assembles a Structure from the chosen edge set, reinforcing
-// exactly the last-unprotected tree edges (valid by Observation 2.2). The
-// reinforcement sweep honours the engine's worker preference.
+// exactly the last-unprotected tree edges (valid by Observation 2.2).
 func newStructure(en *replacement.Engine, eps float64, h *graph.EdgeSet) *Structure {
-	var unprotected *graph.EdgeSet
-	switch w := en.Workers(); {
-	case w == 0 || w == 1:
-		unprotected = LastUnprotected(en, h)
-	case w < 0:
-		unprotected = LastUnprotectedParallel(en, h, 0)
-	default:
-		unprotected = LastUnprotectedParallel(en, h, w)
-	}
 	return &Structure{
 		G:          en.G,
 		S:          en.S,
 		Eps:        eps,
 		Edges:      h,
-		Reinforced: unprotected,
+		Reinforced: LastUnprotected(en, h),
 		TreeEdges:  en.TreeEdges.Clone(),
 	}
 }

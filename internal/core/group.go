@@ -28,12 +28,9 @@ func (e *ItemError) Unwrap() error { return e.Err }
 // sharing everything that does not depend on ε: the canonical trees carried
 // by the engine, the memoised Phase S0 replacement-path pairs, and — the big
 // win — a single LastUnprotectedMulti reinforcement sweep covering every
-// item instead of one O(n·m) sweep per item. Each returned structure is
-// identical (the same ε, algorithm and E(H), E′ and T0 edge sets) to the
-// one Build would produce for the same (G, S, eps, options).
-//
-// Per-item Workers options are ignored: the reinforcement sweep is shared
-// across the group, and batch callers parallelise across sources instead.
+// item instead of one sweep per item. Each returned structure is identical
+// (the same ε, algorithm and E(H), E′ and T0 edge sets) to the one Build
+// would produce for the same (G, S, eps, options).
 func BuildGroup(en *replacement.Engine, items []GroupItem) ([]*Structure, error) {
 	hs := make([]*graph.EdgeSet, len(items))
 	stats := make([]BuildStats, len(items))

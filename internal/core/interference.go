@@ -19,12 +19,11 @@ type pairIndex struct {
 	byVertex [][]int32 // vertex → indices of pairs whose detour interior contains it
 	byV      [][]int32 // terminal v → indices of its pairs
 
-	inSet   []int32 // iteration-stamped membership marks for classify
-	isA     []int32 // stamped type-A marks for classify's second pass
-	interf  []int32 // stamped has-interference marks for classify
-	seenT   []int32 // stamped per-terminal dedup marks, indexed by vertex
-	stamp   int32
-	piCache map[int64]bool // memoised π-intersection queries (pair, terminal)
+	inSet  []int32 // iteration-stamped membership marks for classify
+	isA    []int32 // stamped type-A marks for classify's second pass
+	interf []int32 // stamped has-interference marks for classify
+	seenT  []int32 // stamped per-terminal dedup marks, indexed by vertex
+	stamp  int32
 
 	ws *Workspace // scratch for the Phase S2 hot path; lazily created
 }
@@ -51,7 +50,6 @@ func buildPairIndex(en *replacement.Engine, pairs []*replacement.Pair) *pairInde
 		isA:      make([]int32, len(pairs)),
 		interf:   make([]int32, len(pairs)),
 		seenT:    make([]int32, n),
-		piCache:  make(map[int64]bool),
 	}
 	for i, p := range pairs {
 		if len(p.Detour) > 2 {
@@ -71,22 +69,21 @@ func (ix *pairIndex) related(i, j int32) bool {
 }
 
 // piIntersects reports whether the detour of pair i intersects
-// π(LCA(v_i,t), t) \ {LCA} — equivalently (see Phase S1 notes in DESIGN.md)
-// whether some interior detour vertex is an ancestor of t.
+// π(LCA(v_i,t), t) \ {LCA}, which holds exactly when some interior detour
+// vertex is an ancestor of t (an O(1) IsAncestor test each). An ancestor z
+// of t lies either on π(s, LCA), and so on π(s, v_i), which the detour
+// interior avoids (Observation 3.2), or strictly below the LCA, on the
+// path in question. The detour's endpoints never count: Div is on
+// π(s, v_i), so if it were strictly below the LCA it would be a deeper
+// common ancestor of v_i and t; and v_i below the LCA on π(s, t) would
+// make v_i itself the LCA.
 func (ix *pairIndex) piIntersects(i int32, t int32) bool {
-	key := int64(i)<<32 | int64(t)
-	if v, ok := ix.piCache[key]; ok {
-		return v
-	}
-	res := false
 	for _, z := range ix.internal[i] {
 		if ix.en.T.IsAncestor(z, t) {
-			res = true
-			break
+			return true
 		}
 	}
-	ix.piCache[key] = res
-	return res
+	return false
 }
 
 // splitI1I2 partitions all pairs into I1 (pairs with at least one

@@ -73,11 +73,6 @@ type Options struct {
 	SkipPhase1 bool
 	SkipPhase2 bool
 
-	// Workers parallelises the final reinforcement sweep (the dominant
-	// O(n·m) pass): 0/1 = sequential, negative = GOMAXPROCS, otherwise the
-	// given worker count. The result is identical either way.
-	Workers int
-
 	// Workspace, when non-nil, supplies the scratch buffers of the Epsilon
 	// hot paths so repeated builds recycle them instead of reallocating
 	// (see NewWorkspace). Builds sharing a workspace must not run

@@ -17,10 +17,8 @@ import (
 // T0 ⊆ H intact and dist(s,v,G\{e}) ≥ dist(s,v,G).
 func LastUnprotected(en *replacement.Engine, H *graph.EdgeSet) *graph.EdgeSet {
 	out := graph.NewEdgeSet(en.G.M())
-	var subtree []int32
-	en.ForEachFailure(func(e graph.EdgeID, child int32, distE []int32) {
-		subtree = en.SubtreeOf(child, subtree[:0])
-		for _, v := range subtree {
+	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
+		for _, v := range sub {
 			if !lastProtectedFor(en, H, v, e, distE) {
 				out.Add(e)
 				break
@@ -31,21 +29,20 @@ func LastUnprotected(en *replacement.Engine, H *graph.EdgeSet) *graph.EdgeSet {
 }
 
 // LastUnprotectedMulti computes LastUnprotected for several candidate
-// structures in ONE failure sweep: the per-failure restricted BFS — the
-// dominant O(n·m) cost — is shared, and only the O(deg(v)) protection probes
-// run once per structure. This is the batch orchestrator's reinforcement
-// path: all ε values of one source are swept together. Each returned set is
-// identical to LastUnprotected(en, hs[i]).
+// structures in ONE failure sweep: the per-failure subtree repair —
+// O(Σ_{v ∈ sub} deg(v)) for a failed edge above the subtree sub — is
+// shared, and only the O(deg(v)) protection probes run once per structure.
+// This is the batch orchestrator's reinforcement path: all ε values of one
+// source are swept together. Each returned set is identical to
+// LastUnprotected(en, hs[i]).
 func LastUnprotectedMulti(en *replacement.Engine, hs []*graph.EdgeSet) []*graph.EdgeSet {
 	outs := make([]*graph.EdgeSet, len(hs))
 	for i := range outs {
 		outs[i] = graph.NewEdgeSet(en.G.M())
 	}
-	var subtree []int32
-	en.ForEachFailure(func(e graph.EdgeID, child int32, distE []int32) {
-		subtree = en.SubtreeOf(child, subtree[:0])
+	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
 		for i, h := range hs {
-			for _, v := range subtree {
+			for _, v := range sub {
 				if !lastProtectedFor(en, h, v, e, distE) {
 					outs[i].Add(e)
 					break
@@ -71,28 +68,4 @@ func lastProtectedFor(en *replacement.Engine, H *graph.EdgeSet, v int32, e graph
 		}
 	}
 	return false
-}
-
-// UnprotectedReport lists, for diagnostics, each last-unprotected tree edge
-// together with one witness terminal whose replacement paths' last edges
-// are all missing from H.
-type UnprotectedReport struct {
-	Edge    graph.EdgeID
-	Witness int32
-}
-
-// LastUnprotectedReport is LastUnprotected with witnesses.
-func LastUnprotectedReport(en *replacement.Engine, H *graph.EdgeSet) []UnprotectedReport {
-	var out []UnprotectedReport
-	var subtree []int32
-	en.ForEachFailure(func(e graph.EdgeID, child int32, distE []int32) {
-		subtree = en.SubtreeOf(child, subtree[:0])
-		for _, v := range subtree {
-			if !lastProtectedFor(en, H, v, e, distE) {
-				out = append(out, UnprotectedReport{Edge: e, Witness: v})
-				break
-			}
-		}
-	})
-	return out
 }

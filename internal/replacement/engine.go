@@ -50,62 +50,75 @@ type Engine struct {
 
 	TreeEdges *graph.EdgeSet // edges of T0
 
-	sc      *bfs.Scratch
-	distE   []int32 // dist(s, ·, G\{e}) for the failure being processed
-	banned  *graph.VertexSet
-	workers int // preferred parallelism for failure sweeps (0/1 = serial)
+	sc     *bfs.Scratch     // Pcons's restricted searches
+	banned *graph.VertexSet // Pcons's removed path interiors
+
+	// The failure sweep repairs each failed subtree over the engine's own
+	// CSR of G (not the graph's cached view, which would outlive the
+	// engine on every graph a structure keeps). distE holds the intact
+	// distances, with the repaired ones of the subtree sub while fn runs.
+	csr    *graph.CSR
+	repair *bfs.Repair
+	distE  []int32
+	sub    []int32
 
 	pairs      []*Pair // memoised AllPairs result; valid while pairsReady
 	pairsReady bool
 }
-
-// SetWorkers records the preferred parallelism for failure sweeps run on
-// behalf of this engine: 0 or 1 mean sequential, negative means
-// GOMAXPROCS, positive sets an explicit worker count.
-func (en *Engine) SetWorkers(w int) { en.workers = w }
-
-// Workers returns the preference recorded by SetWorkers.
-func (en *Engine) Workers() int { return en.workers }
 
 // NewEngine builds the engine for (g, s). g must be frozen.
 func NewEngine(g *graph.Graph, s int) *Engine {
 	en := &Engine{
 		G:      g,
 		sc:     bfs.NewScratch(g.N()),
-		distE:  make([]int32, g.N()),
 		banned: graph.NewVertexSet(g.N()),
+		csr:    g.SubgraphCSR(nil),
+		repair: bfs.NewRepair(g.N()),
+		distE:  make([]int32, g.N()),
 	}
 	en.Reset(s)
 	return en
 }
 
 // Reset rebinds the engine to a new source on the same graph, recomputing the
-// canonical trees but recycling every scratch allocation (BFS scratch,
-// distance array, banned-vertex set). The worker preference is preserved; the
-// AllPairs memo is invalidated. Batch builders use this to amortise the
-// scratch across one worker's whole stream of sources.
+// canonical trees but recycling the CSR of G and every scratch allocation
+// (BFS scratch, repair scratch, distance array, banned-vertex set). The
+// AllPairs memo is invalidated. Batch builders use this to amortise the scratch across one
+// worker's whole stream of sources.
 func (en *Engine) Reset(s int) {
 	bt := bfs.From(en.G, s)
 	en.S = s
 	en.BT = bt
 	en.T = tree.Build(en.G, bt)
 	en.TreeEdges = bt.EdgeSet(en.G.M())
+	copy(en.distE, bt.Dist)
 	en.pairs = nil
 	en.pairsReady = false
 }
 
 // ForEachFailure iterates over every tree edge e (every failure that can
-// change distances), computing dist(s, ·, G\{e}) once per edge and invoking
-// fn(e, child endpoint, distances). The distance slice is reused between
-// calls: fn must not retain it.
-func (en *Engine) ForEachFailure(fn func(e graph.EdgeID, child int32, distE []int32)) {
+// change distances), in increasing order of its child endpoint, invoking
+// fn(e, child endpoint, sub, distE): sub is the subtree of the child (the
+// terminals whose tree path uses e, in SubtreeOf order) and distE holds
+// dist(s, ·, G\{e}). Failing e changes distances only inside sub, so each
+// call repairs just that subtree (bfs.Repair): O(Σ_{v ∈ sub} deg(v)) per
+// edge instead of a search of all of G. Both slices are reused between
+// calls: fn must not retain or modify them.
+func (en *Engine) ForEachFailure(fn func(e graph.EdgeID, child int32, sub, distE []int32)) {
 	for v := 0; v < en.G.N(); v++ {
 		id := en.BT.ParentEdge[v]
 		if id == graph.NoEdge {
 			continue
 		}
-		en.sc.DistancesAvoiding(en.G, en.S, bfs.Restriction{BannedEdge: id}, en.distE)
-		fn(id, int32(v), en.distE)
+		en.sub = en.SubtreeOf(int32(v), en.sub[:0])
+		en.repair.Run(en.csr, en.BT.Dist, en.sub, id, -1)
+		for _, w := range en.sub {
+			en.distE[w] = en.repair.Dist(w)
+		}
+		fn(id, int32(v), en.sub, en.distE)
+		for _, w := range en.sub {
+			en.distE[w] = en.BT.Dist[w]
+		}
 	}
 }
 
@@ -158,10 +171,8 @@ func (en *Engine) AllPairs() []*Pair {
 
 func (en *Engine) computeAllPairs() []*Pair {
 	var out []*Pair
-	var subtree []int32
-	en.ForEachFailure(func(e graph.EdgeID, child int32, distE []int32) {
-		subtree = en.SubtreeOf(child, subtree[:0])
-		for _, v := range subtree {
+	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
+		for _, v := range sub {
 			// CoveredBy also reports vacuous pairs (v unreachable in
 			// G\{e}) as covered: there is nothing to protect.
 			if _, covered := en.CoveredBy(v, e, distE); covered {
@@ -174,13 +185,12 @@ func (en *Engine) computeAllPairs() []*Pair {
 }
 
 // UncoveredCount returns the number of uncovered pairs without materialising
-// their paths (used by experiments).
+// their paths. Only tests call it, as a cross-check of AllPairs's covered
+// and uncovered split.
 func (en *Engine) UncoveredCount() int {
 	count := 0
-	var subtree []int32
-	en.ForEachFailure(func(e graph.EdgeID, child int32, distE []int32) {
-		subtree = en.SubtreeOf(child, subtree[:0])
-		for _, v := range subtree {
+	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
+		for _, v := range sub {
 			if _, covered := en.CoveredBy(v, e, distE); !covered {
 				count++
 			}

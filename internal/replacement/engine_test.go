@@ -36,7 +36,7 @@ func TestForEachFailureDistances(t *testing.T) {
 	g := randomConnected(30, 40, 3)
 	en := NewEngine(g, 0)
 	count := 0
-	en.ForEachFailure(func(e graph.EdgeID, child int32, distE []int32) {
+	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
 		count++
 		want := bruteDistAvoiding(g, 0, e)
 		for v := range want {
@@ -119,9 +119,8 @@ func TestAllPairsProperties(t *testing.T) {
 		for _, p := range en.AllPairs() {
 			pairSet[[2]int32{p.V, int32(p.Edge)}] = p
 		}
-		en.ForEachFailure(func(e graph.EdgeID, child int32, distE []int32) {
+		en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
 			want := bruteDistAvoiding(g, 0, e)
-			sub := en.SubtreeOf(child, nil)
 			onSub := map[int32]bool{}
 			for _, v := range sub {
 				onSub[v] = true
@@ -274,7 +273,6 @@ func TestFullPathPrefixIsTreePath(t *testing.T) {
 func TestResetMatchesFreshEngine(t *testing.T) {
 	g := randomConnected(50, 80, 9)
 	en := NewEngine(g, 0)
-	en.SetWorkers(3)
 	first := en.AllPairs()
 	if len(first) == 0 {
 		t.Fatal("expected uncovered pairs on the random graph")
@@ -284,9 +282,6 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 	}
 	for _, s := range []int{7, 21, 0} {
 		en.Reset(s)
-		if en.Workers() != 3 {
-			t.Fatal("Reset dropped the worker preference")
-		}
 		fresh := NewEngine(g, s)
 		if en.S != fresh.S || en.BT.Source != fresh.BT.Source {
 			t.Fatalf("source %d not installed", s)

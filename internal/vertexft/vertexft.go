@@ -32,19 +32,19 @@ type Structure struct {
 	Pairs int
 }
 
-// Workspace holds the reusable scratch of Build: the restricted-BFS
-// scratch, the per-failure distance vector, the banned-vertex set, the
-// packed children adjacency of T0 and the descendant walk stack. Mirroring
+// Workspace holds the reusable scratch of Build: the subtree-repair
+// scratch, the per-failure distance vector, the packed children adjacency
+// of T0, the descendant walk stack and the failed subtree. Mirroring
 // core.Workspace, one workspace serves any number of builds (batch
 // pre-building every source of a graph, the store's build-through) without
 // re-allocating the O(n) state per call. A Workspace is not safe for
 // concurrent use.
 type Workspace struct {
 	n      int
-	sc     *bfs.Scratch
+	repair *bfs.Repair
 	dist   []int32
-	banned *graph.VertexSet
 	stack  []int32
+	sub    []int32
 
 	// Children of T0 in CSR form: the children of v occupy
 	// childList[childStart[v]:childStart[v+1]], filled in BFS order so the
@@ -60,13 +60,12 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // ensure sizes the workspace for graphs with n vertices.
 func (ws *Workspace) ensure(n int) {
-	if ws.n == n && ws.sc != nil {
+	if ws.n == n && ws.repair != nil {
 		return
 	}
 	ws.n = n
-	ws.sc = bfs.NewScratch(n)
+	ws.repair = bfs.NewRepair(n)
 	ws.dist = make([]int32, n)
-	ws.banned = graph.NewVertexSet(n)
 	ws.childStart = make([]int32, n+1)
 	ws.childList = make([]int32, n)
 }
@@ -114,12 +113,14 @@ func Build(g *graph.Graph, s int) (*Structure, error) {
 }
 
 // BuildWith constructs the vertex FT-BFS structure for (g, s). For every
-// non-source vertex w it runs one BFS on G\{w} and, for every descendant v
-// of w in T0 that stays reachable, ensures some edge (u,v) with
-// dist(s,u,G\{w})+1 = dist(s,v,G\{w}) is present in H — a tree edge, an
-// edge purchased for an earlier pair, or failing both the canonical
-// min-index replacement. The result is deterministic and identical to
-// Build; ws only recycles scratch buffers across calls.
+// non-source vertex w with children in T0, failing w changes distances
+// only among its strict descendants, so it repairs just that subtree
+// (bfs.Repair with w banned): O(Σ_{v below w} deg(v)) per failed vertex.
+// Then, for every descendant v that stays reachable, it ensures some edge
+// (u,v) with dist(s,u,G\{w})+1 = dist(s,v,G\{w}) is present in H — a tree
+// edge, an edge purchased for an earlier pair, or failing both the
+// canonical min-index replacement. The result is deterministic and
+// identical to Build; ws only recycles scratch buffers across calls.
 func BuildWith(g *graph.Graph, s int, ws *Workspace) (*Structure, error) {
 	if !g.Frozen() {
 		return nil, fmt.Errorf("vertexft: graph must be frozen")
@@ -133,22 +134,27 @@ func BuildWith(g *graph.Graph, s int, ws *Workspace) (*Structure, error) {
 
 	ws.ensure(g.N())
 	ws.fillChildren(bt)
-	sc, dist, banned := ws.sc, ws.dist, ws.banned
-	stack := ws.stack[:0]
+	csr := g.SubgraphCSR(nil)
+	dist := ws.dist
+	copy(dist, bt.Dist) // intact outside the subtree being repaired
+	stack, sub := ws.stack[:0], ws.sub[:0]
 	for w := 0; w < g.N(); w++ {
 		if w == s || bt.Dist[w] < 0 || len(ws.children(int32(w))) == 0 {
 			continue // failing a leaf of T0 affects nobody's tree path
 		}
-		banned.Clear()
-		banned.Add(int32(w))
-		sc.DistancesAvoiding(g, s, bfs.Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}, dist)
-		// walk the strict descendants of w
-		stack = stack[:0]
-		stack = append(stack, ws.children(int32(w))...)
+		// the strict descendants of w, in walk order
+		sub = sub[:0]
+		stack = append(stack[:0], ws.children(int32(w))...)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			stack = append(stack, ws.children(v)...)
+			stack = append(stack[:len(stack)-1], ws.children(v)...)
+			sub = append(sub, v)
+		}
+		ws.repair.Run(csr, bt.Dist, sub, graph.NoEdge, int32(w))
+		for _, v := range sub {
+			dist[v] = ws.repair.Dist(v)
+		}
+		for _, v := range sub {
 			target := dist[v]
 			if target == bfs.Unreachable {
 				continue // w disconnects v: vacuous
@@ -181,8 +187,11 @@ func BuildWith(g *graph.Graph, s int, ws *Workspace) (*Structure, error) {
 			st.Pairs++
 			h.Add(g.EdgeIDOf(int(cand), int(v)))
 		}
+		for _, v := range sub {
+			dist[v] = bt.Dist[v]
+		}
 	}
-	ws.stack = stack
+	ws.stack, ws.sub = stack, sub
 	return st, nil
 }
 

@@ -2,6 +2,7 @@ package vertexft
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ftbfs/internal/bfs"
@@ -12,17 +13,27 @@ import (
 )
 
 func families() map[string]*graph.Graph {
+	// two components: the source's (30 vertices) is a proper part of V
+	b := graph.NewBuilder(50)
+	for _, e := range gen.RandomConnected(30, 45, 8).Edges() {
+		b.Add(int(e.U), int(e.V))
+	}
+	for _, e := range gen.RandomConnected(20, 25, 9).Edges() {
+		b.Add(int(e.U)+30, int(e.V)+30)
+	}
 	return map[string]*graph.Graph{
-		"cycle":       gen.Cycle(20),
-		"grid":        gen.Grid(6, 6),
-		"torus":       gen.Torus(5, 5),
-		"hypercube":   gen.Hypercube(5),
-		"random":      gen.RandomConnected(50, 80, 1),
-		"gnp":         gen.GNPConnected(60, 0.08, 2),
-		"lowerbound":  gen.LowerBoundParams(2, 3, 5).G,
-		"cliquechain": gen.CliqueChain(15),
-		"star":        gen.Star(12),
-		"path":        gen.PathGraph(15),
+		"disconnected": b.Graph(),
+		"tree":         gen.RandomTree(45, 3),
+		"cycle":        gen.Cycle(20),
+		"grid":         gen.Grid(6, 6),
+		"torus":        gen.Torus(5, 5),
+		"hypercube":    gen.Hypercube(5),
+		"random":       gen.RandomConnected(50, 80, 1),
+		"gnp":          gen.GNPConnected(60, 0.08, 2),
+		"lowerbound":   gen.LowerBoundParams(2, 3, 5).G,
+		"cliquechain":  gen.CliqueChain(15),
+		"star":         gen.Star(12),
+		"path":         gen.PathGraph(15),
 	}
 }
 
@@ -172,66 +183,6 @@ func TestPairsCountsAddedEdges(t *testing.T) {
 	}
 }
 
-// naiveBuild replicates the pre-fix construction: the protection check
-// consults the tree edges only, so a replacement last edge added for an
-// earlier failed vertex is invisible and a second (min-index) edge is
-// bought for later pairs it would have protected. It is the sparsity
-// yardstick the fixed Build must never exceed.
-func naiveBuild(t *testing.T, g *graph.Graph, s int) *graph.EdgeSet {
-	t.Helper()
-	bt := bfs.From(g, s)
-	// tree.Build, not BuildAncestry: this walker needs the children lists,
-	// which the ancestry-only constructor deliberately skips.
-	tr := tree.Build(g, bt)
-	h := bt.EdgeSet(g.M())
-	treeEdges := bt.EdgeSet(g.M())
-	sc := bfs.NewScratch(g.N())
-	dist := make([]int32, g.N())
-	banned := graph.NewVertexSet(g.N())
-	var stack []int32
-	for w := 0; w < g.N(); w++ {
-		if w == s || tr.Depth[w] < 0 || len(tr.Children(int32(w))) == 0 {
-			continue
-		}
-		banned.Clear()
-		banned.Add(int32(w))
-		sc.DistancesAvoiding(g, s, bfs.Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}, dist)
-		stack = stack[:0]
-		stack = append(stack, tr.Children(int32(w))...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			stack = append(stack, tr.Children(v)...)
-			target := dist[v]
-			if target == bfs.Unreachable {
-				continue
-			}
-			cand := int32(-1)
-			protected := false
-			for _, a := range g.Neighbors(int(v)) {
-				if a.To == int32(w) || dist[a.To] == bfs.Unreachable || dist[a.To]+1 != target {
-					continue
-				}
-				if treeEdges.Contains(a.ID) {
-					protected = true
-					break
-				}
-				if cand == -1 {
-					cand = a.To
-				}
-			}
-			if protected {
-				continue
-			}
-			if cand == -1 {
-				t.Fatalf("naive: no replacement for ⟨v=%d, w=%d⟩", v, w)
-			}
-			h.Add(g.EdgeIDOf(int(cand), int(v)))
-		}
-	}
-	return h
-}
-
 // Sparsity regression over a seeded random-graph corpus: checking candidate
 // membership in H (not just the tree) must never grow the structure, and on
 // graphs with shareable replacement edges it must strictly shrink at least
@@ -248,7 +199,7 @@ func TestNoRedundantReplacementEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive := naiveBuild(t, g, 0)
+			naive, _ := fullSearchBuild(t, g, 0, true)
 			if st.Size() > naive.Len() {
 				t.Fatalf("seed %d: fixed |H| = %d exceeds naive |H| = %d", seed, st.Size(), naive.Len())
 			}
@@ -291,6 +242,94 @@ func TestBuildWithSharedWorkspace(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("source %d: edge sets differ at %d: %d != %d", s, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// fullSearchBuild is BuildWith's loop with a full restricted BFS of G∖{w}
+// per failed vertex instead of the subtree repair: the independent
+// reference the repair is checked against. With treeOnly it replicates the
+// pre-fix construction instead: the protection check consults the tree
+// edges only, so a replacement last edge added for an earlier failed vertex
+// is invisible and a second (min-index) edge is bought for later pairs it
+// would have protected — the sparsity yardstick Build must never exceed.
+func fullSearchBuild(t *testing.T, g *graph.Graph, s int, treeOnly bool) (*graph.EdgeSet, int) {
+	t.Helper()
+	bt := bfs.From(g, s)
+	// tree.Build, not BuildAncestry: this walker needs the children lists,
+	// which the ancestry-only constructor deliberately skips.
+	tr := tree.Build(g, bt)
+	h := bt.EdgeSet(g.M())
+	protecting := h
+	if treeOnly {
+		protecting = bt.EdgeSet(g.M())
+	}
+	pairs := 0
+	sc := bfs.NewScratch(g.N())
+	dist := make([]int32, g.N())
+	banned := graph.NewVertexSet(g.N())
+	var stack []int32
+	for w := 0; w < g.N(); w++ {
+		if w == s || tr.Depth[w] < 0 || len(tr.Children(int32(w))) == 0 {
+			continue
+		}
+		banned.Clear()
+		banned.Add(int32(w))
+		sc.DistancesAvoiding(g, s, bfs.Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}, dist)
+		stack = append(stack[:0], tr.Children(int32(w))...)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = append(stack[:len(stack)-1], tr.Children(v)...)
+			target := dist[v]
+			if target == bfs.Unreachable {
+				continue
+			}
+			cand := int32(-1)
+			protected := false
+			for _, a := range g.Neighbors(int(v)) {
+				if a.To == int32(w) || dist[a.To] == bfs.Unreachable || dist[a.To]+1 != target {
+					continue
+				}
+				if protecting.Contains(a.ID) {
+					protected = true
+					break
+				}
+				if cand == -1 {
+					cand = a.To
+				}
+			}
+			if protected {
+				continue
+			}
+			if cand == -1 {
+				t.Fatalf("full search: no replacement for ⟨v=%d, w=%d⟩", v, w)
+			}
+			pairs++
+			h.Add(g.EdgeIDOf(int(cand), int(v)))
+		}
+	}
+	return h, pairs
+}
+
+// BuildWith repairs only each failed vertex's subtree; its E(H) and Pairs
+// must equal the full-search reference on every family — among them a
+// cycle, a path and a random tree (every failure strands the subtree), and
+// a disconnected graph — with one workspace shared across all of them.
+func TestBuildWithMatchesFullSearch(t *testing.T) {
+	ws := NewWorkspace()
+	for name, g := range families() {
+		for _, s := range []int{0, g.N() / 2} {
+			st, err := BuildWith(g, s, ws)
+			if err != nil {
+				t.Fatalf("%s s=%d: %v", name, s, err)
+			}
+			want, pairs := fullSearchBuild(t, g, s, false)
+			if st.Pairs != pairs {
+				t.Fatalf("%s s=%d: Pairs %d, full search %d", name, s, st.Pairs, pairs)
+			}
+			if got, ref := st.Edges.IDs(), want.IDs(); !slices.Equal(got, ref) {
+				t.Fatalf("%s s=%d: E(H) %v, full search %v", name, s, got, ref)
 			}
 		}
 	}

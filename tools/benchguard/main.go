@@ -9,9 +9,11 @@
 // measurements of one benchmark (-count > 1) are reduced to their MINIMUM:
 // scheduler and shared-runner noise is one-sided (it only ever makes code
 // look slower), so min-of-N is far more stable across CI runs than the mean.
-// Run the gated benchmarks with -count 3 or more. The -<procs> suffix of
-// parallel benchmarks is stripped so runs from machines with different core
-// counts stay comparable.
+// Run the gated benchmarks with -count 3 or more. Each compared row also
+// prints both sides' spread, the max/min ns/op ratio of their runs, so a
+// reader can tell a moved minimum from a noisy one; the gate ignores it.
+// The -<procs> suffix of parallel benchmarks is stripped so runs from
+// machines with different core counts stay comparable.
 //
 // Usage:
 //
@@ -33,10 +35,19 @@ import (
 
 // result accumulates the measurements of one benchmark.
 type result struct {
-	nsPerOp     float64
+	nsPerOp     float64 // minimum over the runs: what the gate compares
+	nsMax       float64 // maximum over the runs, for the spread
 	allocsPerOp float64
 	hasAllocs   bool
 	count       int
+}
+
+// spread returns the max/min ns/op ratio of the runs (1 for a single run).
+func (r *result) spread() float64 {
+	if r.nsPerOp <= 0 {
+		return 1
+	}
+	return r.nsMax / r.nsPerOp
 }
 
 // benchLine matches a standard benchmark result line:
@@ -58,7 +69,8 @@ var nameOnly = regexp.MustCompile(`^(Benchmark\S+)\s*$`)
 var resultOnly = regexp.MustCompile(`^\d+\s+([0-9.eE+]+) ns/op(.*)$`)
 
 // parseFile reads benchmark results from raw bench text or a go test -json
-// stream, averaging repeated measurements per benchmark.
+// stream, keeping the minimum and maximum of repeated measurements per
+// benchmark (see record).
 func parseFile(path string) (map[string]*result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -114,6 +126,9 @@ func record(out map[string]*result, name, nsField, rest string) {
 	// benchmarks down, so the min is the best estimate of the true cost.
 	if r.count == 0 || ns < r.nsPerOp {
 		r.nsPerOp = ns
+	}
+	if ns > r.nsMax {
+		r.nsMax = ns
 	}
 	if am := allocsField.FindStringSubmatch(rest); am != nil {
 		if allocs, err := strconv.ParseFloat(am[1], 64); err == nil {
@@ -187,6 +202,17 @@ func compare(baseline, latest map[string]*result, filter *regexp.Regexp, thresho
 	return regs, compared, missing
 }
 
+// row formats one compared benchmark: the gated min ns/op of each side,
+// each side's spread over its runs, and allocs/op when both report them.
+func row(name string, b, l *result) string {
+	line := fmt.Sprintf("  %-50s %12.1f -> %12.1f ns/op (spread %.2fx -> %.2fx)",
+		name, b.nsPerOp, l.nsPerOp, b.spread(), l.spread())
+	if b.hasAllocs && l.hasAllocs {
+		line += fmt.Sprintf("   %8.1f -> %8.1f allocs/op", b.allocsPerOp, l.allocsPerOp)
+	}
+	return line
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "", "baseline benchmark results (bench text or go test -json)")
 	latestPath := flag.String("latest", "", "latest benchmark results (bench text or go test -json)")
@@ -232,12 +258,7 @@ func main() {
 	fmt.Printf("benchguard: compared %d benchmarks against %s (threshold +%.0f%%%s)\n",
 		len(compared), *baselinePath, *threshold*100, mode)
 	for _, name := range compared {
-		b, l := baseline[name], latest[name]
-		fmt.Printf("  %-50s %12.1f -> %12.1f ns/op", name, b.nsPerOp, l.nsPerOp)
-		if b.hasAllocs && l.hasAllocs {
-			fmt.Printf("   %8.1f -> %8.1f allocs/op", b.allocsPerOp, l.allocsPerOp)
-		}
-		fmt.Println()
+		fmt.Println(row(name, baseline[name], latest[name]))
 	}
 	if len(compared) == 0 {
 		fmt.Println("benchguard: warning: nothing to compare (baseline/filter mismatch)")

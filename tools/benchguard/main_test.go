@@ -140,3 +140,27 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		t.Fatalf("vanished benchmark not reported: %v", missing)
 	}
 }
+
+// Each compared row shows both sides' spread (max/min over their runs) next
+// to the min the gate compares: rawBench ran pooled at 10000 and 12000
+// ns/op, jsonBench once at 11000.
+func TestRowPrintsSpread(t *testing.T) {
+	baseline, err := parseFile(writeTemp(t, "base.txt", rawBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest, err := parseFile(writeTemp(t, "latest.json", jsonBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := "BenchmarkOraclePool/pooled"
+	got := row(name, baseline[name], latest[name])
+	want := "  BenchmarkOraclePool/pooled                              10000.0 ->      11000.0 ns/op" +
+		" (spread 1.20x -> 1.00x)        0.0 ->      0.0 allocs/op"
+	if got != want {
+		t.Fatalf("row:\n got %q\nwant %q", got, want)
+	}
+	if bt := baseline["BenchmarkBFSTree"]; bt.spread() != 1 {
+		t.Fatalf("single run spread %v, want 1", bt.spread())
+	}
+}
