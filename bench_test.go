@@ -1,9 +1,10 @@
 package ftbfs_test
 
-// One benchmark per experiment table (E1–E10 of EXPERIMENTS.md) plus
-// micro-benchmarks of the underlying engines. Sizes are kept moderate so
-// `go test -bench=. -benchmem` completes in minutes; the experiment binary
-// (cmd/experiments) runs the full-size tables.
+// One benchmark per experiment table (E1–E10; `go run ./cmd/experiments
+// -quick all` prints the tables) plus micro-benchmarks of the underlying
+// engines. Sizes are kept moderate so `go test -bench=. -benchmem`
+// completes in minutes; the experiment binary (cmd/experiments) runs the
+// full-size tables.
 
 import (
 	"bytes"

@@ -119,11 +119,14 @@
 //
 // HTTP/JSON stays the compatibility surface, but the hot paths have binary
 // equivalents. Structure.SaveSlab and VertexStructure.SaveSlab write a
-// version-3 binary record ("slab"): a fixed little-endian header plus
-// 8-aligned array sections holding exactly the serving arrays the query
-// plan needs, guarded by a CRC-32C checksum. The slab is the one structure
-// record format: LoadStructure and LoadVertexStructure refuse anything else,
-// and on little-endian hosts a slab's arrays are reinterpreted in place
+// binary record ("slab", magic FTB5): a fixed little-endian header that
+// carries the base graph's generation, plus 8-aligned array sections in one
+// layout for both failure models holding exactly the serving arrays the
+// query plan needs, guarded by a CRC-32C checksum. The slab is the one
+// structure record format: LoadStructure and LoadVertexStructure refuse
+// anything else, including records in the retired FTB3/FTB4 layouts (a
+// store quarantines those at warm start and rebuilds their keys on first
+// use), and on little-endian hosts a slab's arrays are reinterpreted in place
 // rather than parsed, so loading is I/O-bound and the store's warm start
 // and load-through revalidate cheaply instead of re-deriving. The store
 // persists slabs atomically (temp file, fsync, rename, directory sync) so

@@ -11,13 +11,11 @@ import (
 )
 
 // sameStructure reports whether two structures record the same thing: the
-// source, ε, the algorithm name, and the E(H), E′ and T0 bitsets word for
-// word.
+// source, ε, the algorithm name, and the E(H) and E′ bitsets word for word.
 func sameStructure(a, b *core.Structure) bool {
 	return a.S == b.S && a.Eps == b.Eps && a.Stats.Algorithm == b.Stats.Algorithm &&
 		slices.Equal(a.Edges.Words(), b.Edges.Words()) &&
-		slices.Equal(a.Reinforced.Words(), b.Reinforced.Words()) &&
-		slices.Equal(a.TreeEdges.Words(), b.TreeEdges.Words())
+		slices.Equal(a.Reinforced.Words(), b.Reinforced.Words())
 }
 
 // TestBuildMatchesSequential is the orchestrator's contract: for a mixed

@@ -1,12 +1,11 @@
 // Package bfs implements breadth-first search primitives with deterministic
 // canonical tie-breaking. The paper (Section 2) assumes a positive weight
 // assignment W that makes the shortest path between every pair of vertices
-// unique in every subgraph G' ⊆ G. We realise W with the min-index parent
-// rule: among all neighbours u of v with dist(s,u) = dist(s,v)-1, the
-// canonical parent is the smallest-id u. The resulting canonical paths are
-// unique and prefix-closed in every (sub)graph, which is exactly what the
-// constructions of Sections 3-4 rely on (Claims 4.4-4.6); see DESIGN.md §3
-// for the substitution note.
+// unique in every subgraph G' ⊆ G. The min-index parent rule realises W:
+// among all neighbours u of v with dist(s,u) = dist(s,v)-1, the canonical
+// parent is the smallest-id u. The resulting canonical paths are unique and
+// prefix-closed in every (sub)graph, which is exactly what the
+// constructions of Sections 3-4 rely on (Claims 4.4-4.6).
 package bfs
 
 import (
@@ -102,34 +101,7 @@ func (t *Tree) EdgeSet(m int) *graph.EdgeSet {
 	return s
 }
 
-// OnPath reports whether tree edge id (given by its child endpoint, i.e. the
-// deeper endpoint) lies on π(s,v): true iff child is an ancestor-or-self of
-// v. This requires an ancestor oracle and therefore lives in package tree;
-// here we expose only the child-endpoint convention helper.
-//
-// ChildEndpoint returns, for a tree edge id on this tree, the endpoint
-// farther from the source (the paper directs tree edges away from s).
-func (t *Tree) ChildEndpoint(g *graph.Graph, id graph.EdgeID) int32 {
-	e := g.EdgeByID(id)
-	if t.Dist[e.U] > t.Dist[e.V] {
-		return e.U
-	}
-	return e.V
-}
-
 // Distances is a convenience wrapper returning only the distance array.
 func Distances(g *graph.Graph, s int) []int32 {
 	return From(g, s).Dist
-}
-
-// Eccentricity returns max_v dist(s,v) over reachable v (0 for isolated s).
-func Eccentricity(g *graph.Graph, s int) int {
-	d := Distances(g, s)
-	ecc := int32(0)
-	for _, x := range d {
-		if x > ecc {
-			ecc = x
-		}
-	}
-	return int(ecc)
 }

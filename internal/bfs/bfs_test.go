@@ -99,17 +99,22 @@ func TestTreeEdgeSetAndChildEndpoint(t *testing.T) {
 	if es.Len() != 8 {
 		t.Fatalf("tree must have n-1=8 edges, got %d", es.Len())
 	}
-	es.ForEach(func(id graph.EdgeID) {
-		child := tr.ChildEndpoint(g, id)
+	for child, id := range tr.ParentEdge {
+		if id == graph.NoEdge {
+			continue
+		}
 		e := g.EdgeByID(id)
-		other := e.Other(child)
+		other := e.Other(int32(child))
+		if !es.Contains(id) {
+			t.Fatalf("parent edge %v of %d missing from the edge set", e, child)
+		}
 		if tr.Dist[child] != tr.Dist[other]+1 {
 			t.Fatalf("edge %v: child %d not one deeper", e, child)
 		}
 		if tr.Parent[child] != other {
 			t.Fatalf("edge %v not a parent edge of %d", e, child)
 		}
-	})
+	}
 }
 
 func TestDistancesAvoidingEdge(t *testing.T) {
@@ -228,14 +233,5 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 				t.Fatalf("trial %d: dist[%d]=%d want %d (edge %v)", trial, v, out[v], want[v], g.EdgeByID(e))
 			}
 		}
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	b := graph.NewBuilder(5)
-	b.AddPath(0, 1, 2, 3, 4)
-	g := b.Graph()
-	if Eccentricity(g, 0) != 4 || Eccentricity(g, 2) != 2 {
-		t.Fatal("eccentricity wrong")
 	}
 }

@@ -123,8 +123,8 @@ func TestVerifyBuildsWhenNoStructure(t *testing.T) {
 
 // TestVerifyRefusesBrokenRecord hands `verify -structure` a slab record
 // that breaks the contract: G is the 4-cycle 0-1-2-3-0 with source 0, H is
-// the path {0,1}, {1,2}, {2,3}, nothing is reinforced and the record's T0
-// section is empty. Failing {0,1} strands vertex 1 in H while G\{0,1}
+// the path {0,1}, {1,2}, {2,3} (it lacks G's tree edge {3,0}) and nothing
+// is reinforced. Failing {0,1} strands vertex 1 in H while G\{0,1}
 // reaches it at distance 3, so the command must fail and print no
 // "verified" line.
 func TestVerifyRefusesBrokenRecord(t *testing.T) {
@@ -140,7 +140,7 @@ func TestVerifyRefusesBrokenRecord(t *testing.T) {
 	none := graph.NewEdgeSet(g.M())
 	rec, err := core.EncodeSlabBytes(g, &core.SlabRecord{
 		Model: core.ModelEdge, Alg: core.Epsilon,
-		Edges: h, Reinforced: none, TreeEdges: none,
+		Edges: h, Reinforced: none,
 		Intact: bt.Dist, RowStart: csr.RowStart, Arcs: csr.Arcs,
 		Parent: bt.Parent, ParentEdge: bt.ParentEdge, Order: bt.Order,
 	})

@@ -61,12 +61,13 @@
 //
 // Membership changes move bytes, not just ranges. The router drives the
 // rebalance through the shards' /handoff surface (internal/server), which
-// streams version-3 slab records (internal/core) shard-to-shard over the
-// source's binary-protocol connections — a record or graph text may reach
+// streams slab records (internal/core) shard-to-shard over the source's
+// binary-protocol connections — a record or graph text may reach
 // wire.MaxRecord, the HTTP body bound, so anything /build accepts moves in
 // one frame — and installs them on the receiver through the store's
 // zero-parse LoadStructure/LoadVertexStructure path. A moved structure is
-// never rebuilt.
+// never rebuilt. A record in a retired layout (magic FTB3 or FTB4, written
+// before the FTB5 slab) fails that install like any unreadable record.
 //
 // The handoff protocol is receiver-driven: GET /handoff/keys inventories a
 // shard, and POST /handoff/pull tells a shard to fetch a key list from a

@@ -213,7 +213,6 @@ func TestVerifyCatchesBrokenStructure(t *testing.T) {
 		S:          0,
 		Edges:      en.TreeEdges.Clone(),
 		Reinforced: graph.NewEdgeSet(g.M()),
-		TreeEdges:  en.TreeEdges.Clone(),
 	}
 	if len(verifyStructure(bogus, 0)) == 0 {
 		t.Fatal("Verify accepted an invalid structure")
@@ -229,9 +228,9 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	bad := *st
 	bad.Reinforced = graph.NewEdgeSet(g.M())
 	// a reinforced edge outside T0:
-	st.TreeEdges.ForEach(func(e graph.EdgeID) {})
+	t0 := replacement.NewEngine(g, 0).TreeEdges
 	for id := 0; id < g.M(); id++ {
-		if !st.TreeEdges.Contains(graph.EdgeID(id)) {
+		if !t0.Contains(graph.EdgeID(id)) {
 			bad.Reinforced.Add(graph.EdgeID(id))
 			break
 		}

@@ -145,10 +145,10 @@ func epsilonEdges(en *replacement.Engine, eps float64, opt Options, sh *sharedS0
 		stats.TypeBCounts = p1.BCounts
 		stats.TypeCCounts = p1.CCounts
 		sets = append(sets, p1.CSets...)
-		// Defensive fallback (see DESIGN.md §3): Lemma 4.10 proves the
-		// leftover is empty; on tiny or adversarial inputs where our
-		// canonical tie-breaking deviates from the ideal W, covering the
-		// residue directly keeps the structure valid at negligible cost.
+		// Defensive fallback: Lemma 4.10 says Phase S1's leftover is
+		// empty. Covering any residue with its pairs' last edges only
+		// keeps the structure valid; it changes nothing when the lemma
+		// holds.
 		for _, p := range p1.Leftover {
 			h.Add(ix.lastEdgeOf(p))
 		}
@@ -168,6 +168,5 @@ func newStructure(en *replacement.Engine, eps float64, h *graph.EdgeSet) *Struct
 		Eps:        eps,
 		Edges:      h,
 		Reinforced: LastUnprotected(en, h),
-		TreeEdges:  en.TreeEdges.Clone(),
 	}
 }

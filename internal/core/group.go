@@ -51,7 +51,6 @@ func BuildGroup(en *replacement.Engine, items []GroupItem) ([]*Structure, error)
 			Eps:        items[i].Eps,
 			Edges:      hs[i],
 			Reinforced: unprotected[i],
-			TreeEdges:  en.TreeEdges.Clone(),
 			Stats:      stats[i],
 		}
 	}

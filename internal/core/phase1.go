@@ -19,8 +19,8 @@ type phase1Result struct {
 // pairs and adding, per terminal v and per type J ∈ {A,B}, the ⌈n^ε⌉
 // distinct last edges of the replacement paths protecting the deepest
 // failing edges on π(s,v). Lemma 4.10 guarantees that after K = ⌈1/ε⌉+2
-// iterations no type-A/B pair remains uncovered; any residue is returned in
-// Leftover and handled defensively by the caller (see DESIGN.md §3).
+// iterations no type-A/B pair remains uncovered, so Leftover is empty; the
+// caller covers any residue directly, which only keeps the structure valid.
 func runPhase1(ix *pairIndex, H *graph.EdgeSet, i1 []int32, k, threshold int) phase1Result {
 	var res phase1Result
 	pi := i1

@@ -52,7 +52,6 @@ func TestPropertySupersetStaysValid(t *testing.T) {
 		G: g, S: 0, Eps: st.Eps,
 		Edges:      st.Edges.Clone(),
 		Reinforced: st.Reinforced.Clone(),
-		TreeEdges:  st.TreeEdges.Clone(),
 	}
 	for k := 0; k < 20; k++ {
 		enlarged.Edges.Add(graph.EdgeID(rng.Intn(g.M())))
@@ -94,8 +93,8 @@ func TestPropertyBaselineOnBiconnected(t *testing.T) {
 	if st.ReinforcedCount() != 0 {
 		t.Fatalf("baseline reinforced %d edges on a biconnected graph", st.ReinforcedCount())
 	}
-	if st.TreeEdges.Minus(st.Edges).Len() != 0 {
-		t.Fatal("T0 not inside H")
+	if err := CheckInvariants(st); err != nil {
+		t.Fatal(err)
 	}
 }
 

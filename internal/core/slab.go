@@ -11,16 +11,15 @@ import (
 	"ftbfs/internal/graph"
 )
 
-// The version-3 binary record ("slab" format) stores a structure as flat
+// The binary record ("slab" format) stores a structure as flat
 // little-endian arrays in exactly the layout the serving plane consumes, so
 // loading is a one-shot read plus bounds validation instead of line parsing,
 // endpoint re-binding and BFS recomputation. One record holds everything a
-// query plan needs, ready to use:
+// query plan needs, ready to use, in one layout for both failure models:
 //
-//	header   64 bytes, fixed (see slabHeader)
+//	header   64 bytes, fixed (see the slabOff offsets)
 //	edges      bitset of E(H) edge ids               ⌈m/64⌉ × u64
-//	reinforced bitset of E' ⊆ E(H)    (edge model)   ⌈m/64⌉ × u64
-//	treeEdges  bitset of T0's edges   (edge model)   ⌈m/64⌉ × u64
+//	reinforced bitset of E' ⊆ E(H), empty for vertex ⌈m/64⌉ × u64
 //	intact     dist(s,·) in intact H                 n × i32
 //	rowStart   H's own CSR row offsets               (n+1) × i32
 //	arcs       H's packed CSR arcs (to, edge id)     arcCount × 2 × i32
@@ -37,22 +36,15 @@ import (
 // against the base graph before anything downstream touches it — a corrupt
 // or adversarial record fails decoding, it cannot panic a query. The slab
 // is the only structure record: loaders refuse any input that does not
-// start with its magic ("FTB3"/"FTB4").
+// start with its magic, including records in the retired FTB3/FTB4
+// layouts.
 //
-// The version-4 record is version 3 with the reserved header word carrying
-// the generation of the base graph the structure was built from ("live
-// graphs": every structure knows which generation it serves). A structure
-// built from generation 0 still encodes as a byte-identical version-3
-// record, and a version-3 record loads as generation 0 — so stores and
-// handoff peers that predate generations interoperate unchanged, and
-// records exported for them round-trip byte-for-byte.
+// The record stores no T0: Verify and CheckInvariants compute it from the
+// base graph. Every construction keeps T0 inside H, and then T0 is exactly
+// H's canonical BFS tree, which parent and parentEdge already carry.
 
-// slabMagic is the first four bytes of a version-3 binary record
-// (generation 0); slabMagicV4 marks a version-4 record (generation > 0).
-var (
-	slabMagic   = [4]byte{'F', 'T', 'B', '3'}
-	slabMagicV4 = [4]byte{'F', 'T', 'B', '4'}
-)
+// slabMagic is the first four bytes of a binary record.
+var slabMagic = [4]byte{'F', 'T', 'B', '5'}
 
 // slabHeaderSize is the fixed header length in bytes.
 const slabHeaderSize = 64
@@ -69,45 +61,18 @@ const (
 	slabOffPairs      = 32 // u32
 	slabOffReachable  = 36 // u32
 	slabOffArcs       = 40 // u32 (directed arc count)
-	slabOffGen        = 44 // u32; base-graph generation in v4, zero (reserved) in v3
+	slabOffGen        = 44 // u32 (base-graph generation)
 	slabOffPayloadLen = 48 // u64
 	slabOffChecksum   = 56 // u64 (CRC-32C of header[0:56] + payload)
 )
 
-// IsSlabRecord reports whether the byte prefix starts a version-3 or -4
-// binary record; loaders refuse anything else before decoding.
+// IsSlabRecord reports whether the byte prefix starts a binary record;
+// loaders refuse anything else before decoding.
 func IsSlabRecord(prefix []byte) bool {
-	if len(prefix) < len(slabMagic) {
-		return false
-	}
-	magic := [4]byte(prefix[:4])
-	return magic == slabMagic || magic == slabMagicV4
+	return len(prefix) >= len(slabMagic) && [4]byte(prefix[:4]) == slabMagic
 }
 
-// slabGenOf reads the record's base-graph generation: the reserved word of a
-// v3 record is zero by construction, so one read serves both versions.
-func slabGenOf(data []byte) uint64 {
-	return uint64(binary.LittleEndian.Uint32(data[slabOffGen:]))
-}
-
-// RecordModel peeks the failure model of a version-3 record from its header
-// without decoding or checksumming the payload; ok is false when the bytes
-// are not a plausible slab record. Handoff installers use it to cross-check
-// a shipped record against the registry key it is meant for before paying
-// the full decode — a mis-addressed record fails with a model mismatch
-// instead of a confusing deep validation error.
-func RecordModel(data []byte) (Model, bool) {
-	if len(data) < slabHeaderSize || !IsSlabRecord(data) {
-		return 0, false
-	}
-	m := Model(binary.LittleEndian.Uint32(data[slabOffModel:]))
-	if m != ModelEdge && m != ModelVertex {
-		return 0, false
-	}
-	return m, true
-}
-
-// SlabRecord is the in-memory form of a version-3 record: the structure's
+// SlabRecord is the in-memory form of a binary record: the structure's
 // metadata and edge sets plus the precomputed serving arrays (H's CSR, the
 // intact distance vector, H's canonical BFS tree). Encoding captures them
 // from a built plan; decoding hands them back validated, so the caller can
@@ -118,11 +83,10 @@ type SlabRecord struct {
 	Eps   float64   // edge model only
 	Alg   Algorithm // edge model only
 	Pairs int       // vertex model only
-	Gen   uint64    // base-graph generation; 0 encodes as a v3 record
+	Gen   uint64    // base-graph generation
 
 	Edges      *graph.EdgeSet
-	Reinforced *graph.EdgeSet // edge model only
-	TreeEdges  *graph.EdgeSet // edge model only; T0 over the base graph (Verify recomputes T0 from G instead)
+	Reinforced *graph.EdgeSet // empty in the vertex model; nil encodes as empty
 
 	Intact     []int32
 	RowStart   []int32
@@ -136,13 +100,8 @@ type SlabRecord struct {
 func slabI32Bytes(count int) int { return (count*4 + 7) &^ 7 }
 
 // slabPayloadLen computes the exact payload length for the given shape.
-func slabPayloadLen(model Model, n, m, arcCount, reachable int) int {
-	words := (m + 63) / 64
-	bitsets := 1
-	if model == ModelEdge {
-		bitsets = 3
-	}
-	return bitsets*words*8 +
+func slabPayloadLen(n, m, arcCount, reachable int) int {
+	return 2*((m+63)/64)*8 + // edges, reinforced
 		slabI32Bytes(n) + // intact
 		slabI32Bytes(n+1) + // rowStart
 		arcCount*8 + // arcs: two i32 each, always 8-aligned
@@ -154,8 +113,13 @@ func slabPayloadLen(model Model, n, m, arcCount, reachable int) int {
 // slabWriter appends aligned little-endian sections to a preallocated buffer.
 type slabWriter struct{ buf []byte }
 
-func (w *slabWriter) words(ws []uint64) {
-	for _, x := range ws {
+// set appends an edge set's words; a nil set is written as count zero words.
+func (w *slabWriter) set(s *graph.EdgeSet, count int) {
+	if s == nil {
+		w.buf = append(w.buf, make([]byte, count*8)...)
+		return
+	}
+	for _, x := range s.Words() {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, x)
 	}
 }
@@ -170,7 +134,7 @@ func (w *slabWriter) i32s(xs []int32) {
 }
 
 // EncodeSlabBytes serialises rec (validated against its base graph g) as a
-// version-3 binary record and returns the full record bytes.
+// binary record and returns the full record bytes.
 func EncodeSlabBytes(g *graph.Graph, rec *SlabRecord) ([]byte, error) {
 	n, m := g.N(), g.M()
 	if rec.S < 0 || rec.S >= n {
@@ -179,7 +143,7 @@ func EncodeSlabBytes(g *graph.Graph, rec *SlabRecord) ([]byte, error) {
 	if rec.Model != ModelEdge && rec.Model != ModelVertex {
 		return nil, fmt.Errorf("core: slab encode: unknown model %d", rec.Model)
 	}
-	if rec.Model == ModelEdge && (rec.Alg < Auto || rec.Alg > Greedy) {
+	if rec.Alg < Auto || rec.Alg > Greedy {
 		return nil, fmt.Errorf("core: slab encode: unknown algorithm %d", rec.Alg)
 	}
 	if rec.Gen > math.MaxUint32 {
@@ -189,18 +153,10 @@ func EncodeSlabBytes(g *graph.Graph, rec *SlabRecord) ([]byte, error) {
 		return nil, fmt.Errorf("core: slab encode: array lengths do not match n=%d", n)
 	}
 	arcCount, reachable := len(rec.Arcs), len(rec.Order)
-	payloadLen := slabPayloadLen(rec.Model, n, m, arcCount, reachable)
+	payloadLen := slabPayloadLen(n, m, arcCount, reachable)
 
 	out := make([]byte, slabHeaderSize, slabHeaderSize+payloadLen)
-	// Generation 0 stays a byte-identical version-3 record (magic FTB3,
-	// reserved word zero), so pre-generation peers and old files interop
-	// without translation; only a live generation needs the v4 magic.
-	if rec.Gen > 0 {
-		copy(out[slabOffMagic:], slabMagicV4[:])
-		binary.LittleEndian.PutUint32(out[slabOffGen:], uint32(rec.Gen))
-	} else {
-		copy(out[slabOffMagic:], slabMagic[:])
-	}
+	copy(out[slabOffMagic:], slabMagic[:])
 	le := binary.LittleEndian
 	le.PutUint32(out[slabOffModel:], uint32(rec.Model))
 	le.PutUint32(out[slabOffN:], uint32(n))
@@ -211,14 +167,13 @@ func EncodeSlabBytes(g *graph.Graph, rec *SlabRecord) ([]byte, error) {
 	le.PutUint32(out[slabOffPairs:], uint32(rec.Pairs))
 	le.PutUint32(out[slabOffReachable:], uint32(reachable))
 	le.PutUint32(out[slabOffArcs:], uint32(arcCount))
+	le.PutUint32(out[slabOffGen:], uint32(rec.Gen))
 	le.PutUint64(out[slabOffPayloadLen:], uint64(payloadLen))
 
 	w := &slabWriter{buf: out}
-	w.words(rec.Edges.Words())
-	if rec.Model == ModelEdge {
-		w.words(rec.Reinforced.Words())
-		w.words(rec.TreeEdges.Words())
-	}
+	words := (m + 63) / 64
+	w.set(rec.Edges, words)
+	w.set(rec.Reinforced, words)
 	w.i32s(rec.Intact)
 	w.i32s(rec.RowStart)
 	for _, a := range rec.Arcs {
@@ -253,7 +208,7 @@ func slabChecksum(rec []byte) uint64 {
 	return uint64(crc32.Update(c, slabCRC, rec[slabHeaderSize:]))
 }
 
-// EncodeSlab writes rec as a version-3 binary record.
+// EncodeSlab writes rec as a binary record.
 func EncodeSlab(w io.Writer, g *graph.Graph, rec *SlabRecord) error {
 	buf, err := EncodeSlabBytes(g, rec)
 	if err != nil {
@@ -263,61 +218,76 @@ func EncodeSlab(w io.Writer, g *graph.Graph, rec *SlabRecord) error {
 	return err
 }
 
-// CheckSlab verifies a binary record's self-contained integrity — magic,
-// model, exact payload length and checksum — without a base graph. Warm-start
-// scans use it to detect truncated or corrupt record files cheaply; a record
-// passing CheckSlab can still fail DecodeSlab's graph-dependent validation.
-func CheckSlab(data []byte) error {
-	if !IsSlabRecord(data) {
-		return fmt.Errorf("core: not a binary structure record")
-	}
-	if len(data) < slabHeaderSize {
-		return fmt.Errorf("core: binary record shorter than its header")
-	}
-	le := binary.LittleEndian
-	model := Model(le.Uint32(data[slabOffModel:]))
-	n := int(le.Uint32(data[slabOffN:]))
-	m := int(le.Uint32(data[slabOffM:]))
-	reachable := int(le.Uint32(data[slabOffReachable:]))
-	arcCount := int(le.Uint32(data[slabOffArcs:]))
-	payloadLen := le.Uint64(data[slabOffPayloadLen:])
-	if model != ModelEdge && model != ModelVertex {
-		return fmt.Errorf("core: binary record has unknown model %d", model)
-	}
-	if err := checkSlabGen(data); err != nil {
-		return err
-	}
-	if reachable > n || arcCount > 2*m {
-		return fmt.Errorf("core: binary record header is inconsistent")
-	}
-	if want := slabPayloadLen(model, n, m, arcCount, reachable); payloadLen != uint64(want) {
-		return fmt.Errorf("core: binary record payload %d bytes, want %d", payloadLen, want)
-	}
-	if uint64(len(data)-slabHeaderSize) != payloadLen {
-		return fmt.Errorf("core: binary record truncated: %d payload bytes of %d", len(data)-slabHeaderSize, payloadLen)
-	}
-	if slabChecksum(data) != le.Uint64(data[slabOffChecksum:]) {
-		return fmt.Errorf("core: binary record checksum mismatch")
-	}
-	return nil
+// slabHeader is a record's header, read and checked by readSlabHeader.
+type slabHeader struct {
+	model               Model
+	n, m, source, pairs int
+	alg                 Algorithm
+	eps                 float64
+	reachable, arcs     int
+	gen                 uint64
 }
 
-// checkSlabGen enforces the version/generation pairing: a v3 record's
-// reserved word must be zero (it always was), and a v4 record must carry a
-// live generation — a zero-generation v4 record would be a v3 record that
-// lies about its version, so it is rejected rather than normalised.
-func checkSlabGen(data []byte) error {
-	gen := slabGenOf(data)
-	if [4]byte(data[:4]) == slabMagicV4 {
-		if gen == 0 {
-			return fmt.Errorf("core: version-4 record claims generation 0 (must encode as version 3)")
-		}
-		return nil
+// readSlabHeader reads a record's header and checks everything that needs
+// no base graph: magic, model, algorithm, ε, the source and section counts
+// against n and m, the exact payload length and the checksum.
+func readSlabHeader(data []byte) (slabHeader, error) {
+	if !IsSlabRecord(data) {
+		return slabHeader{}, fmt.Errorf("core: not a binary structure record")
 	}
-	if gen != 0 {
-		return fmt.Errorf("core: version-3 record has nonzero reserved word")
+	if len(data) < slabHeaderSize {
+		return slabHeader{}, fmt.Errorf("core: binary record shorter than its header")
 	}
-	return nil
+	le := binary.LittleEndian
+	u32 := func(off int) int { return int(le.Uint32(data[off:])) }
+	h := slabHeader{
+		model:     Model(u32(slabOffModel)),
+		n:         u32(slabOffN),
+		m:         u32(slabOffM),
+		source:    u32(slabOffSource),
+		pairs:     u32(slabOffPairs),
+		alg:       Algorithm(u32(slabOffAlg)),
+		eps:       math.Float64frombits(le.Uint64(data[slabOffEps:])),
+		reachable: u32(slabOffReachable),
+		arcs:      u32(slabOffArcs),
+		gen:       uint64(u32(slabOffGen)),
+	}
+	if h.model != ModelEdge && h.model != ModelVertex {
+		return h, fmt.Errorf("core: binary record has unknown model %d", h.model)
+	}
+	if h.alg < Auto || h.alg > Greedy {
+		return h, fmt.Errorf("core: binary record has unknown algorithm %d", h.alg)
+	}
+	if math.IsNaN(h.eps) || math.IsInf(h.eps, 0) || h.eps < 0 {
+		return h, fmt.Errorf("core: binary record has bad eps %v", h.eps)
+	}
+	if h.source >= h.n {
+		return h, fmt.Errorf("core: binary record source %d out of range [0,%d)", h.source, h.n)
+	}
+	if h.reachable > h.n || h.arcs > 2*h.m {
+		return h, fmt.Errorf("core: binary record header is inconsistent")
+	}
+	payloadLen := le.Uint64(data[slabOffPayloadLen:])
+	if want := slabPayloadLen(h.n, h.m, h.arcs, h.reachable); payloadLen != uint64(want) {
+		return h, fmt.Errorf("core: binary record payload %d bytes, want %d", payloadLen, want)
+	}
+	if uint64(len(data)-slabHeaderSize) != payloadLen {
+		return h, fmt.Errorf("core: binary record truncated: %d payload bytes of %d", len(data)-slabHeaderSize, payloadLen)
+	}
+	if slabChecksum(data) != le.Uint64(data[slabOffChecksum:]) {
+		return h, fmt.Errorf("core: binary record checksum mismatch")
+	}
+	return h, nil
+}
+
+// CheckSlab verifies a binary record's self-contained integrity — every
+// header check, exact payload length and checksum — without a base graph.
+// Warm-start scans use it to detect truncated, corrupt or retired record
+// files cheaply; a record passing CheckSlab can still fail DecodeSlab's
+// graph-dependent validation.
+func CheckSlab(data []byte) error {
+	_, err := readSlabHeader(data)
+	return err
 }
 
 // nativeLE reports whether this host is little-endian — the on-disk layout
@@ -419,8 +389,9 @@ func (r *slabReader) arcs(count int) ([]graph.Arc, error) {
 	return out, nil
 }
 
-// DecodeSlab parses a version-3 binary record against its base graph g,
-// validating shape, integrity and every cross-reference (arc ids against
+// DecodeSlab parses a binary record against its base graph g: after the
+// header checks CheckSlab runs too, it checks the record's generation and
+// shape against g and validates every cross-reference (arc ids against
 // E(H), parent edges against the base graph's endpoints, BFS-order
 // consistency of the tree arrays) so the returned record is safe to serve
 // from directly. On little-endian hosts the record's integer sections are
@@ -428,75 +399,23 @@ func (r *slabReader) arcs(count int) ([]graph.Arc, error) {
 // successful decode (loaders read a record file once and hand the bytes
 // over, which is the point: load cost is validation, not parsing).
 func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
-	if !IsSlabRecord(data) {
-		return nil, fmt.Errorf("core: not a binary structure record")
-	}
-	if len(data) < slabHeaderSize {
-		return nil, fmt.Errorf("core: binary record shorter than its header")
-	}
-	le := binary.LittleEndian
-	model := Model(le.Uint32(data[slabOffModel:]))
-	n := int(le.Uint32(data[slabOffN:]))
-	m := int(le.Uint32(data[slabOffM:]))
-	source := int(le.Uint32(data[slabOffSource:]))
-	alg := Algorithm(le.Uint32(data[slabOffAlg:]))
-	eps := math.Float64frombits(le.Uint64(data[slabOffEps:]))
-	pairs := int(le.Uint32(data[slabOffPairs:]))
-	reachable := int(le.Uint32(data[slabOffReachable:]))
-	arcCount := int(le.Uint32(data[slabOffArcs:]))
-	payloadLen := le.Uint64(data[slabOffPayloadLen:])
-	checksum := le.Uint64(data[slabOffChecksum:])
-
-	if model != ModelEdge && model != ModelVertex {
-		return nil, fmt.Errorf("core: binary record has unknown model %d", model)
-	}
-	if err := checkSlabGen(data); err != nil {
+	h, err := readSlabHeader(data)
+	if err != nil {
 		return nil, err
 	}
-	gen := slabGenOf(data)
-	if gen != g.Generation() {
-		return nil, fmt.Errorf("core: binary record is for generation %d, base graph is generation %d", gen, g.Generation())
+	if h.gen != g.Generation() {
+		return nil, fmt.Errorf("core: binary record is for generation %d, base graph is generation %d", h.gen, g.Generation())
 	}
-	if n != g.N() || m != g.M() {
+	n, m := g.N(), g.M()
+	if h.n != n || h.m != m {
 		return nil, fmt.Errorf("core: binary record is for a %d-vertex %d-edge graph, base graph has n=%d m=%d",
-			n, m, g.N(), g.M())
-	}
-	if source < 0 || source >= n {
-		return nil, fmt.Errorf("core: binary record source %d out of range [0,%d)", source, n)
-	}
-	if model == ModelEdge {
-		if alg < Auto || alg > Greedy {
-			return nil, fmt.Errorf("core: binary record has unknown algorithm %d", alg)
-		}
-		if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
-			return nil, fmt.Errorf("core: binary record has bad eps %v", eps)
-		}
-	}
-	if pairs < 0 {
-		return nil, fmt.Errorf("core: binary record has negative pairs")
-	}
-	if reachable < 0 || reachable > n {
-		return nil, fmt.Errorf("core: binary record claims %d reachable of %d vertices", reachable, n)
-	}
-	if arcCount < 0 || arcCount > 2*m {
-		return nil, fmt.Errorf("core: binary record claims %d arcs for %d edges", arcCount, m)
-	}
-	if want := slabPayloadLen(model, n, m, arcCount, reachable); payloadLen != uint64(want) {
-		return nil, fmt.Errorf("core: binary record payload %d bytes, want %d", payloadLen, want)
-	}
-	if uint64(len(data)-slabHeaderSize) != payloadLen {
-		return nil, fmt.Errorf("core: binary record truncated: %d payload bytes of %d", len(data)-slabHeaderSize, payloadLen)
-	}
-	if slabChecksum(data) != checksum {
-		return nil, fmt.Errorf("core: binary record checksum mismatch")
+			h.n, h.m, n, m)
 	}
 
 	r := &slabReader{buf: data[slabHeaderSize:]}
-	words := (m + 63) / 64
-	rec := &SlabRecord{Model: model, S: source, Eps: eps, Alg: alg, Pairs: pairs, Gen: gen}
-	var err error
+	rec := &SlabRecord{Model: h.model, S: h.source, Eps: h.eps, Alg: h.alg, Pairs: h.pairs, Gen: h.gen}
 	readSet := func() (*graph.EdgeSet, error) {
-		ws, err := r.words(words)
+		ws, err := r.words((m + 63) / 64)
 		if err != nil {
 			return nil, err
 		}
@@ -505,13 +424,8 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 	if rec.Edges, err = readSet(); err != nil {
 		return nil, err
 	}
-	if model == ModelEdge {
-		if rec.Reinforced, err = readSet(); err != nil {
-			return nil, err
-		}
-		if rec.TreeEdges, err = readSet(); err != nil {
-			return nil, err
-		}
+	if rec.Reinforced, err = readSet(); err != nil {
+		return nil, err
 	}
 	if rec.Intact, err = r.i32s(n); err != nil {
 		return nil, err
@@ -519,7 +433,7 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 	if rec.RowStart, err = r.i32s(n + 1); err != nil {
 		return nil, err
 	}
-	if rec.Arcs, err = r.arcs(arcCount); err != nil {
+	if rec.Arcs, err = r.arcs(h.arcs); err != nil {
 		return nil, err
 	}
 	if rec.Parent, err = r.i32s(n); err != nil {
@@ -528,7 +442,7 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 	if rec.ParentEdge, err = r.edgeIDs(n); err != nil {
 		return nil, err
 	}
-	if rec.Order, err = r.i32s(reachable); err != nil {
+	if rec.Order, err = r.i32s(h.reachable); err != nil {
 		return nil, err
 	}
 	if err := validateSlab(rec, g); err != nil {
@@ -543,10 +457,13 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 // them without re-deriving anything.
 func validateSlab(rec *SlabRecord, g *graph.Graph) error {
 	n, m := g.N(), g.M()
-	if rec.Model == ModelEdge {
-		sub := rec.Reinforced.Minus(rec.Edges)
-		if sub.Len() != 0 {
-			return fmt.Errorf("core: binary record: %d reinforced edges outside E(H)", sub.Len())
+	if rec.Model == ModelVertex && rec.Reinforced.Len() != 0 {
+		return fmt.Errorf("core: binary record: vertex record with %d reinforced edges", rec.Reinforced.Len())
+	}
+	edges := rec.Edges.Words()
+	for i, w := range rec.Reinforced.Words() {
+		if w&^edges[i] != 0 {
+			return fmt.Errorf("core: binary record: reinforced edges outside E(H)")
 		}
 	}
 	// H's CSR: shape-validated by NewCSR below; here bind each arc to E(H).

@@ -27,9 +27,8 @@ type Structure struct {
 	S   int
 	Eps float64
 
-	Edges      *graph.EdgeSet // E(H), including reinforced edges
+	Edges      *graph.EdgeSet // E(H), including reinforced edges; a built H contains T0
 	Reinforced *graph.EdgeSet // E' ⊆ E(H); always a subset of the T0 edges
-	TreeEdges  *graph.EdgeSet // edges of the underlying BFS tree T0
 
 	Stats BuildStats
 }

@@ -117,13 +117,15 @@ func Verify(g *graph.Graph, s int, h, reinforced *graph.EdgeSet, model Model, li
 }
 
 // CheckInvariants validates internal consistency of a structure: the
-// reinforced set is contained in the tree edges, which are contained in H,
+// reinforced set is contained in T0, G's canonical BFS tree from the source
+// (recomputed here, never taken from the structure), T0 is contained in H,
 // and every H edge exists in G.
 func CheckInvariants(st *Structure) error {
-	if st.Reinforced.Len() != st.Reinforced.Intersect(st.TreeEdges).Len() {
+	t0 := bfs.From(st.G, st.S).EdgeSet(st.G.M())
+	if st.Reinforced.Minus(t0).Len() != 0 {
 		return fmt.Errorf("core: reinforced edges outside T0")
 	}
-	if st.TreeEdges.Len() != st.TreeEdges.Intersect(st.Edges).Len() {
+	if t0.Minus(st.Edges).Len() != 0 {
 		return fmt.Errorf("core: T0 not contained in H")
 	}
 	bad := false

@@ -110,8 +110,7 @@ func fourCycleFixture() (g *graph.Graph, h *graph.EdgeSet) {
 
 func TestVerifyPicksFailuresFromGAndH(t *testing.T) {
 	g, h := fourCycleFixture()
-	// The record-shaped structure claims an empty T0.
-	st := &Structure{G: g, S: 0, Edges: h, Reinforced: graph.NewEdgeSet(g.M()), TreeEdges: graph.NewEdgeSet(g.M())}
+	st := &Structure{G: g, S: 0, Edges: h, Reinforced: graph.NewEdgeSet(g.M())}
 	viol := verifyStructure(st, 0)
 	want := Violation{Model: ModelEdge, Failed: int32(g.EdgeIDOf(0, 1)), Vertex: 1, InH: -1, InG: 3}
 	if len(viol) == 0 || viol[0] != want {

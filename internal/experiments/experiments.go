@@ -1,8 +1,9 @@
 // Package experiments regenerates, one table per experiment id, the
-// paper-shaped results catalogued in EXPERIMENTS.md (E1–E10): the
-// reinforcement-backup tradeoff of Theorem 3.1, the Θ(n^{3/2}) baseline of
-// [14], the lower-bound families of Theorems 5.1/5.4, the cost corollary,
-// the decomposition facts and the interference census.
+// paper-shaped results E1–E11 (`go run ./cmd/experiments -quick all` prints
+// every table): the reinforcement-backup tradeoff of Theorem 3.1, the
+// Θ(n^{3/2}) baseline of [14], the lower-bound families of Theorems 5.1/5.4,
+// the cost corollary, the decomposition facts, the interference census and
+// the vertex-failure extension.
 //
 // The absolute numbers depend on machine-free combinatorics only (edge
 // counts, not wall-clock), so the tables are deterministic.

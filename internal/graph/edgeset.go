@@ -19,15 +19,6 @@ func NewEdgeSet(m int) *EdgeSet {
 	return &EdgeSet{bits: make([]uint64, (m+63)/64)}
 }
 
-// NewFullEdgeSet returns a set containing all m edge ids.
-func NewFullEdgeSet(m int) *EdgeSet {
-	s := NewEdgeSet(m)
-	for id := 0; id < m; id++ {
-		s.Add(EdgeID(id))
-	}
-	return s
-}
-
 // Add inserts id. Reports whether the set changed.
 func (s *EdgeSet) Add(id EdgeID) bool {
 	w, b := id>>6, uint(id&63)

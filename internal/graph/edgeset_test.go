@@ -134,18 +134,3 @@ func TestVertexSet(t *testing.T) {
 		t.Fatal("negative Contains must be false")
 	}
 }
-
-func TestNewFullEdgeSet(t *testing.T) {
-	s := NewFullEdgeSet(130)
-	if s.Len() != 130 {
-		t.Fatalf("full set len=%d", s.Len())
-	}
-	for i := 0; i < 130; i++ {
-		if !s.Contains(EdgeID(i)) {
-			t.Fatalf("missing %d", i)
-		}
-	}
-	if s.Contains(130) {
-		t.Fatal("contains out of range")
-	}
-}

@@ -262,27 +262,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// InducedSubgraph returns the subgraph induced by keep (vertices mapped to
-// 0..len(keep)-1 in the given order) together with the vertex mapping
-// old→new (-1 when dropped). Edge ids are NOT preserved.
-func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int32) {
-	remap := make([]int32, g.n)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, v := range keep {
-		remap[v] = int32(i)
-	}
-	sub := New(len(keep))
-	for _, e := range g.edges {
-		nu, nv := remap[e.U], remap[e.V]
-		if nu >= 0 && nv >= 0 {
-			sub.MustAddEdge(int(nu), int(nv))
-		}
-	}
-	return sub, remap
-}
-
 // String implements fmt.Stringer with a short summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d}", g.n, len(g.edges))

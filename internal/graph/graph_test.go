@@ -100,27 +100,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	b := NewBuilder(6)
-	b.AddPath(0, 1, 2, 3, 4, 5)
-	b.Add(0, 5)
-	g := b.Graph()
-	sub, remap := g.InducedSubgraph([]int{0, 1, 2, 5})
-	if sub.N() != 4 {
-		t.Fatalf("sub.N=%d", sub.N())
-	}
-	// surviving edges: 0-1, 1-2, 0-5
-	if sub.M() != 3 {
-		t.Fatalf("sub.M=%d want 3", sub.M())
-	}
-	if remap[3] != -1 || remap[5] != 3 {
-		t.Fatalf("remap wrong: %v", remap)
-	}
-	if !sub.HasEdge(int(remap[0]), int(remap[5])) {
-		t.Fatal("edge 0-5 missing in subgraph")
-	}
-}
-
 func TestValidateDetectsCorruption(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1)

@@ -29,10 +29,6 @@ type Pair struct {
 // LastEdge returns LastE(P_{v,e}).
 func (p *Pair) LastEdge() graph.Edge { return p.Detour.LastEdge() }
 
-// DepthOfEdge returns dist(s,e): the depth of the failing edge's child
-// endpoint, so deeper edges have larger values.
-func (p *Pair) DepthOfEdge(t *tree.Tree) int32 { return t.Depth[p.EdgeChild] }
-
 // DistFromV returns dist(v, e, π(s,v)) — the ordering key used by Phase S1
 // ("increasing distance of the failing edge from v" = deepest edge first).
 func (p *Pair) DistFromV(t *tree.Tree) int32 {

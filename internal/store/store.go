@@ -10,14 +10,15 @@
 // number of structures in memory (LRU eviction), builds missing entries on
 // demand (edge misses of one request burst in one ftbfs.BuildBatch call,
 // deduplicated per key via single-flight), and — when given a
-// directory — persists every structure as a version-3 binary slab record
-// (graphs keep the text format) so a restarted server warm-starts from disk
-// and evicted structures load back through — a zero-parse read — instead of
+// directory — persists every structure as a binary slab record (graphs
+// keep the text format) so a restarted server warm-starts from disk and
+// evicted structures load back through — a zero-parse read — instead of
 // rebuilding. The slab is the only structure record the store reads: the
-// warm scan quarantines any other structure file (a text record an older
-// store wrote, say), and its key rebuilds on first use. Structures leave the
-// resolver with their serving QueryPlan pre-built, so the query hot path
-// never pays the CSR extraction or tree preprocessing inline.
+// warm scan quarantines any other structure file (a text record or a slab
+// in a retired FTB3/FTB4 layout that an older store wrote, say), and its
+// key rebuilds on first use. Structures leave the resolver with their
+// serving QueryPlan pre-built, so the query hot path never pays the CSR
+// extraction or tree preprocessing inline.
 //
 // Graphs are live: a registered graph is a (lineage, generation) pair, and
 // the Graph dimension of every Key is the lineage — stable across mutations,
@@ -32,8 +33,8 @@
 // generation, and structures together. Queries never block on a rebuild and
 // never observe a torn or mixed-generation view; a persist fault aborts with
 // no swap, and superseded generations' record files are garbage-collected
-// only after a successful swap. Generation-0 records stay byte-identical
-// version-3 slabs, so mixed-version fleets hand records both ways.
+// only after a successful swap. Every record carries its generation, and a
+// record of another generation than the registered graph's is refused.
 package store
 
 import (
@@ -339,10 +340,11 @@ func (s *Store) quarantine(path string, cause error) {
 }
 
 // checkStructFile verifies a structure record file is an intact slab
-// without decoding it against a graph: length and checksum. Any other file,
-// such as a text record of the format stores wrote before the slab, fails
-// here and is quarantined. Deep (graph-dependent) validation still happens
-// at load-through; a file failing there falls back to a rebuild.
+// without decoding it against a graph: every header check, length and
+// checksum. Any other file, such as a text record or a retired FTB3/FTB4
+// slab that an older store wrote, fails here and is quarantined. Deep
+// (graph-dependent) validation still happens at load-through; a file
+// failing there falls back to a rebuild.
 func (s *Store) checkStructFile(path string) error {
 	data, err := s.readFile(path)
 	if err != nil {
@@ -864,11 +866,6 @@ func (s *Store) loadFromDir(k Key, g *ftbfs.Graph) Structure {
 // that it is the structure k names, and pre-builds its query plan.
 // Load-through and ImportRecord share it.
 func decode(g *ftbfs.Graph, k Key, data []byte) (Structure, error) {
-	// Cheap model peek before the full decode: a mis-addressed record fails
-	// with a model mismatch, not a deep validation error.
-	if m, ok := core.RecordModel(data); ok && m != k.Model {
-		return nil, fmt.Errorf("record is a %d-model slab, key wants %d", m, k.Model)
-	}
 	var st Structure
 	if k.Model == core.ModelVertex {
 		vst, err := ftbfs.LoadVertexStructure(g, bytes.NewReader(data))

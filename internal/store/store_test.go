@@ -522,7 +522,7 @@ func TestConcurrentGetOrBuildVertexSingleFlight(t *testing.T) {
 }
 
 // TestStructuresPersistAsSlabRecords pins the on-disk contract: the store
-// writes version-3 binary slab records for both failure models, and an
+// writes binary slab records for both failure models, and an
 // evicted structure loads back through the slab decoder (not the text one)
 // into an answer-identical structure.
 func TestStructuresPersistAsSlabRecords(t *testing.T) {
@@ -625,6 +625,38 @@ func TestWarmStartCountsAndSkipsStructureFiles(t *testing.T) {
 // unreadable record — counted in WarmQuarantined, renamed .corrupt — and its
 // key rebuilds on first use into a slab record.
 func TestWarmStartQuarantinesTextRecord(t *testing.T) {
+	checkRetiredRecordQuarantined(t, func(st *ftbfs.Structure, _ []byte) []byte {
+		var text strings.Builder
+		fmt.Fprintf(&text, "ftbfs-structure 1\nsource %d eps %g alg %s\n", st.Source(), st.Epsilon(), st.Stats().Algorithm)
+		for _, e := range st.Edges() {
+			tag := "b"
+			if st.IsReinforced(e[0], e[1]) {
+				tag = "r"
+			}
+			fmt.Fprintf(&text, "%s %d %d\n", tag, e[0], e[1])
+		}
+		return []byte(text.String())
+	})
+}
+
+// TestWarmStartQuarantinesRetiredSlab: a slab record in a retired layout
+// (magic FTB3 here; FTB4 fails the same magic check) fails the warm-start
+// check, is quarantined and counted like a text record, and its key
+// rebuilds on first use.
+func TestWarmStartQuarantinesRetiredSlab(t *testing.T) {
+	checkRetiredRecordQuarantined(t, func(_ *ftbfs.Structure, slab []byte) []byte {
+		old := bytes.Clone(slab)
+		copy(old, "FTB3")
+		return old
+	})
+}
+
+// checkRetiredRecordQuarantined builds one structure in a persist
+// directory, overwrites its record with retired(structure, slab bytes),
+// and checks that a warm start quarantines the file and counts it, and that
+// the key rebuilds once into the same slab record.
+func checkRetiredRecordQuarantined(t *testing.T, retired func(st *ftbfs.Structure, slab []byte) []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	s1, err := New(0, dir)
 	if err != nil {
@@ -640,35 +672,26 @@ func TestWarmStartQuarantinesTextRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := savedBytes(t, st)
-	// Overwrite the slab with the same structure as a version-1 text record.
-	var text strings.Builder
-	fmt.Fprintf(&text, "ftbfs-structure 1\nsource %d eps %g alg %s\n", st.Source(), st.Epsilon(), st.Stats().Algorithm)
-	for _, e := range st.Edges() {
-		tag := "b"
-		if st.IsReinforced(e[0], e[1]) {
-			tag = "r"
-		}
-		fmt.Fprintf(&text, "%s %d %d\n", tag, e[0], e[1])
-	}
+	old := retired(st, want)
 	path := s1.structPath(k)
-	if err := os.WriteFile(path, []byte(text.String()), 0o644); err != nil {
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2, err := New(0, dir)
 	if err != nil {
-		t.Fatalf("a text record made the store unbootable: %v", err)
+		t.Fatalf("a retired record made the store unbootable: %v", err)
 	}
 	ws := s2.Stats()
 	if ws.WarmLoaded != 1 || ws.WarmQuarantined != 1 || ws.WarmSkipped != 0 {
-		t.Fatalf("warm start loaded %d, quarantined %d, skipped %d; want the graph loaded and the text record quarantined",
+		t.Fatalf("warm start loaded %d, quarantined %d, skipped %d; want the graph loaded and the retired record quarantined",
 			ws.WarmLoaded, ws.WarmQuarantined, ws.WarmSkipped)
 	}
-	if got, err := os.ReadFile(path + ".corrupt"); err != nil || string(got) != text.String() {
-		t.Fatalf("quarantined text record missing or changed: %v", err)
+	if got, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("quarantined record missing or changed: %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("text record still in the load path: %v", err)
+		t.Fatalf("retired record still in the load path: %v", err)
 	}
 	st2, err := s2.GetOrBuild(context.Background(), k)
 	if err != nil {
@@ -678,7 +701,7 @@ func TestWarmStartQuarantinesTextRecord(t *testing.T) {
 		t.Fatalf("builds = %d, want the quarantined key rebuilt once", s2.Stats().Builds)
 	}
 	if got := savedBytes(t, st2); !bytes.Equal(got, want) {
-		t.Fatal("rebuilt structure differs from the one the text record held")
+		t.Fatal("rebuilt structure differs from the one the retired record held")
 	}
 	if err := s2.checkStructFile(path); err != nil {
 		t.Fatalf("rebuild did not write a slab record: %v", err)

@@ -79,9 +79,6 @@ func (o *OutcomeHist) Observe(d time.Duration, out Outcome) {
 	o.h[out].Observe(d)
 }
 
-// Hist returns the histogram of one outcome (for tests and summaries).
-func (o *OutcomeHist) Hist(out Outcome) *Histogram { return o.h[out] }
-
 // Registry owns a set of named metrics. Registration takes a lock;
 // recording through the returned pointers never does. Registering the same
 // (name, labels) twice returns the same metric, so layers can share

@@ -269,12 +269,6 @@ func (t *Tree) Related(a, b int32) bool {
 	return t.IsAncestor(a, b) || t.IsAncestor(b, a)
 }
 
-// OnRootPath reports whether the tree edge with child endpoint c lies on
-// π(root, v).
-func (t *Tree) OnRootPath(c, v int32) bool {
-	return t.IsAncestor(c, v)
-}
-
 // Segment is a maximal intersection of π(root,v) with one decomposition
 // path: vertices Paths[Path][0..BottomPos] are all ancestors of v.
 type Segment struct {

@@ -130,7 +130,6 @@ func DeltaRebuild(old *Structure, g *Graph, d *GraphDelta) (*Structure, bool) {
 		Eps:        old.st.Eps,
 		Edges:      translate(old.st.Edges),
 		Reinforced: translate(old.st.Reinforced),
-		TreeEdges:  translate(old.st.TreeEdges),
 		Stats:      old.st.Stats, // diagnostics of the original build
 	}
 	s := newStructure(cs)

@@ -12,12 +12,13 @@ import (
 	"ftbfs/internal/vertexft"
 )
 
-// SaveSlab serialises the structure as a version-3 binary record, the one
-// structure record format: the edge sets plus the fully materialized query
-// plan (H's CSR, the intact distance vector, H's canonical BFS tree in BFS
-// order), stored as flat little-endian slabs. Loading such a record skips
-// endpoint re-binding and every BFS pass — see LoadStructure. The plan is
-// built first if the structure has never served a query.
+// SaveSlab serialises the structure as a binary record, the one structure
+// record format: E(H) and the reinforced set plus the fully materialized
+// query plan (H's CSR, the intact distance vector, H's canonical BFS tree in
+// BFS order), stored as flat little-endian slabs. T0 is not stored: H's
+// canonical BFS tree is T0 for every built structure. Loading such a record
+// skips endpoint re-binding and every BFS pass — see LoadStructure. The plan
+// is built first if the structure has never served a query.
 func (s *Structure) SaveSlab(w io.Writer) error {
 	alg, err := core.ParseAlgorithm(s.st.Stats.Algorithm)
 	if err != nil {
@@ -28,13 +29,12 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 		Eps:        s.st.Eps,
 		Alg:        alg,
 		Reinforced: s.st.Reinforced,
-		TreeEdges:  s.st.TreeEdges,
 	})
 }
 
-// SaveSlab serialises the vertex structure as a version-3 binary record; the
-// vertex model stores no ε/algorithm/reinforcement dimension. See
-// Structure.SaveSlab.
+// SaveSlab serialises the vertex structure as a binary record in the same
+// layout; the vertex model stores no ε or algorithm, and its reinforced
+// section is empty. See Structure.SaveSlab.
 func (s *VertexStructure) SaveSlab(w io.Writer) error {
 	return s.saveSlab(w, &core.SlabRecord{Model: core.ModelVertex, Pairs: s.st.Pairs})
 }
@@ -59,8 +59,9 @@ func (s *serving) saveSlab(w io.Writer, rec *core.SlabRecord) error {
 // against its base graph; the graph is frozen by this call. The record
 // carries its serving arrays ready-built and is cross-validated without any
 // search, so loading is I/O-bound. Use Verify for the full contract: it
-// picks the failures to check from G and H, never from the record's own
-// T0 section. Any input that is not a slab record is refused.
+// picks the failures to check from G and H alone. Any input that is not a
+// slab record is refused, as is a vertex record and a record written in a
+// retired layout (magic FTB3 or FTB4).
 func LoadStructure(g *Graph, r io.Reader) (*Structure, error) {
 	rec, err := loadSlab(g, r)
 	if err != nil {
@@ -75,7 +76,6 @@ func LoadStructure(g *Graph, r io.Reader) (*Structure, error) {
 		Eps:        rec.Eps,
 		Edges:      rec.Edges,
 		Reinforced: rec.Reinforced,
-		TreeEdges:  rec.TreeEdges,
 	}
 	cs.Stats.Algorithm = rec.Alg.String()
 	s := newStructure(cs)
