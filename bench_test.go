@@ -152,10 +152,11 @@ func BenchmarkBuildBaseline(b *testing.B) {
 
 // BenchmarkBuildBatch compares one batched build of 8 (source, ε) requests
 // on the Epsilon path against the equivalent loop of sequential core.Build
-// calls. The batch shares, per source, the canonical trees, the Phase S0
-// replacement-path pass and the reinforcement sweep, and recycles engine
-// scratch and the Phase S2 workspace across all requests — so it wins on
-// wall-clock and allocations even single-threaded.
+// calls. The batch shares, per source, the canonical tree and its
+// decomposition, the Phase S0 replacement-path pass, the Phase S2 scratch
+// and the reinforcement sweep, and recycles each worker's engine scratch
+// across its sources — so it wins on wall-clock and allocations even
+// single-threaded.
 func BenchmarkBuildBatch(b *testing.B) {
 	g := gen.RandomConnected(600, 1800, 13)
 	var reqs []batch.Request
@@ -1022,12 +1023,11 @@ func BenchmarkE11VertexFT(b *testing.B) {
 	}
 }
 
-// BenchmarkVertexBuild measures the vertex construction with a fresh
-// workspace per call (vertexft.Build) against BuildWith recycling one
-// workspace across calls — what ftbfs.BuildVertex does via its workspace
-// pool, so the store's build-through and serve pre-builds take the recycled
-// path. The workspace removes the per-call repair scratch, distance vector,
-// subtree buffer and children-CSR allocations.
+// BenchmarkVertexBuild measures the vertex construction on a fresh
+// replacement engine per call (vertexft.Build, what ftbfs.BuildVertex does)
+// against BuildWith on one engine recycled with Reset across sources: the
+// engine is the workspace, so recycling it removes the per-call CSR of G,
+// repair scratch and distance vector.
 func BenchmarkVertexBuild(b *testing.B) {
 	g := gen.RandomConnected(300, 900, 7)
 	b.Run("fresh", func(b *testing.B) {
@@ -1040,9 +1040,10 @@ func BenchmarkVertexBuild(b *testing.B) {
 	})
 	b.Run("workspace", func(b *testing.B) {
 		b.ReportAllocs()
-		ws := vertexft.NewWorkspace()
+		en := replacement.NewEngine(g, 0)
 		for i := 0; i < b.N; i++ {
-			if _, err := vertexft.BuildWith(g, i%8, ws); err != nil {
+			en.Reset(i % 8)
+			if _, err := vertexft.BuildWith(en); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1257,9 +1258,10 @@ func BenchmarkWireServe(b *testing.B) {
 }
 
 // BenchmarkSlabLoad measures load-to-serving-ready — decode a persisted
-// slab record and build its query plan — through the LoadStructure entry
-// point the store uses: the loader validates and reinterprets, it runs no
-// search.
+// slab record and build its query plan — through the LoadStructure and
+// LoadVertexStructure entry points the store uses: the loaders validate and
+// reinterpret, they run no search. slab-vertex loads the vertex record of
+// the same graph and source.
 func BenchmarkSlabLoad(b *testing.B) {
 	g := ftbfs.NewGraph(2000)
 	for _, e := range gen.RandomConnected(2000, 6000, 9).Edges() {
@@ -1269,16 +1271,36 @@ func BenchmarkSlabLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var slab bytes.Buffer
+	vst, err := ftbfs.BuildVertex(g, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var slab, vslab bytes.Buffer
 	if err := st.SaveSlab(&slab); err != nil {
 		b.Fatal(err)
 	}
-	raw := slab.Bytes()
+	if err := vst.SaveSlab(&vslab); err != nil {
+		b.Fatal(err)
+	}
+	raw, vraw := slab.Bytes(), vslab.Bytes()
 	b.Run("slab", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(raw)))
 		for i := 0; i < b.N; i++ {
 			s, err := ftbfs.LoadStructure(g, bytes.NewReader(raw))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if s.Plan() == nil {
+				b.Fatal("no plan")
+			}
+		}
+	})
+	b.Run("slab-vertex", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(vraw)))
+		for i := 0; i < b.N; i++ {
+			s, err := ftbfs.LoadVertexStructure(g, bytes.NewReader(vraw))
 			if err != nil {
 				b.Fatal(err)
 			}

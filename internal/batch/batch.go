@@ -9,11 +9,11 @@
 // The orchestrator instead groups the requests by source and dispatches the
 // groups to a worker pool. Each worker owns one replacement.Engine — recycled
 // between sources via Engine.Reset, so the engine's CSR of G and its search
-// and repair scratch are allocated once per worker, not once per request —
-// and one core.Workspace that keeps the Phase S2 hot path allocation-free.
-// Within a source group the canonical trees and the memoised Phase S0 pairs
-// are computed once and shared by every ε, and core.BuildGroup runs a single
-// reinforcement sweep for the whole group: one repair of each failed
+// and repair scratch are allocated once per worker, not once per request.
+// Within a source group the canonical tree (with its decomposition, once
+// Phase S2 adds it), the memoised Phase S0 pairs and the Phase S2 scratch
+// are computed once and shared by every ε, and core.BuildGroup runs a
+// single reinforcement sweep for the whole group: one repair of each failed
 // subtree, O(Σ_v depth(v)·deg(v)) over all tree edges. Every structure
 // produced is identical (the same ε, algorithm and edge sets) to the one a
 // sequential core.Build would return.
@@ -32,8 +32,7 @@ import (
 )
 
 // Request names one structure to build: a source, a tradeoff parameter and
-// the per-build options (algorithm, ablations). Opt.Workspace is managed by
-// the orchestrator and ignored if set.
+// the per-build options (algorithm, ablations).
 type Request struct {
 	Source int
 	Eps    float64
@@ -103,7 +102,6 @@ func Build(g *graph.Graph, reqs []Request, opt Options) ([]*core.Structure, erro
 		go func() {
 			defer wg.Done()
 			var en *replacement.Engine // recycled across this worker's sources
-			ws := core.NewWorkspace()
 			for {
 				gi := int(next.Add(1) - 1)
 				if gi >= len(groups) || failed.Load() {
@@ -118,9 +116,7 @@ func Build(g *graph.Graph, reqs []Request, opt Options) ([]*core.Structure, erro
 				idxs := groups[gi]
 				items := make([]core.GroupItem, len(idxs))
 				for k, ri := range idxs {
-					o := reqs[ri].Opt
-					o.Workspace = ws
-					items[k] = core.GroupItem{Eps: reqs[ri].Eps, Opt: o}
+					items[k] = core.GroupItem{Eps: reqs[ri].Eps, Opt: reqs[ri].Opt}
 				}
 				sts, err := core.BuildGroup(en, items)
 				if err != nil {

@@ -102,9 +102,9 @@ func TestCostSweepMatchesCore(t *testing.T) {
 	}
 }
 
-// TestWorkspaceReuseAcrossGraphs exercises the per-worker workspace and
-// engine recycling on graphs of different sizes in one batch — buffers must
-// regrow safely and results stay exact.
+// TestWorkspaceReuseAcrossGraphs exercises the per-worker engine recycling
+// (the engine is the build workspace; Reset rebinds it per source) on
+// graphs of different sizes — results must stay exact.
 func TestWorkspaceReuseAcrossGraphs(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		gen.RandomConnected(40, 70, 3),
@@ -114,7 +114,7 @@ func TestWorkspaceReuseAcrossGraphs(t *testing.T) {
 			{Source: 0, Eps: 0.2}, {Source: 0, Eps: 0.45},
 			{Source: 1, Eps: 0.3}, {Source: 2, Eps: 0.25},
 		}
-		sts, err := Build(g, reqs, Options{Workers: 1}) // one worker: one engine+workspace reused for all
+		sts, err := Build(g, reqs, Options{Workers: 1}) // one worker: one engine reused for all
 		if err != nil {
 			t.Fatal(err)
 		}

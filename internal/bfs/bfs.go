@@ -100,8 +100,3 @@ func (t *Tree) EdgeSet(m int) *graph.EdgeSet {
 	}
 	return s
 }
-
-// Distances is a convenience wrapper returning only the distance array.
-func Distances(g *graph.Graph, s int) []int32 {
-	return From(g, s).Dist
-}

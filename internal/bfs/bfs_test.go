@@ -227,7 +227,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 				nb.Add(int(ed.U), int(ed.V))
 			}
 		}
-		want := Distances(nb.Graph(), 0)
+		want := From(nb.Graph(), 0).Dist
 		for v := range want {
 			if out[v] != want[v] {
 				t.Fatalf("trial %d: dist[%d]=%d want %d (edge %v)", trial, v, out[v], want[v], g.EdgeByID(e))

@@ -8,49 +8,39 @@ import (
 	"ftbfs/internal/replacement"
 )
 
-// Build constructs an ε FT-BFS structure for (g, s) per Theorem 3.1.
-// The returned structure satisfies dist(s,v,H\{e}) ≤ dist(s,v,G\{e}) for
-// every vertex v and every non-reinforced edge e (checkable with Verify).
+// Build constructs an ε FT-BFS structure for (g, s) per Theorem 3.1: a
+// BuildGroup of one item on a fresh engine. The returned structure
+// satisfies dist(s,v,H\{e}) ≤ dist(s,v,G\{e}) for every vertex v and every
+// non-reinforced edge e (checkable with Verify).
 func Build(g *graph.Graph, s int, eps float64, opt Options) (*Structure, error) {
 	if !g.Frozen() {
-		return nil, fmt.Errorf("core: graph must be frozen")
+		return nil, errNotFrozen
 	}
 	if s < 0 || s >= g.N() {
 		return nil, fmt.Errorf("core: source %d out of range [0,%d)", s, g.N())
 	}
-	return BuildWithEngine(replacement.NewEngine(g, s), eps, opt)
-}
-
-// BuildWithEngine is Build against a prepared replacement-path engine, so
-// batch orchestrators can recycle one engine (and its memoised Phase S0
-// pairs) across many builds on the same source. The result is identical to
-// Build(en.G, en.S, eps, opt).
-func BuildWithEngine(en *replacement.Engine, eps float64, opt Options) (*Structure, error) {
-	h, stats, err := buildEdges(en, eps, opt, &sharedS0{})
+	if err := ValidateBuild(eps, opt); err != nil {
+		return nil, err
+	}
+	sts, err := BuildGroup(replacement.NewEngine(g, s), []GroupItem{{Eps: eps, Opt: opt}})
 	if err != nil {
 		return nil, err
 	}
-	st := newStructure(en, eps, h)
-	st.Stats = stats
-	return st, nil
+	return sts[0], nil
 }
 
 // sharedS0 caches the ε-independent products of Phase S0 across the builds
-// of a same-source group: the pair interference index and the I1/I2
-// interference split. A fresh value is used per Build; BuildGroup shares
-// one across all its items.
+// of a same-source group: the pair interference index (which owns the
+// Phase S2 scratch) and the I1/I2 interference split.
 type sharedS0 struct {
 	ix     *pairIndex
 	i1, i2 []int32
 }
 
-func (sh *sharedS0) load(en *replacement.Engine, opt Options) *pairIndex {
+func (sh *sharedS0) load(en *replacement.Engine) *pairIndex {
 	if sh.ix == nil {
 		sh.ix = buildPairIndex(en, en.AllPairs())
 		sh.i1, sh.i2 = sh.ix.splitI1I2()
-	}
-	if opt.Workspace != nil {
-		sh.ix.ws = opt.Workspace // honour each item's workspace preference
 	}
 	return sh.ix
 }
@@ -124,7 +114,7 @@ func epsilonEdges(en *replacement.Engine, eps float64, opt Options, sh *sharedS0
 	k := int(math.Ceil(1/eps)) + 2 // Eq. (4)
 
 	h := en.TreeEdges.Clone()
-	ix := sh.load(en, opt)
+	ix := sh.load(en)
 	i1, i2 := sh.i1, sh.i2
 
 	stats := BuildStats{
@@ -157,16 +147,4 @@ func epsilonEdges(en *replacement.Engine, eps float64, opt Options, sh *sharedS0
 		stats.S2GlueAdded, stats.S2Added = runPhase2(ix, h, sets, threshold)
 	}
 	return h, stats
-}
-
-// newStructure assembles a Structure from the chosen edge set, reinforcing
-// exactly the last-unprotected tree edges (valid by Observation 2.2).
-func newStructure(en *replacement.Engine, eps float64, h *graph.EdgeSet) *Structure {
-	return &Structure{
-		G:          en.G,
-		S:          en.S,
-		Eps:        eps,
-		Edges:      h,
-		Reinforced: LastUnprotected(en, h),
-	}
 }

@@ -98,7 +98,11 @@ func BuildReinforcing(g *graph.Graph, s int, candidates []graph.EdgeID) (*Struct
 			h.Add(p.LastID)
 		}
 	}
-	st := newStructure(en, 0, h)
-	st.Stats.Algorithm = "reinforce-set"
-	return st, nil
+	return &Structure{
+		G:          g,
+		S:          s,
+		Edges:      h,
+		Reinforced: LastUnprotectedMulti(en, []*graph.EdgeSet{h})[0],
+		Stats:      BuildStats{Algorithm: "reinforce-set"},
+	}, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // GroupItem is one build request of a same-source group: the tradeoff
-// parameter and its options (algorithm choice, ablations, workspace).
+// parameter and its options (algorithm choice, ablations).
 type GroupItem struct {
 	Eps float64
 	Opt Options
@@ -25,12 +25,15 @@ func (e *ItemError) Error() string { return fmt.Sprintf("item %d: %v", e.Item, e
 func (e *ItemError) Unwrap() error { return e.Err }
 
 // BuildGroup constructs one structure per item, all for the engine's (G, S),
-// sharing everything that does not depend on ε: the canonical trees carried
-// by the engine, the memoised Phase S0 replacement-path pairs, and — the big
-// win — a single LastUnprotectedMulti reinforcement sweep covering every
-// item instead of one sweep per item. Each returned structure is identical
-// (the same ε, algorithm and E(H), E′ and T0 edge sets) to the one Build
-// would produce for the same (G, S, eps, options).
+// sharing everything that does not depend on ε: the canonical tree carried
+// by the engine (and its Fact 3.3 decomposition, once Phase S2 adds it),
+// the memoised Phase S0 replacement-path pairs with their interference
+// index and Phase S2 scratch, and — the big win — a single
+// LastUnprotectedMulti reinforcement sweep covering every item instead of
+// one sweep per item. Build is a group of one item; sharing changes no
+// output, so each returned structure is identical (the same ε, E(H), E′
+// and BuildStats) to the one Build returns for the same (G, S, eps,
+// options).
 func BuildGroup(en *replacement.Engine, items []GroupItem) ([]*Structure, error) {
 	hs := make([]*graph.EdgeSet, len(items))
 	stats := make([]BuildStats, len(items))

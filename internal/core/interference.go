@@ -25,17 +25,7 @@ type pairIndex struct {
 	seenT  []int32 // stamped per-terminal dedup marks, indexed by vertex
 	stamp  int32
 
-	ws *Workspace // scratch for the Phase S2 hot path; lazily created
-}
-
-// workspace returns the index's scratch workspace, creating one on first use.
-// Batch builders install a long-lived per-worker workspace instead (see
-// Options.Workspace) so repeated builds reuse the same buffers.
-func (ix *pairIndex) workspace() *Workspace {
-	if ix.ws == nil {
-		ix.ws = NewWorkspace()
-	}
-	return ix.ws
+	ws workspace // scratch for the Phase S2 hot path, shared by the group's ε values
 }
 
 func buildPairIndex(en *replacement.Engine, pairs []*replacement.Pair) *pairIndex {

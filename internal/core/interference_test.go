@@ -152,6 +152,7 @@ func TestClassifyDefinitions(t *testing.T) {
 func TestPiIntersectsAgainstDefinition(t *testing.T) {
 	g := gen.RandomConnected(50, 90, 8)
 	en, ix := indexFor(t, g, 0)
+	en.T.Decompose() // LCA ascends the Fact 3.3 paths; the engine keeps only ancestry
 	for i := range ix.pairs {
 		p := int32(i)
 		v := ix.pairs[p].V

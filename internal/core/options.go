@@ -59,7 +59,8 @@ func (a Algorithm) String() string {
 	return "unknown"
 }
 
-// Options tunes Build. The zero value is a sensible default.
+// Options tunes Build and each BuildGroup item: which construction runs and
+// its ablations. The zero value is a sensible default.
 type Options struct {
 	Algorithm Algorithm
 
@@ -72,10 +73,4 @@ type Options struct {
 	// structure — skipped protection shows up as extra reinforced edges.
 	SkipPhase1 bool
 	SkipPhase2 bool
-
-	// Workspace, when non-nil, supplies the scratch buffers of the Epsilon
-	// hot paths so repeated builds recycle them instead of reallocating
-	// (see NewWorkspace). Builds sharing a workspace must not run
-	// concurrently; the result is identical with or without one.
-	Workspace *Workspace
 }

@@ -29,7 +29,8 @@ import (
 // therefore allocates nothing once the workspace has warmed up.
 func runPhase2(ix *pairIndex, H *graph.EdgeSet, sets [][]int32, threshold int) (glueAdded, added int) {
 	t := ix.en.T
-	ws := ix.workspace()
+	t.Decompose() // the engine keeps only T0's ancestry until Phase S2 needs TD
+	ws := &ix.ws
 	ws.ensure(len(ix.pairs), ix.en.G.M())
 
 	// --- Sub-Phase S2.1: glue edges E⁻(TD). ---
@@ -149,7 +150,7 @@ func runPhase2(ix *pairIndex, H *graph.EdgeSet, sets [][]int32, threshold int) (
 
 // countDistinctLast returns the number of distinct last-edge ids among the
 // given pairs, using the workspace's stamped edge marks.
-func countDistinctLast(ix *pairIndex, ws *Workspace, ps []int32) int {
+func countDistinctLast(ix *pairIndex, ws *workspace, ps []int32) int {
 	stamp := ws.nextStamp()
 	distinct := 0
 	for _, p := range ps {

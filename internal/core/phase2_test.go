@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/replacement"
+	"ftbfs/internal/tree"
 )
 
 // Direct unit tests of the Phase S2 covering logic.
@@ -15,6 +17,7 @@ func TestPhase2GlueEdgesCovered(t *testing.T) {
 	// must have its last edge in H (Sub-Phase S2.1 / Claim 4.12).
 	g := gen.RandomConnected(60, 100, 13)
 	en := replacement.NewEngine(g, 0)
+	en.T.Decompose() // GlueEdges is E⁻(TD); the engine keeps only ancestry
 	pairs := en.AllPairs()
 	ix := buildPairIndex(en, pairs)
 	h := en.TreeEdges.Clone()
@@ -132,5 +135,48 @@ func TestEdgeIndexOfConsistency(t *testing.T) {
 		if g.EdgeIDOf(int(pi[idx]), int(pi[idx+1])) != p.Edge {
 			t.Fatal("edge index does not address the failing edge")
 		}
+	}
+}
+
+// The engine keeps only T0's ancestry, so the Fact 3.3 decomposition is paid
+// for by the builds that read it. Tree, Baseline and Greedy builds (and an
+// Epsilon build without Phase S2) leave the engine's tree undecomposed; an
+// Epsilon group decomposes it once — a second decomposition would append
+// its paths and glue edges again — and later groups on the same source
+// reuse it. Reset drops it with the old tree.
+func TestOnlyPhase2Decomposes(t *testing.T) {
+	g := gen.RandomConnected(60, 100, 13)
+	en := replacement.NewEngine(g, 0)
+	if _, err := BuildGroup(en, []GroupItem{
+		{Eps: 0, Opt: Options{Algorithm: Tree}},
+		{Eps: 1, Opt: Options{Algorithm: Baseline}},
+		{Eps: 0.3, Opt: Options{Algorithm: Greedy}},
+		{Eps: 0.2, Opt: Options{SkipPhase2: true}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if en.T.PathOf != nil {
+		t.Fatal("a group without Phase S2 decomposed the engine's tree")
+	}
+	want := tree.Build(g, en.BT)
+	var first *int32
+	for round := 0; round < 2; round++ {
+		if _, err := BuildGroup(en, []GroupItem{{Eps: 0.2}, {Eps: 0.3}}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(en.T.PathOf, want.PathOf) || len(en.T.Paths) != len(want.Paths) ||
+			!slices.Equal(en.T.GlueEdges, want.GlueEdges) {
+			t.Fatalf("round %d: %d paths and %d glue edges, want one decomposition (%d, %d)",
+				round, len(en.T.Paths), len(en.T.GlueEdges), len(want.Paths), len(want.GlueEdges))
+		}
+		if round == 0 {
+			first = &en.T.PathOf[0]
+		} else if first != &en.T.PathOf[0] {
+			t.Fatal("a second Epsilon group on the same source decomposed the tree again")
+		}
+	}
+	en.Reset(5)
+	if en.T.PathOf != nil {
+		t.Fatal("Reset kept the old source's decomposition")
 	}
 }

@@ -61,19 +61,19 @@ func TestPropertySupersetStaysValid(t *testing.T) {
 	}
 }
 
-// Property: LastUnprotected is monotone — a larger H has no more
+// Property: the last-unprotected set is monotone — a larger H has no more
 // unprotected edges.
 func TestPropertyLastUnprotectedMonotone(t *testing.T) {
 	g := gen.RandomConnected(40, 70, 31)
 	en := replacement.NewEngine(g, 0)
 	h := en.TreeEdges.Clone()
-	prev := LastUnprotected(en, h).Len()
+	prev := LastUnprotectedMulti(en, []*graph.EdgeSet{h})[0].Len()
 	rng := rand.New(rand.NewSource(9))
 	for step := 0; step < 10; step++ {
 		for k := 0; k < 5; k++ {
 			h.Add(graph.EdgeID(rng.Intn(g.M())))
 		}
-		cur := LastUnprotected(en, h).Len()
+		cur := LastUnprotectedMulti(en, []*graph.EdgeSet{h})[0].Len()
 		if cur > prev {
 			t.Fatalf("unprotected grew from %d to %d after adding edges", prev, cur)
 		}

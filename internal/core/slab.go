@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"unsafe"
 
 	"ftbfs/internal/graph"
@@ -86,7 +87,7 @@ type SlabRecord struct {
 	Gen   uint64    // base-graph generation
 
 	Edges      *graph.EdgeSet
-	Reinforced *graph.EdgeSet // empty in the vertex model; nil encodes as empty
+	Reinforced *graph.EdgeSet // nil in a decoded vertex record; nil encodes as empty
 
 	Intact     []int32
 	RowStart   []int32
@@ -424,8 +425,24 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 	if rec.Edges, err = readSet(); err != nil {
 		return nil, err
 	}
-	if rec.Reinforced, err = readSet(); err != nil {
-		return nil, err
+	if rec.Model == ModelEdge {
+		if rec.Reinforced, err = readSet(); err != nil {
+			return nil, err
+		}
+	} else {
+		// A vertex record writes its reinforced section as zero words:
+		// check them in place and leave rec.Reinforced nil.
+		ws, err := r.words((m + 63) / 64)
+		if err != nil {
+			return nil, err
+		}
+		reinforced := 0
+		for _, w := range ws {
+			reinforced += bits.OnesCount64(w)
+		}
+		if reinforced != 0 {
+			return nil, fmt.Errorf("core: binary record: vertex record with %d reinforced edges", reinforced)
+		}
 	}
 	if rec.Intact, err = r.i32s(n); err != nil {
 		return nil, err
@@ -457,13 +474,12 @@ func DecodeSlab(data []byte, g *graph.Graph) (*SlabRecord, error) {
 // them without re-deriving anything.
 func validateSlab(rec *SlabRecord, g *graph.Graph) error {
 	n, m := g.N(), g.M()
-	if rec.Model == ModelVertex && rec.Reinforced.Len() != 0 {
-		return fmt.Errorf("core: binary record: vertex record with %d reinforced edges", rec.Reinforced.Len())
-	}
-	edges := rec.Edges.Words()
-	for i, w := range rec.Reinforced.Words() {
-		if w&^edges[i] != 0 {
-			return fmt.Errorf("core: binary record: reinforced edges outside E(H)")
+	if rec.Reinforced != nil { // an edge record's; a vertex record has none
+		edges := rec.Edges.Words()
+		for i, w := range rec.Reinforced.Words() {
+			if w&^edges[i] != 0 {
+				return fmt.Errorf("core: binary record: reinforced edges outside E(H)")
+			}
 		}
 	}
 	// H's CSR: shape-validated by NewCSR below; here bind each arc to E(H).

@@ -4,14 +4,12 @@ import (
 	"ftbfs/internal/tree"
 )
 
-// Workspace holds the scratch buffers that keep the Phase S2 hot path
+// workspace holds the scratch buffers that keep the Phase S2 hot path
 // allocation-free: stamped mark arrays (indexed by pair id and edge id), the
 // insertion-ordered add set of the terminal being processed, and the
-// segment-boundary buffer of the exponential decomposition. A Workspace may
-// be reused across builds — even on different graphs, the buffers regrow on
-// demand — but must never be shared by concurrent builds; batch builders keep
-// one per worker.
-type Workspace struct {
+// segment-boundary buffer of the exponential decomposition. Each source
+// group's pairIndex owns one, so every ε of the group recycles it.
+type workspace struct {
 	pairMark []int32        // stamped add-set membership, indexed by pair id
 	edgeMark []int32        // stamped distinct-last-edge marks, indexed by edge id
 	addList  []int32        // insertion-ordered add set of the current terminal
@@ -20,13 +18,10 @@ type Workspace struct {
 	stamp    int32
 }
 
-// NewWorkspace returns an empty workspace; buffers are sized lazily.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // ensure sizes the mark arrays for a build with nPairs uncovered pairs on a
 // graph with m edges. Freshly grown arrays are zeroed, which can never
 // collide with a live stamp (stamps start at 1 and only grow).
-func (ws *Workspace) ensure(nPairs, m int) {
+func (ws *workspace) ensure(nPairs, m int) {
 	if len(ws.pairMark) < nPairs {
 		ws.pairMark = make([]int32, nPairs)
 	}
@@ -38,7 +33,7 @@ func (ws *Workspace) ensure(nPairs, m int) {
 // nextStamp starts a new logical mark set. On the (practically unreachable)
 // int32 wrap-around the mark arrays are cleared so stale entries cannot alias
 // the restarted counter.
-func (ws *Workspace) nextStamp() int32 {
+func (ws *workspace) nextStamp() int32 {
 	ws.stamp++
 	if ws.stamp < 0 {
 		for i := range ws.pairMark {

@@ -15,11 +15,12 @@ import (
 	"math"
 
 	"ftbfs/internal/batch"
+	"ftbfs/internal/bfs"
 	"ftbfs/internal/core"
 	"ftbfs/internal/expstats"
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
-	"ftbfs/internal/replacement"
+	"ftbfs/internal/tree"
 	"ftbfs/internal/vertexft"
 )
 
@@ -403,20 +404,20 @@ func Decomposition(cfg Config) ([]*expstats.Table, error) {
 				lb := gen.LowerBound(sz, 0.3)
 				g, s = lb.G, lb.S
 			}
-			en := replacement.NewEngine(g, s)
+			td := tree.Build(g, bfs.From(g, s))
 			maxSegs, maxGlue := 0, 0
 			for v := int32(0); v < int32(g.N()); v++ {
-				if en.T.Depth[v] < 0 {
+				if td.Depth[v] < 0 {
 					continue
 				}
-				if k := len(en.T.SegmentsTo(v)); k > maxSegs {
+				if k := len(td.SegmentsTo(v)); k > maxSegs {
 					maxSegs = k
 				}
-				if k := len(en.T.GlueEdgesOn(v)); k > maxGlue {
+				if k := len(td.GlueEdgesOn(v)); k > maxGlue {
 					maxGlue = k
 				}
 			}
-			t.AddRow(fam, g.N(), len(en.T.Paths), en.T.MaxLevel, maxSegs, maxGlue,
+			t.AddRow(fam, g.N(), len(td.Paths), td.MaxLevel, maxSegs, maxGlue,
 				math.Log2(float64(g.N())))
 		}
 	}

@@ -126,7 +126,7 @@ func TestLowerBoundAccounting(t *testing.T) {
 func TestLowerBoundDistanceProfile(t *testing.T) {
 	lb := LowerBoundParams(2, 5, 6)
 	g, d := lb.G, lb.D
-	dist := bfs.Distances(g, lb.S)
+	dist := bfs.From(g, lb.S).Dist
 	for i := 0; i < lb.K; i++ {
 		for _, x := range lb.X[i] {
 			if int(dist[x]) != d+2 {
@@ -214,7 +214,7 @@ func TestMultiLowerBoundDistanceProfile(t *testing.T) {
 	lb := MultiLowerBoundParams(2, 2, 4, 5)
 	g, d := lb.G, lb.D
 	for i, s := range lb.Sources {
-		dist := bfs.Distances(g, s)
+		dist := bfs.From(g, s).Dist
 		for j := range lb.X {
 			for _, x := range lb.X[j] {
 				if int(dist[x]) != d+3 {

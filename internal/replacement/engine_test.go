@@ -17,7 +17,7 @@ func bruteDistAvoiding(g *graph.Graph, s int, e graph.EdgeID) []int32 {
 			b.Add(int(ed.U), int(ed.V))
 		}
 	}
-	return bfs.Distances(b.Graph(), s)
+	return bfs.From(b.Graph(), s).Dist
 }
 
 func randomConnected(n, extra int, seed int64) *graph.Graph {
@@ -50,25 +50,6 @@ func TestForEachFailureDistances(t *testing.T) {
 	})
 	if count != g.N()-1 {
 		t.Fatalf("visited %d failures, want n-1=%d", count, g.N()-1)
-	}
-}
-
-func TestSubtreeOf(t *testing.T) {
-	// path 0-1-2-3 with branch 1-4
-	b := graph.NewBuilder(5)
-	b.AddPath(0, 1, 2, 3)
-	b.Add(1, 4)
-	g := b.Graph()
-	en := NewEngine(g, 0)
-	got := en.SubtreeOf(1, nil)
-	want := map[int32]bool{1: true, 2: true, 3: true, 4: true}
-	if len(got) != len(want) {
-		t.Fatalf("subtree=%v", got)
-	}
-	for _, v := range got {
-		if !want[v] {
-			t.Fatalf("unexpected %d in subtree", v)
-		}
 	}
 }
 

@@ -26,6 +26,9 @@ import (
 // target must equal dist(s,v,G\{e}) (finite), child the deeper endpoint
 // of e.
 func (en *Engine) Pcons(v int32, e graph.EdgeID, child int32, target int32) *Pair {
+	if en.sc == nil {
+		en.sc, en.banned = bfs.NewScratch(en.G.N()), graph.NewVertexSet(en.G.N())
+	}
 	pi := en.BT.PathTo(int(v)) // π(s,v)
 	k := len(pi) - 1
 	i := int(en.T.Depth[child]) - 1 // e = (u_i, u_{i+1})

@@ -9,9 +9,9 @@ import (
 	"ftbfs/internal/graph"
 )
 
-// Tree is a rooted tree with precomputed ancestor structure and the Fact 3.3
-// decomposition. All arrays are indexed by vertex; vertices unreachable from
-// the root have Depth -1 and PathOf -1.
+// Tree is a rooted tree with precomputed ancestor structure and, once
+// Decompose has run, the Fact 3.3 decomposition. All arrays are indexed by
+// vertex; vertices unreachable from the root have Depth -1 and PathOf -1.
 type Tree struct {
 	Root       int32
 	Parent     []int32
@@ -27,8 +27,9 @@ type Tree struct {
 	PreOrder []int32 // reachable vertices in DFS preorder
 	PreIndex []int32 // preorder position of v; -1 for unreachable vertices
 
-	// Fact 3.3 decomposition TD. Every reachable vertex lies on exactly one
-	// path; Paths[i] lists its vertices from shallowest (head) to deepest.
+	// Fact 3.3 decomposition TD, filled by Decompose. Every reachable
+	// vertex lies on exactly one path; Paths[i] lists its vertices from
+	// shallowest (head) to deepest.
 	Paths     [][]int32
 	PathOf    []int32 // index into Paths
 	PosOf     []int32 // position of v within Paths[PathOf[v]]
@@ -45,11 +46,11 @@ type Tree struct {
 }
 
 // Build constructs the rooted-tree structure from a canonical BFS tree,
-// including the Fact 3.3 decomposition.
+// including the Fact 3.3 decomposition: BuildAncestry followed by
+// Decompose.
 func Build(g *graph.Graph, bt *bfs.Tree) *Tree {
 	t := BuildAncestry(g.N(), bt)
-	t.buildChildren(g.N())
-	t.decompose(g)
+	t.Decompose()
 	return t
 }
 
@@ -81,12 +82,14 @@ func (t *Tree) buildChildren(n int) {
 
 // BuildAncestry constructs only the ancestry machinery — subtree sizes,
 // preorder intervals, preorder subtree enumeration — without the Fact 3.3
-// decomposition. Query plans use it: they classify failures and enumerate
-// subtrees but never walk decomposition paths, and skipping decompose saves
-// an O(n) pass plus its allocations on every structure build and store
-// load-through. Paths/PathOf/PosOf/PathLevel/GlueEdges/children stay empty;
-// LCA, SegmentsTo, GlueEdgesOn and Children must not be called on an
-// ancestry-only tree.
+// decomposition. Query plans and the replacement-path engine use it: they
+// classify failures and enumerate subtrees, and only Phase S2 of the
+// construction walks decomposition paths, so the O(n) decomposition pass
+// and its allocations are paid by the builds that read it (through
+// Decompose) and not by every structure build and store load-through.
+// Paths/PathOf/PosOf/PathLevel/GlueEdges/children stay empty until
+// Decompose runs; LCA, SegmentsTo, GlueEdgesOn and Children must not be
+// called before.
 func BuildAncestry(n int, bt *bfs.Tree) *Tree {
 	t := &Tree{
 		Root:       bt.Source,
@@ -144,12 +147,18 @@ func (t *Tree) preorderTour() {
 	}
 }
 
-// decompose builds the Fact 3.3 decomposition: the root path descends to the
-// child with the largest subtree until a leaf; every subtree hanging off it
-// has at most half the vertices and is decomposed recursively (implemented
-// as a worklist). Glue edges connect each hanging head to its parent path.
-func (t *Tree) decompose(g *graph.Graph) {
-	n := g.N()
+// Decompose adds the Fact 3.3 decomposition to an ancestry-only tree: the
+// root path descends to the child with the largest subtree until a leaf;
+// every subtree hanging off it has at most half the vertices and is
+// decomposed recursively (implemented as a worklist). Glue edges connect
+// each hanging head to its parent path. It is idempotent: a decomposed tree
+// is left as it is, so every reader may call it before its first use.
+func (t *Tree) Decompose() {
+	if t.PathOf != nil {
+		return
+	}
+	n := len(t.Parent)
+	t.buildChildren(n)
 	t.PathOf = make([]int32, n)
 	t.PosOf = make([]int32, n)
 	for i := 0; i < n; i++ {

@@ -9,6 +9,7 @@ import (
 	"ftbfs/internal/core"
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
+	"ftbfs/internal/replacement"
 	"ftbfs/internal/tree"
 )
 
@@ -216,14 +217,15 @@ func TestNoRedundantReplacementEdges(t *testing.T) {
 	}
 }
 
-// BuildWith must recycle the workspace without changing the result: a
-// shared workspace across sources yields byte-for-byte the edge sets a
-// fresh Build produces.
+// BuildWith must recycle the engine without changing the result: one
+// engine, Reset across sources, yields byte-for-byte the edge sets a fresh
+// Build produces.
 func TestBuildWithSharedWorkspace(t *testing.T) {
 	g := gen.RandomConnected(50, 100, 4)
-	ws := NewWorkspace()
+	en := replacement.NewEngine(g, 0)
 	for s := 0; s < 6; s++ {
-		shared, err := BuildWith(g, s, ws)
+		en.Reset(s)
+		shared, err := BuildWith(en)
 		if err != nil {
 			t.Fatalf("source %d: %v", s, err)
 		}
@@ -231,18 +233,11 @@ func TestBuildWithSharedWorkspace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shared.Pairs != fresh.Pairs {
-			t.Fatalf("source %d: pairs %d != %d", s, shared.Pairs, fresh.Pairs)
+		if shared.S != s || shared.Pairs != fresh.Pairs {
+			t.Fatalf("source %d: source %d, pairs %d != %d", s, shared.S, shared.Pairs, fresh.Pairs)
 		}
-		want := fresh.Edges.IDs()
-		got := shared.Edges.IDs()
-		if len(got) != len(want) {
-			t.Fatalf("source %d: |H| %d != %d", s, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("source %d: edge sets differ at %d: %d != %d", s, i, got[i], want[i])
-			}
+		if got, want := shared.Edges.IDs(), fresh.Edges.IDs(); !slices.Equal(got, want) {
+			t.Fatalf("source %d: E(H) %v, fresh build %v", s, got, want)
 		}
 	}
 }
@@ -315,12 +310,15 @@ func fullSearchBuild(t *testing.T, g *graph.Graph, s int, treeOnly bool) (*graph
 // BuildWith repairs only each failed vertex's subtree; its E(H) and Pairs
 // must equal the full-search reference on every family — among them a
 // cycle, a path and a random tree (every failure strands the subtree), and
-// a disconnected graph — with one workspace shared across all of them.
+// a disconnected graph — with both sources of a family built on one engine
+// recycled with Reset. The reference walks each failed vertex's descendants
+// in stack order, the engine in preorder: the result must not depend on it.
 func TestBuildWithMatchesFullSearch(t *testing.T) {
-	ws := NewWorkspace()
 	for name, g := range families() {
+		en := replacement.NewEngine(g, 0)
 		for _, s := range []int{0, g.N() / 2} {
-			st, err := BuildWith(g, s, ws)
+			en.Reset(s)
+			st, err := BuildWith(en)
 			if err != nil {
 				t.Fatalf("%s s=%d: %v", name, s, err)
 			}

@@ -1,8 +1,6 @@
 package ftbfs
 
 import (
-	"sync"
-
 	"ftbfs/internal/core"
 	"ftbfs/internal/vertexft"
 )
@@ -26,23 +24,13 @@ func newVertexStructure(st *vertexft.Structure) *VertexStructure {
 	return &VertexStructure{serving: serving{g: st.G, src: st.S, h: st.Edges, model: core.ModelVertex}, st: st}
 }
 
-// vertexWorkspaces recycles vertexft build workspaces across BuildVertex
-// calls: the store's build-through, `serve -vertex-sources` pre-builds and
-// /build vertexSources all construct structures one call at a time, and the
-// shared workspace is what removes the per-build O(n) scratch allocations
-// (see BenchmarkVertexBuild). Entries sized for a different graph are
-// resized by the build itself.
-var vertexWorkspaces = sync.Pool{New: func() any { return vertexft.NewWorkspace() }}
-
 // BuildVertex constructs the vertex FT-BFS structure for (g, source). The
 // graph is frozen by this call. Unlike Build there is no ε: the vertex
 // construction has no reinforcement dimension — every edge is fault-prone
 // and every non-source vertex may fail.
 func BuildVertex(g *Graph, source int) (*VertexStructure, error) {
 	g.g.Freeze()
-	ws := vertexWorkspaces.Get().(*vertexft.Workspace)
-	st, err := vertexft.BuildWith(g.g, source, ws)
-	vertexWorkspaces.Put(ws)
+	st, err := vertexft.Build(g.g, source)
 	if err != nil {
 		return nil, err
 	}
