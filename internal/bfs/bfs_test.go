@@ -151,60 +151,6 @@ func TestDistancesAvoidingVertices(t *testing.T) {
 	}
 }
 
-func TestDistAvoidingEarlyExit(t *testing.T) {
-	b := graph.NewBuilder(6)
-	for i := 0; i < 6; i++ {
-		b.Add(i, (i+1)%6)
-	}
-	g := b.Graph()
-	sc := NewScratch(g.N())
-	d := sc.DistAvoiding(g, 0, 1, Restriction{BannedEdge: g.EdgeIDOf(0, 1)})
-	if d != 5 {
-		t.Fatalf("DistAvoiding=%d want 5", d)
-	}
-	if sc.DistAvoiding(g, 2, 2, Restriction{BannedEdge: graph.NoEdge}) != 0 {
-		t.Fatal("self distance must be 0")
-	}
-}
-
-func TestDistAvoidingBannedSource(t *testing.T) {
-	g := grid3x3()
-	banned := graph.NewVertexSet(g.N())
-	banned.Add(0)
-	sc := NewScratch(g.N())
-	if d := sc.DistAvoiding(g, 0, 5, Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}); d != Unreachable {
-		t.Fatalf("banned source should be unreachable, got %d", d)
-	}
-}
-
-func TestCanonicalPathAvoiding(t *testing.T) {
-	g := grid3x3()
-	sc := NewScratch(g.N())
-	p := sc.CanonicalPathAvoiding(g, 8, 0, Restriction{BannedEdge: graph.NoEdge})
-	if len(p) != 5 || p[0] != 8 || p[4] != 0 {
-		t.Fatalf("bad path %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(int(p[i]), int(p[i+1])) {
-			t.Fatalf("non-edge %d-%d in path %v", p[i], p[i+1], p)
-		}
-	}
-	// Deterministic: same call twice gives identical path.
-	q := sc.CanonicalPathAvoiding(g, 8, 0, Restriction{BannedEdge: graph.NoEdge})
-	for i := range p {
-		if p[i] != q[i] {
-			t.Fatal("canonical path not deterministic")
-		}
-	}
-	// Unreachable target gives nil.
-	banned := graph.NewVertexSet(g.N())
-	banned.Add(1)
-	banned.Add(3)
-	if sc.CanonicalPathAvoiding(g, 0, 4, Restriction{BannedEdge: graph.NoEdge, BannedVertices: banned}) != nil {
-		t.Fatal("expected nil path")
-	}
-}
-
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	b := graph.NewBuilder(40)

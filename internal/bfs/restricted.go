@@ -5,9 +5,9 @@ import (
 )
 
 // Restriction describes the part of G excluded from a search: at most one
-// banned edge (the failing edge e), an optional banned-vertex set (the
-// removed path interiors of the graphs G_j(v) in Algorithm Pcons), and an
-// optional whitelist of edges (searching inside a structure H ⊆ G).
+// banned edge (a failing edge), an optional banned-vertex set (failed
+// vertices), and an optional whitelist of edges (searching inside a
+// structure H ⊆ G).
 // A nil BannedVertices means no vertex is banned; a nil AllowedEdges means
 // every edge of G may be used; BannedEdge may be graph.NoEdge.
 type Restriction struct {
@@ -28,7 +28,8 @@ func (r Restriction) blocks(a graph.Arc) bool {
 }
 
 // Scratch holds reusable buffers for repeated restricted searches, avoiding
-// per-call allocation in the hot loops of the replacement-path engine.
+// per-call allocation in a caller's loop of them (the verifier runs two per
+// failure).
 // A Scratch is not safe for concurrent use.
 type Scratch struct {
 	dist  []int32
@@ -85,95 +86,4 @@ func (sc *Scratch) DistancesAvoiding(g *graph.Graph, s int, r Restriction, out [
 		}
 	}
 	return out
-}
-
-// DistAvoiding returns dist(s, target, G under restriction), or Unreachable.
-// It early-exits as soon as the target is settled.
-func (sc *Scratch) DistAvoiding(g *graph.Graph, s, target int, r Restriction) int32 {
-	if s == target {
-		return 0
-	}
-	sc.reset()
-	if r.BannedVertices != nil && r.BannedVertices.Contains(int32(s)) {
-		return Unreachable
-	}
-	sc.set(int32(s), 0)
-	sc.queue = append(sc.queue, int32(s))
-	for head := 0; head < len(sc.queue); head++ {
-		u := sc.queue[head]
-		for _, a := range g.Neighbors(int(u)) {
-			if sc.seen(a.To) || r.blocks(a) {
-				continue
-			}
-			if a.To == int32(target) {
-				return sc.dist[u] + 1
-			}
-			sc.set(a.To, sc.dist[u]+1)
-			sc.queue = append(sc.queue, a.To)
-		}
-	}
-	return Unreachable
-}
-
-// CanonicalPathAvoiding returns the canonical shortest path from root to
-// target in G under the restriction, as a vertex sequence starting at root,
-// or nil if target is unreachable. Canonical means: BFS rooted at root with
-// min-index parents, then the unique tree path. The replacement-path engine
-// roots this at the detour's terminal v so that detours of the same terminal
-// share suffixes deterministically (see package comment).
-func (sc *Scratch) CanonicalPathAvoiding(g *graph.Graph, root, target int, r Restriction) []int32 {
-	sc.reset()
-	if r.BannedVertices != nil &&
-		(r.BannedVertices.Contains(int32(root)) || r.BannedVertices.Contains(int32(target))) {
-		return nil
-	}
-	if root == target {
-		return []int32{int32(root)}
-	}
-	sc.set(int32(root), 0)
-	sc.queue = append(sc.queue, int32(root))
-	found := false
-	for head := 0; head < len(sc.queue) && !found; head++ {
-		u := sc.queue[head]
-		for _, a := range g.Neighbors(int(u)) {
-			if sc.seen(a.To) || r.blocks(a) {
-				continue
-			}
-			sc.set(a.To, sc.dist[u]+1)
-			sc.queue = append(sc.queue, a.To)
-			if a.To == int32(target) {
-				found = true
-			}
-		}
-	}
-	if !found {
-		return nil
-	}
-	// Walk back from target choosing the min-index predecessor at each level
-	// (adjacency sorted ⇒ first match is minimal).
-	path := make([]int32, sc.dist[target]+1)
-	x := int32(target)
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i] = x
-		if i == 0 {
-			break
-		}
-		prev := int32(-1)
-		for _, a := range g.Neighbors(int(x)) {
-			// The arc must be traversable in the restricted graph and one
-			// level closer to the root.
-			if r.blocks(a) {
-				continue
-			}
-			if sc.seen(a.To) && sc.dist[a.To] == sc.dist[x]-1 {
-				prev = a.To
-				break
-			}
-		}
-		if prev < 0 {
-			panic("bfs: broken predecessor chain")
-		}
-		x = prev
-	}
-	return path
 }

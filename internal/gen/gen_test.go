@@ -248,8 +248,7 @@ func TestMultiLowerBoundDistanceProfile(t *testing.T) {
 		}
 		// an unaffected source keeps its intact distance
 		other := lb.Sources[(pe.Source+1)%len(lb.Sources)]
-		sc2 := bfs.NewScratch(g.N())
-		d2 := sc2.DistAvoiding(g, other, int(lb.X[pe.Column][0]), bfs.Restriction{BannedEdge: pe.ID})
+		d2 := sc.DistancesAvoiding(g, other, bfs.Restriction{BannedEdge: pe.ID}, out)[lb.X[pe.Column][0]]
 		if int(d2) != d+3 {
 			t.Fatalf("unaffected source distance changed: %d want %d", d2, d+3)
 		}

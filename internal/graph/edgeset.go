@@ -152,8 +152,8 @@ func (s *EdgeSet) ForEach(fn func(EdgeID)) {
 func popcount(x uint64) int      { return bits.OnesCount64(x) }
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
-// VertexSet is a dense bitset over vertex ids, used for banned-vertex BFS in
-// the replacement-path engine (the graphs G_j(v) of Algorithm Pcons).
+// VertexSet is a dense bitset over vertex ids, used as the banned vertices
+// of a restricted BFS (a failed vertex, in the vertex failure model).
 type VertexSet struct {
 	bits  []uint64
 	count int

@@ -5,6 +5,39 @@
 // covered pairs (a replacement path can reuse a T0 last edge) and uncovered
 // pairs (the path is new-ending), and the extraction of detour segments.
 //
+// Algorithm Pcons (Claim 4.4) gives an uncovered pair ⟨v,e⟩, with
+// π(s,v) = u_0 … u_k and e = (u_i, u_{i+1}), the replacement path whose
+// divergence index is least: j* is the least j ≤ i with
+// dist(s, v, G_j(v) ∖ {e}) = target = dist(s, v, G ∖ {e}), where G_j(v) is
+// G without u_{j+1} … u_{k−1}. Its detour is the canonical shortest
+// u_{j*}–v path in G ∖ {e} without the rest of π(s,v), rooted at v (the
+// detours of one terminal share suffixes: the W-consistency Claim 4.6
+// relies on). Phase S0 finds all of a terminal's paths with one search.
+// Let D(x) = dist(v, x, G ∖ (π(s,v) ∖ {v})) and δ(j) = 1 + min D(x) over
+// the arcs (u_j, x), skipping v's own tree edge (u_{k−1}, v).
+//
+//   - The split. A path of G_j(v) ∖ {e} splits at its last vertex u_{j′} on
+//     π(s, u_j). Up to it the path is at least j′ long, and π(s, u_{j′})
+//     attains that without e, since j′ ≤ i. After it the path takes an arc
+//     (u_{j′}, x) with x off π(s,v) ∖ {v} and stays off, so it is at least
+//     1 + D(x) long, attained by a shortest path of D. The arc is never e
+//     (both of e's endpoints are on π(s,v) ∖ {v}) unless e is v's tree
+//     edge, which δ skips. So dist(s, v, G_j(v) ∖ {e}) is the least
+//     j′ + δ(j′) over j′ ≤ j, and j* is the least j ≤ i with j + δ(j) =
+//     target.
+//   - One search per terminal. Neither the banned set π(s,v) ∖ {v} nor δ
+//     depends on e, so one BFS from v serves every uncovered pair of v.
+//   - The detour. It is the walk from u_{j*} down D's levels that takes the
+//     min-index neighbour one level nearer v: the walk back of Pcons's
+//     canonical search. That search's graph also holds u_{j*}, but it gives
+//     every vertex nearer to v than u_{j*} the same level as D does,
+//     because no shortest path to such a vertex passes through u_{j*}. The
+//     walk cannot cross e: its one step that could join two vertices of
+//     π(s,v) is a one-edge detour (u_{j*}, v), which is e only at
+//     j* = k−1, where δ skips it.
+//   - The bound. A detour leaving u_j is target − j long, so only D(x) <
+//     target matters, and the BFS stops at v's largest target.
+//
 // Its Engine also owns the one failure sweep of both failure models: the
 // edge sweep (every tree edge) and the vertex sweep (every internal tree
 // vertex but s) share one repair-and-restore loop over the failed subtree
@@ -57,10 +90,7 @@ type Engine struct {
 
 	TreeEdges *graph.EdgeSet // edges of T0
 
-	// Pcons's restricted searches and removed path interiors, allocated by
-	// the first Pcons call: a vertex or Tree build never runs one.
-	sc     *bfs.Scratch
-	banned *graph.VertexSet
+	s0 *terminalSearch // Phase S0's per-terminal search, allocated on first use
 
 	// The failure sweep repairs each failed subtree over the engine's own
 	// CSR of G (not the graph's cached view, which would outlive the
@@ -89,8 +119,8 @@ func NewEngine(g *graph.Graph, s int) *Engine {
 
 // Reset rebinds the engine to a new source on the same graph, recomputing the
 // canonical tree and its ancestry but recycling the CSR of G and every
-// scratch allocation (BFS scratch, repair scratch, distance array,
-// banned-vertex set). The AllPairs memo is invalidated. Batch builders use
+// scratch allocation (repair scratch, distance array, Phase S0's
+// per-terminal search). The AllPairs memo is invalidated. Batch builders use
 // this to amortise the scratch across one worker's whole stream of sources.
 func (en *Engine) Reset(s int) {
 	bt := bfs.From(en.G, s)
@@ -206,35 +236,4 @@ func (en *Engine) AllPairs() []*Pair {
 		en.pairsReady = true
 	}
 	return en.pairs
-}
-
-func (en *Engine) computeAllPairs() []*Pair {
-	var out []*Pair
-	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
-		for _, v := range sub {
-			// A pair is covered when a T0 edge certifies it; the probe
-			// also reports vacuous pairs (v unreachable in G\{e}) as
-			// covered: there is nothing to protect.
-			if _, covered := en.LastEdgeIn(en.TreeEdges, v, e, -1, distE); covered {
-				continue
-			}
-			out = append(out, en.Pcons(v, e, child, distE[v]))
-		}
-	})
-	return out
-}
-
-// UncoveredCount returns the number of uncovered pairs without materialising
-// their paths. Only tests call it, as a cross-check of AllPairs's covered
-// and uncovered split.
-func (en *Engine) UncoveredCount() int {
-	count := 0
-	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
-		for _, v := range sub {
-			if _, covered := en.LastEdgeIn(en.TreeEdges, v, e, -1, distE); !covered {
-				count++
-			}
-		}
-	})
-	return count
 }

@@ -180,9 +180,9 @@ func TestAllPairsProperties(t *testing.T) {
 					for tt := j + 1; tt < len(pi)-1; tt++ {
 						banned.Add(pi[tt])
 					}
-					sc := bfs.NewScratch(g.N())
-					d := sc.DistAvoiding(g, 0, int(v), bfs.Restriction{BannedEdge: e, BannedVertices: banned})
-					if d == want[v] {
+					d := bfs.NewScratch(g.N()).DistancesAvoiding(g, 0,
+						bfs.Restriction{BannedEdge: e, BannedVertices: banned}, make([]int32, g.N()))
+					if d[v] == want[v] {
 						t.Fatalf("seed %d: divergence point of ⟨%d,%v⟩ not minimal (j*=%d but j=%d works)",
 							seed, v, g.EdgeByID(e), jstar, j)
 					}
@@ -192,12 +192,27 @@ func TestAllPairsProperties(t *testing.T) {
 	}
 }
 
+// uncoveredCount counts the pairs T0's covered test leaves uncovered,
+// without building their paths: a cross-check of AllPairs's covered and
+// uncovered split.
+func uncoveredCount(en *Engine) int {
+	count := 0
+	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
+		for _, v := range sub {
+			if _, covered := en.LastEdgeIn(en.TreeEdges, v, e, -1, distE); !covered {
+				count++
+			}
+		}
+	})
+	return count
+}
+
 func TestUncoveredCountMatchesAllPairs(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := randomConnected(35, 45, seed)
 		en := NewEngine(g, 0)
-		if got, want := en.UncoveredCount(), len(en.AllPairs()); got != want {
-			t.Fatalf("seed %d: UncoveredCount=%d, AllPairs=%d", seed, got, want)
+		if got, want := uncoveredCount(en), len(en.AllPairs()); got != want {
+			t.Fatalf("seed %d: uncoveredCount=%d, AllPairs=%d", seed, got, want)
 		}
 	}
 }

@@ -33,6 +33,10 @@ import (
 	"strings"
 )
 
+// defaultFilter is CI's TENTPOLE_BENCH (.github/workflows/ci.yml), so a
+// local run without -filter gates the same benchmarks CI does.
+const defaultFilter = "BenchmarkServeQueries|BenchmarkOraclePool|BenchmarkBuildBatch|BenchmarkQueryPlan|BenchmarkClusterRoute|BenchmarkVertexQuery|BenchmarkWireServe|BenchmarkSlabLoad/slab|BenchmarkRebalance|BenchmarkMutate|BenchmarkClusterBuild|BenchmarkVertexBuild"
+
 // result accumulates the measurements of one benchmark.
 type result struct {
 	nsPerOp     float64 // minimum over the runs: what the gate compares
@@ -217,8 +221,7 @@ func main() {
 	baselinePath := flag.String("baseline", "", "baseline benchmark results (bench text or go test -json)")
 	latestPath := flag.String("latest", "", "latest benchmark results (bench text or go test -json)")
 	threshold := flag.Float64("threshold", 0.20, "relative regression tolerance (0.20 = +20%)")
-	filterSpec := flag.String("filter", "BenchmarkServeQueries|BenchmarkOraclePool|BenchmarkBuildBatch|BenchmarkQueryPlan|BenchmarkClusterRoute|BenchmarkVertexQuery|BenchmarkWireServe|BenchmarkSlabLoad/slab",
-		"regexp of benchmark names to gate on")
+	filterSpec := flag.String("filter", defaultFilter, "regexp of benchmark names to gate on")
 	allowMissing := flag.Bool("allow-missing-baseline", false, "exit 0 when the baseline file does not exist")
 	allocsOnly := flag.Bool("allocs-only", false,
 		"gate only on allocs/op (use when baseline and latest ran on different hardware)")

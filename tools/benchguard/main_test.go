@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -163,4 +164,22 @@ func TestRowPrintsSpread(t *testing.T) {
 	if bt := baseline["BenchmarkBFSTree"]; bt.spread() != 1 {
 		t.Fatalf("single run spread %v, want 1", bt.spread())
 	}
+}
+
+// The default -filter must be CI's TENTPOLE_BENCH, or a local run without
+// -filter skips gates CI applies.
+func TestDefaultFilterMatchesCI(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(ci), "\n") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(line), "TENTPOLE_BENCH:"); ok {
+			if v = strings.Trim(strings.TrimSpace(v), `'"`); v != defaultFilter {
+				t.Fatalf("default -filter\n  %s\ndiffers from CI's TENTPOLE_BENCH\n  %s", defaultFilter, v)
+			}
+			return
+		}
+	}
+	t.Fatal("no TENTPOLE_BENCH in ci.yml")
 }
