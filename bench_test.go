@@ -130,13 +130,26 @@ func BenchmarkReplacementAllPairs(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildEpsilon times one ε build of the three-phase construction
+// on two lower-bound instances; on gen.LowerBound(1198, 0.42) at ε = 0.1,
+// Phase S1's interference tests are most of the build.
 func BenchmarkBuildEpsilon(b *testing.B) {
-	lb := gen.LowerBoundParams(4, 5, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(lb.G, lb.S, 0.25, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		lb   *gen.LowerBoundGraph
+		eps  float64
+	}{
+		{"lowerbound-4-5-20", gen.LowerBoundParams(4, 5, 20), 0.25},
+		{"lowerbound-1198", gen.LowerBound(1198, 0.42), 0.1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Build(c.lb.G, c.lb.S, c.eps, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -32,10 +32,11 @@ func runPhase1(ix *pairIndex, H *graph.EdgeSet, i1 []int32, k, threshold int) ph
 		res.CSets = append(res.CSets, c)
 
 		for _, set := range [][]int32{a, b} {
-			terminals, buckets := ix.groupByTerminal(set)
-			for _, v := range terminals {
+			sorted := ix.groupByTerminal(set)
+			for from, to := 0, 0; from < len(sorted); from = to {
+				to = ix.runEnd(sorted, from)
 				budget := threshold
-				for _, p := range buckets[v] {
+				for _, p := range sorted[from:to] {
 					last := ix.lastEdgeOf(p)
 					if H.Contains(last) {
 						continue // already covered — costs no budget

@@ -46,13 +46,16 @@ func runPhase2(ix *pairIndex, H *graph.EdgeSet, sets [][]int32, threshold int) (
 
 	// --- Sub-Phases S2.2 and S2.3, per (∼)-set and terminal. ---
 	for _, set := range sets {
-		terminals, buckets := ix.groupByTerminal(set)
-		for _, v := range terminals {
-			vpairs := buckets[v]
-			// The bucket arrives ordered deepest failing edge first; the edge
+		sorted := ix.groupByTerminal(set)
+		for from, to := 0, 0; from < len(sorted); from = to {
+			to = ix.runEnd(sorted, from)
+			vpairs := sorted[from:to]
+			v := ix.pairs[vpairs[0]].V
+			// The run arrives ordered deepest failing edge first; the edge
 			// indexes of one terminal's pairs are pairwise distinct (one pair
-			// per edge of π(s,v)), so reversing yields the strictly
-			// increasing edge-index order (upmost first) the sub-phases need.
+			// per edge of π(s,v)), so reversing it in place yields the
+			// strictly increasing edge-index order (upmost first) the
+			// sub-phases need.
 			for i, j := 0, len(vpairs)-1; i < j; i, j = i+1, j-1 {
 				vpairs[i], vpairs[j] = vpairs[j], vpairs[i]
 			}
@@ -69,7 +72,7 @@ func runPhase2(ix *pairIndex, H *graph.EdgeSet, sets [][]int32, threshold int) (
 			ws.bounds = dec.Bounds
 
 			// S2.2: group v's pairs by subsegment. Segments cover contiguous
-			// edge-index ranges, so each group is a run of the sorted bucket.
+			// edge-index ranges, so each group is a run of vpairs.
 			for i := 0; i < len(vpairs); {
 				_, hi := dec.EdgeRange(dec.SegmentOfEdge(edgeIndexOf(ix, vpairs[i])))
 				end := i + 1

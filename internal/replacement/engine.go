@@ -226,7 +226,7 @@ func (en *Engine) LastEdgeIn(in *graph.EdgeSet, v int32, e graph.EdgeID, w int32
 // takes a set union (the baseline, Greedy's fans, BuildReinforcing,
 // Phase S2.1's glue edges), or decides each pair by an existence test (the
 // I1/I2 split, Phase S1's classify), or re-sorts by a total order (the
-// per-terminal buckets of Phases S1 and S2: terminal id, then distance of
+// per-terminal runs of Phases S1 and S2: terminal id, then distance of
 // the failing edge from v and edge id). The result is memoised until the
 // next Reset, so builders sharing an engine for several ε values on the
 // same source pay for Phase S0 once; callers must treat it as read-only.

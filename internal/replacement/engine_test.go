@@ -20,6 +20,11 @@ func bruteDistAvoiding(g *graph.Graph, s int, e graph.EdgeID) []int32 {
 	return bfs.From(b.Graph(), s).Dist
 }
 
+// fullPath reconstructs the complete replacement path π(s,Div)◦Detour of p.
+func fullPath(en *Engine, p *Pair) paths.Path {
+	return paths.Concat(paths.Path(en.BT.PathTo(int(p.Div))), p.Detour)
+}
+
 func randomConnected(n, extra int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
@@ -78,7 +83,7 @@ func TestCycleSinglePair(t *testing.T) {
 	// Every replacement path goes the other way round the cycle; its last
 	// edge is a tree edge except when the detour must end at the antipode.
 	for _, p := range pairs {
-		full := en.FullPath(p)
+		full := fullPath(en, p)
 		if err := full.ValidateOn(g); err != nil {
 			t.Fatalf("invalid path: %v", err)
 		}
@@ -138,7 +143,7 @@ func TestAllPairsProperties(t *testing.T) {
 				if p.Dist != want[v] {
 					t.Fatalf("pair dist %d want %d", p.Dist, want[v])
 				}
-				full := en.FullPath(p)
+				full := fullPath(en, p)
 				if err := full.ValidateOn(g); err != nil {
 					t.Fatalf("invalid canonical path: %v", err)
 				}
@@ -256,7 +261,7 @@ func TestFullPathPrefixIsTreePath(t *testing.T) {
 	g := randomConnected(40, 60, 5)
 	en := NewEngine(g, 0)
 	for _, p := range en.AllPairs() {
-		full := en.FullPath(p)
+		full := fullPath(en, p)
 		prefix := paths.Path(en.BT.PathTo(int(p.Div)))
 		for i := range prefix {
 			if full[i] != prefix[i] {

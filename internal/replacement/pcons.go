@@ -19,7 +19,15 @@ type terminalSearch struct {
 	delta []int32 // δ(j) for j up to the terminal's deepest failing edge
 	head  []int32 // terminal → index of its last uncovered pair, or -1
 	next  []int32 // pair index → index of its terminal's previous pair, or -1
+
+	// detours is the unused tail of the current detour chunk. Each
+	// terminal's detours are cut from it, and a cut is never handed out
+	// again, so pairs from before a Reset keep theirs.
+	detours paths.Path
 }
+
+// detourChunk is the least size of a fresh detour chunk, in vertices.
+const detourChunk = 1 << 12
 
 // level returns D(x), or -1 when x lies on π(s,v) ∖ {v} or past the bound.
 func (ts *terminalSearch) level(x int32) int32 {
@@ -30,8 +38,9 @@ func (ts *terminalSearch) level(x int32) int32 {
 }
 
 // computeAllPairs is Phase S0. The failure sweep finds the uncovered pairs
-// in AllPairs order; then one search per terminal fills in the paths of
-// all of its pairs (searchTerminal).
+// in AllPairs order and appends them to one slice of values; then one
+// search per terminal fills in the paths of all of its pairs
+// (searchTerminal), and the result points into that slice.
 func (en *Engine) computeAllPairs() []*Pair {
 	if en.s0 == nil {
 		n := en.G.N()
@@ -43,7 +52,7 @@ func (en *Engine) computeAllPairs() []*Pair {
 		ts.head[v] = -1
 	}
 	ts.next = ts.next[:0]
-	var out []*Pair
+	var vals []Pair
 	en.ForEachFailure(func(e graph.EdgeID, child int32, sub, distE []int32) {
 		for _, v := range sub {
 			// A pair is covered when a T0 edge certifies it; the probe
@@ -53,14 +62,18 @@ func (en *Engine) computeAllPairs() []*Pair {
 				continue
 			}
 			ts.next = append(ts.next, ts.head[v])
-			ts.head[v] = int32(len(out))
-			out = append(out, &Pair{V: v, Edge: e, EdgeChild: child, Dist: distE[v]})
+			ts.head[v] = int32(len(vals))
+			vals = append(vals, Pair{V: v, Edge: e, EdgeChild: child, Dist: distE[v]})
 		}
 	})
 	for v, last := range ts.head {
 		if last >= 0 {
-			en.searchTerminal(int32(v), out, last)
+			en.searchTerminal(int32(v), vals, last)
 		}
+	}
+	out := make([]*Pair, len(vals))
+	for i := range vals {
+		out[i] = &vals[i]
 	}
 	return out
 }
@@ -72,10 +85,11 @@ func (en *Engine) computeAllPairs() []*Pair {
 // With D in hand, δ(j) is one scan of u_j's arcs, j* is the least j ≤ i
 // with j + δ(j) = target, and the detour is the min-index walk back from
 // u_{j*} down D's levels. The package comment argues why that is Pcons's
-// path. It panics on a failing edge off π(s,v), on a pair with no such j*
-// or no walk, and on a T0 last edge: each is a state the sweep cannot hand
-// it.
-func (en *Engine) searchTerminal(v int32, out []*Pair, last int32) {
+// path. It finds every pair's j* first, then cuts all of their detours
+// from one run of the engine's detour chunk. It panics on a failing edge
+// off π(s,v), on a pair with no such j* or no walk, and on a T0 last edge:
+// each is a state the sweep cannot hand it.
+func (en *Engine) searchTerminal(v int32, out []Pair, last int32) {
 	ts := en.s0
 	k := int(en.BT.Dist[v])
 	pi := ts.pi[:k+1]
@@ -120,8 +134,9 @@ func (en *Engine) searchTerminal(v int32, out []*Pair, last int32) {
 		}
 	}
 
+	total := 0
 	for p := last; p >= 0; p = ts.next[p] {
-		pr := out[p]
+		pr := &out[p]
 		i, j := int(en.T.Depth[pr.EdgeChild])-1, 0
 		for j <= i && int32(j)+ts.delta[j] > pr.Dist {
 			j++
@@ -129,27 +144,34 @@ func (en *Engine) searchTerminal(v int32, out []*Pair, last int32) {
 		if j > i || int32(j)+ts.delta[j] != pr.Dist {
 			panic(fmt.Sprintf("replacement: no unique-divergence replacement path for ⟨%d,%v⟩", v, en.G.EdgeByID(pr.Edge)))
 		}
-		detour := make(paths.Path, pr.Dist-int32(j)+1)
-		detour[0] = pi[j]
+		pr.Div = pi[j]
+		total += int(pr.Dist) - j + 1
+	}
+
+	if len(ts.detours) < total {
+		ts.detours = make(paths.Path, max(total, detourChunk))
+	}
+	buf := ts.detours[:total]
+	ts.detours = ts.detours[total:]
+	for p := last; p >= 0; p = ts.next[p] {
+		pr := &out[p]
+		size := int(pr.Dist-en.T.Depth[pr.Div]) + 1 // Div = u_{j*} is j* deep
+		detour := buf[:size:size]
+		buf = buf[size:]
+		detour[0] = pr.Div
 		for step := 1; step < len(detour); step++ {
 			arcs, want, c := en.csr.ArcsOf(detour[step-1]), int32(len(detour)-1-step), 0
 			for c < len(arcs) && ts.level(arcs[c].To) != want {
 				c++
 			}
 			if c == len(arcs) {
-				panic(fmt.Sprintf("replacement: no detour from divergence point %d to %d", pi[j], v))
+				panic(fmt.Sprintf("replacement: no detour from divergence point %d to %d", pr.Div, v))
 			}
 			detour[step], pr.LastID = arcs[c].To, arcs[c].ID
 		}
 		if en.TreeEdges.Contains(pr.LastID) {
 			panic(fmt.Sprintf("replacement: uncovered pair ⟨%d,%v⟩ produced a T0 last edge", v, en.G.EdgeByID(pr.Edge)))
 		}
-		pr.Div, pr.Detour = pi[j], detour
+		pr.Detour = detour
 	}
-}
-
-// FullPath reconstructs the complete replacement path π(s,Div)◦Detour.
-func (en *Engine) FullPath(p *Pair) paths.Path {
-	prefix := paths.Path(en.BT.PathTo(int(p.Div)))
-	return paths.Concat(prefix, p.Detour)
 }

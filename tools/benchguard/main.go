@@ -35,7 +35,7 @@ import (
 
 // defaultFilter is CI's TENTPOLE_BENCH (.github/workflows/ci.yml), so a
 // local run without -filter gates the same benchmarks CI does.
-const defaultFilter = "BenchmarkServeQueries|BenchmarkOraclePool|BenchmarkBuildBatch|BenchmarkQueryPlan|BenchmarkClusterRoute|BenchmarkVertexQuery|BenchmarkWireServe|BenchmarkSlabLoad/slab|BenchmarkRebalance|BenchmarkMutate|BenchmarkClusterBuild|BenchmarkVertexBuild"
+const defaultFilter = "BenchmarkServeQueries|BenchmarkOraclePool|BenchmarkBuildBatch|BenchmarkBuildEpsilon|BenchmarkQueryPlan|BenchmarkClusterRoute|BenchmarkVertexQuery|BenchmarkWireServe|BenchmarkSlabLoad/slab|BenchmarkRebalance|BenchmarkMutate|BenchmarkClusterBuild|BenchmarkVertexBuild"
 
 // result accumulates the measurements of one benchmark.
 type result struct {
