@@ -110,17 +110,6 @@ func BenchmarkTreeDecomposition(b *testing.B) {
 	}
 }
 
-func BenchmarkLCA(b *testing.B) {
-	g := benchGraph(5000)
-	t := tree.Build(g, bfs.From(g, 0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := int32(i % g.N())
-		v := int32((i * 2654435761) % g.N())
-		t.LCA(u, v)
-	}
-}
-
 func BenchmarkReplacementAllPairs(b *testing.B) {
 	lb := gen.LowerBoundParams(3, 4, 10)
 	b.ResetTimer()
@@ -1039,8 +1028,8 @@ func BenchmarkE11VertexFT(b *testing.B) {
 // BenchmarkVertexBuild measures the vertex construction on a fresh
 // replacement engine per call (vertexft.Build, what ftbfs.BuildVertex does)
 // against BuildWith on one engine recycled with Reset across sources: the
-// engine is the workspace, so recycling it removes the per-call CSR of G,
-// repair scratch and distance vector.
+// engine is the workspace, so recycling it removes the per-call repair
+// scratch and distance vector.
 func BenchmarkVertexBuild(b *testing.B) {
 	g := gen.RandomConnected(300, 900, 7)
 	b.Run("fresh", func(b *testing.B) {

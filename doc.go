@@ -53,7 +53,8 @@
 // (each owns its search scratches). A concurrent server therefore checks
 // oracles out of Structure.OraclePool — a sync.Pool-backed checkout that
 // recycles scratch buffers across requests. The intact distance vector
-// behind Oracle.Dist is computed once per structure and cached forever
+// behind Oracle.Dist is the distance array of H's canonical BFS tree in the
+// structure's query plan: computed once per structure and cached forever
 // (structures never change), shared by every oracle of the pool.
 //
 // Failure queries run against the structure's QueryPlan (Structure.Plan,

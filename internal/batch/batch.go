@@ -8,8 +8,8 @@
 //
 // The orchestrator instead groups the requests by source and dispatches the
 // groups to a worker pool. Each worker owns one replacement.Engine — recycled
-// between sources via Engine.Reset, so the engine's CSR of G and its search
-// and repair scratch are allocated once per worker, not once per request.
+// between sources via Engine.Reset, so the engine's search and repair
+// scratch are allocated once per worker, not once per request.
 // Within a source group the canonical tree (with its decomposition, once
 // Phase S2 adds it), the memoised Phase S0 pairs and the Phase S2 scratch
 // are computed once and shared by every ε, and core.BuildGroup runs a
@@ -146,10 +146,10 @@ func Build(g *graph.Graph, reqs []Request, opt Options) ([]*core.Structure, erro
 	return out, nil
 }
 
-// CostSweep is core.CostSweep running through the batch orchestrator: one
-// structure per ε in the grid, all sharing the source's trees, Phase S0 pairs
-// and reinforcement sweep. It returns the priced sweep and the index of the
-// cheapest point.
+// CostSweep builds one structure per ε in the grid through the batch
+// orchestrator, all sharing the source's trees, Phase S0 pairs and
+// reinforcement sweep, and prices each. It returns the priced sweep and the
+// index of the cheapest point.
 func CostSweep(g *graph.Graph, s int, epsGrid []float64, backupPrice, reinforcePrice float64, opt Options) ([]core.CostPoint, int, error) {
 	reqs := make([]Request, len(epsGrid))
 	for i, eps := range epsGrid {

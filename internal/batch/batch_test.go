@@ -81,12 +81,24 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestCostSweepMatchesCore checks the batched sweep against a loop of
+// sequential core.Build calls priced by Structure.Cost, with the cheapest
+// point the first of least cost.
 func TestCostSweepMatchesCore(t *testing.T) {
 	lb := gen.LowerBoundParams(3, 4, 8)
 	grid := []float64{0, 0.2, 0.35, 1}
-	wantPts, wantBest, err := core.CostSweep(lb.G, lb.S, grid, 1, 25, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	var wantPts []core.CostPoint
+	wantBest := -1
+	for _, eps := range grid {
+		st, err := core.Build(lb.G, lb.S, eps, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPts = append(wantPts, core.CostPoint{Eps: eps, Backup: st.BackupCount(),
+			Reinforced: st.ReinforcedCount(), Cost: st.Cost(1, 25)})
+		if wantBest < 0 || wantPts[len(wantPts)-1].Cost < wantPts[wantBest].Cost {
+			wantBest = len(wantPts) - 1
+		}
 	}
 	gotPts, gotBest, err := CostSweep(lb.G, lb.S, grid, 1, 25, Options{Workers: 3})
 	if err != nil {

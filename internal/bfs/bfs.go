@@ -6,6 +6,11 @@
 // parent is the smallest-id u. The resulting canonical paths are unique and
 // prefix-closed in every (sub)graph, which is exactly what the
 // constructions of Sections 3-4 rely on (Claims 4.4-4.6).
+//
+// There is one canonical search, FromCSR, over a CSR adjacency: a frozen
+// graph's own (From) or a subgraph's such as a structure H. Around it sit
+// the restricted search of a failure scenario (Scratch.DistancesAvoiding)
+// and the subtree-local repair after one failure (Repair).
 package bfs
 
 import (
@@ -27,13 +32,15 @@ type Tree struct {
 }
 
 // From runs a BFS from s over the frozen graph g and returns the canonical
-// tree. Parents are assigned by the min-index rule, not by discovery order,
-// so the result is independent of queue internals.
-func From(g *graph.Graph, s int) *Tree {
-	if !g.Frozen() {
-		panic("bfs: graph must be frozen")
-	}
-	n := g.N()
+// tree: FromCSR over g's own adjacency.
+func From(g *graph.Graph, s int) *Tree { return FromCSR(g.CSR(), s) }
+
+// FromCSR runs a canonical BFS from s over a CSR adjacency — a frozen
+// graph's own (From) or a subgraph's (graph.SubgraphCSR) — and returns the
+// tree. Parents are assigned by the min-index rule, not by discovery
+// order, so the result is independent of queue internals.
+func FromCSR(c *graph.CSR, s int) *Tree {
+	n := c.N()
 	t := &Tree{
 		Source:     int32(s),
 		Dist:       make([]int32, n),
@@ -50,7 +57,7 @@ func From(g *graph.Graph, s int) *Tree {
 	queue = append(queue, int32(s))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, a := range g.Neighbors(int(u)) {
+		for _, a := range c.ArcsOf(u) {
 			if t.Dist[a.To] == Unreachable {
 				t.Dist[a.To] = t.Dist[u] + 1
 				queue = append(queue, a.To)
@@ -58,13 +65,13 @@ func From(g *graph.Graph, s int) *Tree {
 		}
 	}
 	t.Order = queue
-	// Canonical min-index parents: adjacency lists are sorted by Freeze, so
-	// the first neighbour one level up is the smallest-id one.
+	// Canonical min-index parents: CSR rows are sorted by neighbour, so the
+	// first neighbour one level up is the smallest-id one.
 	for _, v := range queue {
 		if v == int32(s) {
 			continue
 		}
-		for _, a := range g.Neighbors(int(v)) {
+		for _, a := range c.ArcsOf(v) {
 			if t.Dist[a.To] == t.Dist[v]-1 {
 				t.Parent[v] = a.To
 				t.ParentEdge[v] = a.ID

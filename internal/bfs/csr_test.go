@@ -25,18 +25,55 @@ func randomConnected(t *testing.T, n, extra int, seed int64) *graph.Graph {
 	return g.Freeze()
 }
 
+// TestFromCSRMatchesFrom checks the one canonical search on subgraph CSRs
+// against independent references: distances against the restricted search
+// inside H (Scratch.DistancesAvoiding with AllowedEdges), and parents
+// against the min-index rule applied by brute force over H's edge list.
+// Some of the subgraphs leave vertices unreachable.
 func TestFromCSRMatchesFrom(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
+	for seed := int64(0); seed < 8; seed++ {
 		g := randomConnected(t, 80, 120, seed)
-		want := From(g, 0)
-		got := FromCSR(g.CSRView(), 0)
-		for v := 0; v < g.N(); v++ {
-			if got.Dist[v] != want.Dist[v] {
-				t.Fatalf("seed %d: Dist[%d] = %d, want %d", seed, v, got.Dist[v], want.Dist[v])
+		rng := rand.New(rand.NewSource(seed))
+		h := graph.NewEdgeSet(g.M())
+		for id := 0; id < g.M(); id++ {
+			if rng.Intn(10) < 4+int(seed)%6 {
+				h.Add(graph.EdgeID(id))
 			}
-			if got.Parent[v] != want.Parent[v] || got.ParentEdge[v] != want.ParentEdge[v] {
+		}
+		s := rng.Intn(g.N())
+		got := FromCSR(g.SubgraphCSR(h), s)
+		want := NewScratch(g.N()).DistancesAvoiding(g, s,
+			Restriction{BannedEdge: graph.NoEdge, AllowedEdges: h}, make([]int32, g.N()))
+		for v := 0; v < g.N(); v++ {
+			if got.Dist[v] != want[v] {
+				t.Fatalf("seed %d: Dist[%d] = %d, want %d", seed, v, got.Dist[v], want[v])
+			}
+			wantP, wantE := int32(-1), graph.NoEdge
+			h.ForEach(func(id graph.EdgeID) {
+				e := g.EdgeByID(id)
+				if e.U != int32(v) && e.V != int32(v) {
+					return
+				}
+				u := e.Other(int32(v))
+				if want[v] > 0 && want[u] == want[v]-1 && (wantP < 0 || u < wantP) {
+					wantP, wantE = u, id
+				}
+			})
+			if got.Parent[v] != wantP || got.ParentEdge[v] != wantE {
 				t.Fatalf("seed %d: parent of %d: (%d,%d), want (%d,%d)", seed, v,
-					got.Parent[v], got.ParentEdge[v], want.Parent[v], want.ParentEdge[v])
+					got.Parent[v], got.ParentEdge[v], wantP, wantE)
+			}
+		}
+		inOrder := make([]bool, g.N())
+		for i, v := range got.Order {
+			if inOrder[v] || got.Dist[v] == Unreachable || (i > 0 && got.Dist[got.Order[i-1]] > got.Dist[v]) {
+				t.Fatalf("seed %d: Order is not the reachable vertices by distance at %d", seed, i)
+			}
+			inOrder[v] = true
+		}
+		for v, d := range want {
+			if inOrder[v] != (d != Unreachable) {
+				t.Fatalf("seed %d: Order and reachability disagree at %d", seed, v)
 			}
 		}
 	}
@@ -67,7 +104,7 @@ func TestRepairMatchesFullSearch(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		extra := int(seed) * 20 // seed 0: a tree, where every failure disconnects
 		g := randomConnected(t, 60, extra, seed)
-		csr := g.CSRView()
+		csr := g.CSR()
 		bt := From(g, 0)
 		r := NewRepair(g.N())
 		sc := NewScratch(g.N())
@@ -94,7 +131,7 @@ func TestRepairMatchesFullSearch(t *testing.T) {
 // is not polluted by the first (epoch stamping, bucket reset).
 func TestRepairScratchReuse(t *testing.T) {
 	g := randomConnected(t, 50, 40, 7)
-	csr := g.CSRView()
+	csr := g.CSR()
 	bt := From(g, 0)
 	r := NewRepair(g.N())
 	sc := NewScratch(g.N())

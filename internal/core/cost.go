@@ -1,13 +1,9 @@
 package core
 
-import (
-	"math"
+import "math"
 
-	"ftbfs/internal/graph"
-)
-
-// CostPoint is one row of the cost sweep: the structure built at Eps and
-// its deployment cost under the given price pair.
+// CostPoint is one row of a cost sweep (batch.CostSweep): the structure
+// built at Eps and its deployment cost under the given price pair.
 type CostPoint struct {
 	Eps        float64
 	Backup     int
@@ -31,30 +27,6 @@ func PredictedOptimalEps(n int, backupPrice, reinforcePrice float64) float64 {
 		return 0.5
 	}
 	return eps
-}
-
-// CostSweep builds a structure for every ε in the grid and prices it,
-// returning the sweep and the index of the cheapest point.
-func CostSweep(g *graph.Graph, s int, epsGrid []float64, backupPrice, reinforcePrice float64, opt Options) ([]CostPoint, int, error) {
-	points := make([]CostPoint, 0, len(epsGrid))
-	best := -1
-	for _, eps := range epsGrid {
-		st, err := Build(g, s, eps, opt)
-		if err != nil {
-			return nil, -1, err
-		}
-		cp := CostPoint{
-			Eps:        eps,
-			Backup:     st.BackupCount(),
-			Reinforced: st.ReinforcedCount(),
-			Cost:       st.Cost(backupPrice, reinforcePrice),
-		}
-		points = append(points, cp)
-		if best == -1 || cp.Cost < points[best].Cost {
-			best = len(points) - 1
-		}
-	}
-	return points, best, nil
 }
 
 // DefaultEpsGrid returns the ε grid used by the experiments:

@@ -7,33 +7,6 @@ import (
 	"ftbfs/internal/gen"
 )
 
-func TestCostPointArithmetic(t *testing.T) {
-	g := gen.CliqueChain(12)
-	points, best, err := CostSweep(g, 0, []float64{0, 1}, 2, 7, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		want := 2*float64(p.Backup) + 7*float64(p.Reinforced)
-		if math.Abs(p.Cost-want) > 1e-9 {
-			t.Fatalf("cost %g want %g", p.Cost, want)
-		}
-	}
-	if best != 0 && best != 1 {
-		t.Fatal("best index out of range")
-	}
-}
-
-func TestCostSweepPropagatesBuildError(t *testing.T) {
-	g := gen.Cycle(6)
-	if _, _, err := CostSweep(g, 99, []float64{0.2}, 1, 1, Options{}); err == nil {
-		t.Fatal("bad source accepted")
-	}
-	if _, _, err := CostSweep(g, 0, []float64{-3}, 1, 1, Options{}); err == nil {
-		t.Fatal("bad eps accepted")
-	}
-}
-
 func TestPredictedOptimalEpsMidrange(t *testing.T) {
 	// log(R/B)/(2 log n): n=10^4, R/B=10^2 → 2/(2·4) = 0.25
 	if got := PredictedOptimalEps(10000, 1, 100); math.Abs(got-0.25) > 1e-9 {

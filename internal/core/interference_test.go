@@ -38,19 +38,20 @@ func interferes(ix *pairIndex, i, j int32) bool {
 }
 
 // related reports e ∼ e' for the failing edges of pairs i and j: the tree
-// relation on their child endpoints.
+// relation on their child endpoints, one of which lies below the other
+// (both edges are on a common root-leaf path π(s,·)).
 func related(ix *pairIndex, i, j int32) bool {
-	return ix.en.T.Related(ix.pairs[i].EdgeChild, ix.pairs[j].EdgeChild)
+	a, b := ix.pairs[i].EdgeChild, ix.pairs[j].EdgeChild
+	return ix.en.T.InSubtree(a, b) || ix.en.T.InSubtree(b, a)
 }
 
 // piOnPath is π-intersection by its definition: the detour of pair p meets
-// π(LCA(v_p, t), t) \ {LCA}, found by walking that path up from t. The tree
-// must be decomposed (LCA ascends the Fact 3.3 paths).
+// π(LCA(v_p, t), t) \ {LCA}, found by walking that path up from t. The walk
+// stops at the first ancestor of t whose subtree holds v_p: the LCA.
 func piOnPath(ix *pairIndex, p, t int32) bool {
 	tr := ix.en.T
-	lca := tr.LCA(ix.pairs[p].V, t)
 	onSeg := map[int32]bool{}
-	for x := t; x != lca && x >= 0; x = tr.Parent[x] {
+	for x := t; x >= 0 && !tr.InSubtree(ix.pairs[p].V, x); x = tr.Parent[x] {
 		onSeg[x] = true
 	}
 	for _, z := range ix.pairs[p].Detour {
@@ -98,7 +99,7 @@ func newRefScans(ix *pairIndex) *refScans {
 // ancestor of t (classify's doc argues why only the interior counts).
 func (r *refScans) piIntersects(i int32, t int32) bool {
 	for _, z := range r.ix.internal[i] {
-		if r.ix.en.T.IsAncestor(z, t) {
+		if r.ix.en.T.InSubtree(t, z) {
 			return true
 		}
 	}

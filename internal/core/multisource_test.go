@@ -73,53 +73,3 @@ func TestPredictedOptimalEps(t *testing.T) {
 		t.Fatal("degenerate inputs must return 0")
 	}
 }
-
-func TestCostSweep(t *testing.T) {
-	g := gen.LowerBoundParams(2, 3, 5).G
-	grid := []float64{0, 0.25, 0.5, 1}
-	points, best, err := CostSweep(g, 0, grid, 1, 50, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(grid) || best < 0 || best >= len(points) {
-		t.Fatalf("sweep shape wrong: %d points, best=%d", len(points), best)
-	}
-	for _, p := range points {
-		if p.Cost < points[best].Cost {
-			t.Fatal("best is not minimal")
-		}
-		if p.Cost != float64(p.Backup)+50*float64(p.Reinforced) {
-			t.Fatal("cost arithmetic wrong")
-		}
-	}
-	if len(DefaultEpsGrid()) < 5 {
-		t.Fatal("default grid too small")
-	}
-}
-
-// When reinforcement is expensive, the sweep should not pick a
-// reinforcement-heavy point over the baseline; when it is cheap, ε=0 (all
-// tree edges reinforced, b=0) should win on the lower-bound family.
-func TestCostSweepDirection(t *testing.T) {
-	g := gen.LowerBoundParams(3, 4, 8).G
-	grid := []float64{0, 0.25, 1}
-	// reinforcement cheap: ε=0 optimal
-	_, best, err := CostSweep(g, 0, grid, 1000, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid[best] != 0 {
-		t.Fatalf("cheap reinforcement: best ε=%g want 0", grid[best])
-	}
-	// reinforcement exorbitant: the optimum must avoid reinforcement
-	// entirely (ε=1 guarantees r=0, but a smaller ε may reach r=0 with
-	// fewer backup edges and win — both are acceptable).
-	points, best, err := CostSweep(g, 0, grid, 1, 1e9, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[best].Reinforced != 0 {
-		t.Fatalf("expensive reinforcement: best point still reinforces %d edges (ε=%g)",
-			points[best].Reinforced, grid[best])
-	}
-}

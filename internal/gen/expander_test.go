@@ -16,7 +16,7 @@ func TestCirculant(t *testing.T) {
 			t.Fatalf("deg(%d)=%d want 4", v, g.Degree(v))
 		}
 	}
-	if !graph.IsConnected(g) {
+	if !connected(g) {
 		t.Fatal("circulant disconnected")
 	}
 	if err := graph.Validate(g); err != nil {

@@ -9,10 +9,11 @@ import "fmt"
 // tests — the whole point of materializing a subgraph H ⊆ G once instead of
 // filtering G's adjacency on every query.
 //
-// Rows inherit the frozen graph's neighbour-sorted order, so the canonical
-// min-index parent rule of package bfs applies to a CSR exactly as it does
-// to the graph it was extracted from. A CSR is immutable and safe for
-// concurrent use.
+// A frozen graph keeps its own adjacency as a CSR (Graph.CSR), with every
+// row sorted by neighbour id; a subgraph's CSR (SubgraphCSR) keeps that
+// order, so the canonical min-index parent rule of package bfs applies to
+// it exactly as it does to the graph it was extracted from. A CSR is
+// immutable and safe for concurrent use.
 type CSR struct {
 	n        int32
 	RowStart []int32 // len n+1; monotone
@@ -69,53 +70,26 @@ func NewCSR(n int, rowStart []int32, arcs []Arc) (*CSR, error) {
 	return &CSR{n: int32(n), RowStart: rowStart, Arcs: arcs}, nil
 }
 
-// CSRView returns the flat CSR adjacency of the whole graph. It is built on
-// the first call and cached (the graph must be frozen, hence immutable), so
-// repeated callers share one view.
-func (g *Graph) CSRView() *CSR {
-	if !g.frozen {
-		panic("graph: CSRView before Freeze")
-	}
-	g.csrOnce.Do(func() { g.csr = g.buildCSR(nil) })
-	return g.csr
-}
-
 // SubgraphCSR extracts the subgraph with edge set allowed as its own CSR:
-// only arcs whose EdgeID is in allowed are packed. The extraction is O(n+m)
-// once; afterwards a search over the subgraph touches only its own arcs,
-// with zero membership tests. The graph must be frozen.
+// only arcs whose EdgeID is in allowed are packed, in the graph's row
+// order. The extraction is O(n+m) once; afterwards a search over the
+// subgraph touches only its own arcs, with zero membership tests. The graph
+// must be frozen.
 func (g *Graph) SubgraphCSR(allowed *EdgeSet) *CSR {
-	if !g.frozen {
-		panic("graph: SubgraphCSR before Freeze")
-	}
-	return g.buildCSR(allowed)
-}
-
-// buildCSR packs the adjacency rows, keeping only arcs in allowed (nil keeps
-// everything).
-func (g *Graph) buildCSR(allowed *EdgeSet) *CSR {
+	full := g.CSR()
 	c := &CSR{n: g.n, RowStart: make([]int32, g.n+1), Gen: g.gen}
-	for u := range g.adj {
-		cnt := 0
-		if allowed == nil {
-			cnt = len(g.adj[u])
-		} else {
-			for _, a := range g.adj[u] {
-				if allowed.Contains(a.ID) {
-					cnt++
-				}
+	for u := range g.n {
+		c.RowStart[u+1] = c.RowStart[u]
+		for _, a := range full.ArcsOf(u) {
+			if allowed.Contains(a.ID) {
+				c.RowStart[u+1]++
 			}
 		}
-		c.RowStart[u+1] = c.RowStart[u] + int32(cnt)
 	}
-	c.Arcs = make([]Arc, c.RowStart[g.n])
-	pos := int32(0)
-	for u := range g.adj {
-		for _, a := range g.adj[u] {
-			if allowed == nil || allowed.Contains(a.ID) {
-				c.Arcs[pos] = a
-				pos++
-			}
+	c.Arcs = make([]Arc, 0, c.RowStart[g.n])
+	for _, a := range full.Arcs {
+		if allowed.Contains(a.ID) {
+			c.Arcs = append(c.Arcs, a)
 		}
 	}
 	return c

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -21,9 +23,17 @@ func randomFrozen(t *testing.T, n, m int, seed int64) *Graph {
 	return g.Freeze()
 }
 
+// TestCSRViewMatchesAdjacency checks the frozen graph's CSR against the
+// edge list it was packed from: row u holds exactly the edges at u, sorted
+// by neighbour, and Neighbors and Degree read that row.
 func TestCSRViewMatchesAdjacency(t *testing.T) {
 	g := randomFrozen(t, 50, 120, 1)
-	c := g.CSRView()
+	want := make([][]Arc, g.N())
+	for id, e := range g.EdgesView() {
+		want[e.U] = append(want[e.U], Arc{To: e.V, ID: EdgeID(id)})
+		want[e.V] = append(want[e.V], Arc{To: e.U, ID: EdgeID(id)})
+	}
+	c := g.CSR()
 	if c.N() != g.N() {
 		t.Fatalf("N = %d, want %d", c.N(), g.N())
 	}
@@ -31,19 +41,20 @@ func TestCSRViewMatchesAdjacency(t *testing.T) {
 		t.Fatalf("NumArcs = %d, want %d", c.NumArcs(), 2*g.M())
 	}
 	for u := 0; u < g.N(); u++ {
-		want := g.Neighbors(u)
+		slices.SortFunc(want[u], func(a, b Arc) int { return cmp.Compare(a.To, b.To) })
 		got := c.ArcsOf(int32(u))
-		if len(got) != len(want) || c.Degree(int32(u)) != len(want) {
-			t.Fatalf("vertex %d: %d arcs, want %d", u, len(got), len(want))
+		if !slices.Equal(got, want[u]) || c.Degree(int32(u)) != len(want[u]) || g.Degree(u) != len(want[u]) {
+			t.Fatalf("vertex %d: row %v, want %v", u, got, want[u])
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("vertex %d arc %d: %v, want %v", u, i, got[i], want[i])
-			}
+		if nb := g.Neighbors(u); len(nb) > 0 && &nb[0] != &got[0] {
+			t.Fatalf("vertex %d: Neighbors is not the CSR row", u)
 		}
 	}
-	if g.CSRView() != c {
-		t.Fatal("CSRView is not cached")
+	if g.CSR() != c {
+		t.Fatal("CSR is not the graph's own adjacency")
+	}
+	if err := Validate(g); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -84,7 +95,9 @@ func TestCSRPanicsBeforeFreeze(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1)
 	for name, f := range map[string]func(){
-		"CSRView":     func() { g.CSRView() },
+		"CSR":         func() { g.CSR() },
+		"Neighbors":   func() { g.Neighbors(0) },
+		"Degree":      func() { g.Degree(0) },
 		"SubgraphCSR": func() { g.SubgraphCSR(NewEdgeSet(g.M())) },
 	} {
 		func() {

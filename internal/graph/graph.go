@@ -1,7 +1,8 @@
 // Package graph implements the undirected-graph substrate used by every
-// other package in this repository: a compact adjacency representation with
-// stable edge identifiers, mutation-free views, and helpers for the
-// edge-subset bookkeeping that fault-tolerant BFS constructions need.
+// other package in this repository: an edge list with stable edge
+// identifiers, one packed adjacency (the CSR that Freeze builds from it),
+// and helpers for the edge-subset bookkeeping that fault-tolerant BFS
+// constructions need.
 //
 // Vertices are dense integers 0..N()-1. Every undirected edge {u,v} has a
 // unique EdgeID assigned at insertion time; all higher-level structures
@@ -13,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // EdgeID identifies an undirected edge within a Graph. IDs are dense:
@@ -63,13 +63,13 @@ type Arc struct {
 // The zero value is an empty graph with no vertices; use New.
 //
 // Graph is immutable after Freeze (all algorithm packages require a frozen
-// graph); the builder API (AddEdge) may only be used before Freeze.
+// graph); the builder API (AddEdge) may only be used before Freeze, and the
+// adjacency (Neighbors, Degree, CSR) only after it.
 type Graph struct {
 	n      int32
-	adj    [][]Arc
 	edges  []Edge
 	lookup map[int64]EdgeID
-	frozen bool
+	csr    *CSR // the adjacency, packed by Freeze; nil until then
 
 	// Live-graph identity: a graph is a (lineage, generation) pair, not just
 	// a fingerprint. gen counts mutations applied since the lineage's root;
@@ -84,9 +84,6 @@ type Graph struct {
 	lineage uint64
 	fp      uint64
 	fpSet   bool
-
-	csrOnce sync.Once
-	csr     *CSR // cached CSRView; valid only after Freeze
 }
 
 // New returns an empty graph on n vertices.
@@ -96,7 +93,6 @@ func New(n int) *Graph {
 	}
 	return &Graph{
 		n:      int32(n),
-		adj:    make([][]Arc, n),
 		lookup: make(map[int64]EdgeID),
 	}
 }
@@ -140,7 +136,7 @@ func (g *Graph) key(u, v int32) int64 {
 // and duplicate edges are rejected with an error. AddEdge panics if called
 // after Freeze.
 func (g *Graph) AddEdge(u, v int) (EdgeID, error) {
-	if g.frozen {
+	if g.csr != nil {
 		panic("graph: AddEdge after Freeze")
 	}
 	if u == v {
@@ -157,8 +153,6 @@ func (g *Graph) AddEdge(u, v int) (EdgeID, error) {
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{uu, vv})
 	g.lookup[k] = id
-	g.adj[u] = append(g.adj[u], Arc{To: vv, ID: id})
-	g.adj[v] = append(g.adj[v], Arc{To: uu, ID: id})
 	// Content changed: any stamped identity is stale. The edited graph is a
 	// fresh generation-0 root, not some generation of its source lineage.
 	g.gen, g.lineage, g.fpSet = 0, 0, false
@@ -201,14 +195,24 @@ func (g *Graph) EdgeByID(id EdgeID) Edge {
 	return g.edges[id]
 }
 
-// Neighbors returns the adjacency list of u as (neighbour, edge id) arcs.
-// The returned slice is owned by the graph and must not be modified.
-func (g *Graph) Neighbors(u int) []Arc {
-	return g.adj[u]
-}
+// Neighbors returns the adjacency list of u as (neighbour, edge id) arcs,
+// sorted by neighbour: u's row of CSR. The returned slice is owned by the
+// graph and must not be modified. It panics before Freeze.
+func (g *Graph) Neighbors(u int) []Arc { return g.CSR().ArcsOf(int32(u)) }
 
-// Degree returns the degree of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+// Degree returns the degree of u. It panics before Freeze.
+func (g *Graph) Degree(u int) int { return g.CSR().Degree(int32(u)) }
+
+// CSR returns the graph's adjacency: one packed row per vertex, sorted by
+// neighbour id (the order the canonical min-index BFS tie-breaking of
+// package bfs relies on). It is the graph's own storage, not a copy, and
+// is shared read-only by every caller. It panics before Freeze.
+func (g *Graph) CSR() *CSR {
+	if g.csr == nil {
+		panic("graph: adjacency read before Freeze")
+	}
+	return g.csr
+}
 
 // Edges returns a copy of the edge list indexed by EdgeID.
 func (g *Graph) Edges() []Edge {
@@ -223,17 +227,33 @@ func (g *Graph) Edges() []Edge {
 // iterate (fingerprinting, persistence) use this to stay allocation-free.
 func (g *Graph) EdgesView() []Edge { return g.edges }
 
-// Freeze sorts every adjacency list by neighbour id (required for the
-// canonical min-index BFS tie-breaking used throughout this repository) and
-// marks the graph immutable. Freeze is idempotent.
+// Freeze packs the edge list into the graph's CSR adjacency, each row
+// sorted by neighbour id (required for the canonical min-index BFS
+// tie-breaking used throughout this repository), and marks the graph
+// immutable. Freeze is idempotent.
 func (g *Graph) Freeze() *Graph {
-	if g.frozen {
+	if g.csr != nil {
 		return g
 	}
-	for u := range g.adj {
-		slices.SortFunc(g.adj[u], func(a, b Arc) int { return cmp.Compare(a.To, b.To) })
+	c := &CSR{n: g.n, RowStart: make([]int32, g.n+1), Arcs: make([]Arc, 2*len(g.edges)), Gen: g.gen}
+	for _, e := range g.edges {
+		c.RowStart[e.U+1]++
+		c.RowStart[e.V+1]++
 	}
-	g.frozen = true
+	for u := range g.n {
+		c.RowStart[u+1] += c.RowStart[u]
+	}
+	next := slices.Clone(c.RowStart[:g.n]) // each row's first free slot
+	for id, e := range g.edges {
+		c.Arcs[next[e.U]] = Arc{To: e.V, ID: EdgeID(id)}
+		c.Arcs[next[e.V]] = Arc{To: e.U, ID: EdgeID(id)}
+		next[e.U]++
+		next[e.V]++
+	}
+	for u := range g.n {
+		slices.SortFunc(c.ArcsOf(u), func(a, b Arc) int { return cmp.Compare(a.To, b.To) })
+	}
+	g.csr = c
 	if !g.fpSet {
 		// Cache the structural fingerprint now, while construction is still
 		// single-threaded; concurrent Fingerprint calls after Freeze then
@@ -244,7 +264,7 @@ func (g *Graph) Freeze() *Graph {
 }
 
 // Frozen reports whether Freeze has been called.
-func (g *Graph) Frozen() bool { return g.frozen }
+func (g *Graph) Frozen() bool { return g.csr != nil }
 
 // Clone returns a deep, unfrozen copy of g. The copy keeps g's live-graph
 // identity (generation, lineage, fingerprint) until it is edited; AddEdge
@@ -254,9 +274,6 @@ func (g *Graph) Clone() *Graph {
 	for id, e := range g.edges {
 		c.edges = append(c.edges, e)
 		c.lookup[c.key(e.U, e.V)] = EdgeID(id)
-	}
-	for u := range g.adj {
-		c.adj[u] = append([]Arc(nil), g.adj[u]...)
 	}
 	c.gen, c.lineage, c.fp, c.fpSet = g.gen, g.lineage, g.fp, g.fpSet
 	return c

@@ -103,12 +103,39 @@ func TestCloneIndependence(t *testing.T) {
 func TestValidateDetectsCorruption(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1)
+	if err := Validate(g); err == nil {
+		t.Fatal("unfrozen graph accepted: it has no adjacency to check")
+	}
+	g.Freeze()
 	if err := Validate(g); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
 	g.edges[0] = Edge{0, 2} // corrupt edge list behind adjacency's back
 	if err := Validate(g); err == nil {
 		t.Fatal("corruption not detected")
+	}
+
+	h := New(3)
+	mustEdge(t, h, 0, 2)
+	mustEdge(t, h, 0, 1)
+	row := h.Freeze().CSR().ArcsOf(0)
+	row[0], row[1] = row[1], row[0] // a row out of neighbour order
+	if err := Validate(h); err == nil {
+		t.Fatal("unsorted row not detected")
+	}
+	row[0] = row[1] // one edge twice in a row, the other missing
+	if err := Validate(h); err == nil {
+		t.Fatal("repeated arc not detected")
+	}
+
+	k := New(3)
+	mustEdge(t, k, 0, 1)
+	mustEdge(t, k, 0, 2)
+	c := k.Freeze().CSR()
+	c.Arcs = c.Arcs[:len(c.Arcs)-1] // vertex 2 loses its only arc
+	c.RowStart[k.N()]--
+	if err := Validate(k); err == nil {
+		t.Fatal("missing arc not detected")
 	}
 }
 
@@ -125,5 +152,41 @@ func TestRandomGraphValidates(t *testing.T) {
 	}
 	if err := Validate(g.Freeze()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBuilderHelpers(t *testing.T) {
+	b := NewBuilder(10)
+	b.AddStar(0, 1, 2, 3)
+	b.AddBiclique([]int{4, 5}, []int{6, 7})
+	b.AddClique(8, 9)
+	if b.M() != 3+4+1 {
+		t.Fatalf("M=%d", b.M())
+	}
+	if b.Add(0, 1) {
+		t.Fatal("duplicate add reported true")
+	}
+	if b.Add(0, 0) {
+		t.Fatal("self loop add reported true")
+	}
+	g := b.Graph()
+	if !g.Frozen() {
+		t.Fatal("builder result not frozen")
+	}
+	if err := Validate(g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFromEdgeList(t *testing.T) {
+	g, err := FromEdgeList(3, [][2]int{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != 2 || !g.Frozen() {
+		t.Fatal("FromEdgeList wrong")
+	}
+	if _, err := FromEdgeList(2, [][2]int{{0, 0}}); err == nil {
+		t.Fatal("self loop accepted")
 	}
 }

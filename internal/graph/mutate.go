@@ -44,7 +44,7 @@ type Mutation struct {
 // present edge, deleting an absent one) fails the whole batch: Apply returns
 // an error and no new generation exists.
 func (g *Graph) Apply(muts []Mutation) (next *Graph, remap []EdgeID, err error) {
-	if !g.frozen {
+	if g.csr == nil {
 		panic("graph: Apply before Freeze")
 	}
 	if len(muts) == 0 {

@@ -2,38 +2,43 @@ package graph
 
 import "fmt"
 
-// Validate performs internal-consistency checks on a graph: adjacency and
-// edge list agree, ids are dense, no duplicates or self loops. It is used by
-// tests and by the decoder's fuzz-ish inputs; algorithm packages assume a
-// valid graph.
+// Validate performs internal-consistency checks on a frozen graph: the CSR
+// rows are well formed, each sorted by neighbour with no neighbour twice,
+// every arc agrees with the edge list, the rows hold 2m arcs (so each edge
+// once from each endpoint), and the edge list has dense ids, no duplicates
+// and no self loops. It is used by tests and by the decoder's fuzz-ish
+// inputs; algorithm packages assume a valid graph.
 func Validate(g *Graph) error {
-	if int(g.n) != len(g.adj) {
-		return fmt.Errorf("graph: n=%d but %d adjacency lists", g.n, len(g.adj))
+	c := g.csr
+	if c == nil {
+		return fmt.Errorf("graph: not frozen")
 	}
-	degSum := 0
-	for u, arcs := range g.adj {
-		degSum += len(arcs)
-		for _, a := range arcs {
-			if a.To < 0 || a.To >= g.n {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbour %d", u, a.To)
+	if _, err := NewCSR(int(g.n), c.RowStart, c.Arcs); err != nil {
+		return err
+	}
+	if len(c.Arcs) != 2*len(g.edges) {
+		return fmt.Errorf("graph: %d arcs for m=%d", len(c.Arcs), len(g.edges))
+	}
+	for u := range g.n {
+		prev := int32(-1)
+		for _, a := range c.ArcsOf(u) {
+			if a.To <= prev {
+				return fmt.Errorf("graph: row %d not sorted by neighbour at %d", u, a.To)
 			}
-			if int32(u) == a.To {
-				return fmt.Errorf("graph: self-loop at %d", u)
-			}
-			if a.ID < 0 || int(a.ID) >= len(g.edges) {
+			prev = a.To
+			if int(a.ID) >= len(g.edges) {
 				return fmt.Errorf("graph: vertex %d references unknown edge id %d", u, a.ID)
 			}
-			e := g.edges[a.ID]
-			if !(e.U == int32(u) && e.V == a.To) && !(e.V == int32(u) && e.U == a.To) {
+			if e := g.edges[a.ID]; e != (Edge{u, a.To}) && e != (Edge{a.To, u}) {
 				return fmt.Errorf("graph: arc %d->%d disagrees with edge %v (id %d)", u, a.To, e, a.ID)
 			}
 		}
 	}
-	if degSum != 2*len(g.edges) {
-		return fmt.Errorf("graph: degree sum %d != 2m=%d", degSum, 2*len(g.edges))
-	}
 	seen := make(map[int64]bool, len(g.edges))
 	for id, e := range g.edges {
+		if e.U == e.V {
+			return fmt.Errorf("graph: self-loop at %d", e.U)
+		}
 		k := g.key(e.U, e.V)
 		if seen[k] {
 			return fmt.Errorf("graph: duplicate edge %v (id %d)", e, id)

@@ -92,12 +92,9 @@ type Engine struct {
 
 	s0 *terminalSearch // Phase S0's per-terminal search, allocated on first use
 
-	// The failure sweep repairs each failed subtree over the engine's own
-	// CSR of G (not the graph's cached view, which would outlive the
-	// engine on every graph a structure keeps). distE holds the intact
-	// distances, with the repaired ones of the failed subtree while a
-	// sweep's callback runs.
-	csr    *graph.CSR
+	// The failure sweep repairs each failed subtree over G's own CSR.
+	// distE holds the intact distances, with the repaired ones of the
+	// failed subtree while a sweep's callback runs.
 	repair *bfs.Repair
 	distE  []int32
 
@@ -109,7 +106,6 @@ type Engine struct {
 func NewEngine(g *graph.Graph, s int) *Engine {
 	en := &Engine{
 		G:      g,
-		csr:    g.SubgraphCSR(nil),
 		repair: bfs.NewRepair(g.N()),
 		distE:  make([]int32, g.N()),
 	}
@@ -118,10 +114,10 @@ func NewEngine(g *graph.Graph, s int) *Engine {
 }
 
 // Reset rebinds the engine to a new source on the same graph, recomputing the
-// canonical tree and its ancestry but recycling the CSR of G and every
-// scratch allocation (repair scratch, distance array, Phase S0's
-// per-terminal search). The AllPairs memo is invalidated. Batch builders use
-// this to amortise the scratch across one worker's whole stream of sources.
+// canonical tree and its ancestry but recycling every scratch allocation
+// (repair scratch, distance array, Phase S0's per-terminal search). The
+// AllPairs memo is invalidated. Batch builders use this to amortise the
+// scratch across one worker's whole stream of sources.
 func (en *Engine) Reset(s int) {
 	bt := bfs.From(en.G, s)
 	en.S = s
@@ -174,7 +170,7 @@ func (en *Engine) sweep(vertex bool, fn func(x int32, sub, distE []int32)) {
 		} else if e == graph.NoEdge {
 			continue // the source or unreachable: no tree edge above x
 		}
-		en.repair.Run(en.csr, en.BT.Dist, sub, e, w)
+		en.repair.Run(en.G.CSR(), en.BT.Dist, sub, e, w)
 		for _, v := range sub {
 			en.distE[v] = en.repair.Dist(v)
 		}
@@ -191,7 +187,7 @@ func (en *Engine) sweep(vertex bool, fn func(x int32, sub, distE []int32)) {
 // edge (u,v) ≠ e with u ≠ w and distE[u]+1 = distE[v]: the last edge of
 // some replacement path of ⟨v, failure⟩. LastEdgeIn returns the first last
 // edge of v (in v's adjacency order) that lies in in, and true; when none
-// does, it returns the min-index candidate (adjacency lists are sorted by
+// does, it returns the min-index candidate (G's CSR rows are sorted by
 // neighbour, so the first one found) and false, or NoEdge and false if v
 // has no last edge at all. A v the failure disconnects is vacuously
 // protected: NoEdge and true.

@@ -106,6 +106,7 @@ func (en *Engine) searchTerminal(v int32, out []Pair, last int32) {
 		bound, deepest = max(bound, out[p].Dist), max(deepest, i)
 	}
 
+	csr := en.G.CSR()
 	ts.stamp++
 	for _, u := range pi[:k] {
 		ts.mark[u], ts.dist[u] = ts.stamp, -1
@@ -113,7 +114,7 @@ func (en *Engine) searchTerminal(v int32, out []Pair, last int32) {
 	ts.mark[v], ts.dist[v] = ts.stamp, 0
 	q := append(ts.queue[:0], v)
 	for h := 0; h < len(q) && ts.dist[q[h]] < bound-1; h++ {
-		for _, a := range en.csr.ArcsOf(q[h]) {
+		for _, a := range csr.ArcsOf(q[h]) {
 			if ts.mark[a.To] != ts.stamp {
 				ts.mark[a.To], ts.dist[a.To] = ts.stamp, ts.dist[q[h]]+1
 				q = append(q, a.To)
@@ -127,7 +128,7 @@ func (en *Engine) searchTerminal(v int32, out []Pair, last int32) {
 	tree := en.BT.ParentEdge[v]
 	for j := 0; j <= deepest; j++ {
 		ts.delta[j] = int32(en.G.N())
-		for _, a := range en.csr.ArcsOf(pi[j]) {
+		for _, a := range csr.ArcsOf(pi[j]) {
 			if d := ts.level(a.To); d >= 0 && a.ID != tree {
 				ts.delta[j] = min(ts.delta[j], d+1)
 			}
@@ -160,7 +161,7 @@ func (en *Engine) searchTerminal(v int32, out []Pair, last int32) {
 		buf = buf[size:]
 		detour[0] = pr.Div
 		for step := 1; step < len(detour); step++ {
-			arcs, want, c := en.csr.ArcsOf(detour[step-1]), int32(len(detour)-1-step), 0
+			arcs, want, c := csr.ArcsOf(detour[step-1]), int32(len(detour)-1-step), 0
 			for c < len(arcs) && ts.level(arcs[c].To) != want {
 				c++
 			}

@@ -73,7 +73,7 @@ func TestForEachFailureMatchesFullSearch(t *testing.T) {
 				if en.BT.ParentEdge[child] != e {
 					t.Fatalf("%s s=%d: edge %d is not the parent edge of %d", name, s, e, child)
 				}
-				if !sameAsSet(g.N(), sub, func(v int32) bool { return en.T.IsAncestor(child, v) }) {
+				if !sameAsSet(g.N(), sub, func(v int32) bool { return en.T.InSubtree(v, child) }) {
 					t.Fatalf("%s s=%d edge %v: subtree %v is not the subtree of %d", name, s, g.EdgeByID(e), sub, child)
 				}
 				sc.DistancesAvoiding(g, s, bfs.Restriction{BannedEdge: e}, want)
@@ -133,7 +133,7 @@ func TestForEachVertexFailureMatchesFullSearch(t *testing.T) {
 			var failed []int32
 			en.ForEachVertexFailure(func(w int32, sub, distE []int32) {
 				failed = append(failed, w)
-				if !sameAsSet(g.N(), sub, func(v int32) bool { return v != w && en.T.IsAncestor(w, v) }) {
+				if !sameAsSet(g.N(), sub, func(v int32) bool { return v != w && en.T.InSubtree(v, w) }) {
 					t.Fatalf("%s s=%d vertex %d: sub %v is not its strict descendants", name, s, w, sub)
 				}
 				banned.Clear()

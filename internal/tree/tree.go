@@ -1,7 +1,8 @@
 // Package tree provides rooted-tree machinery over the canonical BFS tree
-// T0: ancestor tests, least common ancestors, and the recursive path
-// decomposition of Fact 3.3 (Sleator–Tarjan heavy paths in the variant of
-// Baswana–Khanna) that Phase S2 of the construction is built on.
+// T0: subtree sizes and preorder intervals (O(1) subtree membership, and
+// zero-copy subtree enumeration for failure repairs), and the recursive
+// path decomposition of Fact 3.3 (Sleator–Tarjan heavy paths in the
+// variant of Baswana–Khanna) that Phase S2 of the construction is built on.
 package tree
 
 import (
@@ -19,11 +20,10 @@ type Tree struct {
 	Depth      []int32
 	Size       []int32 // subtree sizes (0 for unreachable)
 
-	tin, tout []int32 // preorder intervals for O(1) ancestor tests
-
-	// Dense preorder from the same tour: the subtree of v is the
-	// contiguous slice PreOrder[PreIndex[v] : PreIndex[v]+Size[v]], which is
-	// what lets a failure repair enumerate exactly the affected vertices.
+	// Dense preorder: the subtree of v is the contiguous slice
+	// PreOrder[PreIndex[v] : PreIndex[v]+Size[v]], its preorder interval,
+	// which makes subtree membership O(1) (InSubtree) and lets a failure
+	// repair enumerate exactly the affected vertices (Subtree).
 	PreOrder []int32 // reachable vertices in DFS preorder
 	PreIndex []int32 // preorder position of v; -1 for unreachable vertices
 
@@ -88,8 +88,8 @@ func (t *Tree) buildChildren(n int) {
 // and its allocations are paid by the builds that read it (through
 // Decompose) and not by every structure build and store load-through.
 // Paths/PathOf/PosOf/PathLevel/GlueEdges/children stay empty until
-// Decompose runs; LCA, SegmentsTo, GlueEdgesOn and Children must not be
-// called before.
+// Decompose runs; SegmentsTo, GlueEdgesOn and Children must not be called
+// before.
 func BuildAncestry(n int, bt *bfs.Tree) *Tree {
 	t := &Tree{
 		Root:       bt.Source,
@@ -98,16 +98,13 @@ func BuildAncestry(n int, bt *bfs.Tree) *Tree {
 		Depth:      bt.Dist,
 		order:      bt.Order,
 	}
-	// The four n-sized ancestry arrays share one allocation (and one zeroing
+	// The two n-sized ancestry arrays share one allocation (and one zeroing
 	// pass); this constructor runs on every store load-through, so constant
 	// factors here are serving-path latency.
-	slab := make([]int32, 4*n)
-	t.Size = slab[0*n : 1*n : 1*n]
-	t.tin = slab[1*n : 2*n : 2*n]
-	t.tout = slab[2*n : 3*n : 3*n]
-	t.PreIndex = slab[3*n : 4*n : 4*n]
-	for i := 0; i < n; i++ {
-		t.tin[i] = -1
+	slab := make([]int32, 2*n)
+	t.Size = slab[:n:n]
+	t.PreIndex = slab[n:]
+	for i := range t.PreIndex {
 		t.PreIndex[i] = -1
 	}
 	// Subtree sizes bottom-up over the BFS order (children follow parents).
@@ -123,27 +120,29 @@ func BuildAncestry(n int, bt *bfs.Tree) *Tree {
 }
 
 // preorderTour assigns each reachable vertex its dense preorder position —
-// parent first, siblings in BFS order — and the half-open interval
-// [tin, tout) = [PreIndex[v], PreIndex[v]+Size[v]) that makes IsAncestor and
-// InSubtree O(1). One top-down pass over the BFS order replaces an explicit
-// DFS: tout[v] doubles as v's child cursor (the next free slot inside v's
-// interval), starting just past v itself and ending — after the last child
-// claims its block — at exactly tin[v]+Size[v], the interval end.
+// parent first, siblings in BFS order — so that v's subtree is the interval
+// [PreIndex[v], PreIndex[v]+Size[v]). One top-down pass over the BFS order
+// replaces an explicit DFS: while it runs, PreIndex[v] is v's child cursor
+// (the next free slot inside v's interval), starting just past v itself
+// and ending, after the last child claims its block, at the interval end
+// PreIndex[v]+Size[v]. A last pass subtracts Size to leave the start.
 func (t *Tree) preorderTour() {
 	if len(t.order) == 0 {
 		return
 	}
 	t.PreOrder = make([]int32, len(t.order))
-	t.tin[t.Root] = 0
-	t.tout[t.Root] = 1
+	t.PreOrder[0] = t.Root
+	t.PreIndex[t.Root] = 1
 	for _, v := range t.order {
 		if p := t.Parent[v]; p >= 0 {
-			t.tin[v] = t.tout[p]
-			t.tout[p] += t.Size[v]
-			t.tout[v] = t.tin[v] + 1
+			pre := t.PreIndex[p]
+			t.PreIndex[p] += t.Size[v]
+			t.PreIndex[v] = pre + 1
+			t.PreOrder[pre] = v
 		}
-		t.PreIndex[v] = t.tin[v]
-		t.PreOrder[t.tin[v]] = v
+	}
+	for _, v := range t.order {
+		t.PreIndex[v] -= t.Size[v]
 	}
 }
 
@@ -171,6 +170,10 @@ func (t *Tree) Decompose() {
 		head  int32
 		level int32
 	}
+	// Every reachable vertex lies on exactly one path, and each path is
+	// laid down whole before the next begins, so one slab holds them all
+	// and each path is a capped slice of it.
+	flat := make([]int32, 0, len(t.order))
 	work := []job{{head: t.Root, level: 0}}
 	for len(work) > 0 {
 		j := work[len(work)-1]
@@ -179,12 +182,12 @@ func (t *Tree) Decompose() {
 			t.MaxLevel = j.level
 		}
 		idx := int32(len(t.Paths))
-		var path []int32
+		start := len(flat)
 		v := j.head
 		for {
 			t.PathOf[v] = idx
-			t.PosOf[v] = int32(len(path))
-			path = append(path, v)
+			t.PosOf[v] = int32(len(flat) - start)
+			flat = append(flat, v)
 			// heaviest child continues the path
 			var heavy int32 = -1
 			for _, c := range t.children[v] {
@@ -203,7 +206,7 @@ func (t *Tree) Decompose() {
 			}
 			v = heavy
 		}
-		t.Paths = append(t.Paths, path)
+		t.Paths = append(t.Paths, flat[start:len(flat):len(flat)])
 		t.PathLevel = append(t.PathLevel, j.level)
 	}
 }
@@ -230,36 +233,6 @@ func (t *Tree) InSubtree(v, c int32) bool {
 	return uint32(t.PreIndex[v]-t.PreIndex[c]) < uint32(t.Size[c])
 }
 
-// IsAncestor reports whether u is an ancestor of v (or u == v).
-func (t *Tree) IsAncestor(u, v int32) bool {
-	if t.tin[u] < 0 || t.tin[v] < 0 {
-		return false
-	}
-	return t.tin[u] <= t.tin[v] && t.tout[v] <= t.tout[u]
-}
-
-// LCA returns the least common ancestor of u and v via path-decomposition
-// ascent, or -1 if either vertex is unreachable.
-func (t *Tree) LCA(u, v int32) int32 {
-	if t.Depth[u] < 0 || t.Depth[v] < 0 {
-		return -1
-	}
-	for t.PathOf[u] != t.PathOf[v] {
-		hu := t.Paths[t.PathOf[u]][0]
-		hv := t.Paths[t.PathOf[v]][0]
-		// ascend from the path whose head is deeper
-		if t.Depth[hu] >= t.Depth[hv] {
-			u = t.Parent[hu]
-		} else {
-			v = t.Parent[hv]
-		}
-	}
-	if t.Depth[u] <= t.Depth[v] {
-		return u
-	}
-	return v
-}
-
 // ChildEndpoint returns the deeper endpoint of tree edge id (the paper
 // directs tree edges away from the root).
 func (t *Tree) ChildEndpoint(g *graph.Graph, id graph.EdgeID) int32 {
@@ -268,14 +241,6 @@ func (t *Tree) ChildEndpoint(g *graph.Graph, id graph.EdgeID) int32 {
 		return e.U
 	}
 	return e.V
-}
-
-// Related implements the paper's e ∼ e' relation on tree edges, addressed by
-// their child endpoints a and b: e ∼ e' iff one child endpoint is an
-// ancestor-or-self of the other, i.e. both edges lie on a common root-leaf
-// path π(s,·).
-func (t *Tree) Related(a, b int32) bool {
-	return t.IsAncestor(a, b) || t.IsAncestor(b, a)
 }
 
 // Segment is a maximal intersection of π(root,v) with one decomposition

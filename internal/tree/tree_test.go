@@ -43,42 +43,15 @@ func TestSubtreeSizes(t *testing.T) {
 func TestIsAncestorAndLCA(t *testing.T) {
 	g := caterpillar()
 	tr := buildTree(g, 0)
-	cases := []struct {
-		u, v, lca int32
-	}{
-		{5, 9, 1}, {6, 7, 2}, {8, 9, 3}, {0, 9, 0}, {4, 4, 4}, {6, 9, 2},
+	if !tr.InSubtree(9, 2) || tr.InSubtree(2, 9) {
+		t.Fatal("InSubtree wrong on 2/9")
 	}
-	for _, c := range cases {
-		if got := tr.LCA(c.u, c.v); got != c.lca {
-			t.Errorf("LCA(%d,%d)=%d want %d", c.u, c.v, got, c.lca)
-		}
-		if got := tr.LCA(c.v, c.u); got != c.lca {
-			t.Errorf("LCA(%d,%d)=%d want %d (symmetry)", c.v, c.u, got, c.lca)
-		}
+	if !tr.InSubtree(3, 3) {
+		t.Fatal("InSubtree must be reflexive")
 	}
-	if !tr.IsAncestor(2, 9) || tr.IsAncestor(9, 2) {
-		t.Fatal("IsAncestor wrong on 2/9")
+	if tr.InSubtree(6, 5) {
+		t.Fatal("6 is not in the subtree of 5")
 	}
-	if !tr.IsAncestor(3, 3) {
-		t.Fatal("IsAncestor must be reflexive")
-	}
-	if tr.IsAncestor(5, 6) {
-		t.Fatal("5 is not an ancestor of 6")
-	}
-}
-
-// Reference LCA by walking parents.
-func refLCA(tr *Tree, u, v int32) int32 {
-	anc := map[int32]bool{}
-	for x := u; x >= 0; x = tr.Parent[x] {
-		anc[x] = true
-	}
-	for x := v; x >= 0; x = tr.Parent[x] {
-		if anc[x] {
-			return x
-		}
-	}
-	return -1
 }
 
 func randomConnected(n, extra int, seed int64) *graph.Graph {
@@ -93,20 +66,6 @@ func randomConnected(n, extra int, seed int64) *graph.Graph {
 	return b.Graph()
 }
 
-func TestLCAAgainstReferenceRandom(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := randomConnected(80, 60, seed)
-		tr := buildTree(g, 0)
-		rng := rand.New(rand.NewSource(seed + 100))
-		for k := 0; k < 200; k++ {
-			u, v := int32(rng.Intn(80)), int32(rng.Intn(80))
-			if got, want := tr.LCA(u, v), refLCA(tr, u, v); got != want {
-				t.Fatalf("seed %d: LCA(%d,%d)=%d want %d", seed, u, v, got, want)
-			}
-		}
-	}
-}
-
 func TestDecompositionPartition(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomConnected(100, 50, seed)
@@ -114,6 +73,9 @@ func TestDecompositionPartition(t *testing.T) {
 		// every vertex on exactly one path at its recorded position
 		seen := make([]int, g.N())
 		for pi, path := range tr.Paths {
+			if cap(path) != len(path) {
+				t.Fatalf("path %d has room to grow into the next one", pi)
+			}
 			for pos, v := range path {
 				seen[v]++
 				if tr.PathOf[v] != int32(pi) || tr.PosOf[v] != int32(pos) {
@@ -210,22 +172,6 @@ func TestFact41LogBounds(t *testing.T) {
 	}
 }
 
-func TestRelated(t *testing.T) {
-	g := caterpillar()
-	tr := buildTree(g, 0)
-	// edges by child endpoints: edge (1,2) child=2, edge (3,4) child=4: both
-	// on π(0,4) ⇒ related. edge (1,5) child=5 vs (2,6) child=6: unrelated.
-	if !tr.Related(2, 4) {
-		t.Fatal("edges on a common root path must be related")
-	}
-	if tr.Related(5, 6) {
-		t.Fatal("edges on divergent branches must be unrelated")
-	}
-	if !tr.Related(2, 2) {
-		t.Fatal("an edge is related to itself")
-	}
-}
-
 func TestChildEndpointAndOnRootPath(t *testing.T) {
 	g := caterpillar()
 	tr := buildTree(g, 0)
@@ -244,11 +190,8 @@ func TestUnreachableVertices(t *testing.T) {
 	if tr.PathOf[3] != -1 || tr.Depth[3] != -1 {
 		t.Fatal("unreachable vertex should be unmarked")
 	}
-	if tr.LCA(1, 3) != -1 {
-		t.Fatal("LCA with unreachable must be -1")
-	}
-	if tr.IsAncestor(0, 3) || tr.IsAncestor(3, 3) {
-		t.Fatal("ancestor tests with unreachable must be false")
+	if tr.InSubtree(3, 0) || tr.InSubtree(3, 3) || tr.InSubtree(0, 3) {
+		t.Fatal("subtree tests with unreachable must be false")
 	}
 	if tr.SegmentsTo(3) != nil {
 		t.Fatal("SegmentsTo(unreachable) must be nil")
@@ -313,17 +256,37 @@ func TestSubtreePreorderIntervals(t *testing.T) {
 				t.Fatalf("seed %d: Subtree(%d) has %d vertices starting at %d, want %d starting at %d",
 					seed, v, len(sub), sub[0], tr.Size[v], v)
 			}
-			// The interval must contain exactly the descendants-or-self.
+			// The interval must contain exactly the descendants-or-self, as
+			// a walk up the parents finds them.
+			below := func(w int32) bool {
+				for x := w; x >= 0; x = tr.Parent[x] {
+					if x == v {
+						return true
+					}
+				}
+				return false
+			}
 			for _, w := range sub {
-				if !tr.IsAncestor(v, w) {
+				if !below(w) {
 					t.Fatalf("seed %d: %d in Subtree(%d) but not a descendant", seed, w, v)
 				}
 			}
 			for w := int32(0); int(w) < g.N(); w++ {
-				if got, want := tr.InSubtree(w, v), tr.IsAncestor(v, w); got != want {
-					t.Fatalf("seed %d: InSubtree(%d,%d) = %v, IsAncestor = %v", seed, w, v, got, want)
+				if got, want := tr.InSubtree(w, v), below(w); got != want {
+					t.Fatalf("seed %d: InSubtree(%d,%d) = %v, parent walk says %v", seed, w, v, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestBuildAncestryAllocs pins the ancestry pass, which every query plan
+// and store load-through runs, to its allocations: the Tree itself, one
+// slab for Size and PreIndex, and PreOrder.
+func TestBuildAncestryAllocs(t *testing.T) {
+	g := randomConnected(200, 300, 1)
+	bt := bfs.From(g, 0)
+	if got := testing.AllocsPerRun(20, func() { BuildAncestry(g.N(), bt) }); got != 3 {
+		t.Fatalf("BuildAncestry allocates %v times, want 3", got)
 	}
 }

@@ -133,16 +133,12 @@ func DeltaRebuild(old *Structure, g *Graph, d *GraphDelta) (*Structure, bool) {
 		Stats:      old.st.Stats, // diagnostics of the original build
 	}
 	s := newStructure(cs)
-	// The intact distance vector is per-vertex, not per-edge-id, and the
-	// theorem above says it is unchanged — seed it so the carry-over never
-	// reruns the intact BFS.
-	intact := old.intactDistances()
-	s.intactOnce.Do(func() { s.intactDist = intact })
-	// The serving plan, by contrast, is keyed by EdgeID (CSR arcs, tree
-	// arrays, the edgeChild index), so it must be rebuilt — but Plan() is a
-	// CSR extraction plus two linear passes over H, the cheap part of a
-	// build. Doing it eagerly keeps the delta path's cost out of the first
-	// query it serves.
+	// The serving plan is keyed by EdgeID (CSR arcs, tree arrays, the
+	// edgeChild index), so it is rebuilt rather than carried: one CSR
+	// extraction, one BFS of H (its distances are the intact vector, which
+	// the theorem above says is unchanged) and linear passes over H, the
+	// cheap part of a build. Doing it eagerly keeps the delta path's cost
+	// out of the first query it serves.
 	s.Plan()
 	return s, true
 }

@@ -57,8 +57,8 @@ type VertexOracle = Oracle
 const Unreachable = int(bfs.Unreachable)
 
 // Dist returns dist(source, v) inside the intact structure H; it reads the
-// structure's shared cached vector, so repeated calls are O(1) lookups.
-func (o *Oracle) Dist(v int) int { return o.st.Dist(v) }
+// plan's intact vector, so repeated calls are O(1) lookups.
+func (o *Oracle) Dist(v int) int { return int(o.plan.intact[v]) }
 
 // check is the one validation of both models: the target first, then ferr,
 // the failure's own validation error. It inlines into every query path; the

@@ -34,7 +34,7 @@ import (
 // repair scratch lives in the Oracle that uses the plan.
 type QueryPlan struct {
 	h         *graph.CSR // H's own adjacency; scans touch no non-H arc
-	intact    []int32    // dist(s, ·) in the intact H, shared with the structure
+	intact    []int32    // dist(s, ·) in the intact H: the Dist of the tree t was built from
 	t         *tree.Tree // canonical BFS tree of H with subtree intervals
 	edgeChild []int32    // EdgeID → deeper endpoint if a tree edge, else -1; nil in the vertex model
 }
@@ -44,9 +44,10 @@ type QueryPlan struct {
 type VertexQueryPlan = QueryPlan
 
 // newPlan assembles the plan of H (adjacency h) from its canonical BFS tree
-// bt. Only the edge model indexes tree edges by EdgeID.
-func newPlan(g *graph.Graph, h *graph.CSR, intact []int32, bt *bfs.Tree, model core.Model) *QueryPlan {
-	p := &QueryPlan{h: h, intact: intact, t: tree.BuildAncestry(g.N(), bt)}
+// bt, whose distances are the intact vector. Only the edge model indexes
+// tree edges by EdgeID.
+func newPlan(g *graph.Graph, h *graph.CSR, bt *bfs.Tree, model core.Model) *QueryPlan {
+	p := &QueryPlan{h: h, intact: bt.Dist, t: tree.BuildAncestry(g.N(), bt)}
 	if model == core.ModelEdge {
 		p.edgeChild = make([]int32, g.M())
 		for id := range p.edgeChild {

@@ -10,21 +10,18 @@ import (
 )
 
 // serving is the query core that Structure and VertexStructure embed: H over
-// its base graph, the intact distance vector, the query plan and the oracle
-// pool. The two failure models differ only in which failures an oracle
-// accepts and in which subtree of H's BFS tree a failure can change
-// (QueryPlan.dist), so everything else is written once, here. H never
-// changes once built, so the vector, the plan and the pool are computed on
-// first use and cached forever; the methods are safe for concurrent use.
+// its base graph, the query plan (which holds the intact distance vector)
+// and the oracle pool. The two failure models differ only in which failures
+// an oracle accepts and in which subtree of H's BFS tree a failure can
+// change (QueryPlan.dist), so everything else is written once, here. H
+// never changes once built, so the plan and the pool are computed on first
+// use and cached forever; the methods are safe for concurrent use.
 type serving struct {
 	g          *graph.Graph
 	src        int
 	h          *graph.EdgeSet // E(H)
 	reinforced *graph.EdgeSet // edges that cannot fail; nil in the vertex model
 	model      core.Model     // failure model; indexes the plan-path totals (planstats.go)
-
-	intactOnce sync.Once
-	intactDist []int32 // cached dist(s, ·) in the intact H; see intactDistances
 
 	planOnce sync.Once
 	qplan    *QueryPlan // cached serving plan; see Plan
@@ -48,32 +45,17 @@ func (s *serving) Contains(u, v int) bool {
 // Edges returns all structure edges as endpoint pairs.
 func (s *serving) Edges() [][2]int { return edgePairs(s.g, s.h) }
 
-// intactDistances returns the distance vector of the intact structure H,
-// computing it on the first call; it is shared read-only by every oracle and
-// by the query plan.
-func (s *serving) intactDistances() []int32 {
-	s.intactOnce.Do(func() {
-		sc := bfs.NewScratch(s.g.N())
-		s.intactDist = sc.DistancesAvoiding(s.g, s.src,
-			bfs.Restriction{BannedEdge: graph.NoEdge, AllowedEdges: s.h},
-			make([]int32, s.g.N()))
-	})
-	return s.intactDist
-}
-
-// Dist returns dist(source, v) inside the intact structure H. The vector is
-// computed once on first use and cached forever, so repeated calls are O(1)
-// lookups.
-func (s *serving) Dist(v int) int {
-	return int(s.intactDistances()[v])
-}
+// Dist returns dist(source, v) inside the intact structure H: one read of
+// the plan's intact vector, which the first call builds.
+func (s *serving) Dist(v int) int { return int(s.Plan().intact[v]) }
 
 // Plan returns the structure's query plan, building it on the first call
-// (one CSR extraction plus linear passes over H) and caching it forever.
+// (one CSR extraction, one BFS of H and linear passes over it) and caching
+// it forever.
 func (s *serving) Plan() *QueryPlan {
 	s.planOnce.Do(func() {
 		h := s.g.SubgraphCSR(s.h)
-		s.qplan = newPlan(s.g, h, s.intactDistances(), bfs.FromCSR(h, s.src), s.model)
+		s.qplan = newPlan(s.g, h, bfs.FromCSR(h, s.src), s.model)
 	})
 	return s.qplan
 }

@@ -138,11 +138,11 @@ func readRecord(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// installSlab seeds the serving core with the intact vector and the query
-// plan a decoded record carries, so the first query after a load-through
-// pays nothing. The plan's tree is reassembled by a linear pass over arrays
-// the decoder already validated — no search runs anywhere on the slab load
-// path.
+// installSlab seeds the serving core with the query plan a decoded record
+// carries, so the first query after a load-through pays nothing. The plan's
+// tree, whose distances are the record's intact vector, is reassembled by a
+// linear pass over arrays the decoder already validated — no search runs
+// anywhere on the slab load path.
 func (s *serving) installSlab(rec *core.SlabRecord) error {
 	h, err := graph.NewCSR(s.g.N(), rec.RowStart, rec.Arcs)
 	if err != nil {
@@ -156,7 +156,6 @@ func (s *serving) installSlab(rec *core.SlabRecord) error {
 		ParentEdge: rec.ParentEdge,
 		Order:      rec.Order,
 	}
-	s.intactOnce.Do(func() { s.intactDist = rec.Intact })
-	s.planOnce.Do(func() { s.qplan = newPlan(s.g, h, rec.Intact, bt, s.model) })
+	s.planOnce.Do(func() { s.qplan = newPlan(s.g, h, bt, s.model) })
 	return nil
 }
