@@ -34,7 +34,6 @@ import (
 	"ftbfs/internal/server"
 	"ftbfs/internal/store"
 	"ftbfs/internal/tree"
-	"ftbfs/internal/vertexft"
 	"ftbfs/internal/wire"
 )
 
@@ -992,7 +991,7 @@ func BenchmarkVerifyStructure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vst, err := vertexft.Build(lb.G, lb.S)
+	vh, err := core.BuildVertex(lb.G, lb.S)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1002,7 +1001,7 @@ func BenchmarkVerifyStructure(b *testing.B) {
 		model    core.Model
 	}{
 		{"edge", st.Edges, st.Reinforced, core.ModelEdge},
-		{"vertex", vst.Edges, nil, core.ModelVertex},
+		{"vertex", vh, nil, core.ModelVertex},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -1019,23 +1018,23 @@ func BenchmarkE11VertexFT(b *testing.B) {
 	lb := gen.LowerBoundParams(3, 4, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vertexft.Build(lb.G, lb.S); err != nil {
+		if _, err := core.BuildVertex(lb.G, lb.S); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkVertexBuild measures the vertex construction on a fresh
-// replacement engine per call (vertexft.Build, what ftbfs.BuildVertex does)
-// against BuildWith on one engine recycled with Reset across sources: the
-// engine is the workspace, so recycling it removes the per-call repair
-// scratch and distance vector.
+// replacement engine per call (core.BuildVertex, what ftbfs.BuildVertex
+// does) against VertexEdges on one engine recycled with Reset across
+// sources: the engine is the workspace, so recycling it removes the
+// per-call repair scratch and distance vector.
 func BenchmarkVertexBuild(b *testing.B) {
 	g := gen.RandomConnected(300, 900, 7)
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := vertexft.Build(g, i%8); err != nil {
+			if _, err := core.BuildVertex(g, i%8); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1045,7 +1044,7 @@ func BenchmarkVertexBuild(b *testing.B) {
 		en := replacement.NewEngine(g, 0)
 		for i := 0; i < b.N; i++ {
 			en.Reset(i % 8)
-			if _, err := vertexft.BuildWith(en); err != nil {
+			if _, err := core.VertexEdges(en); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -84,9 +84,12 @@
 //
 // The same serving machinery answers single VERTEX failures (the companion
 // problem of Parter DISC'14 / Parter–Peleg ESA'13): BuildVertex constructs
-// a VertexStructure, which embeds the serving core Structure embeds, so
-// both failure models share one QueryPlan, one Oracle and one OraclePool
-// (VertexQueryPlan, VertexOracle and VertexOraclePool are aliases of them).
+// a VertexStructure, which is the serving core Structure embeds and
+// nothing more, so both failure models share one QueryPlan, one Oracle and
+// one OraclePool (VertexQueryPlan, VertexOracle and VertexOraclePool are
+// aliases of them). Its construction, core.VertexEdges, runs on the edge
+// construction's failure sweep, and its Pairs is |H| − |T0|, read from H
+// and its plan.
 // The models differ only in which subtree of H's BFS tree a failure can
 // change and what the repair bans: a failed vertex off the target's tree
 // path is an O(1) read of the cached intact vector, a failed tree vertex

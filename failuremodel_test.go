@@ -260,3 +260,28 @@ func TestQueryZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// oracleSink keeps the oracles TestOracleOneAlloc makes on the heap.
+var oracleSink *ftbfs.Oracle
+
+// TestOracleOneAlloc pins a fresh oracle of either model, on a structure
+// whose plan is built, to one allocation: the Oracle itself. Its plan path
+// reads only the shared plan; the repair scratch waits for the first tree
+// failure and the Ref and Baseline search state for the first such query.
+func TestOracleOneAlloc(t *testing.T) {
+	g, _ := buildRandom(60, 120, 7)
+	est, err := ftbfs.Build(g, 0, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vst, err := ftbfs.BuildVertex(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, oracle := range map[string]func() *ftbfs.Oracle{"edge": est.Oracle, "vertex": vst.Oracle} {
+		oracle() // builds the plan
+		if got := testing.AllocsPerRun(100, func() { oracleSink = oracle() }); got != 1 {
+			t.Errorf("%s: Oracle() allocates %v times, want 1", name, got)
+		}
+	}
+}

@@ -53,7 +53,8 @@ func (g *Graph) Fingerprint() uint64 { return g.g.Fingerprint() }
 
 // Freeze marks the graph immutable (idempotent). Build and BuildBatch freeze
 // implicitly; freeze explicitly before sharing one graph across concurrent
-// builders, since the first freeze mutates adjacency order.
+// builders, since the first freeze writes the graph: it packs the edge list
+// into the graph's CSR adjacency and caches its fingerprint.
 func (g *Graph) Freeze() { g.g.Freeze() }
 
 // Write serialises the graph in the library's text format.

@@ -136,14 +136,14 @@ func TestRepairScratchReuse(t *testing.T) {
 	r := NewRepair(g.N())
 	sc := NewScratch(g.N())
 	want := make([]int32, g.N())
-	var treeChildren []int32
+	var children []int32
 	for v := int32(1); int(v) < g.N(); v++ {
 		if bt.ParentEdge[v] != graph.NoEdge {
-			treeChildren = append(treeChildren, v)
+			children = append(children, v)
 		}
 	}
 	for round := 0; round < 3; round++ {
-		for _, c := range treeChildren {
+		for _, c := range children {
 			id := bt.ParentEdge[c]
 			sub := subtreeOf(bt, c)
 			r.Run(csr, bt.Dist, sub, id, -1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -13,11 +14,8 @@ import (
 // satisfies dist(s,v,H\{e}) ≤ dist(s,v,G\{e}) for every vertex v and every
 // non-reinforced edge e (checkable with Verify).
 func Build(g *graph.Graph, s int, eps float64, opt Options) (*Structure, error) {
-	if !g.Frozen() {
-		return nil, errNotFrozen
-	}
-	if s < 0 || s >= g.N() {
-		return nil, fmt.Errorf("core: source %d out of range [0,%d)", s, g.N())
+	if err := checkSource(g, s); err != nil {
+		return nil, err
 	}
 	if err := ValidateBuild(eps, opt); err != nil {
 		return nil, err
@@ -27,6 +25,27 @@ func Build(g *graph.Graph, s int, eps float64, opt Options) (*Structure, error) 
 		return nil, err
 	}
 	return sts[0], nil
+}
+
+// BuildVertex returns E(H) of the vertex FT-BFS structure for (g, s),
+// running VertexEdges on a fresh engine. The vertex model has no ε: every
+// edge may fail, and so may every vertex but s.
+func BuildVertex(g *graph.Graph, s int) (*graph.EdgeSet, error) {
+	if err := checkSource(g, s); err != nil {
+		return nil, err
+	}
+	return VertexEdges(replacement.NewEngine(g, s))
+}
+
+// checkSource refuses an unfrozen graph and a source outside it.
+func checkSource(g *graph.Graph, s int) error {
+	if !g.Frozen() {
+		return errors.New("core: graph must be frozen")
+	}
+	if s < 0 || s >= g.N() {
+		return fmt.Errorf("core: source %d out of range [0,%d)", s, g.N())
+	}
+	return nil
 }
 
 // sharedS0 caches the ε-independent products of Phase S0 across the builds
@@ -93,8 +112,8 @@ func buildEdges(en *replacement.Engine, eps float64, opt Options, sh *sharedS0) 
 		// last-unprotected in T0 (at most n−1 edges, no backup redundancy).
 		return en.TreeEdges.Clone(), BuildStats{Algorithm: Tree.String()}, nil
 	case Baseline:
-		h, stats := baselineEdges(en)
-		return h, stats, nil
+		h, added := backupEdges(en, nil)
+		return h, BuildStats{Algorithm: Baseline.String(), BaselineAdded: added}, nil
 	case Greedy:
 		h, stats := greedyEdges(en, eps, opt)
 		return h, stats, nil

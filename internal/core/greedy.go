@@ -1,15 +1,12 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"sort"
 
 	"ftbfs/internal/graph"
 	"ftbfs/internal/replacement"
 )
-
-var errNotFrozen = errors.New("core: graph must be frozen")
 
 // buildGreedy is the heuristic comparator suggested by the paper's
 // discussion of Cost(e): reinforcement is most valuable on edges with many
@@ -38,8 +35,7 @@ func greedyEdges(en *replacement.Engine, eps float64, opt Options) (*graph.EdgeS
 
 	// fans per failing tree edge
 	fans := make(map[graph.EdgeID]map[graph.EdgeID]bool)
-	pairs := en.AllPairs()
-	for _, p := range pairs {
+	for _, p := range en.AllPairs() {
 		f := fans[p.Edge]
 		if f == nil {
 			f = make(map[graph.EdgeID]bool)
@@ -67,12 +63,7 @@ func greedyEdges(en *replacement.Engine, eps float64, opt Options) (*graph.EdgeS
 		reinforce.Add(order[i].e)
 	}
 
-	h := en.TreeEdges.Clone()
-	for _, p := range pairs {
-		if !reinforce.Contains(p.Edge) {
-			h.Add(p.LastID)
-		}
-	}
+	h, _ := backupEdges(en, reinforce)
 	return h, BuildStats{Algorithm: Greedy.String()}
 }
 
@@ -84,20 +75,15 @@ func greedyEdges(en *replacement.Engine, eps float64, opt Options) (*graph.EdgeS
 // backup volume from Θ(n^{1+ε}) to near-linear. Candidates that turn out
 // protected anyway are not reinforced.
 func BuildReinforcing(g *graph.Graph, s int, candidates []graph.EdgeID) (*Structure, error) {
-	if !g.Frozen() {
-		return nil, errNotFrozen
+	if err := checkSource(g, s); err != nil {
+		return nil, err
 	}
 	en := replacement.NewEngine(g, s)
 	cand := graph.NewEdgeSet(g.M())
 	for _, e := range candidates {
 		cand.Add(e)
 	}
-	h := en.TreeEdges.Clone()
-	for _, p := range en.AllPairs() {
-		if !cand.Contains(p.Edge) {
-			h.Add(p.LastID)
-		}
-	}
+	h, _ := backupEdges(en, cand)
 	return &Structure{
 		G:          g,
 		S:          s,

@@ -118,7 +118,9 @@ func (ix *pairIndex) splitI1I2() (i1, i2 []int32) {
 // interfering partitions set, keeping its order, into the pairs that
 // (≁)-interfere with another pair of set and the rest. It first fills
 // maxPre and minEnd at every vertex z on a detour interior, over the pairs
-// of set through z.
+// of set through z. Both lists are cut from one len(set) slab: with fills
+// it from the front and without from the back, reversed into set order at
+// the end. with is returned capped, so no append to it reaches without.
 func (ix *pairIndex) interfering(set []int32) (with, without []int32) {
 	for _, q := range set {
 		for _, z := range ix.internal[q] {
@@ -131,17 +133,23 @@ func (ix *pairIndex) interfering(set []int32) (with, without []int32) {
 			ix.minEnd[z] = min(ix.minEnd[z], ix.end[q])
 		}
 	}
+	slab := make([]int32, len(set))
+	nw, lo := 0, len(set)
 next:
 	for _, p := range set {
 		for _, z := range ix.internal[p] {
 			if ix.unrelated(p, ix.maxPre[z], ix.minEnd[z]) {
-				with = append(with, p)
+				slab[nw] = p
+				nw++
 				continue next
 			}
 		}
-		without = append(without, p)
+		lo--
+		slab[lo] = p
 	}
-	return with, without
+	without = slab[nw:]
+	slices.Reverse(without)
+	return slab[:nw:nw], without
 }
 
 // unrelated reports whether some failing-edge child among a group of pairs

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ftbfs/internal/graph"
 	"ftbfs/internal/replacement"
 )
@@ -35,4 +37,45 @@ func LastUnprotectedMulti(en *replacement.Engine, hs []*graph.EdgeSet) []*graph.
 		}
 	})
 	return outs
+}
+
+// VertexEdges is the vertex construction, the companion problem of the
+// paper's edge model (Parter, DISC'14): it returns H ⊆ G with
+// dist(s, v, H \ {w}) ≤ dist(s, v, G \ {w}) for every vertex v and every
+// failed vertex w ≠ s of the engine's (G, S). By the vertex analogue of
+// Observation 2.2 it suffices that, for every descendant v of w in T0 that
+// G \ {w} still reaches, H holds a last edge (u,v) with dist(s,u,G\{w})+1 =
+// dist(s,v,G\{w}). So H is T0 plus, for each pair ⟨v, w⟩ whose probe finds
+// none in H, the canonical min-index one: |H| − |T0| counts those pairs.
+// The result depends only on (G, S) — Reset recycles the engine across
+// sources — and not on the order of w's descendants: an edge bought for
+// ⟨v, w⟩ has v as its deeper endpoint under w's failure, so it is the last
+// edge of no other descendant.
+func VertexEdges(en *replacement.Engine) (*graph.EdgeSet, error) {
+	h := en.TreeEdges.Clone()
+	var err error // the first pair with no last edge at all; none in a correct sweep
+	en.ForEachVertexFailure(func(w int32, sub, distE []int32) {
+		for _, v := range sub {
+			// Probing H — not just the tree edges — is what keeps the
+			// structure sparse: a replacement edge purchased for an earlier
+			// failed vertex protects every later pair it happens to
+			// satisfy, so no second edge is bought for it. A v that w
+			// disconnects is vacuously protected.
+			last, protected := en.LastEdgeIn(h, v, graph.NoEdge, w, distE)
+			if protected {
+				continue
+			}
+			if last == graph.NoEdge {
+				if err == nil {
+					err = fmt.Errorf("core: no replacement last edge for ⟨v=%d, w=%d⟩", v, w)
+				}
+				return
+			}
+			h.Add(last)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }

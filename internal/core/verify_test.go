@@ -8,7 +8,6 @@ import (
 
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
-	"ftbfs/internal/vertexft"
 )
 
 // verifyStructure runs Verify on an edge structure.
@@ -147,14 +146,14 @@ func TestFailureInjectionVerifierConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vst, err := vertexft.Build(g, s)
+		vh, err := BuildVertex(g, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, model := range []Model{ModelEdge, ModelVertex} {
 			h, reinforced := st.Edges, st.Reinforced
 			if model == ModelVertex {
-				h, reinforced = vst.Edges, graph.NewEdgeSet(g.M())
+				h, reinforced = vh, graph.NewEdgeSet(g.M())
 			}
 			drop := func(h, r *graph.EdgeSet, k int) {
 				ids := h.IDs()

@@ -1,4 +1,4 @@
-package vertexft
+package core
 
 import (
 	"math"
@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"ftbfs/internal/bfs"
-	"ftbfs/internal/core"
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/replacement"
 	"ftbfs/internal/tree"
 )
 
-func families() map[string]*graph.Graph {
+// vertexFamilies is the vertex construction's corpus: among the regular
+// families, graphs where every vertex failure strands a subtree (a tree, a
+// path, a star) and a disconnected graph.
+func vertexFamilies() map[string]*graph.Graph {
 	// two components: the source's (30 vertices) is a proper part of V
 	b := graph.NewBuilder(50)
 	for _, e := range gen.RandomConnected(30, 45, 8).Edges() {
@@ -38,103 +40,78 @@ func families() map[string]*graph.Graph {
 	}
 }
 
-// verify checks the vertex contract with the verifier both failure models
-// share.
-func verify(st *Structure, limit int) []core.Violation {
-	return core.Verify(st.G, st.S, st.Edges, nil, core.ModelVertex, limit)
+// mustBuildVertex builds the vertex structure of (g, s) and checks its
+// contract with the verifier both failure models share.
+func mustBuildVertex(t *testing.T, g *graph.Graph, s int) *graph.EdgeSet {
+	t.Helper()
+	h, err := BuildVertex(g, s)
+	if err != nil {
+		t.Fatalf("BuildVertex(s=%d): %v", s, err)
+	}
+	if viol := Verify(g, s, h, nil, ModelVertex, 3); len(viol) != 0 {
+		t.Fatalf("s=%d: vertex contract violated: %v", s, viol)
+	}
+	return h
 }
 
-func TestBuildValidAcrossFamilies(t *testing.T) {
-	for name, g := range families() {
-		st, err := Build(g, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if viol := verify(st, 3); len(viol) != 0 {
-			t.Fatalf("%s: contract violated: %v", name, viol)
-		}
-		if st.Size() > g.M() {
-			t.Fatalf("%s: |H|=%d exceeds m=%d", name, st.Size(), g.M())
+func TestVertexBuildValidAcrossFamilies(t *testing.T) {
+	for name, g := range vertexFamilies() {
+		if h := mustBuildVertex(t, g, 0); h.Len() > g.M() {
+			t.Fatalf("%s: |H|=%d exceeds m=%d", name, h.Len(), g.M())
 		}
 	}
 }
 
-func TestBuildErrors(t *testing.T) {
-	if _, err := Build(graph.New(3), 0); err == nil {
+func TestVertexBuildErrors(t *testing.T) {
+	if _, err := BuildVertex(graph.New(3), 0); err == nil {
 		t.Fatal("unfrozen accepted")
 	}
 	g := gen.Cycle(5)
-	if _, err := Build(g, -1); err == nil {
+	if _, err := BuildVertex(g, -1); err == nil {
 		t.Fatal("bad source accepted")
 	}
-	if _, err := Build(g, 7); err == nil {
+	if _, err := BuildVertex(g, 7); err == nil {
 		t.Fatal("bad source accepted")
 	}
 }
 
-func TestDifferentSources(t *testing.T) {
+func TestVertexDifferentSources(t *testing.T) {
 	g := gen.RandomConnected(40, 60, 9)
 	for s := 0; s < 8; s++ {
-		st, err := Build(g, s)
-		if err != nil {
-			t.Fatalf("source %d: %v", s, err)
-		}
-		if viol := verify(st, 1); len(viol) != 0 {
-			t.Fatalf("source %d: %v", s, viol)
-		}
+		mustBuildVertex(t, g, s)
 	}
 }
 
 // Vertex FT-BFS structures are also Θ(n^{3/2}) in the worst case; check the
 // generous upper envelope on all families.
-func TestSizeEnvelope(t *testing.T) {
-	for name, g := range families() {
-		st, err := Build(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+func TestVertexSizeEnvelope(t *testing.T) {
+	for name, g := range vertexFamilies() {
 		n := float64(g.N())
-		if float64(st.Size()) > 4*n*math.Sqrt(n) {
-			t.Fatalf("%s: size %d above 4n^1.5", name, st.Size())
+		if h := mustBuildVertex(t, g, 0); float64(h.Len()) > 4*n*math.Sqrt(n) {
+			t.Fatalf("%s: size %d above 4n^1.5", name, h.Len())
 		}
 	}
 }
 
 // On a path, removing an internal vertex disconnects its suffix: the tree
-// alone is a valid vertex FT-BFS structure.
-func TestPathNeedsNothing(t *testing.T) {
+// alone is a valid vertex FT-BFS structure, and no pair buys an edge. On a
+// cycle, by contrast, pairs do.
+func TestVertexPathNeedsNothing(t *testing.T) {
 	g := gen.PathGraph(12)
-	st, err := Build(g, 0)
-	if err != nil {
-		t.Fatal(err)
+	if h := mustBuildVertex(t, g, 0); h.Len() != g.M() {
+		t.Fatalf("path structure has %d edges, want all %d (the tree)", h.Len(), g.M())
 	}
-	if st.Size() != g.M() {
-		t.Fatalf("path structure has %d edges, want all %d (the tree)", st.Size(), g.M())
-	}
-	// every failure disconnects the suffix, so all pairs are vacuous
-	if st.Pairs != 0 {
-		t.Fatalf("path has %d non-vacuous pairs, want 0", st.Pairs)
-	}
-	// on a cycle, by contrast, pairs do exist
-	st2, err := Build(gen.Cycle(12), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Pairs == 0 {
-		t.Fatal("cycle should have non-vacuous pairs")
+	c := gen.Cycle(12)
+	if h := mustBuildVertex(t, c, 0); h.Len() == c.N()-1 {
+		t.Fatal("cycle structure is its tree; its pairs should buy edges")
 	}
 }
 
 // Verify must catch a broken structure: on a cycle, the tree alone cannot
 // tolerate the failure of an internal tree vertex.
-func TestVerifyCatchesBroken(t *testing.T) {
+func TestVertexVerifyCatchesBroken(t *testing.T) {
 	g := gen.Cycle(12)
-	st, err := Build(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// remove a non-tree edge that the construction added
-	full := st.Edges.Clone()
+	full := mustBuildVertex(t, g, 0)
 	removed := false
 	full.ForEach(func(id graph.EdgeID) {
 		if removed {
@@ -142,8 +119,7 @@ func TestVerifyCatchesBroken(t *testing.T) {
 		}
 		trial := full.Clone()
 		trial.Remove(id)
-		broken := &Structure{G: g, S: 0, Edges: trial}
-		if len(verify(broken, 1)) > 0 {
+		if len(Verify(g, 0, trial, nil, ModelVertex, 1)) > 0 {
 			removed = true
 		}
 	})
@@ -155,10 +131,9 @@ func TestVerifyCatchesBroken(t *testing.T) {
 // A vertex-model violation names the failed vertex: on a 6-cycle from 0,
 // the bare BFS tree loses vertex 2 when vertex 1 fails (G still reaches it
 // the other way round, at distance 4).
-func TestViolationString(t *testing.T) {
+func TestVertexViolationString(t *testing.T) {
 	g := gen.Cycle(6)
-	tree := bfs.From(g, 0).EdgeSet(g.M())
-	viol := verify(&Structure{G: g, S: 0, Edges: tree}, 1)
+	viol := Verify(g, 0, bfs.From(g, 0).EdgeSet(g.M()), nil, ModelVertex, 1)
 	if len(viol) != 1 {
 		t.Fatalf("violations %v, want one", viol)
 	}
@@ -168,27 +143,11 @@ func TestViolationString(t *testing.T) {
 	}
 }
 
-// Pairs must count exactly the ⟨v,w⟩ pairs that purchased a new replacement
-// last edge — not every reachable descendant pair — so it equals the number
-// of non-tree edges of H.
-func TestPairsCountsAddedEdges(t *testing.T) {
-	for name, g := range families() {
-		st, err := Build(g, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		treeEdges := bfs.From(g, 0).EdgeSet(g.M()).Len()
-		if got, want := st.Pairs, st.Size()-treeEdges; got != want {
-			t.Fatalf("%s: Pairs = %d, want |H|-|T0| = %d-%d = %d", name, got, st.Size(), treeEdges, want)
-		}
-	}
-}
-
 // Sparsity regression over a seeded random-graph corpus: checking candidate
 // membership in H (not just the tree) must never grow the structure, and on
 // graphs with shareable replacement edges it must strictly shrink at least
 // once across the corpus.
-func TestNoRedundantReplacementEdges(t *testing.T) {
+func TestVertexNoRedundantReplacementEdges(t *testing.T) {
 	shrank := false
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, mk := range []func() *graph.Graph{
@@ -196,19 +155,13 @@ func TestNoRedundantReplacementEdges(t *testing.T) {
 			func() *graph.Graph { return gen.GNPConnected(50, 0.1, seed) },
 		} {
 			g := mk()
-			st, err := Build(g, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := mustBuildVertex(t, g, 0)
 			naive, _ := fullSearchBuild(t, g, 0, true)
-			if st.Size() > naive.Len() {
-				t.Fatalf("seed %d: fixed |H| = %d exceeds naive |H| = %d", seed, st.Size(), naive.Len())
+			if h.Len() > naive.Len() {
+				t.Fatalf("seed %d: fixed |H| = %d exceeds naive |H| = %d", seed, h.Len(), naive.Len())
 			}
-			if st.Size() < naive.Len() {
+			if h.Len() < naive.Len() {
 				shrank = true
-			}
-			if viol := verify(st, 1); len(viol) != 0 {
-				t.Fatalf("seed %d: contract violated after sparsity fix: %v", seed, viol)
 			}
 		}
 	}
@@ -217,38 +170,33 @@ func TestNoRedundantReplacementEdges(t *testing.T) {
 	}
 }
 
-// BuildWith must recycle the engine without changing the result: one
+// VertexEdges must recycle the engine without changing the result: one
 // engine, Reset across sources, yields byte-for-byte the edge sets a fresh
-// Build produces.
-func TestBuildWithSharedWorkspace(t *testing.T) {
+// BuildVertex produces.
+func TestVertexEdgesSharedWorkspace(t *testing.T) {
 	g := gen.RandomConnected(50, 100, 4)
 	en := replacement.NewEngine(g, 0)
 	for s := 0; s < 6; s++ {
 		en.Reset(s)
-		shared, err := BuildWith(en)
+		shared, err := VertexEdges(en)
 		if err != nil {
 			t.Fatalf("source %d: %v", s, err)
 		}
-		fresh, err := Build(g, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shared.S != s || shared.Pairs != fresh.Pairs {
-			t.Fatalf("source %d: source %d, pairs %d != %d", s, shared.S, shared.Pairs, fresh.Pairs)
-		}
-		if got, want := shared.Edges.IDs(), fresh.Edges.IDs(); !slices.Equal(got, want) {
+		fresh := mustBuildVertex(t, g, s)
+		if got, want := shared.IDs(), fresh.IDs(); !slices.Equal(got, want) {
 			t.Fatalf("source %d: E(H) %v, fresh build %v", s, got, want)
 		}
 	}
 }
 
-// fullSearchBuild is BuildWith's loop with a full restricted BFS of G∖{w}
+// fullSearchBuild is VertexEdges's loop with a full restricted BFS of G∖{w}
 // per failed vertex instead of the subtree repair: the independent
-// reference the repair is checked against. With treeOnly it replicates the
-// pre-fix construction instead: the protection check consults the tree
-// edges only, so a replacement last edge added for an earlier failed vertex
-// is invisible and a second (min-index) edge is bought for later pairs it
-// would have protected — the sparsity yardstick Build must never exceed.
+// reference the repair is checked against. It also returns how many pairs
+// bought an edge. With treeOnly it replicates the pre-fix construction
+// instead: the protection check consults the tree edges only, so a
+// replacement last edge added for an earlier failed vertex is invisible
+// and a second (min-index) edge is bought for later pairs it would have
+// protected — the sparsity yardstick VertexEdges must never exceed.
 func fullSearchBuild(t *testing.T, g *graph.Graph, s int, treeOnly bool) (*graph.EdgeSet, int) {
 	t.Helper()
 	bt := bfs.From(g, s)
@@ -307,27 +255,42 @@ func fullSearchBuild(t *testing.T, g *graph.Graph, s int, treeOnly bool) (*graph
 	return h, pairs
 }
 
-// BuildWith repairs only each failed vertex's subtree; its E(H) and Pairs
-// must equal the full-search reference on every family — among them a
-// cycle, a path and a random tree (every failure strands the subtree), and
-// a disconnected graph — with both sources of a family built on one engine
-// recycled with Reset. The reference walks each failed vertex's descendants
-// in stack order, the engine in preorder: the result must not depend on it.
-func TestBuildWithMatchesFullSearch(t *testing.T) {
-	for name, g := range families() {
+// VertexEdges repairs only each failed vertex's subtree; its E(H) must
+// equal the full-search reference on every family — among them a cycle, a
+// path and a random tree (every failure strands the subtree), and a
+// disconnected graph — with both sources of a family built on one engine
+// recycled with Reset. The reference walks each failed vertex's
+// descendants in stack order, the engine in preorder: the result must not
+// depend on it.
+func TestVertexEdgesMatchesFullSearch(t *testing.T) {
+	for name, g := range vertexFamilies() {
 		en := replacement.NewEngine(g, 0)
 		for _, s := range []int{0, g.N() / 2} {
 			en.Reset(s)
-			st, err := BuildWith(en)
+			h, err := VertexEdges(en)
 			if err != nil {
 				t.Fatalf("%s s=%d: %v", name, s, err)
 			}
-			want, pairs := fullSearchBuild(t, g, s, false)
-			if st.Pairs != pairs {
-				t.Fatalf("%s s=%d: Pairs %d, full search %d", name, s, st.Pairs, pairs)
-			}
-			if got, ref := st.Edges.IDs(), want.IDs(); !slices.Equal(got, ref) {
+			want, _ := fullSearchBuild(t, g, s, false)
+			if got, ref := h.IDs(), want.IDs(); !slices.Equal(got, ref) {
 				t.Fatalf("%s s=%d: E(H) %v, full search %v", name, s, got, ref)
+			}
+		}
+	}
+}
+
+// A vertex structure's pair count is |H| − |T0|, computed from H and G's
+// BFS tree; it is what the structure reports and its record stores. That
+// holds because each non-tree edge of H was bought by exactly one ⟨v, w⟩
+// pair, so the full-search reference's own purchase count must equal it on
+// every family and both sources.
+func TestVertexPairsCountsAddedEdges(t *testing.T) {
+	for name, g := range vertexFamilies() {
+		for _, s := range []int{0, g.N() / 2} {
+			h := mustBuildVertex(t, g, s)
+			_, pairs := fullSearchBuild(t, g, s, false)
+			if t0 := bfs.From(g, s).EdgeSet(g.M()).Len(); pairs != h.Len()-t0 {
+				t.Fatalf("%s s=%d: %d pairs bought an edge, want |H|-|T0| = %d-%d", name, s, pairs, h.Len(), t0)
 			}
 		}
 	}

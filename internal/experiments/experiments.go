@@ -21,7 +21,6 @@ import (
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/tree"
-	"ftbfs/internal/vertexft"
 )
 
 // Config tunes an experiment run.
@@ -551,13 +550,13 @@ func VertexFT(cfg Config) ([]*expstats.Table, error) {
 		{"hypercube", gen.Hypercube(8 - scale)},
 	}
 	for _, f := range fams {
-		vst, err := vertexft.Build(f.g, 0)
+		h, err := core.BuildVertex(f.g, 0)
 		if err != nil {
 			return nil, err
 		}
 		est := must(core.Build(f.g, 0, 1, core.Options{}))
-		viol := core.Verify(vst.G, vst.S, vst.Edges, nil, core.ModelVertex, 0)
-		t.AddRow(f.name, f.g.N(), f.g.M(), vst.Size(), est.Size(), len(viol))
+		viol := core.Verify(f.g, 0, h, nil, core.ModelVertex, 0)
+		t.AddRow(f.name, f.g.N(), f.g.M(), h.Len(), est.Size(), len(viol))
 	}
 	return []*expstats.Table{t}, nil
 }

@@ -42,7 +42,8 @@
 // edge sweep (every tree edge) and the vertex sweep (every internal tree
 // vertex but s) share one repair-and-restore loop over the failed subtree
 // and one last-edge probe, which the edge construction's reinforcement
-// rule and the vertex construction (internal/vertexft) both run on.
+// rule and the vertex construction (core.LastUnprotectedMulti and
+// core.VertexEdges) both run on.
 package replacement
 
 import (

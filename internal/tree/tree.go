@@ -172,9 +172,20 @@ func (t *Tree) Decompose() {
 	}
 	// Every reachable vertex lies on exactly one path, and each path is
 	// laid down whole before the next begins, so one slab holds them all
-	// and each path is a capped slice of it.
+	// and each path is a capped slice of it. Every path ends at a leaf
+	// (Size 1), so the leaf count bounds the paths, their glue edges and
+	// the pending heads alike: no list below grows past its allocation.
+	leaves := 0
+	for _, v := range t.order {
+		if t.Size[v] == 1 {
+			leaves++
+		}
+	}
 	flat := make([]int32, 0, len(t.order))
-	work := []job{{head: t.Root, level: 0}}
+	t.Paths = make([][]int32, 0, leaves)
+	t.PathLevel = make([]int32, 0, leaves)
+	t.GlueEdges = make([]graph.EdgeID, 0, leaves-1)
+	work := append(make([]job, 0, leaves), job{head: t.Root, level: 0})
 	for len(work) > 0 {
 		j := work[len(work)-1]
 		work = work[:len(work)-1]

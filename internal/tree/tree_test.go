@@ -290,3 +290,20 @@ func TestBuildAncestryAllocs(t *testing.T) {
 		t.Fatalf("BuildAncestry allocates %v times, want 3", got)
 	}
 }
+
+// TestDecomposeAllocs pins the Fact 3.3 decomposition to its allocations:
+// the child lists (counts, one flat slab, the slice headers), PathOf,
+// PosOf, the path slab, and Paths, PathLevel, GlueEdges and the work stack,
+// each sized once from the leaf count. On a bushy random tree an
+// append-grown list would show up as extra allocations.
+func TestDecomposeAllocs(t *testing.T) {
+	g := randomConnected(200, 300, 1)
+	bt := bfs.From(g, 0)
+	if leaves := len(buildTree(g, 0).Paths); leaves < 20 {
+		t.Fatalf("fixture has %d leaves, want a bushy tree", leaves)
+	}
+	got := testing.AllocsPerRun(20, func() { BuildAncestry(g.N(), bt).Decompose() })
+	if got -= 3; got != 10 { // BuildAncestry's own three
+		t.Fatalf("Decompose allocates %v times, want 10", got)
+	}
+}

@@ -133,8 +133,8 @@ func DeltaRebuild(old *Structure, g *Graph, d *GraphDelta) (*Structure, bool) {
 		Stats:      old.st.Stats, // diagnostics of the original build
 	}
 	s := newStructure(cs)
-	// The serving plan is keyed by EdgeID (CSR arcs, tree arrays, the
-	// edgeChild index), so it is rebuilt rather than carried: one CSR
+	// The serving plan is keyed by EdgeID (CSR arcs and tree arrays), so
+	// it is rebuilt rather than carried: one CSR
 	// extraction, one BFS of H (its distances are the intact vector, which
 	// the theorem above says is unchanged) and linear passes over H, the
 	// cheap part of a build. Doing it eagerly keeps the delta path's cost

@@ -24,11 +24,8 @@ import (
 // An Oracle is not safe for concurrent use; create one per goroutine or
 // check oracles out of an OraclePool.
 type Oracle struct {
-	st      *serving
-	plan    *QueryPlan
-	scratch *bfs.Scratch     // Ref and Baseline searches
-	dist    []int32          // Ref and Baseline searches
-	banned  *graph.VertexSet // Ref and Baseline vertex bans, made on first use
+	st   *serving
+	plan *QueryPlan
 
 	// Subtree-repair state: the scratch is allocated on the first tree
 	// failure and then recycled (pooled oracles carry it across requests);
@@ -37,6 +34,12 @@ type Oracle struct {
 	// batch — answer from a single repair run.
 	repair   *bfs.Repair
 	repaired failure
+
+	// Ref and Baseline search state, made on the first such query: the
+	// plan path never reads it.
+	scratch *bfs.Scratch
+	dist    []int32
+	banned  *graph.VertexSet
 
 	// Many/Each scratch, reused across batches.
 	batch []staged
@@ -64,8 +67,8 @@ func (o *Oracle) Dist(v int) int { return int(o.plan.intact[v]) }
 // the failure's own validation error. It inlines into every query path; the
 // error text is built out of line.
 func (o *Oracle) check(v int, ferr error) error {
-	if uint(v) >= uint(len(o.dist)) { // dist holds one slot per vertex
-		return targetError(v, len(o.dist))
+	if n := len(o.plan.intact); uint(v) >= uint(n) {
+		return targetError(v, n)
 	}
 	return ferr
 }
@@ -78,7 +81,8 @@ func targetError(v, n int) error {
 // edgeFailure validates a failed edge for simulation: the structure must
 // tolerate edge failures, the edge must exist in the base graph and — unless
 // inG, where the Baseline forms measure G itself — must not be reinforced
-// (reinforced edges cannot fail by contract).
+// (reinforced edges cannot fail by contract). It resolves the subtree the
+// failure can change from the plan's tree.
 func (o *Oracle) edgeFailure(u, v int, inG bool) (failure, error) {
 	if o.st.model != core.ModelEdge {
 		return noFailure, fmt.Errorf("ftbfs: a vertex-failure structure cannot fail edge {%d,%d}", u, v)
@@ -90,7 +94,7 @@ func (o *Oracle) edgeFailure(u, v int, inG bool) (failure, error) {
 	if !inG && o.st.reinforced.Contains(id) {
 		return noFailure, fmt.Errorf("ftbfs: {%d,%d} is reinforced and cannot fail", u, v)
 	}
-	return failure{id: id, vertex: -1}, nil
+	return failure{id: id, vertex: -1, root: o.plan.child(u, v)}, nil
 }
 
 // vertexFailure validates a failed vertex for simulation: the structure must
@@ -107,7 +111,7 @@ func (o *Oracle) vertexFailure(w int) (failure, error) {
 	if w == o.st.src {
 		return noFailure, fmt.Errorf("ftbfs: the source %d cannot fail", w)
 	}
-	return failure{id: graph.NoEdge, vertex: int32(w)}, nil
+	return failure{id: graph.NoEdge, vertex: int32(w), root: int32(w)}, nil
 }
 
 // planDist answers one validated failure query through the query plan,
@@ -135,11 +139,12 @@ func (o *Oracle) planDist(v int, f failure) int32 {
 // graph with f banned, confined to the edges of allowed unless it is nil:
 // H for the Ref forms, all of G for the Baseline forms.
 func (o *Oracle) search(v int, f failure, allowed *graph.EdgeSet) int {
+	if o.scratch == nil {
+		n := o.st.g.N()
+		o.scratch, o.dist, o.banned = bfs.NewScratch(n), make([]int32, n), graph.NewVertexSet(n)
+	}
 	r := bfs.Restriction{BannedEdge: f.id, AllowedEdges: allowed}
 	if f.vertex >= 0 {
-		if o.banned == nil {
-			o.banned = graph.NewVertexSet(o.st.g.N())
-		}
 		o.banned.Clear()
 		o.banned.Add(f.vertex)
 		r.BannedVertices = o.banned

@@ -190,3 +190,40 @@ func TestPlanTreeIsT0(t *testing.T) {
 		t.Fatalf("CheckInvariants of the broken 4-cycle record = %v, want T0 not contained in H", err)
 	}
 }
+
+// TestLoadVertexRefusesWrongPairs first checks Pairs against G's T0: it
+// counts the edges of H outside T0. It then writes vertex records whose
+// stored pair count is off by one through saveSlab, so each carries a
+// valid checksum: LoadVertexStructure must refuse both, since the count is
+// |H| − |T0| of the very H and tree the record holds, and load the record
+// with the right count.
+func TestLoadVertexRefusesWrongPairs(t *testing.T) {
+	g := &Graph{g: gen.RandomConnected(40, 80, 6)}
+	st, err := BuildVertex(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, t0 := 0, bfs.From(g.g, 3).EdgeSet(g.M())
+	st.h.ForEach(func(id graph.EdgeID) {
+		if !t0.Contains(id) {
+			pairs++
+		}
+	})
+	if pairs == 0 || st.Pairs() != pairs {
+		t.Fatalf("Pairs() = %d, H has %d edges outside T0 (want a positive count)", st.Pairs(), pairs)
+	}
+	for _, stored := range []int{pairs - 1, pairs, pairs + 1} {
+		var rec bytes.Buffer
+		if err := st.saveSlab(&rec, &core.SlabRecord{Model: core.ModelVertex, Pairs: stored}); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadVertexStructure(g, &rec)
+		if stored == pairs {
+			if err != nil || back.Pairs() != pairs {
+				t.Fatalf("record with the right count: %v", err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), "pairs") {
+			t.Fatalf("record storing %d pairs for %d: LoadVertexStructure error %v", stored, pairs, err)
+		}
+	}
+}

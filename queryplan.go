@@ -33,10 +33,10 @@ import (
 // A QueryPlan is immutable and safe for concurrent use; the per-query
 // repair scratch lives in the Oracle that uses the plan.
 type QueryPlan struct {
-	h         *graph.CSR // H's own adjacency; scans touch no non-H arc
-	intact    []int32    // dist(s, ·) in the intact H: the Dist of the tree t was built from
-	t         *tree.Tree // canonical BFS tree of H with subtree intervals
-	edgeChild []int32    // EdgeID → deeper endpoint if a tree edge, else -1; nil in the vertex model
+	h      *graph.CSR // H's own adjacency; scans touch no non-H arc
+	intact []int32    // dist(s, ·) in the intact H: the Dist of the tree t was built from
+	t      *tree.Tree // canonical BFS tree of H with subtree intervals
+	model  core.Model // failure model; a vertex plan classifies no edge as a tree edge
 }
 
 // VertexQueryPlan is the name the vertex model's plan was introduced under;
@@ -44,29 +44,16 @@ type QueryPlan struct {
 type VertexQueryPlan = QueryPlan
 
 // newPlan assembles the plan of H (adjacency h) from its canonical BFS tree
-// bt, whose distances are the intact vector. Only the edge model indexes
-// tree edges by EdgeID.
-func newPlan(g *graph.Graph, h *graph.CSR, bt *bfs.Tree, model core.Model) *QueryPlan {
-	p := &QueryPlan{h: h, intact: bt.Dist, t: tree.BuildAncestry(g.N(), bt)}
-	if model == core.ModelEdge {
-		p.edgeChild = make([]int32, g.M())
-		for id := range p.edgeChild {
-			p.edgeChild[id] = -1
-		}
-		for _, v := range bt.Order {
-			if id := bt.ParentEdge[v]; id != graph.NoEdge {
-				p.edgeChild[id] = v
-			}
-		}
-	}
-	return p
+// bt, whose distances are the intact vector.
+func newPlan(h *graph.CSR, bt *bfs.Tree, model core.Model) *QueryPlan {
+	return &QueryPlan{h: h, intact: bt.Dist, t: tree.BuildAncestry(h.N(), bt), model: model}
 }
 
 // IsTreeEdge reports whether {u,v} is a tree edge of H's canonical BFS tree
 // — the only kind of edge failure that forces a repair search; all others
 // answer in O(1). A vertex plan serves no edge failures and answers false.
 func (p *QueryPlan) IsTreeEdge(u, v int) bool {
-	return p.treeChild(p.edgeID(u, v)) >= 0
+	return p.model == core.ModelEdge && p.child(u, v) >= 0
 }
 
 // SubtreeSize returns the number of vertices a failure of {u,v} can affect:
@@ -74,11 +61,10 @@ func (p *QueryPlan) IsTreeEdge(u, v int) bool {
 // a vertex plan). It is the work bound of the repair search and useful for
 // admission control.
 func (p *QueryPlan) SubtreeSize(u, v int) int {
-	c := p.treeChild(p.edgeID(u, v))
-	if c < 0 {
-		return 0
+	if c := p.child(u, v); c >= 0 && p.model == core.ModelEdge {
+		return int(p.t.Size[c])
 	}
-	return int(p.t.Size[c])
+	return 0
 }
 
 // OnTreePath reports whether the failed vertex w lies on the tree path
@@ -102,42 +88,35 @@ func (p *QueryPlan) VertexSubtreeSize(w int) int {
 	return int(p.t.Size[w]) - 1
 }
 
-// edgeID resolves endpoints against the plan's CSR; the plan only ever sees
-// failures validated by the oracle, but the exported classifiers accept raw
-// endpoints.
-func (p *QueryPlan) edgeID(u, v int) graph.EdgeID {
-	// The CSR has no endpoint lookup; scan u's (H-only) row. Classification
-	// is diagnostics, not a hot path.
-	if u < 0 || v < 0 || u >= p.h.N() || v >= p.h.N() {
-		return graph.NoEdge
-	}
-	for _, a := range p.h.ArcsOf(int32(u)) {
-		if a.To == int32(v) {
-			return a.ID
-		}
-	}
-	return graph.NoEdge
-}
-
-// treeChild returns the deeper endpoint of a tree edge, or -1 when id is not
-// a tree edge of H's BFS tree (including NoEdge, edges outside H and every
-// edge of a vertex plan).
-func (p *QueryPlan) treeChild(id graph.EdgeID) int32 {
-	if id < 0 || int(id) >= len(p.edgeChild) {
+// child returns the deeper endpoint of {u,v} when it is a tree edge of H's
+// BFS tree, else -1. H holds at most one edge per vertex pair, so {u,v} is
+// a tree edge exactly when one endpoint is the other's parent, and that
+// endpoint is the child. The oracle resolves every failed edge through it
+// once, at validation; the exported classifiers accept raw endpoints.
+func (p *QueryPlan) child(u, v int) int32 {
+	switch {
+	case u < 0 || v < 0 || u >= p.h.N() || v >= p.h.N():
 		return -1
+	case p.t.Parent[v] == int32(u):
+		return int32(v)
+	case p.t.Parent[u] == int32(v):
+		return int32(u)
 	}
-	return p.edgeChild[id]
+	return -1
 }
 
 // failure is one validated simulated failure: a failed edge (id, with vertex
-// -1) or a failed vertex (vertex, with id NoEdge).
+// -1) or a failed vertex (vertex, with id NoEdge), with the root of the
+// subtree of H's BFS tree it can change — the deeper endpoint of a failed
+// tree edge, the failed vertex itself, or -1 for an edge off the tree.
 type failure struct {
 	id     graph.EdgeID
 	vertex int32
+	root   int32
 }
 
 // noFailure names no failure: the state of a repair scratch that holds none.
-var noFailure = failure{id: graph.NoEdge, vertex: -1}
+var noFailure = failure{id: graph.NoEdge, vertex: -1, root: -1}
 
 // dist answers dist(source, v) in H \ {f} using the plan's O(1) paths,
 // falling back to r for the subtree repair. A failed tree edge can change
@@ -150,18 +129,18 @@ var noFailure = failure{id: graph.NoEdge, vertex: -1}
 // reports whether the answer came out of the repair scratch (telemetry
 // counts plan hits vs repairs without re-deriving the branch).
 func (p *QueryPlan) dist(v int, f failure, r *bfs.Repair, repaired failure) (d int32, _ failure, viaRepair bool) {
-	root, skip := f.vertex, 1
-	if f.vertex < 0 {
-		root, skip = p.edgeChild[f.id], 0
-	}
-	if root < 0 || !p.t.InSubtree(int32(v), root) {
+	if f.root < 0 || !p.t.InSubtree(int32(v), f.root) {
 		// Not a tree edge, or v hangs outside the subtree the failure can
 		// change (v is not the failed vertex, so a failed leaf or a vertex
 		// unreachable in H has no such v): v's tree path avoids the failure.
 		return p.intact[v], repaired, false
 	}
 	if f != repaired {
-		r.Run(p.h, p.intact, p.t.Subtree(root)[skip:], f.id, f.vertex)
+		sub := p.t.Subtree(f.root)
+		if f.root == f.vertex {
+			sub = sub[1:] // the failed vertex heads its subtree but left the graph
+		}
+		r.Run(p.h, p.intact, sub, f.id, f.vertex)
 		repaired = f
 	}
 	return r.Dist(int32(v)), repaired, true

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"ftbfs"
+	"ftbfs/internal/bfs"
+	"ftbfs/internal/graph"
 )
 
 // buildRandom returns a random connected graph plus every edge it inserted,
@@ -247,5 +249,109 @@ func TestQueryPlanClassifiers(t *testing.T) {
 	}
 	if trees == 0 || flats == 0 {
 		t.Fatalf("degenerate classification: %d tree edges, %d non-tree", trees, flats)
+	}
+}
+
+// TestPlanClassifiersMatchParentWalk checks the plan's classifiers against
+// an independent tree: H's canonical BFS tree recomputed by bfs.FromCSR
+// over G's subgraph CSR of the structure's edges, read only through parent
+// walks and parent edge ids. On random graphs, several ε values and both
+// failure models, for every ordered pair of endpoints (non-edges and
+// out-of-range ones included): IsTreeEdge holds iff the pair's edge id is
+// one endpoint's parent edge, SubtreeSize counts the vertices whose walk
+// crosses that edge, OnTreePath holds iff w is strictly inside v's walk to
+// the source, and VertexSubtreeSize counts the vertices whose walk passes
+// w. A vertex plan serves no edge failures, so its edge classifiers
+// answer false and 0.
+func TestPlanClassifiersMatchParentWalk(t *testing.T) {
+	for _, tc := range []struct {
+		n, extra int
+		seed     int64
+	}{{40, 0, 1}, {50, 60, 2}, {60, 120, 3}} {
+		g, edges := buildRandom(tc.n, tc.extra, tc.seed)
+		ig := graph.New(tc.n) // the same edges under the same ids
+		for _, e := range edges {
+			if _, err := ig.AddEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ig.Freeze()
+		type built struct {
+			name string
+			plan *ftbfs.QueryPlan
+			h    [][2]int
+		}
+		var plans []built
+		for _, eps := range []float64{0, 0.25, 0.5, 1} {
+			st, err := ftbfs.Build(g, 0, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, built{"edge", st.Plan(), st.Edges()})
+		}
+		vst, err := ftbfs.BuildVertex(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, built{"vertex", vst.Plan(), vst.Edges()})
+		for _, b := range plans {
+			h := graph.NewEdgeSet(ig.M())
+			for _, e := range b.h {
+				h.Add(ig.EdgeIDOf(e[0], e[1]))
+			}
+			bt := bfs.FromCSR(ig.SubgraphCSR(h), 0)
+			// crosses reports whether x's walk to the source passes c,
+			// x == c included.
+			crosses := func(x, c int32) bool {
+				for ; x >= 0; x = bt.Parent[x] {
+					if x == c {
+						return true
+					}
+				}
+				return false
+			}
+			below := func(c int32) (k int) {
+				for x := int32(0); x < int32(tc.n); x++ {
+					if crosses(x, c) {
+						k++
+					}
+				}
+				return k
+			}
+			for u := -1; u <= tc.n; u++ {
+				for v := -1; v <= tc.n; v++ {
+					in := u >= 0 && v >= 0 && u < tc.n && v < tc.n
+					isTree, size := false, 0
+					if in && b.name == "edge" {
+						if id := ig.EdgeIDOf(u, v); id != graph.NoEdge {
+							switch id {
+							case bt.ParentEdge[v]:
+								isTree, size = true, below(int32(v))
+							case bt.ParentEdge[u]:
+								isTree, size = true, below(int32(u))
+							}
+						}
+					}
+					if got := b.plan.IsTreeEdge(u, v); got != isTree {
+						t.Fatalf("seed %d %s: IsTreeEdge(%d,%d) = %v, parent walk %v", tc.seed, b.name, u, v, got, isTree)
+					}
+					if got := b.plan.SubtreeSize(u, v); got != size {
+						t.Fatalf("seed %d %s: SubtreeSize(%d,%d) = %d, parent walk %d", tc.seed, b.name, u, v, got, size)
+					}
+					w := u // OnTreePath(w, v): w strictly between the source and v
+					onPath := in && w != v && int32(w) != bt.Source && crosses(int32(v), int32(w))
+					if got := b.plan.OnTreePath(w, v); got != onPath {
+						t.Fatalf("seed %d %s: OnTreePath(%d,%d) = %v, parent walk %v", tc.seed, b.name, w, v, got, onPath)
+					}
+				}
+				want := 0
+				if u >= 0 && u < tc.n && bt.Dist[u] != bfs.Unreachable {
+					want = below(int32(u)) - 1
+				}
+				if got := b.plan.VertexSubtreeSize(u); got != want {
+					t.Fatalf("seed %d %s: VertexSubtreeSize(%d) = %d, parent walk %d", tc.seed, b.name, u, got, want)
+				}
+			}
+		}
 	}
 }

@@ -55,7 +55,7 @@ func (s *serving) Dist(v int) int { return int(s.Plan().intact[v]) }
 func (s *serving) Plan() *QueryPlan {
 	s.planOnce.Do(func() {
 		h := s.g.SubgraphCSR(s.h)
-		s.qplan = newPlan(s.g, h, bfs.FromCSR(h, s.src), s.model)
+		s.qplan = newPlan(h, bfs.FromCSR(h, s.src), s.model)
 	})
 	return s.qplan
 }
@@ -63,13 +63,7 @@ func (s *serving) Plan() *QueryPlan {
 // Oracle returns a failure-simulation oracle for the structure: failed edges
 // for an edge structure, failed vertices for a vertex structure.
 func (s *serving) Oracle() *Oracle {
-	return &Oracle{
-		st:       s,
-		plan:     s.Plan(),
-		scratch:  bfs.NewScratch(s.g.N()),
-		dist:     make([]int32, s.g.N()),
-		repaired: noFailure,
-	}
+	return &Oracle{st: s, plan: s.Plan(), repaired: noFailure}
 }
 
 // OraclePool returns the structure's oracle pool. The pool is created on the

@@ -9,7 +9,6 @@ import (
 	"ftbfs/internal/bfs"
 	"ftbfs/internal/core"
 	"ftbfs/internal/graph"
-	"ftbfs/internal/vertexft"
 )
 
 // SaveSlab serialises the structure as a binary record, the one structure
@@ -33,10 +32,10 @@ func (s *Structure) SaveSlab(w io.Writer) error {
 }
 
 // SaveSlab serialises the vertex structure as a binary record in the same
-// layout; the vertex model stores no ε or algorithm, and its reinforced
-// section is empty. See Structure.SaveSlab.
+// layout; the vertex model stores no ε or algorithm, its reinforced section
+// is empty, and its header carries Pairs. See Structure.SaveSlab.
 func (s *VertexStructure) SaveSlab(w io.Writer) error {
-	return s.saveSlab(w, &core.SlabRecord{Model: core.ModelVertex, Pairs: s.st.Pairs})
+	return s.saveSlab(w, &core.SlabRecord{Model: core.ModelVertex, Pairs: s.Pairs()})
 }
 
 // saveSlab completes rec, which carries the model's own fields, with the
@@ -86,7 +85,8 @@ func LoadStructure(g *Graph, r io.Reader) (*Structure, error) {
 }
 
 // LoadVertexStructure is LoadStructure for a vertex structure written by
-// VertexStructure.SaveSlab.
+// VertexStructure.SaveSlab. It also refuses a record whose stored pair
+// count is not the Pairs of its H and tree.
 func LoadVertexStructure(g *Graph, r io.Reader) (*VertexStructure, error) {
 	rec, err := loadSlab(g, r)
 	if err != nil {
@@ -95,9 +95,12 @@ func LoadVertexStructure(g *Graph, r io.Reader) (*VertexStructure, error) {
 	if rec.Model != core.ModelVertex {
 		return nil, fmt.Errorf("ftbfs: record is an edge structure (load it with LoadStructure)")
 	}
-	s := newVertexStructure(&vertexft.Structure{G: g.g, S: rec.S, Edges: rec.Edges, Pairs: rec.Pairs})
+	s := newVertexStructure(g.g, rec.S, rec.Edges)
 	if err := s.installSlab(rec); err != nil {
 		return nil, err
+	}
+	if got := s.Pairs(); got != rec.Pairs {
+		return nil, fmt.Errorf("ftbfs: vertex record stores %d pairs, its H and tree give %d", rec.Pairs, got)
 	}
 	return s, nil
 }
@@ -156,6 +159,6 @@ func (s *serving) installSlab(rec *core.SlabRecord) error {
 		ParentEdge: rec.ParentEdge,
 		Order:      rec.Order,
 	}
-	s.planOnce.Do(func() { s.qplan = newPlan(s.g, h, bt, s.model) })
+	s.planOnce.Do(func() { s.qplan = newPlan(h, bt, s.model) })
 	return nil
 }
