@@ -82,21 +82,6 @@ func FromCSR(c *graph.CSR, s int) *Tree {
 	return t
 }
 
-// PathTo returns the canonical shortest path π(s,v) as a vertex sequence
-// from the source to v, or nil if v is unreachable.
-func (t *Tree) PathTo(v int) []int32 {
-	if t.Dist[v] == Unreachable {
-		return nil
-	}
-	path := make([]int32, t.Dist[v]+1)
-	x := int32(v)
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i] = x
-		x = t.Parent[x]
-	}
-	return path
-}
-
 // EdgeSet returns the set of tree-edge ids (the edges of T0).
 func (t *Tree) EdgeSet(m int) *graph.EdgeSet {
 	s := graph.NewEdgeSet(m)

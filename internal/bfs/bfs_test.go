@@ -7,6 +7,21 @@ import (
 	"ftbfs/internal/graph"
 )
 
+// pathTo returns the canonical shortest path π(s,v) as a vertex sequence
+// from the source to v, or nil if v is unreachable.
+func pathTo(t *Tree, v int) []int32 {
+	if t.Dist[v] == Unreachable {
+		return nil
+	}
+	path := make([]int32, t.Dist[v]+1)
+	x := int32(v)
+	for i := len(path) - 1; i >= 0; i-- {
+		path[i] = x
+		x = t.Parent[x]
+	}
+	return path
+}
+
 func grid3x3() *graph.Graph {
 	// 0 1 2
 	// 3 4 5
@@ -57,7 +72,7 @@ func TestPathToPrefixClosure(t *testing.T) {
 	g := grid3x3()
 	tr := From(g, 0)
 	for v := 0; v < g.N(); v++ {
-		p := tr.PathTo(v)
+		p := pathTo(tr, v)
 		if int32(len(p)-1) != tr.Dist[v] {
 			t.Fatalf("path length %d != dist %d", len(p)-1, tr.Dist[v])
 		}
@@ -66,7 +81,7 @@ func TestPathToPrefixClosure(t *testing.T) {
 		}
 		// prefix closure: the canonical path to p[i] is p[:i+1]
 		for i, u := range p {
-			q := tr.PathTo(int(u))
+			q := pathTo(tr, int(u))
 			if len(q) != i+1 {
 				t.Fatalf("prefix closure violated at %d on path to %d", u, v)
 			}
@@ -84,7 +99,7 @@ func TestUnreachable(t *testing.T) {
 	b.Add(0, 1)
 	g := b.Graph()
 	tr := From(g, 0)
-	if tr.Dist[2] != Unreachable || tr.PathTo(2) != nil {
+	if tr.Dist[2] != Unreachable || pathTo(tr, 2) != nil {
 		t.Fatal("vertex 2 should be unreachable")
 	}
 	if len(tr.Order) != 2 {

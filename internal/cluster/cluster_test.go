@@ -15,6 +15,7 @@ import (
 
 	"ftbfs"
 	"ftbfs/internal/server"
+	"ftbfs/internal/store"
 	"ftbfs/internal/wire"
 )
 
@@ -555,6 +556,156 @@ func TestRouterBatchScatterGather(t *testing.T) {
 		if resp.Dists[i] != w.dist {
 			t.Fatalf("slot %d: routed %d, single-node oracle says %d", i, resp.Dists[i], w.dist)
 		}
+	}
+}
+
+// shardQueries reads every shard's answered-query count from its /stats.
+func shardQueries(t *testing.T, lc *LocalCluster) []uint64 {
+	t.Helper()
+	out := make([]uint64, len(lc.Shards))
+	for i, sh := range lc.Shards {
+		if sh.ts == nil {
+			continue // killed
+		}
+		var sr server.StatsResponse
+		if code, body := getJSON(t, sh.Addr()+"/stats", &sr); code != http.StatusOK {
+			t.Fatalf("shard %s /stats: %d %s", sh.ID, code, body)
+		}
+		out[i] = sr.Queries
+	}
+	return out
+}
+
+// unitBatch routes one vector over fixture fx, failing[j] for the targets
+// of slot block j, checks every answer against the single-node oracle and
+// returns how many queries each shard answered for it.
+func unitBatch(t *testing.T, lc *LocalCluster, fx fixture, failing [][2]int, targets int) []uint64 {
+	t.Helper()
+	eps, src := fx.eps, fx.source
+	req := server.BatchQueryRequest{Graph: fx.fp, Source: src, Eps: &eps}
+	var want []int
+	for j, e := range failing {
+		for k := 0; k < targets; k++ {
+			v, fail := (j*7+k*13)%fx.n, e
+			if k%2 == 1 {
+				fail = [2]int{e[1], e[0]} // one failure whichever way it is written
+			}
+			req.Queries = append(req.Queries, server.BatchQuery{V: v, Fail: fail})
+			d, err := fx.oracle.DistAvoiding(v, e[0], e[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, d)
+		}
+	}
+	before := shardQueries(t, lc)
+	var resp server.BatchQueryResponse
+	if code, body := postJSON(t, lc.URL()+"/batch-query", req, &resp); code != http.StatusOK || resp.Errors != nil {
+		t.Fatalf("routed /batch-query: %d %s", code, body)
+	}
+	for i, w := range want {
+		if resp.Dists[i] != w {
+			t.Fatalf("slot %d: routed %d, single-node oracle says %d", i, resp.Dists[i], w)
+		}
+	}
+	after := shardQueries(t, lc)
+	for i := range after {
+		after[i] -= before[i]
+	}
+	return after
+}
+
+// ownerShards returns the indexes in lc.Shards of fx's replicas, in the
+// order a fresh router tries them.
+func ownerShards(t *testing.T, lc *LocalCluster, fx fixture) []int {
+	t.Helper()
+	fp, err := strconv.ParseUint(fx.fp, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int
+	for _, m := range lc.Router.ownersFor(store.Key{Graph: fp, Source: fx.source, Eps: fx.eps}) {
+		for i, sh := range lc.Shards {
+			if sh.ID == m.ID {
+				out = append(out, i)
+			}
+		}
+	}
+	return out
+}
+
+// TestBatchUnitOneShard routes a vector whose slots all fail one edge of one
+// structure: that is one unit, so one shard answers all of it and repairs
+// the failure once. A slot-by-slot replica choice splits it over both
+// owners.
+func TestBatchUnitOneShard(t *testing.T) {
+	lc, err := StartLocal(4, LocalOptions{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{41}, []int{0}, 0.3)[0]
+	got := unitBatch(t, lc, fx, [][2]int{fx.edges[3]}, 8)
+	answering := 0
+	for _, q := range got {
+		if q != 0 {
+			answering++
+			if q != 8 {
+				t.Fatalf("per-shard answers %v: one shard must answer all 8 slots", got)
+			}
+		}
+	}
+	if answering != 1 {
+		t.Fatalf("per-shard answers %v: %d shards answered one unit, want 1", got, answering)
+	}
+}
+
+// TestBatchUnitsSpreadOverOwners routes a one-structure vector over eight
+// failures of four targets each: each unit stays whole on one shard, and
+// the units spread by load over both owners.
+func TestBatchUnitsSpreadOverOwners(t *testing.T) {
+	lc, err := StartLocal(4, LocalOptions{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{42}, []int{0}, 0.3)[0]
+	got := unitBatch(t, lc, fx, fx.edges[:8], 4)
+	owners := ownerShards(t, lc, fx)
+	if len(owners) != 2 {
+		t.Fatalf("%d owners, want 2", len(owners))
+	}
+	for i, q := range got {
+		isOwner := i == owners[0] || i == owners[1]
+		if q%4 != 0 || (q == 0) == isOwner {
+			t.Fatalf("per-shard answers %v, owners %v: want whole units of 4 on both owners only", got, owners)
+		}
+	}
+}
+
+// TestBatchUnitFailsOverWhole kills the replica a unit goes to first: its
+// sub-batch fails on the transport, and the whole unit moves to the next
+// owner, which answers all of it in one sub-batch.
+func TestBatchUnitFailsOverWhole(t *testing.T) {
+	lc, err := StartLocal(4, LocalOptions{Replicas: 2, Router: RouterOptions{RetryBackoff: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	fx := buildFixtures(t, lc.URL(), []int64{43}, []int{0}, 0.3)[0]
+	owners := ownerShards(t, lc, fx)
+	lc.KillShard(owners[0])
+	rm := lc.Router.rm
+	batches, failovers := rm.wireBatches.Value(), rm.failovers.Value()
+	got := unitBatch(t, lc, fx, [][2]int{fx.edges[5]}, 8)
+	if got[owners[1]] != 8 {
+		t.Fatalf("per-shard answers %v: the next owner %s must answer the whole unit", got, lc.Shards[owners[1]].ID)
+	}
+	if n := rm.failovers.Value() - failovers; n != 1 {
+		t.Fatalf("failovers moved by %d, want 1: the unit's one retry", n)
+	}
+	if n := rm.wireBatches.Value() - batches; n != 1 {
+		t.Fatalf("%d sub-batches answered, want 1", n)
 	}
 }
 

@@ -3,10 +3,11 @@
 // ownership, membership with health probes, and a router that proxies the
 // full query surface (/build, /dist, /dist-avoiding, /batch-query, /stats)
 // to the owning shards — hedged reads across replicas for point queries,
-// scatter-gather with per-shard sub-batching for multi-structure
-// /batch-query vectors, and a single-flight /build that runs each
-// structure's construction once, on one owner, while the other owners
-// install its record over the handoff path.
+// scatter-gather of multi-structure /batch-query vectors in per-shard
+// sub-batches, placed by unit (the slots of one structure that fail one
+// edge or vertex, which a shard answers from one subtree repair), and a
+// single-flight /build that runs each structure's construction once, on one
+// owner, while the other owners install its record over the handoff path.
 //
 // # One HTTP edge
 //
@@ -16,8 +17,8 @@
 // /batch-query handlers, which answer through a four-method server.Backend
 // (Point, Batch, Mutate, Build) taking requests in wire form. A shard's
 // backend is its store; the Router is a backend over its shards: Point is
-// hedgedDo, Batch the scatter rounds, Mutate and Build the single-flight
-// fan-outs, whose waiters share a typed result (a value, or the
+// hedgedDo, Batch the unit-placing scatter rounds, Mutate and Build the
+// single-flight fan-outs, whose waiters share a typed result (a value, or the
 // *wire.Error refusal). So on every shared endpoint the router answers
 // exactly what a single node would by construction, malformed requests and
 // refusals included: a deterministic 4xx that no shard applied is relayed
@@ -145,8 +146,8 @@
 // promotes keys whose count passes a threshold to R+k replication: the k
 // extra owners — the next distinct members on the key's ring walk past the
 // base replica set — pull the structure ahead of time, and once every one
-// of them holds it ownersFor returns the widened set, so hedged reads and batch slots for a
-// hot key spread over R+k replicas instead of R. Promotion survives
+// of them holds it ownersFor returns the widened set, so hedged reads and
+// batch units for a hot key spread over R+k replicas instead of R. Promotion survives
 // membership changes (the widened walk is re-evaluated against the current
 // ring on every lookup) and demotion is simply dropping the entry.
 //

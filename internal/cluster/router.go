@@ -536,18 +536,53 @@ type batchMember struct {
 	off, n        int // this round's slots, laid out at order[off : off+n]
 }
 
-// Batch scatter-gathers a multi-structure batch (server.Backend): route
-// every query slot by its structure key, ship one sub-batch per shard, and
-// merge per-query results. A failed shard's slots fail over to the next
-// replica; only slots whose whole replica set failed come back with error
-// slots. Sub-batches are gathered from the wire-form slots, whichever
-// replica each round picks; each round's are pipelined calls collected on
-// the request goroutine.
+// unitKey names a batch unit: the route of its structure's registry key,
+// which carries the failure model, and the failure, the failed edge's
+// endpoints in ascending order or the failed vertex. Its fields are
+// integers, so a vector of distinct failures hashes each slot's key once,
+// in the route lookup.
+type unitKey struct {
+	route, a, b int32
+}
+
+// batchRoute is one structure key's replicas, as indexes into a batch's
+// members, and how many slots addressed it; id numbers it in the batch.
+type batchRoute struct {
+	id     int32
+	owners []int
+	hits   uint64
+}
+
+// batchUnit is what a shard repairs once: the slots of one structure that
+// fail the same edge or vertex. It is placed, and retried, whole.
+type batchUnit struct {
+	owners []int // its key's replicas as indexes into members, its own copy: placement reorders it
+	tried  int   // owners[:tried] already attempted
+	slots  []int // the slots still to answer, in vector order
+}
+
+// fail leaves msg in every slot of the unit that holds no error yet.
+func (u *batchUnit) fail(msg string, errs []string) {
+	for _, i := range u.slots {
+		if errs[i] == "" {
+			errs[i] = msg
+		}
+	}
+}
+
+// Batch scatter-gathers a multi-structure batch (server.Backend). The unit
+// it places is what a shard repairs once: the slots of one structure that
+// fail one edge or one vertex. Each round puts every unit whole on its
+// least-loaded untried replica, ships one sub-batch per shard laid out unit
+// by unit, and merges per-query results; a unit whose attempt failed moves
+// whole to its next replica, and only slots whose whole replica set failed
+// come back with error slots. Each round's sub-batches are pipelined calls
+// collected on the request goroutine.
 func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.BatchSlot, dists []int, errs []string) {
 	n := len(slots)
 	rt.rm.batches.Inc()
 	rt.rm.batchQueries.Add(uint64(n))
-	// Slots name their owners by index into members.
+	// Units name their owners by index into members.
 	var members []batchMember
 	memberIndex := func(m *Member) int {
 		for j := range members {
@@ -558,57 +593,86 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 		members = append(members, batchMember{m: m})
 		return len(members) - 1
 	}
-	type route struct {
-		owners []int // indexes into members
-		tried  int   // owners[:tried] already attempted
-	}
-	routes := make([]route, n)
-	pending := make([]int, 0, n)
 	// One ring walk and one hot-key count per distinct key, not per slot — a
-	// 256-slot batch over 16 structures resolves 16 owner sets. Each slot
-	// still gets its own copy, carved from a shared slab: the least-loaded
-	// selection below reorders it in place.
-	type keyRoute struct {
-		owners []int
-		hits   uint64
-	}
-	byKey := make(map[store.Key]*keyRoute)
-	ownerSlab := make([]int, 0, n*rt.m.Replicas())
+	// 256-slot batch over 16 structures resolves 16 owner sets. Until the
+	// units are carved, dists holds each placed slot's unit. The unit index
+	// is sized for a unit per slot: growing it would cost a vector of
+	// distinct failures more than the rest of its placement.
+	byKey := make(map[store.Key]*batchRoute)
+	byUnit := make(map[unitKey]int, n)
+	routes := make([]*batchRoute, 0, n) // each unit's
 	for i := 0; i < n; i++ {
 		dists[i] = -1
 		if errs[i] != "" {
 			continue
 		}
-		kr := byKey[keys[i]]
-		if kr == nil {
+		r := byKey[keys[i]]
+		if r == nil {
 			owners := rt.ownersFor(keys[i])
-			kr = &keyRoute{owners: make([]int, len(owners))}
+			r = &batchRoute{id: int32(len(byKey)), owners: make([]int, len(owners))}
 			for j, m := range owners {
-				kr.owners[j] = memberIndex(m)
+				r.owners[j] = memberIndex(m)
 			}
-			byKey[keys[i]] = kr
+			byKey[keys[i]] = r
 		}
-		kr.hits++
-		if len(kr.owners) == 0 {
+		r.hits++
+		if len(r.owners) == 0 {
 			errs[i] = "cluster: no shards joined"
 			continue
 		}
-		ownerSlab = append(ownerSlab, kr.owners...)
-		routes[i].owners = ownerSlab[len(ownerSlab)-len(kr.owners) : len(ownerSlab) : len(ownerSlab)]
-		pending = append(pending, i)
+		uk := unitKey{route: r.id, a: slots[i].A, b: slots[i].B}
+		if uk.a > uk.b {
+			uk.a, uk.b = uk.b, uk.a
+		}
+		u, ok := byUnit[uk]
+		if !ok {
+			u = len(routes)
+			byUnit[uk] = u
+			routes = append(routes, r)
+		}
+		dists[i] = u
 	}
-	for k, kr := range byKey {
-		rt.noteKey(k, kr.hits)
+	for k, r := range byKey {
+		rt.noteKey(k, r.hits)
+	}
+	// Carve every unit's slots and owner copy from shared slabs.
+	units := make([]batchUnit, len(routes))
+	placed := 0
+	for _, u := range dists {
+		if u >= 0 {
+			units[u].tried++ // counts the unit's slots until they are carved
+			placed++
+		}
+	}
+	slotSlab, ownerSlab := make([]int, placed), make([]int, 0, len(units)*rt.m.Replicas())
+	for u := range units {
+		un := &units[u]
+		un.slots, slotSlab, un.tried = slotSlab[:0:un.tried], slotSlab[un.tried:], 0
+		ownerSlab = append(ownerSlab, routes[u].owners...)
+		un.owners = ownerSlab[len(ownerSlab)-len(routes[u].owners) : len(ownerSlab) : len(ownerSlab)]
+	}
+	for i, u := range dists {
+		if u >= 0 {
+			units[u].slots = append(units[u].slots, i)
+			dists[i] = -1
+		}
+	}
+	pending := make([]int, len(units))
+	for u := range pending {
+		pending[u] = u
 	}
 
 	// Each round ships each shard one sub-batch per wire.MaxBatchSlots of
-	// its slots; slots whose attempt failed (transport, shard error, or
-	// per-slot error) advance to their next replica. Rounds are bounded by
-	// the replication factor. Unlike point queries (which stick to the
-	// primary for oracle-pool locality), batch slots pick the least-loaded
-	// untried replica of their key, so a few hot structures cannot pile the
-	// whole vector onto one shard — every replica holds the structure, so
-	// any of them answers correctly.
+	// its slots; units whose attempt failed (transport, shard error, or
+	// per-slot error) advance to their next replica with the slots still
+	// unanswered. Rounds are bounded by the replication factor. Unlike point
+	// queries (which stick to the primary for oracle-pool locality), a unit
+	// picks the least-loaded untried replica of its key, load counted in
+	// slots, so a few hot structures cannot pile the whole vector onto one
+	// shard — every replica holds the structure, so any of them answers
+	// correctly. Placing units, not slots, keeps each failure's subtree
+	// repair on one shard: a slot-by-slot choice splits one failure's
+	// targets over the replicas, and each repairs it.
 	type subBatch struct {
 		member int
 		slots  []int            // indexes into the vector
@@ -616,7 +680,14 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 	}
 	var subs []subBatch
 	var payload []byte
-	order, ordered := make([]int, len(pending)), make([]wire.BatchSlot, len(pending))
+	var again []bool // slots to retry, made when the first one fails
+	retry := func(i int) {
+		if again == nil {
+			again = make([]bool, n)
+		}
+		again[i] = true
+	}
+	order, ordered := make([]int, placed), make([]wire.BatchSlot, placed)
 	for round := 0; len(pending) > 0 && round < rt.m.Replicas(); round++ {
 		if round > 0 && !rt.sleepBackoff(ctx, round) {
 			// Budget exhausted between rounds: pending slots keep the error
@@ -628,22 +699,20 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 			bm.open, bm.healthy, bm.n = bm.m.breakerOpen(), bm.m.Healthy(), 0
 		}
 		assigned := pending[:0]
-		for _, i := range pending {
-			rte := &routes[i]
-			if rte.tried >= len(rte.owners) {
-				if errs[i] == "" {
-					errs[i] = "cluster: all replicas failed"
-				}
+		for _, u := range pending {
+			un := &units[u]
+			if un.tried >= len(un.owners) {
+				un.fail("cluster: all replicas failed", errs)
 				continue
 			}
 			// Graceful degradation: when every remaining replica of this
-			// slot's key has an open breaker, fail the slot now instead of
+			// unit's key has an open breaker, fail the unit now instead of
 			// feeding a sub-batch to shards known to be failing — the rest of
 			// the vector still answers. (Batch selection reads breaker state
 			// without consuming half-open probe tokens; the point path and
 			// readiness probes drive recovery.)
 			allOpen := true
-			for _, j := range rte.owners[rte.tried:] {
+			for _, j := range un.owners[un.tried:] {
 				if !members[j].open {
 					allOpen = false
 					break
@@ -651,14 +720,12 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 			}
 			if allOpen {
 				rt.rm.breakerSkips.Inc()
-				if errs[i] == "" {
-					errs[i] = fmt.Sprintf("cluster: circuit open: all %d replicas unavailable", len(rte.owners))
-				}
+				un.fail(fmt.Sprintf("cluster: circuit open: all %d replicas unavailable", len(un.owners)), errs)
 				continue
 			}
-			best := rte.tried
-			for j := rte.tried + 1; j < len(rte.owners); j++ {
-				cand, cur := &members[rte.owners[j]], &members[rte.owners[best]]
+			best := un.tried
+			for j := un.tried + 1; j < len(un.owners); j++ {
+				cand, cur := &members[un.owners[j]], &members[un.owners[best]]
 				if cand.open != cur.open {
 					if !cand.open {
 						best = j
@@ -675,24 +742,27 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 					best = j
 				}
 			}
-			rte.owners[rte.tried], rte.owners[best] = rte.owners[best], rte.owners[rte.tried]
-			bm := &members[rte.owners[rte.tried]]
-			rte.tried++
-			bm.load++
-			bm.n++
-			assigned = append(assigned, i)
+			un.owners[un.tried], un.owners[best] = un.owners[best], un.owners[un.tried]
+			bm := &members[un.owners[un.tried]]
+			un.tried++
+			bm.load += len(un.slots)
+			bm.n += len(un.slots)
+			assigned = append(assigned, u)
 		}
-		// Lay each member's slots out contiguously, in vector order, and cut
-		// them into frames of at most MaxBatchSlots, so neither a request nor
-		// its answer outgrows the frame bound.
+		// Lay each member's slots out contiguously, unit by unit, and cut
+		// them into frames of at most MaxBatchSlots, so neither a request
+		// nor its answer outgrows the frame bound.
 		off := 0
 		for j := range members {
 			members[j].off, off, members[j].n = off, off+members[j].n, 0
 		}
-		for _, i := range assigned {
-			bm := &members[routes[i].owners[routes[i].tried-1]]
-			order[bm.off+bm.n], ordered[bm.off+bm.n] = i, slots[i]
-			bm.n++
+		for _, u := range assigned {
+			un := &units[u]
+			bm := &members[un.owners[un.tried-1]]
+			for _, i := range un.slots {
+				order[bm.off+bm.n], ordered[bm.off+bm.n] = i, slots[i]
+				bm.n++
+			}
 		}
 		subs = subs[:0]
 		for j, bm := range members {
@@ -710,7 +780,6 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 			payload = wire.AppendBatch(payload[:0], sb.batch)
 			start(&col, members[sb.member].m, wire.TBatch, payload, k)
 		}
-		pending = assigned[:0]
 		for col.Pending() > 0 {
 			call := col.Next(time.Time{})
 			sb := &subs[call.Tag]
@@ -724,19 +793,19 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 				// statuses are shard-specific, so those slots go to the
 				// next replica.
 				var msg string
-				retry := true
+				retryable := true
 				if err != nil {
 					msg = fmt.Sprintf("cluster: shard %s: %v", m.ID, err)
 				} else {
 					msg = fmt.Sprintf("cluster: shard %s: status %d: %s", m.ID, werr.Code, werr.Msg)
-					retry = retryableStatus(werr.Code)
+					retryable = retryableStatus(werr.Code)
 				}
 				for _, i := range sb.slots {
 					if errs[i] == "" {
 						errs[i] = msg
 					}
-					if retry {
-						pending = append(pending, i)
+					if retryable {
+						retry(i)
 					}
 				}
 				continue
@@ -752,7 +821,7 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 						if errs[i] == "" {
 							errs[i] = e
 						}
-						pending = append(pending, i)
+						retry(i)
 					} else {
 						errs[i] = e
 					}
@@ -763,6 +832,24 @@ func (rt *Router) Batch(ctx context.Context, keys []store.Key, slots []wire.Batc
 			}
 		}
 		col.Abandon()
+		// A unit with slots to retry moves on with exactly those.
+		pending = assigned[:0]
+		if again == nil {
+			continue
+		}
+		for _, u := range assigned {
+			un := &units[u]
+			left := un.slots[:0]
+			for _, i := range un.slots {
+				if again[i] {
+					again[i] = false
+					left = append(left, i)
+				}
+			}
+			if un.slots = left; len(left) > 0 {
+				pending = append(pending, u)
+			}
+		}
 	}
 }
 

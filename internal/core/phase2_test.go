@@ -4,11 +4,22 @@ import (
 	"slices"
 	"testing"
 
+	"ftbfs/internal/bfs"
 	"ftbfs/internal/gen"
 	"ftbfs/internal/graph"
 	"ftbfs/internal/replacement"
 	"ftbfs/internal/tree"
 )
+
+// pathTo returns the canonical shortest path π(s,v) of bt as a vertex
+// sequence from the source to v.
+func pathTo(bt *bfs.Tree, v int) []int32 {
+	path := make([]int32, bt.Dist[v]+1)
+	for i, x := len(path)-1, int32(v); i >= 0; i, x = i-1, bt.Parent[x] {
+		path[i] = x
+	}
+	return path
+}
 
 // Direct unit tests of the Phase S2 covering logic.
 
@@ -131,7 +142,7 @@ func TestEdgeIndexOfConsistency(t *testing.T) {
 			t.Fatalf("edge index %d outside [0, depth(v)=%d)", idx, en.T.Depth[p.V])
 		}
 		// the edge at index idx on π(s,v) is p.Edge
-		pi := en.BT.PathTo(int(p.V))
+		pi := pathTo(en.BT, int(p.V))
 		if g.EdgeIDOf(int(pi[idx]), int(pi[idx+1])) != p.Edge {
 			t.Fatal("edge index does not address the failing edge")
 		}

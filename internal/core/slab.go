@@ -502,6 +502,11 @@ func validateSlab(rec *SlabRecord, g *graph.Graph) error {
 			if p != -1 || id != graph.NoEdge {
 				return fmt.Errorf("core: binary record: vertex %d has no parent but parent edge %d", v, id)
 			}
+			// Only the source and unreachable vertices have no parent: a
+			// reached orphan would sit in no subtree of the plan's tree.
+			if d != -1 && (v != rec.S || d != 0) {
+				return fmt.Errorf("core: binary record: vertex %d at depth %d has no parent", v, d)
+			}
 			continue
 		}
 		if int(p) >= n || id < 0 || int(id) >= m {

@@ -198,13 +198,37 @@ func TestSlabHeaderChecks(t *testing.T) {
 	}
 }
 
+// orphanRecord encodes a valid edge record over g whose last vertex in BFS
+// order has lost its parent link: the checksum is valid, the tree is not.
+func orphanRecord(t testing.TB, g *graph.Graph) []byte {
+	t.Helper()
+	rec := slabTestRecord(t, g, ModelEdge)
+	v := rec.Order[len(rec.Order)-1]
+	rec.Parent[v], rec.ParentEdge[v] = -1, graph.NoEdge
+	data, err := EncodeSlabBytes(g, rec)
+	if err != nil {
+		t.Fatalf("EncodeSlabBytes: %v", err)
+	}
+	return data
+}
+
+// TestDecodeSlabRefusesOrphan checks that a record whose reached vertex,
+// other than the source, has no parent is refused: it lies in no subtree of
+// the plan's tree.
+func TestDecodeSlabRefusesOrphan(t *testing.T) {
+	g0, _ := slabTestGraphs(t)
+	if _, err := DecodeSlab(orphanRecord(t, g0), g0); err == nil || !strings.Contains(err.Error(), "has no parent") {
+		t.Fatalf("DecodeSlab of an orphaned vertex: %v, want a refusal", err)
+	}
+}
+
 // FuzzDecodeSlab feeds arbitrary bytes to the binary record decoder, against
 // a graph at generation 0 and at generation 1. The decoder must never panic
 // and never allocate unboundedly; inputs that do decode must carry the slab
 // magic and re-encode to exactly the bytes that were accepted (the format
 // has a canonical form). The seeds cover an edge record, a vertex record
-// and a generation-1 record, and records in the retired FTB3/FTB4 layouts,
-// which must be refused.
+// and a generation-1 record, and records in the retired FTB3/FTB4 layouts
+// and one with an orphaned vertex, which must be refused.
 func FuzzDecodeSlab(f *testing.F) {
 	g0, g1 := slabTestGraphs(f)
 	var edge []byte
@@ -232,6 +256,7 @@ func FuzzDecodeSlab(f *testing.F) {
 	mut := bytes.Clone(edge)
 	mut[70] ^= 0xff
 	f.Add(mut)
+	f.Add(orphanRecord(f, g0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, g := range []*graph.Graph{g0, g1} {
 			dec, err := DecodeSlab(data, g)

@@ -20,9 +20,19 @@ func bruteDistAvoiding(g *graph.Graph, s int, e graph.EdgeID) []int32 {
 	return bfs.From(b.Graph(), s).Dist
 }
 
+// pathTo returns the canonical shortest path π(s,v) of bt as a vertex
+// sequence from the source to v.
+func pathTo(bt *bfs.Tree, v int) []int32 {
+	path := make([]int32, bt.Dist[v]+1)
+	for i, x := len(path)-1, int32(v); i >= 0; i, x = i-1, bt.Parent[x] {
+		path[i] = x
+	}
+	return path
+}
+
 // fullPath reconstructs the complete replacement path π(s,Div)◦Detour of p.
 func fullPath(en *Engine, p *Pair) paths.Path {
-	return paths.Concat(paths.Path(en.BT.PathTo(int(p.Div))), p.Detour)
+	return paths.Concat(paths.Path(pathTo(en.BT, int(p.Div))), p.Detour)
 }
 
 func randomConnected(n, extra int, seed int64) *graph.Graph {
@@ -49,7 +59,7 @@ func TestForEachFailureDistances(t *testing.T) {
 				t.Fatalf("edge %v: dist[%d]=%d want %d", g.EdgeByID(e), v, distE[v], want[v])
 			}
 		}
-		if en.T.ChildEndpoint(g, e) != child {
+		if en.BT.ParentEdge[child] != e {
 			t.Fatal("child endpoint mismatch")
 		}
 	})
@@ -162,7 +172,7 @@ func TestAllPairsProperties(t *testing.T) {
 					t.Fatal("uncovered pair with tree last edge")
 				}
 				// Observation 3.2: detour interior avoids π(s,v)
-				pi := en.BT.PathTo(int(v))
+				pi := pathTo(en.BT, int(v))
 				onPi := map[int32]bool{}
 				for _, x := range pi {
 					onPi[x] = true
@@ -262,7 +272,7 @@ func TestFullPathPrefixIsTreePath(t *testing.T) {
 	en := NewEngine(g, 0)
 	for _, p := range en.AllPairs() {
 		full := fullPath(en, p)
-		prefix := paths.Path(en.BT.PathTo(int(p.Div)))
+		prefix := paths.Path(pathTo(en.BT, int(p.Div)))
 		for i := range prefix {
 			if full[i] != prefix[i] {
 				t.Fatal("full path does not start with π(s,Div)")

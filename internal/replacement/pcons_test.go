@@ -52,7 +52,7 @@ func (r *reference) allPairs(t testing.TB) []*Pair {
 // walked back from u_{j*} by min-index predecessors.
 func (r *reference) pcons(t testing.TB, v int32, e graph.EdgeID, child, target int32) *Pair {
 	en, g := r.en, r.en.G
-	pi := en.BT.PathTo(int(v))
+	pi := pathTo(en.BT, int(v))
 	k := len(pi) - 1
 	i := int(en.T.Depth[child]) - 1 // e = (u_i, u_{i+1})
 	if i < 0 || i >= k || pi[i+1] != child {

@@ -14,6 +14,9 @@ import (
 	"reflect"
 	"regexp"
 	"testing"
+
+	"ftbfs/internal/store"
+	"ftbfs/internal/wire"
 )
 
 // decodeSeeds are bodies encoding/json reads in ways a naive scanner would
@@ -85,6 +88,15 @@ var decodeSeeds = []string{
 	// Trailing bytes after the object are ignored.
 	`{"queries":[{"v":1}]} trailing garbage`,
 	`{"queries":[{"v":1}]}{"queries":[{"v":2}]}`,
+	// An empty slot graph or algorithm means the request's.
+	`{"graph":"00000000000000aa","alg":"tree","queries":[{"graph":"","alg":"","v":1,"fail":[1,2]},{"v":1,"fail":[1,2]},{"alg":"bogus","v":2},{"v":3}]}`,
+	// A default after the vector applies to slots before it.
+	`{"queries":[{"v":1,"fail":[1,2]}],"graph":"00000000000000aa"}`,
+	`{"graph":"00000000000000aa","queries":[{"v":1}],"eps":0.5}`,
+	// Neighbouring slots whose addresses differ in one field at a time.
+	`{"graph":"00000000000000aa","eps":0.3,"queries":[{"source":1,"v":1,"fail":[1,2]},{"source":1,"v":2,"fail":[2,1]},{"source":2,"v":2,"fail":[2,1]},{"source":2,"eps":0.3,"v":2},{"source":2,"eps":0.5,"v":2},{"source":2,"v":2,"failedVertex":3},{"source":2,"eps":9,"v":2,"failedVertex":3},{"graph":"00000000000000bb","source":2,"v":2,"failedVertex":3},{"graph":"00000000000000bb","source":2,"v":2,"fail":[9,8]},{"graph":"zz","source":2,"v":2,"fail":[9,8]},{"graph":"zz","source":2,"v":2,"failedVertex":4}]}`,
+	// Values past the wire's 32-bit fields.
+	`{"queries":[{"source":4294967296,"v":1,"fail":[1,2]},{"v":-2147483649,"failedVertex":1},{"v":1,"fail":[2147483648,1]},{"v":1,"failedVertex":2147483648},{"graph":"x","v":1,"failedVertex":2147483648}]}`,
 	// Unknown keys are skipped by encoding/json.
 	`{"extra":{"a":[1,2,{"b":null}]},"queries":[{"v":1,"note":"x"}]}`,
 	// Truncated and broken bodies.
@@ -198,10 +210,43 @@ func readmeBatchBodies(t *testing.T) []string {
 	return bodies
 }
 
+// wireVector is a vector in wire form, as DecodeBatchQuery and
+// BatchQueryRequest.Wire return it.
+type wireVector struct {
+	keys  []store.Key
+	slots []wire.BatchSlot
+	errs  []string
+}
+
+// referenceVector decodes body with encoding/json and converts it with Wire:
+// the reference for every body.
+func referenceVector(body []byte) (wireVector, error) {
+	var req BatchQueryRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return wireVector{}, err
+	}
+	keys, slots, errs := req.Wire()
+	return wireVector{keys, slots, errs}, nil
+}
+
+// diffVectors describes the first difference between two vectors, "" when
+// they are equal; a nil and an empty vector are equal.
+func diffVectors(got, want wireVector) string {
+	if len(got.keys) != len(want.keys) || len(got.slots) != len(want.slots) || len(got.errs) != len(want.errs) {
+		return fmt.Sprintf("lengths %d/%d/%d, want %d/%d/%d", len(got.keys), len(got.slots), len(got.errs), len(want.keys), len(want.slots), len(want.errs))
+	}
+	for i := range want.keys {
+		if got.keys[i] != want.keys[i] || got.slots[i] != want.slots[i] || got.errs[i] != want.errs[i] {
+			return fmt.Sprintf("slot %d: got %+v %+v %q, want %+v %+v %q", i, got.keys[i], got.slots[i], got.errs[i], want.keys[i], want.slots[i], want.errs[i])
+		}
+	}
+	return ""
+}
+
 // TestScanBatchQueryTakesMarshalledBodies pins the fast path: every body a
 // client in this repository sends must be scanned, not handed to
-// encoding/json. A silent fallback would erase the gain without failing any
-// other test.
+// encoding/json, into the keys, slots and per-slot errors Wire gives. A
+// silent fallback would erase the gain without failing any other test.
 func TestScanBatchQueryTakesMarshalledBodies(t *testing.T) {
 	bodies := readmeBatchBodies(t)
 	rng := rand.New(rand.NewSource(20261017))
@@ -213,21 +258,23 @@ func TestScanBatchQueryTakesMarshalledBodies(t *testing.T) {
 		bodies = append(bodies, string(body))
 	}
 	for _, body := range bodies {
-		var want, got BatchQueryRequest
-		if err := json.Unmarshal([]byte(body), &want); err != nil {
+		want, err := referenceVector([]byte(body))
+		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
-		if !scanBatchQuery([]byte(body), &got) {
+		keys, slots, errs, ok := scanBatchQuery([]byte(body))
+		if !ok {
 			t.Fatalf("scanner fell back on %s", body)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scanned %s\n got %+v\nwant %+v", body, got, want)
+		if d := diffVectors(wireVector{keys, slots, errs}, want); d != "" {
+			t.Fatalf("scanned %s\n%s", body, d)
 		}
 	}
 }
 
-// TestScanBatchQueryAllocs pins the slabs: decoding a 256-slot vector costs
-// a handful of allocations, not several per slot.
+// TestScanBatchQueryAllocs pins the scanner's allocations: decoding a
+// 256-slot vector into its wire form costs its keys, slots and errors plus
+// the default graph's text, none per slot.
 func TestScanBatchQueryAllocs(t *testing.T) {
 	req := BatchQueryRequest{Graph: "00000000000000ff", Queries: make([]BatchQuery, 256)}
 	for i := range req.Queries {
@@ -245,36 +292,36 @@ func TestScanBatchQueryAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		var got BatchQueryRequest
-		if !scanBatchQuery(body, &got) {
+		if _, _, _, ok := scanBatchQuery(body); !ok {
 			t.Fatal("scanner fell back")
 		}
 	})
-	if allocs > 6 {
-		t.Fatalf("scanning a 256-slot vector costs %.0f allocs, want at most 6", allocs)
+	if allocs > 4 {
+		t.Fatalf("scanning a 256-slot vector costs %.0f allocs, want at most 4", allocs)
 	}
 }
 
-// checkDecode asserts DecodeBatchQuery returns what encoding/json returns
-// for the same body, value and error text alike.
+// checkDecode asserts DecodeBatchQuery returns what encoding/json and Wire
+// return for the same body: the same keys, slots and per-slot errors, or
+// "bad body: " + the same error.
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
-	var want BatchQueryRequest
-	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	got, err := DecodeBatchQuery(httptest.NewRequest(http.MethodPost, "/batch-query", bytes.NewReader(body)))
+	want, wantErr := referenceVector(body)
+	keys, slots, errs, err := DecodeBatchQuery(httptest.NewRequest(http.MethodPost, "/batch-query", bytes.NewReader(body)))
 	switch {
 	case wantErr == nil && err != nil:
 		t.Fatalf("%q: DecodeBatchQuery failed with %v, encoding/json took it", body, err)
 	case wantErr != nil && (err == nil || err.Error() != "bad body: "+wantErr.Error()):
 		t.Fatalf("%q: DecodeBatchQuery error %v, want bad body: %v", body, err, wantErr)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q:\n got %+v\nwant %+v", body, got, want)
+	if d := diffVectors(wireVector{keys, slots, errs}, want); d != "" {
+		t.Fatalf("%q: %s", body, d)
 	}
 }
 
-// FuzzDecodeBatchQuery holds DecodeBatchQuery to encoding/json on every
-// input: the same value and the handler's "bad body: " + the same error.
+// FuzzDecodeBatchQuery holds DecodeBatchQuery to encoding/json and Wire on
+// every input: the same keys, slots and per-slot errors, or the handler's
+// "bad body: " + the same error.
 func FuzzDecodeBatchQuery(f *testing.F) {
 	for _, seed := range decodeSeeds {
 		f.Add([]byte(seed))
@@ -314,12 +361,48 @@ func TestDecodeBatchQueryReadError(t *testing.T) {
 		var want BatchQueryRequest
 		wantErr := json.NewDecoder(&failingBody{bytes.NewReader([]byte(body)), cut}).Decode(&want)
 		r := httptest.NewRequest(http.MethodPost, "/batch-query", &failingBody{bytes.NewReader([]byte(body)), cut})
-		got, err := DecodeBatchQuery(r)
+		keys, slots, errs, err := DecodeBatchQuery(r)
 		if (wantErr == nil) != (err == nil) || (err != nil && err.Error() != "bad body: "+wantErr.Error()) {
 			t.Fatalf("%q: error %v, want bad body: %v", body, err, wantErr)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: got %+v, want %+v", body, got, want)
+		if wantErr == nil {
+			wk, ws, we := want.Wire()
+			if d := diffVectors(wireVector{keys, slots, errs}, wireVector{wk, ws, we}); d != "" {
+				t.Fatalf("%q: %s", body, d)
+			}
+		}
+	}
+}
+
+// TestBatchReplyMatchesWriteJSON pins writeBatchReply to WriteJSON of the
+// same BatchQueryResponse, byte for byte with its header and status: with
+// and without errors, and with messages that need escaping.
+func TestBatchReplyMatchesWriteJSON(t *testing.T) {
+	msgs := []string{"", "", "", "vertex 7 out of range [0,40)", `bad graph fingerprint "zz"`, `a\b`,
+		"tab\there", "new\nline", "\x7f", "é", "\xff\xfe", "\u2028", "<&>", "\x00\x1f", "\b\f"}
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(20)
+		dists, errs := make([]int, n), make([]string, n)
+		for i := range dists {
+			dists[i] = rng.Intn(1000) - 1
+			if trial%3 > 0 {
+				errs[i] = msgs[rng.Intn(len(msgs))]
+			}
+		}
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeBatchReply(got, dists, errs)
+		resp := BatchQueryResponse{Dists: dists}
+		for _, msg := range errs {
+			if msg != "" {
+				resp.Errors = errs
+				break
+			}
+		}
+		WriteJSON(want, http.StatusOK, resp)
+		if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || got.Body.String() != want.Body.String() {
+			t.Fatalf("dists %v errs %q:\n got %d %v %q\nwant %d %v %q", dists, errs,
+				got.Code, got.Header(), got.Body.String(), want.Code, want.Header(), want.Body.String())
 		}
 	}
 }

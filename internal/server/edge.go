@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -18,7 +19,7 @@ import (
 )
 
 // Backend answers the query surface an Edge serves. Requests arrive in the
-// wire form QueryRequest.Wire, BatchQueryRequest.Wire and MutateRequest.Wire
+// wire form QueryRequest.Wire, DecodeBatchQuery and MutateRequest.Wire
 // produce; a refusal is an in-protocol *wire.Error whose code is the HTTP
 // status and whose message is the error body. *Server answers from its
 // store; the cluster router answers from its shards.
@@ -271,25 +272,39 @@ func (e *Edge) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		e.Error(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	req, err := DecodeBatchQuery(r)
-	if err == nil && len(req.Queries) == 0 {
+	keys, slots, errs, err := DecodeBatchQuery(r)
+	if err == nil && len(slots) == 0 {
 		err = errors.New("empty query vector")
 	}
 	if err != nil {
 		e.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	keys, slots, errs := req.Wire()
 	dists := make([]int, len(slots))
 	e.b.Batch(r.Context(), keys, slots, dists, errs)
-	resp := BatchQueryResponse{Dists: dists}
-	for _, msg := range errs {
-		if msg != "" {
-			resp.Errors = errs
-			break
-		}
+	writeBatchReply(w, dists, errs)
+}
+
+// writeBatchReply writes the /batch-query reply, byte-identical to
+// WriteJSON of BatchQueryResponse{dists, errs} with errs omitted when every
+// slot answered. A reply with no error, the common one, is written without
+// reflection; one that carries errors goes to WriteJSON, the reference for
+// their escaping.
+func writeBatchReply(w http.ResponseWriter, dists []int, errs []string) {
+	if slices.ContainsFunc(errs, func(msg string) bool { return msg != "" }) {
+		WriteJSON(w, http.StatusOK, BatchQueryResponse{Dists: dists, Errors: errs})
+		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	b := append(make([]byte, 0, 16+4*len(dists)), `{"dists":[`...)
+	for i, d := range dists {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(b, "]}\n"...))
 }
 
 // handleMutate serves /mutate: a malformed batch is refused whole, before

@@ -773,15 +773,9 @@ func (req *BatchQueryRequest) keyFor(i int, defFP uint64, defErr error) (store.K
 	if q.Graph != "" {
 		fp, err = parseGraph(q.Graph)
 	}
-	if err != nil {
-		return store.Key{}, err
-	}
 	source := req.Source
 	if q.Source != nil {
 		source = *q.Source
-	}
-	if q.FailedVertex != nil {
-		return store.VertexKey(fp, source), nil
 	}
 	eps := req.Eps
 	if q.Eps != nil {
@@ -790,6 +784,20 @@ func (req *BatchQueryRequest) keyFor(i int, defFP uint64, defErr error) (store.K
 	alg := q.Alg
 	if alg == "" {
 		alg = req.Alg
+	}
+	return addrKey(fp, err, source, eps, alg, q.FailedVertex != nil)
+}
+
+// addrKey resolves a slot's structure address, the request's defaults
+// applied, to its registry key: a bad graph fingerprint (fpErr) fails it,
+// and a vertex slot addresses the (graph, source) vertex structure whatever
+// its ε and algorithm.
+func addrKey(fp uint64, fpErr error, source int, eps *float64, alg string, vertex bool) (store.Key, error) {
+	if fpErr != nil {
+		return store.Key{}, fpErr
+	}
+	if vertex {
+		return store.VertexKey(fp, source), nil
 	}
 	return resolveKey(fp, source, eps, alg)
 }

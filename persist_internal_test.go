@@ -95,6 +95,42 @@ func loadFourCycleRecord(t *testing.T) *Structure {
 	return st
 }
 
+// TestLoadStructureRefusesOrphan re-encodes a built structure's record with
+// its last vertex in BFS order cut from its parent, under a valid checksum:
+// LoadStructure must refuse it, as it loads the record unchanged.
+func TestLoadStructureRefusesOrphan(t *testing.T) {
+	g := &Graph{g: gen.RandomConnected(40, 100, 9)}
+	st, err := Build(g, 0, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.SaveSlab(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := core.DecodeSlab(buf.Bytes(), g.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, orphan := range []bool{false, true} {
+		if orphan {
+			v := rec.Order[len(rec.Order)-1]
+			rec.Parent[v], rec.ParentEdge[v] = -1, graph.NoEdge
+		}
+		data, err := core.EncodeSlabBytes(g.g, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadStructure(g, bytes.NewReader(data))
+		if !orphan && err != nil {
+			t.Fatalf("re-encoded record: %v", err)
+		}
+		if orphan && (err == nil || !strings.Contains(err.Error(), "has no parent")) {
+			t.Fatalf("record with an orphaned vertex: LoadStructure error %v", err)
+		}
+	}
+}
+
 // TestPlanTreeIsT0 is why a slab record needs no T0 section: for every
 // built structure, H's canonical BFS tree — the plan's tree, whose
 // parent and parentEdge arrays a record carries — is T0, G's canonical BFS
